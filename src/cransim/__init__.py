@@ -7,18 +7,17 @@ from .cellgeom import (PropagationParams, Topology, build_layout,
                        link_gain_linear, pathloss_macro_db, pathloss_pico_db,
                        sector_gain_db, shadowing_db)
 from .channel import (ChannelRealization, Cluster, build_cluster,
-                      effective_noise_variance, realize_channel,
-                      thermal_noise_w)
+                      realize_channel, thermal_noise_w)
 from .downlink import (DownlinkDesign, DownlinkResult, backhaul_mv_dl,
                        backhaul_p2p_dl, feasible_dl, optimize_dl, rate_dl)
 from .errors import ConfigurationError, DomainError, NumericalDomainError
-from .gaussinfo import conditional_cov, logdet2, received_cov_ul
+from .gaussinfo import logdet2
 from .harness import (ExperimentConfig, MetricsReport, PRESETS, RateMapping,
-                      SolverOptions, SweepResult, alpha_sweep,
-                      normalize_backhaul, percentile, run_experiment)
-from .mmopt import MMTrace, linearize_logdet, mm_solve
+                      SolverOptions, SweepResult, alpha_sweep, percentile,
+                      run_experiment)
+from .mmopt import MMTrace, mm_solve
 from .scheduler import FairnessState, initial_state, update, weights
 from .uplink import (UplinkDesign, UplinkResult, backhaul_p2p, backhaul_wz,
-                     omega_closed_form, optimize_ul, rate_ul)
+                     omega_closed_form, optimize_ul, rate_ul, rates_ul)
 
 __version__ = "0.1.0"

@@ -21,6 +21,7 @@ from .errors import DomainError
 from .units import dbm_to_watts
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
+CLUSTER_CELL = 1   # the served cell; topology.interferer_set is its co-band set
 
 
 def thermal_noise_w(nf_db, bandwidth_hz):
@@ -69,7 +70,6 @@ class Cluster:
 
     topology: cellgeom.Topology
     params: cellgeom.PropagationParams
-    cell_id: int
     bs_nodes: list
     ms_nodes: list
     gain: np.ndarray            # (n_bs, n_ms) large-scale linear gains
@@ -99,77 +99,26 @@ class Cluster:
         return np.full(self.n_ms, dbm_to_watts(self.params.tx_ms_dbm))
 
 
-def _cluster_nodes(topology, cell_id):
-    bs = [("macro", cell_id, s) for s in range(3)]
-    bs += [("pico", cell_id, j) for j in range(topology.n_pico)]
-    ms = [("ms", cell_id, j) for j in range(topology.k_ms)]
+def _cluster_nodes(topology):
+    bs = [("macro", CLUSTER_CELL, s) for s in range(3)]
+    bs += [("pico", CLUSTER_CELL, j) for j in range(topology.n_pico)]
+    ms = [("ms", CLUSTER_CELL, j) for j in range(topology.k_ms)]
     return bs, ms
 
 
-def _node_in_cluster(node, topology, cell_id):
-    kind, cell, idx = node
-    if cell != cell_id:
-        return False
-    if kind == "macro":
-        return 0 <= idx < 3
-    if kind == "pico":
-        return 0 <= idx < topology.n_pico
-    if kind == "ms":
-        return 0 <= idx < topology.k_ms
-    return False
+def build_cluster(topology, params=None):
+    """Precompute the drop-level large-scale state of one cluster.
 
-
-def effective_noise_variance(node, topology, params=None, rng=None,
-                             interfering_cells=None, cell_id=1):
-    """Effective noise power (watts) at a cluster node.
-
-    For a BS node the uplink noise is returned: thermal floor plus the
-    received power of the active MSs in each co-band cell (one per sector;
-    chosen via ``rng`` when given, averaged over the cell's MSs otherwise).
-    For an MS node the downlink noise is returned: thermal floor plus the
-    full-power transmissions of every co-band cell's sector antennas and
-    picos.  ``interfering_cells`` overrides the topology's co-band set.
+    The inter-cluster interference model lives here and in
+    ``realize_channel`` only: each MS's downlink noise is its thermal floor
+    plus every co-band cell's sector antennas and picos at full power, and
+    the uplink interference each co-band MS would cause at each cluster BS
+    is tabulated for ``realize_channel`` to draw the active MSs from.
     """
     params = params or cellgeom.PropagationParams()
-    if not _node_in_cluster(node, topology, cell_id):
-        raise DomainError(f"node {node!r} is not part of cluster {cell_id}")
-    cells = topology.interferer_set if interfering_cells is None \
-        else tuple(interfering_cells)
-
-    kind = node[0]
-    if kind == "ms":
-        total = thermal_noise_w(params.nf_ms_db, params.bandwidth_hz)
-        p_macro = dbm_to_watts(params.tx_macro_dbm)
-        p_pico = dbm_to_watts(params.tx_pico_dbm)
-        for c in cells:
-            for s in range(3):
-                total += p_macro * cellgeom.link_gain_linear(
-                    ("macro", c, s), node, topology, params)
-            for j in range(topology.n_pico):
-                total += p_pico * cellgeom.link_gain_linear(
-                    ("pico", c, j), node, topology, params)
-        return total
-
-    nf = params.nf_macro_db if kind == "macro" else params.nf_pico_db
-    total = thermal_noise_w(nf, params.bandwidth_hz)
-    p_ms = dbm_to_watts(params.tx_ms_dbm)
-    for c in cells:
-        gains = np.array([cellgeom.link_gain_linear(("ms", c, j), node,
-                                                    topology, params)
-                          for j in range(topology.k_ms)])
-        if rng is not None:
-            active = rng.integers(0, topology.k_ms, size=3)
-            total += p_ms * float(np.sum(gains[active]))
-        else:
-            total += 3.0 * p_ms * float(np.mean(gains))
-    return total
-
-
-def build_cluster(topology, params=None, cell_id=1):
-    """Precompute the drop-level large-scale state of one cluster."""
-    params = params or cellgeom.PropagationParams()
-    bs_nodes, ms_nodes = _cluster_nodes(topology, cell_id)
+    bs_nodes, ms_nodes = _cluster_nodes(topology)
     n_bs, n_ms = len(bs_nodes), len(ms_nodes)
+    cells = topology.interferer_set
 
     gain = np.zeros((n_bs, n_ms))
     for i, b in enumerate(bs_nodes):
@@ -180,12 +129,22 @@ def build_cluster(topology, params=None, cell_id=1):
         thermal_noise_w(params.nf_macro_db if b[0] == "macro"
                         else params.nf_pico_db, params.bandwidth_hz)
         for b in bs_nodes])
-    sigma2_dl = np.array([
-        effective_noise_variance(m, topology, params, cell_id=cell_id)
-        for m in ms_nodes])
+
+    p_macro = dbm_to_watts(params.tx_macro_dbm)
+    p_pico = dbm_to_watts(params.tx_pico_dbm)
+    sigma2_dl = np.zeros(n_ms)
+    for k, m in enumerate(ms_nodes):
+        total = thermal_noise_w(params.nf_ms_db, params.bandwidth_hz)
+        for c in cells:
+            for s in range(3):
+                total += p_macro * cellgeom.link_gain_linear(
+                    ("macro", c, s), m, topology, params)
+            for j in range(topology.n_pico):
+                total += p_pico * cellgeom.link_gain_linear(
+                    ("pico", c, j), m, topology, params)
+        sigma2_dl[k] = total
 
     p_ms = dbm_to_watts(params.tx_ms_dbm)
-    cells = topology.interferer_set
     ul_interference = np.zeros((len(cells), topology.k_ms, n_bs))
     for ci, c in enumerate(cells):
         for j in range(topology.k_ms):
@@ -193,7 +152,7 @@ def build_cluster(topology, params=None, cell_id=1):
                 ul_interference[ci, j, i] = p_ms * cellgeom.link_gain_linear(
                     ("ms", c, j), b, topology, params)
 
-    return Cluster(topology=topology, params=params, cell_id=cell_id,
+    return Cluster(topology=topology, params=params,
                    bs_nodes=bs_nodes, ms_nodes=ms_nodes, gain=gain,
                    thermal_ul=thermal_ul, sigma2_dl=sigma2_dl,
                    ul_interference=ul_interference)

@@ -4,8 +4,9 @@ import argparse
 import sys
 
 from .errors import ConfigurationError, DomainError
-from .harness import (ExperimentConfig, PRESETS, alpha_sweep, default_out_dir,
-                      run_experiment, write_report, write_sweep)
+from .harness import (MODE_MT, MODE_P2P, ExperimentConfig, PRESETS,
+                      alpha_sweep, default_out_dir, run_experiment,
+                      write_report, write_sweep)
 
 
 def _add_common(sub):
@@ -16,8 +17,7 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int)
     sub.add_argument("--drops", type=int)
     sub.add_argument("--slots", type=int)
-    sub.add_argument("--mode", choices=["point_to_point", "multiterminal",
-                                        "both"])
+    sub.add_argument("--mode", choices=[MODE_P2P, MODE_MT, "both"])
     sub.add_argument("--jobs", type=int)
     sub.add_argument("--out", default=None, help="output directory "
                      "(default: $CRANSIM_OUT or ./results)")

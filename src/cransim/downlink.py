@@ -28,9 +28,8 @@ import numpy as np
 from .errors import DomainError, NumericalDomainError
 from .gaussinfo import LN2, hermitize, logdet2
 from .mmopt import MMTrace, mm_solve
+from .uplink import MODE_MT, MODE_P2P
 
-MODE_P2P = "point_to_point"
-MODE_MT = "multiterminal"
 SUBSET_ENUM_CAP = 16
 FEAS_TOL = 1e-7
 

@@ -5,28 +5,11 @@ symmetrize before factorizing and report log-determinants in base 2 so that
 information quantities come out in bits.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .errors import DomainError, NumericalDomainError
+from .errors import NumericalDomainError
 
-HERMITIAN_TOL = 1e-10
-RIDGE_SCALE = 1e-12
 LN2 = np.log(2.0)
-
-
-@dataclass
-class Diagnostics:
-    """Counters for numerical fallbacks (ridge regularizations)."""
-    ridge_applications: int = 0
-
-    def reset(self):
-        self.ridge_applications = 0
-
-
-diagnostics = Diagnostics()
 
 
 def hermitize(m):
@@ -35,76 +18,22 @@ def hermitize(m):
     return 0.5 * (m + m.conj().T)
 
 
-def project_psd(m, clamp_tol=HERMITIAN_TOL):
-    """Project onto the Hermitian PSD cone by clamping negative eigenvalues."""
-    m = hermitize(m)
-    w, v = np.linalg.eigh(m)
-    if w.size and w[0] < 0.0:
-        w = np.maximum(w, 0.0)
-        m = (v * w) @ v.conj().T
-        m = hermitize(m)
-    return m
-
-
-def logdet2(m):
-    """log2 det(M) of a positive definite Hermitian matrix, via Cholesky."""
+def cholesky(m):
+    """Lower Cholesky factor of a positive definite Hermitian matrix."""
     m = hermitize(m)
     try:
-        chol = np.linalg.cholesky(m)
+        return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         w = np.linalg.eigvalsh(m)
         raise NumericalDomainError(
             f"matrix is not positive definite (min eigenvalue {w.min():.6e})")
+
+
+def logdet2_from_cholesky(chol):
+    """log2 det(L L^H) from a lower Cholesky factor L."""
     return float(2.0 * np.sum(np.log2(np.diag(chol).real)))
 
 
-def conditional_cov(s_xx, s_xy, s_yy):
-    """Schur complement S_xx - S_xy S_yy^-1 S_xy^H, projected back to PSD.
-
-    A small ridge (RIDGE_SCALE * trace/dim) is applied once if S_yy is too
-    ill-conditioned to factor; occurrences are counted in `diagnostics`.
-    """
-    s_xx = hermitize(s_xx)
-    s_xy = np.asarray(s_xy, dtype=complex)
-    s_yy = hermitize(s_yy)
-    try:
-        chol = cho_factor(s_yy, lower=True)
-    except np.linalg.LinAlgError:
-        ridge = RIDGE_SCALE * np.trace(s_yy).real / max(s_yy.shape[0], 1)
-        diagnostics.ridge_applications += 1
-        try:
-            chol = cho_factor(s_yy + ridge * np.eye(s_yy.shape[0]), lower=True)
-        except np.linalg.LinAlgError:
-            w = np.linalg.eigvalsh(s_yy)
-            raise NumericalDomainError(
-                f"conditioning covariance is singular "
-                f"(min eigenvalue {w.min():.6e})")
-    out = s_xx - s_xy @ cho_solve(chol, s_xy.conj().T)
-    return project_psd(out)
-
-
-def received_cov_ul(p, channel, excluded=(), bs_indices=None):
-    """Covariance of the uplink BS observations given the symbols in `excluded`.
-
-    Sum of P_j h_j h_j^H over the non-excluded MSs plus the diagonal noise;
-    an empty `excluded` gives the unconditional covariance.  `bs_indices`
-    restricts the assembly to a subset of BS antennas.
-    """
-    p = np.asarray(p, dtype=float)
-    if np.any(p < 0):
-        raise DomainError("transmit powers must be nonnegative")
-    h = channel.h_ul
-    sigma2 = channel.sigma2_z_ul
-    if bs_indices is not None:
-        bs_indices = np.asarray(bs_indices, dtype=int)
-        h = h[bs_indices]
-        sigma2 = sigma2[bs_indices]
-    excluded = set(int(k) for k in excluded)
-    if not excluded.issubset(range(channel.n_ms)):
-        raise DomainError("excluded set contains invalid MS indices")
-    keep = [k for k in range(channel.n_ms) if k not in excluded]
-    cov = np.diag(sigma2).astype(complex)
-    if keep:
-        hk = h[:, keep]
-        cov = cov + (hk * p[keep]) @ hk.conj().T
-    return hermitize(cov)
+def logdet2(m):
+    """log2 det(M) of a positive definite Hermitian matrix, via Cholesky."""
+    return logdet2_from_cholesky(cholesky(m))

@@ -164,13 +164,6 @@ def percentile(samples, q):
     return float(np.percentile(samples, q, method="linear"))
 
 
-def normalize_backhaul(link_rate_bps, bandwidth_hz):
-    """Backhaul link rate normalized by the wireless bandwidth (bps/Hz)."""
-    if bandwidth_hz <= 0:
-        raise DomainError("bandwidth must be > 0")
-    return float(link_rate_bps) / float(bandwidth_hz)
-
-
 def _drop_seed(master_seed, drop):
     words = np.random.SeedSequence([int(master_seed), int(drop)]).generate_state(2)
     return int(words[0]) << 32 | int(words[1])
@@ -186,8 +179,8 @@ def _slot_rng(master_seed, drop, slot):
 class DropOutcome:
     drop: int
     rates: dict              # mode -> (slots, k_ms) mapped rates
-    warnings: int = 0
-    mm_iterations: int = 0
+    warnings: dict           # mode -> solver warnings over the drop's slots
+    mm_iterations: dict      # mode -> MM iterations over the drop's slots
 
 
 def _simulate_drop(config, drop):
@@ -202,7 +195,9 @@ def _simulate_drop(config, drop):
                                          config.beta) for m in modes}
     out = DropOutcome(drop=drop,
                       rates={m: np.zeros((config.slots, config.k_ms))
-                             for m in modes})
+                             for m in modes},
+                      warnings=dict.fromkeys(modes, 0),
+                      mm_iterations=dict.fromkeys(modes, 0))
     sol = config.solver
 
     for slot in range(config.slots):
@@ -239,8 +234,8 @@ def _simulate_drop(config, drop):
             mapped = config.rate_mapping.apply(results[m].rates)
             out.rates[m][slot] = mapped
             states[m] = scheduler.update(states[m], mapped)
-            out.warnings += len(results[m].trace.warnings)
-            out.mm_iterations += results[m].trace.iterations
+            out.warnings[m] += len(results[m].trace.warnings)
+            out.mm_iterations[m] += results[m].trace.iterations
     return out
 
 
@@ -281,8 +276,8 @@ def _aggregate(config, outcomes):
             mean_sum_rate=float(np.mean(sums)),
             avg_spectral_efficiency=float(np.mean(long_run)),
             cell_edge_throughput=percentile(long_run, 5),
-            solver_warnings=sum(o.warnings for o in outcomes),
-            mm_iterations=sum(o.mm_iterations for o in outcomes))
+            solver_warnings=sum(o.warnings[m] for o in outcomes),
+            mm_iterations=sum(o.mm_iterations[m] for o in outcomes))
     return metrics
 
 

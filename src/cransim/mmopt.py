@@ -5,7 +5,9 @@ expressions are concave in their matrix (scalar) argument, so their
 first-order expansion is a global upper bound that touches at the expansion
 point.  Swapping those terms for their tangents yields an inner problem
 whose solution can only improve the true objective, which gives the usual
-monotone-ascent guarantee of MM/DC schemes.
+monotone-ascent guarantee of MM/DC schemes.  Each design problem builds its
+own tangents (the uplink power problem in ``uplink``, the joint precoding
+problem in ``downlink``); this module only drives the outer loop.
 
 A problem object plugged into :func:`mm_solve` provides:
 
@@ -21,10 +23,7 @@ restores true feasibility by step-halving toward the previous iterate.
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import NumericalDomainError
-from .gaussinfo import LN2, hermitize, logdet2
 
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITER = 100
@@ -40,36 +39,6 @@ class MMTrace:
     converged: bool = False
     iterations: int = 0
     warnings: list = field(default_factory=list)
-
-
-@dataclass
-class LogDetTangent:
-    """Affine upper bound of log2 det(.) anchored at a PD matrix."""
-    anchor: np.ndarray
-    value_at_anchor: float
-    gradient: np.ndarray  # inverse of the anchor
-
-    def __call__(self, m):
-        delta = np.asarray(m, dtype=complex) - self.anchor
-        return self.value_at_anchor + np.trace(self.gradient @ delta).real / LN2
-
-
-def linearize_logdet(m0):
-    """Tangent majorizer of log2 det at `m0` (positive definite)."""
-    m0 = hermitize(m0)
-    value = logdet2(m0)
-    try:
-        grad = np.linalg.inv(m0)
-    except np.linalg.LinAlgError:
-        raise NumericalDomainError("cannot linearize log-det at a singular matrix")
-    return LogDetTangent(anchor=m0, value_at_anchor=value, gradient=hermitize(grad))
-
-
-def log2_tangent(v0):
-    """Scalar tangent of log2 at v0 > 0: returns (value_at_v0, slope)."""
-    if v0 <= 0:
-        raise NumericalDomainError("log2 tangent requires a positive anchor")
-    return np.log2(v0), 1.0 / (v0 * LN2)
 
 
 def mm_solve(problem, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,

@@ -8,16 +8,6 @@ def db_to_pow(x_db):
     return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
 
 
-def pow_to_db(x):
-    """Linear power ratio -> dB."""
-    return 10.0 * np.log10(x)
-
-
 def dbm_to_watts(x_dbm):
     """dBm -> watts."""
     return 10.0 ** ((np.asarray(x_dbm, dtype=float) - 30.0) / 10.0)
-
-
-def watts_to_dbm(x_w):
-    """Watts -> dBm."""
-    return 10.0 * np.log10(x_w) + 30.0

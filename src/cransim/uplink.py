@@ -12,6 +12,10 @@ The per-slot design runs in two steps: MS transmit powers are optimized for
 ideal backhaul via MM on the difference-of-log-dets objective, then the
 quantization noise powers follow in closed form from the backhaul capacities
 held at equality.
+
+Rates treat interference as noise.  One Cholesky factor of the received
+covariance M gives G = H^H M^-1 H, and from G every rate
+r_k = -log2(1 - p_k G_kk) and every tangent slope of the MM surrogate.
 """
 
 from dataclasses import dataclass
@@ -20,7 +24,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import DomainError, NumericalDomainError
-from .gaussinfo import LN2, hermitize, logdet2, received_cov_ul
+from .gaussinfo import LN2, cholesky, hermitize, logdet2_from_cholesky
 from .mmopt import mm_solve
 
 MODE_P2P = "point_to_point"
@@ -146,18 +150,52 @@ def omega_closed_form(p, order, c, channel, mode):
     return omega
 
 
-def rate_ul(design, channel, k):
-    """Achievable rate of MS k (bps/Hz), interference treated as noise."""
+def _received_cholesky(h, d, p):
+    """Cholesky factor L of M = diag(d) + H diag(p) H^H."""
+    return cholesky((h * p) @ h.conj().T + np.diag(d))
+
+
+def _factor(h, d, p):
+    """L and X = L^-1 H, so that G = H^H M^-1 H = X^H X.
+
+    G yields every uplink rate and tangent slope.
+    """
+    chol = _received_cholesky(h, d, p)
+    return chol, solve_triangular(chol, h, lower=True)
+
+
+def _rates_from(x, p):
+    """Per-MS rates -log2(1 - p_k G_kk) from X = L^-1 H (bps/Hz).
+
+    By the matrix determinant lemma this is log2 det M minus log2 det of M
+    without MS k.  An MS at zero power gets +0.0, not -0.0.
+    """
+    g_diag = np.sum(np.abs(x) ** 2, axis=0)
+    return 0.0 - np.log2(1.0 - p * g_diag)
+
+
+def rates_ul(design, channel):
+    """Achievable rates of all MSs (bps/Hz), interference treated as noise.
+
+    All K rates come from one Cholesky factor of the received covariance
+    plus quantization noise at the active BSs.
+    """
     active = design.active
     if active.size == 0:
-        return 0.0
+        return np.zeros(channel.n_ms)
     omega = design.omega[active]
     if np.any(~np.isfinite(omega)) or np.any(omega < 0):
         raise DomainError("active BSs need finite nonnegative noise powers")
-    noise = np.diag(omega).astype(complex)
-    cov_all = received_cov_ul(design.p, channel, (), bs_indices=active)
-    cov_wo_k = received_cov_ul(design.p, channel, (k,), bs_indices=active)
-    return logdet2(noise + cov_all) - logdet2(noise + cov_wo_k)
+    if np.any(design.p < 0):
+        raise DomainError("transmit powers must be nonnegative")
+    _, x = _factor(channel.h_ul[active], channel.sigma2_z_ul[active] + omega,
+                   design.p)
+    return _rates_from(x, design.p)
+
+
+def rate_ul(design, channel, k):
+    """Achievable rate of MS k (bps/Hz), interference treated as noise."""
+    return float(rates_ul(design, channel)[k])
 
 
 def decompression_order(p, channel, c, n_macro):
@@ -174,11 +212,12 @@ class _PowerProblem:
     """MM adapter for the ideal-backhaul power optimization.
 
     True objective: sum_k w_k [phi(p) - psi_k(p)] with
-    phi(p)  = log2 det(D + sum_j p_j h_j h_j^H)      (concave in p)
+    phi(p)  = log2 det M(p),  M(p) = D + sum_j p_j h_j h_j^H  (concave in p)
     psi_k(p) = same with MS k excluded.
     The surrogate replaces each psi_k by its tangent at the current iterate,
     leaving a concave inner problem over the power box, solved by projected
-    gradient ascent with backtracking.
+    gradient ascent with backtracking.  Rates, objective and tangent slopes
+    all come from one Cholesky factor of M at the point in question.
     """
 
     def __init__(self, h, sigma2, weights, p_max, inner_steps=200,
@@ -189,29 +228,10 @@ class _PowerProblem:
         self.p_max = np.asarray(p_max, dtype=float)
         self.inner_steps = inner_steps
         self.inner_tol = inner_tol
-        self.n_ms = h.shape[1]
-
-    def _cov(self, p):
-        return (self.h * p) @ self.h.conj().T + np.diag(self.sigma2)
-
-    def _phi(self, p):
-        return logdet2(self._cov(p))
-
-    def _phi_grad(self, p):
-        chol = np.linalg.cholesky(hermitize(self._cov(p)))
-        x = solve_triangular(chol, self.h, lower=True)
-        return np.sum(np.abs(x) ** 2, axis=0) / LN2
 
     def objective(self, p):
-        phi = self._phi(p)
-        total = 0.0
-        for k in range(self.n_ms):
-            if self.weights[k] == 0.0:
-                continue
-            pk = p.copy()
-            pk[k] = 0.0
-            total += self.weights[k] * (phi - self._phi(pk))
-        return total
+        _, x = _factor(self.h, self.sigma2, p)
+        return float(self.weights @ _rates_from(x, p))
 
     def violation(self, p):
         return float(max(np.max(p - self.p_max, initial=-np.inf),
@@ -220,38 +240,44 @@ class _PowerProblem:
     def interpolate(self, a, b, t):
         return a + t * (b - a)
 
+    def tangent_slopes(self, p0, x0):
+        """Gradient of sum_k w_k psi_k at p0, given X = L^-1 H at p0.
+
+        d psi_k / d p_j = (G_jj + p_k |G_jk|^2 / (1 - p_k G_kk)) / ln 2 for
+        j != k (Sherman-Morrison on M without MS k), and 0 for j == k.
+        """
+        g = x0.conj().T @ x0
+        g_diag = np.sum(np.abs(x0) ** 2, axis=0)
+        slopes = g_diag[None, :] + p0[:, None] * np.abs(g) ** 2 \
+            / (1.0 - p0 * g_diag)[:, None]
+        np.fill_diagonal(slopes, 0.0)
+        return self.weights @ slopes / LN2
+
     def step(self, p0):
-        # tangent slopes of every psi_k at p0
-        lin = np.zeros(self.n_ms)
-        for k in range(self.n_ms):
-            if self.weights[k] == 0.0:
-                continue
-            pk = p0.copy()
-            pk[k] = 0.0
-            chol = np.linalg.cholesky(hermitize(self._cov(pk)))
-            x = solve_triangular(chol, self.h, lower=True)
-            grad_k = np.sum(np.abs(x) ** 2, axis=0) / LN2
-            grad_k[k] = 0.0
-            lin += self.weights[k] * grad_k
+        chol, x = _factor(self.h, self.sigma2, p0)
+        lin = self.tangent_slopes(p0, x)
         w_total = float(np.sum(self.weights))
 
-        def surrogate(p):
-            return w_total * self._phi(p) - float(lin @ p)
+        def surrogate(p, chol):
+            return w_total * logdet2_from_cholesky(chol) - float(lin @ p)
 
         p = p0.copy()
-        f = surrogate(p)
+        f = surrogate(p, chol)
         step = 1.0
         for _ in range(self.inner_steps):
-            grad = w_total * self._phi_grad(p) - lin
+            grad = w_total * (np.sum(np.abs(x) ** 2, axis=0) / LN2) - lin
             improved = False
             for _ in range(40):
                 cand = np.clip(p + step * grad, 0.0, self.p_max)
                 move = cand - p
                 if not np.any(move):
                     break
-                f_cand = surrogate(cand)
+                chol = _received_cholesky(self.h, self.sigma2, cand)
+                f_cand = surrogate(cand, chol)
                 if f_cand >= f + 1e-4 * float(grad @ move):
                     p, f_prev, f = cand, f, f_cand
+                    # only an accepted point needs X, for the next gradient
+                    x = solve_triangular(chol, self.h, lower=True)
                     step *= 1.3
                     improved = True
                     break
@@ -291,7 +317,6 @@ def optimize_ul(channel, c, weights, mode, p_max, n_macro=3,
     order = decompression_order(p_star, channel, c, n_macro)
     omega = omega_closed_form(p_star, order, c, channel, mode)
     design = UplinkDesign(p=p_star, omega=omega, order=order, c=c, mode=mode)
-    rates = np.array([rate_ul(design, channel, k)
-                      for k in range(channel.n_ms)])
+    rates = rates_ul(design, channel)
     return UplinkResult(design=design, rates=rates,
                         objective=float(weights @ rates), trace=trace)

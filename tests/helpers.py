@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own computational paths:
 mutual informations come from empirical sample covariances, conditional
-variances from explicit Schur complements or regression residuals, and
-log-determinants from eigenvalue products.
+variances from explicit Schur complements or regression residuals,
+log-determinants from eigenvalue products, and uplink rates from K+1
+separate log-dets of directly summed covariances.
 """
 
 import numpy as np
@@ -61,3 +62,53 @@ def colored_noise(rng, n_samples, omega):
     factor = v * np.sqrt(np.maximum(w, 0.0))
     white = cn_samples(rng, (n_samples, omega.shape[0]))
     return white @ factor.T
+
+
+def received_cov_oracle(h, d, p, excluded=None):
+    """diag(d) + sum of p_j h_j h_j^H over every MS j but `excluded`, summed
+    one outer product at a time."""
+    cov = np.diag(np.asarray(d, dtype=float)).astype(complex)
+    for j in range(h.shape[1]):
+        if j != excluded:
+            cov = cov + p[j] * np.outer(h[:, j], h[:, j].conj())
+    return cov
+
+
+def ul_psi_oracle(h, d, p, k=None):
+    """log2 det of the uplink received covariance without MS k (with every
+    MS when k is None): phi(p) for k=None, psi_k(p) otherwise."""
+    return logdet2_oracle(received_cov_oracle(h, d, p, excluded=k))
+
+
+def ul_rates_oracle(h, d, p):
+    """Per-MS uplink rates with interference treated as noise, as K+1
+    separate log-dets: r_k = phi(p) - psi_k(p)."""
+    phi = ul_psi_oracle(h, d, p)
+    return np.array([phi - ul_psi_oracle(h, d, p, k)
+                     for k in range(h.shape[1])])
+
+
+def ul_objective_oracle(h, d, p, w):
+    """sum_k w_k r_k over the MSs with nonzero weight."""
+    rates = ul_rates_oracle(h, d, p)
+    return float(sum(w[k] * rates[k] for k in range(len(w)) if w[k] != 0.0))
+
+
+def ul_weighted_psi_oracle(h, d, p, w):
+    """sum_k w_k psi_k(p): the term the MM surrogate linearizes."""
+    return float(sum(w[k] * ul_psi_oracle(h, d, p, k)
+                     for k in range(len(w)) if w[k] != 0.0))
+
+
+def ul_slopes_oracle(h, d, p, w):
+    """Gradient of sum_k w_k psi_k at p: h_j^H M_k^-1 h_j / ln 2 for j != k,
+    with M_k inverted explicitly for each MS k."""
+    slopes = np.zeros(h.shape[1])
+    for k in range(h.shape[1]):
+        if w[k] == 0.0:
+            continue
+        inv = np.linalg.inv(received_cov_oracle(h, d, p, excluded=k))
+        g = np.real(np.einsum("ij,ik,kj->j", h.conj(), inv, h)) / np.log(2.0)
+        g[k] = 0.0
+        slopes += w[k] * g
+    return slopes

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cransim import cellgeom, channel
 from cransim.errors import DomainError
-from cransim.units import dbm_to_watts, watts_to_dbm
+from cransim.units import dbm_to_watts
 
 
 @pytest.fixture(scope="module")
@@ -45,21 +47,18 @@ def test_fade_power_averages_to_link_gain(small_drop):
 
 def test_thermal_floors_without_interference(small_drop):
     topo, params, _ = small_drop
-    ms = channel.effective_noise_variance(("ms", 1, 0), topo, params,
-                                          interfering_cells=())
-    assert watts_to_dbm(ms) == pytest.approx(-95.0, abs=1e-9)
-    macro = channel.effective_noise_variance(("macro", 1, 0), topo, params,
-                                             interfering_cells=())
-    assert watts_to_dbm(macro) == pytest.approx(-99.0, abs=1e-9)
-    pico = channel.effective_noise_variance(("pico", 1, 0), topo, params,
-                                            interfering_cells=())
-    assert watts_to_dbm(pico) == pytest.approx(-98.0, abs=1e-9)
+    quiet = channel.build_cluster(replace(topo, interferer_set=()), params)
+    assert np.allclose(quiet.thermal_ul, dbm_to_watts([-99.0] * 3 + [-98.0]),
+                       rtol=1e-9, atol=0.0)
+    assert np.allclose(quiet.sigma2_dl, dbm_to_watts(-95.0), rtol=1e-9,
+                       atol=0.0)
+    c = channel.realize_channel(quiet, 0, np.random.default_rng(3))
+    assert np.array_equal(c.sigma2_z_ul, quiet.thermal_ul)
 
 
 def test_downlink_interference_accumulates_coband_cells(small_drop):
-    topo, params, _ = small_drop
+    topo, params, cluster = small_drop
     node = ("ms", 1, 1)
-    got = channel.effective_noise_variance(node, topo, params)
     expected = channel.thermal_noise_w(params.nf_ms_db, params.bandwidth_hz)
     p_macro = dbm_to_watts(params.tx_macro_dbm)
     p_pico = dbm_to_watts(params.tx_pico_dbm)
@@ -70,18 +69,23 @@ def test_downlink_interference_accumulates_coband_cells(small_drop):
         for j in range(topo.n_pico):
             expected += p_pico * cellgeom.link_gain_linear(
                 ("pico", c, j), node, topo, params)
-    assert got == pytest.approx(expected, rel=1e-12)
+    assert cluster.sigma2_dl[1] == pytest.approx(expected, rel=1e-12)
+
+
+def _mean_ul_interference(cluster):
+    """Expected uplink interference per BS: three active MSs per co-band
+    cell, each uniformly chosen among the cell's MSs."""
+    return 3.0 * cluster.ul_interference.mean(axis=1).sum(axis=0)
 
 
 def test_noise_f1_never_below_f13():
     params = cellgeom.PropagationParams()
-    t13 = cellgeom.build_layout(33, 2, 1, params, reuse="F1_3")
-    t1 = cellgeom.build_layout(33, 2, 1, params, reuse="F1")
-    for node in [("ms", 1, 0), ("ms", 1, 1), ("macro", 1, 0),
-                 ("macro", 1, 2), ("pico", 1, 0)]:
-        n13 = channel.effective_noise_variance(node, t13, params)
-        n1 = channel.effective_noise_variance(node, t1, params)
-        assert n1 >= n13
+    c13 = channel.build_cluster(
+        cellgeom.build_layout(33, 2, 1, params, reuse="F1_3"), params)
+    c1 = channel.build_cluster(
+        cellgeom.build_layout(33, 2, 1, params, reuse="F1"), params)
+    assert np.all(c1.sigma2_dl >= c13.sigma2_dl)
+    assert np.all(_mean_ul_interference(c1) >= _mean_ul_interference(c13))
 
 
 def test_realized_noise_at_least_thermal(small_drop):
@@ -93,23 +97,24 @@ def test_realized_noise_at_least_thermal(small_drop):
 
 
 def test_uplink_activity_model(small_drop):
-    topo, params, _ = small_drop
-    node = ("macro", 1, 0)
-    a = channel.effective_noise_variance(node, topo, params,
-                                         rng=np.random.default_rng(7))
-    b = channel.effective_noise_variance(node, topo, params,
-                                         rng=np.random.default_rng(7))
-    assert a == b
-    thermal = channel.thermal_noise_w(params.nf_macro_db, params.bandwidth_hz)
-    assert a > thermal
-
-
-def test_unknown_node_rejected(small_drop):
-    topo, params, _ = small_drop
-    with pytest.raises(DomainError):
-        channel.effective_noise_variance(("ms", 2, 0), topo, params)
-    with pytest.raises(DomainError):
-        channel.effective_noise_variance(("macro", 1, 5), topo, params)
+    topo, params, cluster = small_drop
+    p_ms = dbm_to_watts(params.tx_ms_dbm)
+    assert cluster.ul_interference[0, 2, 0] == pytest.approx(
+        p_ms * cellgeom.link_gain_linear(
+            ("ms", topo.interferer_set[0], 2), ("macro", 1, 0), topo, params),
+        rel=1e-12)
+    lo = cluster.thermal_ul + 3.0 * cluster.ul_interference.min(axis=1).sum(axis=0)
+    hi = cluster.thermal_ul + 3.0 * cluster.ul_interference.max(axis=1).sum(axis=0)
+    n_slots = 4000
+    acc = np.zeros(cluster.n_bs)
+    for t in range(n_slots):
+        noise = channel.realize_channel(
+            cluster, t, np.random.default_rng(5000 + t)).sigma2_z_ul
+        assert np.all(noise >= lo * (1 - 1e-12))
+        assert np.all(noise <= hi * (1 + 1e-12))
+        acc += noise
+    expected = cluster.thermal_ul + _mean_ul_interference(cluster)
+    assert np.allclose(acc / n_slots, expected, rtol=0.05, atol=0.0)
 
 
 def test_realization_validation():

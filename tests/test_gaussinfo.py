@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from cransim import gaussinfo
-from cransim.errors import DomainError, NumericalDomainError
-from helpers import cn_samples, logdet2_oracle, rand_channel, rand_psd
+from cransim.errors import NumericalDomainError
+from helpers import logdet2_oracle, rand_psd
 
 
 def test_logdet2_reference_values():
@@ -32,100 +32,3 @@ def test_logdet2_monotone_under_psd_order():
         m1 = rand_psd(rng, 4)
         m2 = m1 + rand_psd(rng, 4, scale=0.5)
         assert gaussinfo.logdet2(m1) <= gaussinfo.logdet2(m2) + 1e-12
-
-
-def test_conditional_cov_independence_returns_sxx():
-    rng = np.random.default_rng(6)
-    s_xx = rand_psd(rng, 3)
-    s_yy = rand_psd(rng, 2)
-    out = gaussinfo.conditional_cov(s_xx, np.zeros((3, 2)), s_yy)
-    assert np.allclose(out, gaussinfo.hermitize(s_xx), atol=1e-12)
-
-
-def test_conditional_cov_scalar_case():
-    rho = 0.37
-    out = gaussinfo.conditional_cov(np.array([[1.0]]), np.array([[rho]]),
-                                    np.array([[1.0]]))
-    assert out[0, 0].real == pytest.approx(1.0 - rho ** 2, abs=1e-12)
-
-
-def test_conditional_cov_sampling_oracle():
-    # empirical residual covariance of x after regressing on y
-    rng = np.random.default_rng(7)
-    joint = rand_psd(rng, 3)
-    s_xx, s_xy, s_yy = joint[:2, :2], joint[:2, 2:], joint[2:, 2:]
-    out = gaussinfo.conditional_cov(s_xx, s_xy, s_yy)
-
-    n = 10 ** 6
-    w, v = np.linalg.eigh(joint)
-    samples = cn_samples(rng, (n, 3)) @ (v * np.sqrt(np.maximum(w, 0))).T
-    x, y = samples[:, :2], samples[:, 2:]
-    s_xy_emp = x.T @ y.conj() / n          # E[x y^H]
-    s_yy_emp = y.T @ y.conj() / n          # E[y y^H]
-    mmse = s_xy_emp @ np.linalg.inv(s_yy_emp)
-    resid = x - y @ mmse.T
-    est = resid.T @ resid.conj() / n       # E[r r^H]
-    assert np.linalg.norm(est - out) / np.linalg.norm(out) < 0.01
-
-
-def test_conditional_cov_never_exceeds_prior():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        joint = rand_psd(rng, 4)
-        s_xx, s_xy, s_yy = joint[:2, :2], joint[:2, 2:], joint[2:, 2:]
-        out = gaussinfo.conditional_cov(s_xx, s_xy, s_yy)
-        gap = gaussinfo.hermitize(s_xx) - out
-        assert np.linalg.eigvalsh(gap).min() >= -1e-10
-
-
-def test_conditional_cov_singular_conditioner():
-    with pytest.raises(NumericalDomainError):
-        gaussinfo.conditional_cov(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
-
-
-def test_ridge_counter_increments():
-    gaussinfo.diagnostics.reset()
-    # PSD but numerically singular conditioner: ridge kicks in and succeeds
-    v = np.array([[1.0], [1.0]])
-    s_yy = v @ v.T  # rank one
-    gaussinfo.conditional_cov(np.eye(2), 0.1 * np.eye(2), s_yy)
-    assert gaussinfo.diagnostics.ridge_applications == 1
-
-
-def test_received_cov_reference_cases():
-    rng = np.random.default_rng(9)
-    ch = rand_channel(rng, 1, 1)
-    ch.h_ul[0, 0] = 1.0
-    ch.sigma2_z_ul[0] = 1.0
-    cov = gaussinfo.received_cov_ul(np.array([1.0]), ch)
-    assert cov[0, 0].real == pytest.approx(2.0, abs=1e-12)
-    cov0 = gaussinfo.received_cov_ul(np.array([1.0]), ch, excluded=(0,))
-    assert cov0[0, 0].real == pytest.approx(1.0, abs=1e-12)
-
-
-def test_received_cov_direct_summation_oracle():
-    rng = np.random.default_rng(10)
-    ch = rand_channel(rng, 2, 2)
-    p = np.array([0.7, 1.9])
-    cov = gaussinfo.received_cov_ul(p, ch, excluded=(1,))
-    h0 = ch.h_ul[:, 0]
-    expected = p[0] * np.outer(h0, h0.conj()) + np.diag(ch.sigma2_z_ul)
-    assert np.allclose(cov, expected, atol=1e-14)
-
-
-def test_received_cov_monotone_in_conditioning():
-    rng = np.random.default_rng(11)
-    ch = rand_channel(rng, 3, 3)
-    p = rng.uniform(0.1, 2.0, 3)
-    c_small = gaussinfo.received_cov_ul(p, ch, excluded=(0, 1))
-    c_big = gaussinfo.received_cov_ul(p, ch, excluded=(0,))
-    assert np.linalg.eigvalsh(c_big - c_small).min() >= -1e-12
-
-
-def test_received_cov_rejects_bad_input():
-    rng = np.random.default_rng(12)
-    ch = rand_channel(rng, 2, 2)
-    with pytest.raises(DomainError):
-        gaussinfo.received_cov_ul(np.array([-0.1, 1.0]), ch)
-    with pytest.raises(DomainError):
-        gaussinfo.received_cov_ul(np.array([1.0, 1.0]), ch, excluded=(5,))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
-from cransim import cellgeom, channel, harness, uplink
+from cransim import cellgeom, channel, downlink, harness, uplink
 from cransim.cli import main as cli_main
 from cransim.errors import ConfigurationError, DomainError
 
@@ -31,14 +31,6 @@ def test_percentile_domain_errors():
         harness.percentile([], 50)
     with pytest.raises(DomainError):
         harness.percentile([1.0], 101)
-
-
-def test_normalize_backhaul():
-    assert harness.normalize_backhaul(100e6, 10e6) == pytest.approx(10.0)
-    assert harness.normalize_backhaul(0.0, 10e6) == 0.0
-    assert harness.normalize_backhaul(30e6, 10e6) == pytest.approx(3.0)
-    with pytest.raises(DomainError):
-        harness.normalize_backhaul(1e6, 0.0)
 
 
 def test_rate_mapping():
@@ -236,3 +228,75 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert code == 0
     text = (out / "records.csv").read_text()
     assert len(text.splitlines()) == 2  # header + one drop/slot/ms record
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """(mode, channel, result) of every solver call the harness makes in
+    this process."""
+    records = []
+
+    def recording(fn):
+        def recorded(chan, *args, **kwargs):
+            res = fn(chan, *args, **kwargs)
+            records.append((res.design.mode, chan, res))
+            return res
+        return recorded
+
+    monkeypatch.setattr(uplink, "optimize_ul", recording(uplink.optimize_ul))
+    monkeypatch.setattr(downlink, "optimize_dl",
+                        recording(downlink.optimize_dl))
+    return records
+
+
+@pytest.mark.parametrize("direction", ["uplink", "downlink"])
+def test_solver_statistics_are_per_mode(solves, direction, tmp_path):
+    cfg = harness.ExperimentConfig(direction=direction, mode="both", k_ms=2,
+                                   n_pico=1, alpha=1.0, slots=2, drops=2,
+                                   seed=17, solver=fast_solver())
+    report = harness.run_experiment(cfg)
+    harness.write_summary(report, tmp_path / "summary.txt")
+    summary = (tmp_path / "summary.txt").read_text()
+    for mode in cfg.modes:
+        mine = [res.trace for m, _, res in solves if m == mode]
+        assert len(mine) == cfg.drops * cfg.slots
+        metrics = report.metrics[mode]
+        assert metrics.mm_iterations == sum(t.iterations for t in mine)
+        assert metrics.solver_warnings == sum(len(t.warnings) for t in mine)
+        assert (f"[{mode}]\n" in summary and
+                f"  solver: mm_iterations={metrics.mm_iterations} "
+                f"warnings={metrics.solver_warnings}" in summary)
+    assert sum(report.metrics[m].mm_iterations for m in cfg.modes) == \
+        sum(res.trace.iterations for _, _, res in solves)
+
+
+CORNERS = {
+    "no-picos": dict(n_pico=0),
+    "single-ms": dict(k_ms=1),
+    "tiny-capacity": dict(c_macro=0.01, c_pico=0.01),
+    "huge-capacity": dict(c_macro=1000.0, c_pico=1000.0),
+    "no-pico-backhaul": dict(c_pico=0.0),
+    "f1-attenuated": dict(reuse="F1",
+                          rate_mapping=harness.RateMapping(kind="attenuated")),
+}
+
+
+@pytest.mark.parametrize("corner", sorted(CORNERS))
+@pytest.mark.parametrize("direction", ["uplink", "downlink"])
+def test_corner_configuration_runs_end_to_end(solves, direction, corner):
+    cfg = harness.ExperimentConfig(
+        **{**dict(direction=direction, mode="both", k_ms=3, n_pico=1,
+                  alpha=1.0, slots=2, drops=1, seed=19),
+           **CORNERS[corner]})
+    report = harness.run_experiment(cfg)
+    for mode in cfg.modes:
+        rates = report.metrics[mode].rates
+        assert np.all(np.isfinite(rates)) and np.all(rates >= 0.0)
+    assert len(solves) == cfg.slots * len(cfg.modes)
+    if direction == "uplink":
+        for mode, chan, res in solves:
+            d = res.design
+            for pos, i in enumerate(d.order):
+                load = uplink.backhaul_wz(d, chan, pos) \
+                    if mode == harness.MODE_MT else uplink.backhaul_p2p(d, chan, i)
+                assert load <= d.c[i] + 1e-7

@@ -1,62 +1,55 @@
 import numpy as np
 import pytest
 
-from cransim import mmopt
+from cransim import mmopt, uplink
 from cransim.errors import NumericalDomainError
-from cransim.gaussinfo import LN2, logdet2
-from helpers import rand_psd
+from cransim.gaussinfo import LN2
+from helpers import rand_channel, ul_psi_oracle
 
 
-def test_tangent_at_identity():
-    tangent = mmopt.linearize_logdet(np.eye(3))
-    assert tangent(np.eye(3)) == pytest.approx(0.0, abs=1e-12)
-    m = np.diag([1.5, 0.5, 1.0])
-    assert tangent(m) == pytest.approx(np.trace(m - np.eye(3)).real / LN2,
-                                       abs=1e-12)
-
-
-def test_tangent_scalar_upper_bound():
-    tangent = mmopt.linearize_logdet(np.array([[2.0]]))
-    value = tangent(np.array([[4.0]]))
-    assert value == pytest.approx(1.0 + 2.0 / (2.0 * LN2), abs=1e-12)
-    assert value >= np.log2(4.0)
+def _single_ms_tangent(rng, n_bs, n_ms):
+    """The uplink MM tangent of psi_k alone (weight e_k) at a random p0."""
+    ch = rand_channel(rng, n_bs, n_ms)
+    k = int(rng.integers(n_ms))
+    weights = np.zeros(n_ms)
+    weights[k] = 1.0
+    p_max = rng.uniform(0.5, 2.0, n_ms)
+    problem = uplink._PowerProblem(ch.h_ul, ch.sigma2_z_ul, weights, p_max)
+    p0 = rng.uniform(0.1, 1.0, n_ms) * p_max
+    _, x0 = uplink._factor(ch.h_ul, ch.sigma2_z_ul, p0)
+    return ch, k, p0, problem.tangent_slopes(p0, x0)
 
 
 def test_tangent_dominates_logdet_everywhere():
+    # psi_k is concave on p >= 0, so its tangent at p0 lies above it on the
+    # whole nonnegative orthant, not only inside the power box; the points
+    # near p0 catch a tangent with a wrong slope
     rng = np.random.default_rng(17)
     for _ in range(100):
-        m0 = rand_psd(rng, 3)
-        m1 = rand_psd(rng, 3)
-        tangent = mmopt.linearize_logdet(m0)
-        assert tangent(m1) >= logdet2(m1) - 1e-9
-        assert tangent(m0) == pytest.approx(logdet2(m0), abs=1e-9)
-
-
-def test_tangent_rejects_singular_anchor():
-    with pytest.raises(NumericalDomainError):
-        mmopt.linearize_logdet(np.zeros((2, 2)))
+        ch, k, p0, slopes = _single_ms_tangent(rng, 3, 3)
+        psi = lambda p: ul_psi_oracle(ch.h_ul, ch.sigma2_z_ul, p, k)
+        psi0 = psi(p0)
+        points = [np.zeros_like(p0), rng.uniform(0.0, 10.0, p0.size)]
+        points += [p0 * (1.0 + 0.01 * rng.uniform(-1.0, 1.0, p0.size))
+                   for _ in range(4)]
+        for p in points:
+            assert psi0 + float(slopes @ (p - p0)) >= psi(p) - 1e-9
+        assert slopes[k] == 0.0
 
 
 def test_logdet_gradient_matches_finite_differences():
+    # every entry d psi_k / d p_j of the tangent, against a central difference
     rng = np.random.default_rng(18)
     for _ in range(5):
-        m = rand_psd(rng, 4)
-        tangent = mmopt.linearize_logdet(m)
-        for _ in range(4):
-            direction = rand_psd(rng, 4) - rand_psd(rng, 4)
-            h = 1e-6 * np.linalg.norm(m) / max(np.linalg.norm(direction), 1e-12)
-            numeric = (logdet2(m + h * direction)
-                       - logdet2(m - h * direction)) / (2 * h)
-            analytic = np.trace(tangent.gradient @ direction).real / LN2
-            assert numeric == pytest.approx(analytic, rel=1e-5)
-
-
-def test_log2_tangent():
-    value, slope = mmopt.log2_tangent(2.0)
-    assert value == pytest.approx(1.0)
-    assert slope == pytest.approx(1.0 / (2.0 * LN2))
-    with pytest.raises(NumericalDomainError):
-        mmopt.log2_tangent(0.0)
+        ch, k, p0, slopes = _single_ms_tangent(rng, 4, 4)
+        for j in range(p0.size):
+            h = 1e-6 * np.linalg.norm(p0)
+            e = np.zeros_like(p0)
+            e[j] = h
+            numeric = (ul_psi_oracle(ch.h_ul, ch.sigma2_z_ul, p0 + e, k)
+                       - ul_psi_oracle(ch.h_ul, ch.sigma2_z_ul, p0 - e, k)) \
+                / (2 * h)
+            assert numeric == pytest.approx(slopes[j], rel=1e-5)
 
 
 class _ScalarDC:

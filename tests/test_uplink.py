@@ -4,7 +4,8 @@ import pytest
 from cransim import uplink
 from cransim.channel import ChannelRealization
 from cransim.errors import DomainError
-from helpers import cn_samples, mi_from_samples, rand_channel
+from helpers import (cn_samples, mi_from_samples, rand_channel,
+                     ul_objective_oracle, ul_rates_oracle, ul_slopes_oracle)
 
 
 def unit_channel(h, sigma2_ul):
@@ -280,3 +281,39 @@ def test_optimize_validates_inputs():
     with pytest.raises(DomainError):
         uplink.optimize_ul(ch, np.array([-0.5, 1.0]), np.ones(2),
                            "point_to_point", p_max=1.0)
+
+
+def _close(got, want, tol=1e-12):
+    """|got - want| <= tol * max(|want|, 1): relative, with an absolute floor
+    for values under 1, where the oracle's difference of two log-dets
+    carries an absolute error of about 1e-14."""
+    got, want = np.asarray(got), np.asarray(want)
+    return bool(np.all(np.abs(got - want) <= tol * np.maximum(np.abs(want), 1.0)))
+
+
+def test_one_factor_matches_logdet_oracle():
+    rng = np.random.default_rng(36)
+    zero_power_seen = 0
+    for _ in range(200):
+        n_bs, n_ms = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        ch = rand_channel(rng, n_bs, n_ms)
+        p = rng.uniform(0.0, 2.0, n_ms)
+        p[rng.random(n_ms) < 0.25] = 0.0
+        w = rng.uniform(0.1, 1.0, n_ms)
+        w[rng.random(n_ms) < 0.25] = 0.0
+        omega = rng.uniform(0.0, 1.0, n_bs)
+
+        rates = uplink.rates_ul(make_design(p, omega), ch)
+        assert _close(rates, ul_rates_oracle(ch.h_ul, ch.sigma2_z_ul + omega, p))
+        for k in np.flatnonzero(p == 0.0):
+            assert rates[k] == 0.0 and not np.signbit(rates[k])
+            zero_power_seen += 1
+
+        problem = uplink._PowerProblem(ch.h_ul, ch.sigma2_z_ul, w,
+                                       np.full(n_ms, 2.0))
+        assert _close(problem.objective(p),
+                      ul_objective_oracle(ch.h_ul, ch.sigma2_z_ul, p, w))
+        _, x = uplink._factor(ch.h_ul, ch.sigma2_z_ul, p)
+        assert _close(problem.tangent_slopes(p, x),
+                      ul_slopes_oracle(ch.h_ul, ch.sigma2_z_ul, p, w))
+    assert zero_power_seen > 0
