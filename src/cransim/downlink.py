@@ -21,6 +21,7 @@ objective.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -186,12 +187,35 @@ class _Point:
 _U_CLIP = (-600.0, 60.0)
 
 
-def _omega_of_u(u):
-    return np.exp(u)
+class _Noise:
+    """Omega at one value of the noise parameters (L or u), shared by every
+    point with that value; its log-dets are factored once, on first use."""
+
+    def __init__(self, problem, point):
+        self.problem = problem
+        self.omega = problem._omega_full(point)
+        self.diag = np.diag(self.omega).real
+
+    @cached_property
+    def logdets(self):
+        """log2 det of each constrained block of Omega; None if not PD."""
+        try:
+            if self.problem.mode == MODE_MT:
+                return self.problem._subset_logdets(self.omega)
+            return None if np.any(self.diag <= 0) else np.log2(self.diag)
+        except np.linalg.LinAlgError:
+            return None
 
 
-def _u_of_omega(w):
-    return np.log(np.asarray(w, dtype=float))
+@dataclass
+class _Eval:
+    """One point of the inner barrier problem under a fixed tangent."""
+    point: _Point
+    noise: _Noise
+    power_slack: np.ndarray = None
+    bh_slack: np.ndarray = None
+    rate_parts: tuple = None      # (m, total, interf), see _rate_parts
+    surr: float = None            # None outside the strict surrogate interior
 
 
 class _PrecodingProblem:
@@ -204,7 +228,6 @@ class _PrecodingProblem:
         self.p_lim = np.asarray(p_lim, dtype=float)
         self.mode = mode
         self.n = hbar.shape[1]
-        self.n_ms = hbar.shape[0]
         self.inner_steps = inner_steps
         self.barrier_rounds = barrier_rounds
         self.inner_tol = inner_tol
@@ -229,7 +252,7 @@ class _PrecodingProblem:
     def _omega_full(self, point):
         if self.mode == MODE_MT:
             return point.l @ point.l.conj().T
-        return np.diag(_omega_of_u(point.u)).astype(complex)
+        return np.diag(np.exp(point.u)).astype(complex)
 
     def _tx_power(self, point, omega_diag):
         return np.sum(np.abs(point.a) ** 2, axis=1) + omega_diag
@@ -271,21 +294,12 @@ class _PrecodingProblem:
         rates = np.log2(total) - np.log2(interf)
         return float(self.w @ rates)
 
-    def _true_backhaul(self, point, omega, power):
-        if self.mode == MODE_MT:
-            return self.masks @ np.log2(power) - self._subset_logdets(omega)
-        return np.log2(power) - np.log2(np.diag(omega).real)
-
     def violation(self, point):
-        omega = self._omega_full(point)
-        diag = np.diag(omega).real
-        if np.any(diag <= 0):
+        noise = _Noise(self, point)
+        if noise.logdets is None:
             return np.inf
-        power = self._tx_power(point, diag)
-        try:
-            g = self._true_backhaul(point, omega, power)
-        except np.linalg.LinAlgError:
-            return np.inf
+        power = self._tx_power(point, noise.diag)
+        g = self.masks @ np.log2(power) - noise.logdets
         return float(max(np.max(power - self.p_lim),
                          np.max(g - self.subset_caps)))
 
@@ -299,113 +313,96 @@ class _PrecodingProblem:
 
     # -- surrogate construction and inner barrier ascent ---------------------
 
-    def step(self, point0):
-        omega0 = self._omega_full(point0)
-        diag0 = np.diag(omega0).real
-        power0 = self._tx_power(point0, diag0)
+    def _tangent(self, point0, noise0):
+        """Slopes and offsets of the log2(power) terms linearized at point0,
+        and the weights of the linearized log2(interference) terms."""
+        power0 = self._tx_power(point0, noise0.diag)
         b_slope = 1.0 / (power0 * LN2)
         lin_const = self.masks @ (np.log2(power0) - b_slope * power0)
-        _, _, interf0 = self._rate_parts(point0, omega0)
-        s_coef = self.w / (interf0 * LN2)
+        _, _, interf0 = self._rate_parts(point0, noise0.omega)
+        return b_slope, lin_const, self.w / (interf0 * LN2)
 
-        tangent = (b_slope, lin_const, s_coef)
-        surr0, slacks0, ok = self._surrogate_and_slacks(point0, tangent)
-        if not ok:
+    def step(self, point0):
+        noise0 = _Noise(self, point0)
+        tangent = self._tangent(point0, noise0)
+        current = self._evaluate(point0, tangent, noise0)
+        if current.surr is None:
             raise NumericalDomainError("current iterate lost strict feasibility")
 
-        best_point, best_surr = point0, surr0
+        best = current
         # cap the barrier weight by the starting slack scale so a warm start
         # sitting near its active constraints is not dragged off them
-        min_slack = min(np.min(slacks0[0]), np.min(slacks0[1]))
-        mu0 = min(0.1 * max(1.0, abs(surr0)), max(10.0 * min_slack, 1e-10))
+        min_slack = min(np.min(current.power_slack), np.min(current.bh_slack))
+        mu0 = min(0.1 * max(1.0, abs(current.surr)),
+                  max(10.0 * min_slack, 1e-10))
         # independent step sizes per variable block: the precoder and the
         # noise parameters live on very different scales
         eta = {"a": 1.0, "omega": 1.0}
-        current = point0
         for round_idx in range(self.barrier_rounds):
             mu = mu0 * (0.1 ** round_idx)
-            total_cur = self._total(current, tangent, mu)
-            if total_cur is None:
-                break
+            total_cur = self._barrier(current, mu)
             for _ in range(self.inner_steps):
                 gain = 0.0
                 for block in ("a", "omega"):
                     grads = self._gradients(current, tangent, mu)
-                    moved = False
                     for _ in range(30):
-                        cand = self._advance(current, grads, eta[block], block)
-                        total_cand = self._total(cand, tangent, mu)
-                        if total_cand is not None and total_cand > total_cur:
+                        point = self._advance(current.point, grads,
+                                              eta[block], block)
+                        # an A step leaves L/u, and so Omega, unchanged
+                        noise = current.noise if block == "a" \
+                            else _Noise(self, point)
+                        cand = self._evaluate(point, tangent, noise)
+                        total_cand = self._barrier(cand, mu)
+                        if total_cand > total_cur:
                             gain += total_cand - total_cur
                             current, total_cur = cand, total_cand
                             eta[block] = min(eta[block] * 1.5, 1e8)
-                            moved = True
                             break
                         eta[block] *= 0.5
                         if eta[block] < 1e-20:
                             break
                 if gain == 0.0:
                     break
-                surr_cur, _, ok = self._surrogate_and_slacks(current, tangent)
-                if ok and surr_cur > best_surr:
-                    best_point, best_surr = current, surr_cur
+                if current.surr > best.surr:
+                    best = current
                 if gain <= self.inner_tol * max(1.0, abs(total_cur)):
                     break
-        return best_point
+        return best.point
 
-    def _surrogate_and_slacks(self, point, tangent):
-        """Surrogate objective (constants dropped) and barrier slacks."""
+    def _evaluate(self, point, tangent, noise):
+        """Slacks, rate parts and surrogate objective (constants dropped) at
+        a point whose noise terms are `noise`."""
         b_slope, lin_const, s_coef = tangent
-        omega = self._omega_full(point)
-        diag = np.diag(omega).real
-        power = self._tx_power(point, diag)
-        power_slack = self.p_lim - power
-        if np.any(power_slack <= 0):
-            return None, None, False
-        try:
-            if self.mode == MODE_MT:
-                logdets = self._subset_logdets(omega)
-            else:
-                if np.any(diag <= 0):
-                    return None, None, False
-                logdets = np.log2(diag)
-        except np.linalg.LinAlgError:
-            return None, None, False
-        g_surr = lin_const + self.masks @ (b_slope * power) - logdets
-        bh_slack = self.subset_caps - g_surr
-        if np.any(bh_slack <= 0):
-            return None, None, False
-        _, total, interf = self._rate_parts(point, omega)
-        surr = float(self.w @ np.log2(total) - s_coef @ interf)
-        return surr, (power_slack, bh_slack), True
+        ev = _Eval(point, noise)
+        power = self._tx_power(point, noise.diag)
+        ev.power_slack = self.p_lim - power
+        if np.any(ev.power_slack <= 0) or noise.logdets is None:
+            return ev
+        g_surr = lin_const + self.masks @ (b_slope * power) - noise.logdets
+        ev.bh_slack = self.subset_caps - g_surr
+        if np.any(ev.bh_slack <= 0):
+            return ev
+        ev.rate_parts = self._rate_parts(point, noise.omega)
+        _, total, interf = ev.rate_parts
+        ev.surr = float(self.w @ np.log2(total) - s_coef @ interf)
+        return ev
 
-    def _total(self, point, tangent, mu):
-        surr, slacks, ok = self._surrogate_and_slacks(point, tangent)
-        if not ok:
-            return None
-        power_slack, bh_slack = slacks
-        return surr + mu * (np.sum(np.log(power_slack))
-                            + np.sum(np.log(bh_slack)))
+    def _barrier(self, ev, mu):
+        """Surrogate plus mu times the log-barrier; -inf outside its domain."""
+        if ev.surr is None:
+            return -np.inf
+        return ev.surr + mu * (np.sum(np.log(ev.power_slack))
+                               + np.sum(np.log(ev.bh_slack)))
 
-    def _gradients(self, point, tangent, mu):
-        b_slope, lin_const, s_coef = tangent
-        omega = self._omega_full(point)
-        diag = np.diag(omega).real
-        power = self._tx_power(point, diag)
-        power_slack = self.p_lim - power
-        if self.mode == MODE_MT:
-            logdets = self._subset_logdets(omega)
-        else:
-            logdets = np.log2(diag)
-        g_surr = lin_const + self.masks @ (b_slope * power) - logdets
-        bh_slack = self.subset_caps - g_surr
-
-        m, total, interf = self._rate_parts(point, omega)
+    def _gradients(self, ev, tangent, mu):
+        b_slope, _, s_coef = tangent
+        point, omega, diag = ev.point, ev.noise.omega, ev.noise.diag
+        m, total, _ = ev.rate_parts
         alpha = self.w / (total * LN2)
 
         # coefficient on d(power_i) collecting barrier terms
-        coef_t = -mu / power_slack \
-            - b_slope * (self.masks.T @ (mu / bh_slack))
+        coef_t = -mu / ev.power_slack \
+            - b_slope * (self.masks.T @ (mu / ev.bh_slack))
 
         m_off = m.copy()
         np.fill_diagonal(m_off, 0.0)
@@ -416,13 +413,14 @@ class _PrecodingProblem:
         quad_coef = alpha - s_coef
         if self.mode == MODE_MT:
             gq = self.hbar.conj().T @ (quad_coef[:, None] * self.hbar)
-            g_inv = self._subset_inv_scatter(omega, mu / bh_slack) / LN2
+            g_inv = self._subset_inv_scatter(omega, mu / ev.bh_slack) / LN2
             grad_l = (gq + np.diag(coef_t) + g_inv) @ point.l
             grad_l = np.tril(grad_l)
             return grad_a, grad_l
         qcoef = np.sum(quad_coef[:, None] * np.abs(self.hbar) ** 2, axis=0)
-        domega = qcoef + coef_t + (mu / bh_slack) / (diag * LN2)
-        grad_u = domega * _omega_of_u(point.u)
+        domega = qcoef + coef_t + (mu / ev.bh_slack) / (diag * LN2)
+        # diag is exp(u), so this is the chain rule through omega = exp(u)
+        grad_u = domega * diag
         return grad_a, grad_u
 
     def _advance(self, point, grads, eta, block):
@@ -466,7 +464,7 @@ class _PrecodingProblem:
             if np.all(slack > 1e-6 * np.maximum(1.0, caps)):
                 if self.mode == MODE_MT:
                     return _Point(a=a, l=np.diag(np.sqrt(omega)).astype(complex))
-                return _Point(a=a, u=_u_of_omega(omega))
+                return _Point(a=a, u=np.log(omega))
             gamma *= 0.5
         worst = int(np.argmin(slack))
         raise NumericalDomainError(
@@ -486,7 +484,7 @@ def _point_from_design(design, active, mode, scale):
                 omega + 1e-12 * np.trace(omega).real / max(len(active), 1)
                 * np.eye(len(active)))
         return _Point(a=a.copy(), l=l)
-    return _Point(a=a.copy(), u=_u_of_omega(np.diag(omega).real))
+    return _Point(a=a.copy(), u=np.log(np.diag(omega).real))
 
 
 def _interior_restart(point, shrink=0.06):

@@ -13,6 +13,7 @@ derives its rng streams from the master seed and its own index, so results
 are byte-identical no matter how many workers are used.
 """
 
+import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -373,15 +374,14 @@ def write_records_csv(report, path):
                                  f"{FLOAT_FMT % rate}\n")
 
 
-def write_summary(report, path, extra_lines=()):
+def write_summary(report, path):
     cfg = report.config
     lines = ["experiment summary", "==================",
              f"direction={cfg.direction} mode={cfg.mode} K={cfg.k_ms} "
              f"N={cfg.n_pico} C=({cfg.c_macro},{cfg.c_pico}) "
              f"alpha={cfg.alpha} beta={cfg.beta} slots={cfg.slots} "
              f"drops={cfg.drops} seed={cfg.seed} reuse={cfg.reuse}",
-             f"rate_mapping={cfg.rate_mapping.kind}",
-             f"elapsed_s={report.elapsed_s:.1f}", ""]
+             f"rate_mapping={cfg.rate_mapping.kind}", ""]
     for mode in report.modes:
         m = report.metrics[mode]
         lines += [f"[{mode}]",
@@ -397,7 +397,6 @@ def write_summary(report, path, extra_lines=()):
             / max(report.metrics[MODE_P2P].p50_sum_rate, 1e-30)
         lines.append(f"multiterminal/p2p 50%-ile sum-rate ratio="
                      f"{FLOAT_FMT % p50_gain}")
-    lines.extend(extra_lines)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -424,6 +423,11 @@ def write_report(report, out_dir):
     write_records_csv(report, os.path.join(out_dir, "records.csv"))
     write_summary(report, os.path.join(out_dir, "summary.txt"))
     write_cdf_data(report, out_dir)
+    # wall-clock time stays out of summary.txt, which is thereby
+    # byte-identical across reruns and `--jobs`
+    with open(os.path.join(out_dir, "timing.json"), "w") as fh:
+        json.dump({"elapsed_s": report.elapsed_s}, fh)
+        fh.write("\n")
 
 
 def write_sweep(sweep, out_dir):

@@ -280,3 +280,83 @@ def test_p2p_mode_design_has_diagonal_omega():
                                np.ones(2), "point_to_point")
     off = res.design.omega - np.diag(np.diag(res.design.omega))
     assert np.allclose(off, 0.0)
+
+
+def test_inner_step_factors_each_omega_once(monkeypatch):
+    """Within one inner solve, no Omega has its subset log-dets factored
+    twice: A-steps reuse the noise terms of the point they step from."""
+    steps, active = [], []
+    problem_cls = downlink._PrecodingProblem
+    logdets, step = problem_cls._subset_logdets, problem_cls.step
+
+    def counted_logdets(self, omega):
+        if active:
+            active[-1].append(omega.tobytes())
+        return logdets(self, omega)
+
+    def counted_step(self, point):
+        active.append([])
+        try:
+            return step(self, point)
+        finally:
+            steps.append(active.pop())
+
+    monkeypatch.setattr(problem_cls, "_subset_logdets", counted_logdets)
+    monkeypatch.setattr(problem_cls, "step", counted_step)
+    rng = np.random.default_rng(54)
+    ch = rand_channel(rng, 4, 3)
+    downlink.optimize_dl(ch, rng.uniform(1.0, 4.0, 4), rng.uniform(2.0, 8.0, 4),
+                         np.ones(3), "multiterminal", mm_max_iter=3)
+    steps = [k for k in steps if k]        # the p2p warm start has no subsets
+    assert sum(map(len, steps)) > len(steps) > 0
+    for calls in steps:
+        assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("mode", ["point_to_point", "multiterminal"])
+def test_inner_gradients_match_finite_differences(mode):
+    """grad_a and the lower triangle of grad_l are (d/dRe + i d/dIm)/2 of
+    the barrier value, grad_u is its derivative in u."""
+    rng = np.random.default_rng(55)
+    n_bs, n_ms = 3, 2
+    hbar = rand_channel(rng, n_bs, n_ms).h_dl
+    problem = downlink._PrecodingProblem(hbar, rng.uniform(0.5, 1.5, n_ms),
+                                         rng.uniform(1.0, 3.0, n_bs),
+                                         np.ones(n_bs), mode)
+    point0 = problem.cold_start()
+    tangent = problem._tangent(point0, downlink._Noise(problem, point0))
+    # a nearby point with a generic (correlated, for multiterminal) Omega
+    point = downlink._Point(
+        a=point0.a * (0.9 + 0.05 * cn_samples(rng, (n_bs, n_ms))))
+    if mode == "multiterminal":
+        point.l = point0.l + 0.02 * np.tril(cn_samples(rng, (n_bs, n_bs)))
+        noise_param = "l"
+    else:
+        point.u = point0.u + 0.02 * rng.standard_normal(n_bs)
+        noise_param = "u"
+    mu = 0.05
+
+    def barrier(p):
+        ev = problem._evaluate(p, tangent, downlink._Noise(problem, p))
+        return problem._barrier(ev, mu)
+
+    ev = problem._evaluate(point, tangent, downlink._Noise(problem, point))
+    assert ev.surr is not None
+    grads = dict(zip(("a", noise_param), problem._gradients(ev, tangent, mu)))
+
+    h = 1e-6
+    for name, grad in grads.items():
+        x = getattr(point, name)
+        dirs = (1.0,) if name == "u" else (1.0, 1j)      # Re, then Im
+        fd = np.zeros_like(grad)
+        for idx in np.ndindex(x.shape):
+            if name == "l" and idx[1] > idx[0]:
+                continue
+            for d in dirs:
+                def shifted(sign):
+                    y = x.copy()
+                    y[idx] += sign * h * d
+                    return barrier(downlink._Point(**{**vars(point), name: y}))
+                fd[idx] += (shifted(1) - shifted(-1)) / (2 * h) * d / len(dirs)
+        err = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
+        assert err < 1e-5, (name, err)

@@ -143,13 +143,19 @@ def test_csv_reproducible_across_jobs(tmp_path):
     base = dict(direction="uplink", mode="both", k_ms=2, n_pico=1,
                 c_macro=3.0, c_pico=1.0, alpha=0.0, slots=1, drops=4,
                 seed=17, solver=fast_solver())
-    rep1 = harness.run_experiment(harness.ExperimentConfig(jobs=1, **base))
-    rep2 = harness.run_experiment(harness.ExperimentConfig(jobs=3, **base))
-    f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    harness.write_records_csv(rep1, f1)
-    harness.write_records_csv(rep2, f2)
-    assert f1.read_bytes() == f2.read_bytes()
-    assert f1.read_text().splitlines()[0] == "drop,slot,mode,ms,rate"
+    for jobs in (1, 3):
+        report = harness.run_experiment(
+            harness.ExperimentConfig(jobs=jobs, **base))
+        harness.write_report(report, tmp_path / f"jobs{jobs}")
+    names = sorted(os.listdir(tmp_path / "jobs1"))
+    assert names == sorted(os.listdir(tmp_path / "jobs3"))
+    assert "timing.json" in names and "summary.txt" in names
+    for name in names:
+        if name != "timing.json":       # wall-clock time only
+            assert (tmp_path / "jobs1" / name).read_bytes() == \
+                (tmp_path / "jobs3" / name).read_bytes(), name
+    records = (tmp_path / "jobs1" / "records.csv").read_text()
+    assert records.splitlines()[0] == "drop,slot,mode,ms,rate"
 
 
 def test_run_experiment_rejects_alpha_list():
