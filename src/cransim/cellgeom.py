@@ -105,9 +105,6 @@ class Topology:
         """Hexagon circumradius (center to vertex)."""
         return self.inter_site_distance / np.sqrt(3.0)
 
-    def cell_center(self, cell_id):
-        return self.macro_sites[cell_id - 1]
-
 
 def hexagon_contains(center, radius, points):
     """Membership test for a flat-topped hexagon of given circumradius."""
@@ -249,7 +246,9 @@ def sector_gain_db(offset_angle_deg, params=None):
     """
     params = params or PropagationParams()
     theta = np.mod(np.asarray(offset_angle_deg, dtype=float) + 180.0, 360.0) - 180.0
-    out = -np.minimum(12.0 * (theta / params.theta_3db_deg) ** 2, params.a_m_db)
+    # float_power is libm pow, as a scalar ** is; array ** 2 squares instead
+    out = -np.minimum(12.0 * np.float_power(theta / params.theta_3db_deg, 2.0),
+                      params.a_m_db)
     return float(out) if out.ndim == 0 else out
 
 
@@ -295,11 +294,6 @@ def node_position(topology, node):
     raise DomainError(f"unknown node kind {kind!r}")
 
 
-def link_class(tx, rx):
-    """Shadowing/path-loss class: macro if either endpoint is a macro sector."""
-    return "macro" if (tx[0] == "macro" or rx[0] == "macro") else "pico"
-
-
 def link_shadowing_db(topology, tx, rx, params=None):
     """Per-link shadowing, derived deterministically from the topology seed.
 
@@ -309,51 +303,62 @@ def link_shadowing_db(topology, tx, rx, params=None):
     """
     codes = sorted((_node_code(tx), _node_code(rx)))
     ss = np.random.SeedSequence([topology.seed & 0xFFFFFFFF, *codes])
-    return float(shadowing_db(link_class(tx, rx),
-                              np.random.default_rng(ss), params))
+    cls = "macro" if "macro" in (tx[0], rx[0]) else "pico"
+    return float(shadowing_db(cls, np.random.default_rng(ss), params))
 
 
-def link_gain_linear(tx, rx, topology, params=None, rng=None,
-                     include_shadowing=True):
-    """Large-scale linear power gain between two nodes.
+def _link_ends(topology, nodes, params):
+    """Positions (n, 2), macro mask, antenna gains (dBi) and sector
+    boresights (degrees, 0 off macro sites) of the nodes at one link end."""
+    antenna_dbi = {"macro": params.gain_macro_dbi, "pico": params.gain_pico_dbi}
+    pos = np.array([node_position(topology, n) for n in nodes],
+                   dtype=float).reshape(-1, 2)
+    macro = np.array([n[0] == "macro" for n in nodes], dtype=bool)
+    antenna = np.array([antenna_dbi.get(n[0], params.gain_ms_dbi)
+                        for n in nodes], dtype=float)
+    boresight = np.array([topology.sector_boresights[n[1] - 1, n[2]]
+                          if n[0] == "macro" else 0.0 for n in nodes],
+                         dtype=float)
+    return pos, macro, antenna, boresight
 
-    Combines path loss, shadowing, the sector pattern (applied at a macro
-    endpoint, whichever side of the link it is on) and antenna gains.  With
-    ``rng`` given, shadowing is drawn from it (consuming its state);
-    otherwise the per-link deterministic draw of :func:`link_shadowing_db`
-    is used.  ``include_shadowing=False`` disables shadowing entirely.
+
+def link_gain_linear(tx_nodes, rx_nodes, topology, params=None):
+    """Large-scale linear power gains, shape (len(tx_nodes), len(rx_nodes)).
+
+    Combines path loss, the per-link shadowing of :func:`link_shadowing_db`,
+    the sector pattern (applied at a macro endpoint, whichever side of the
+    link it is on) and antenna gains.  A link is in the macro class if either
+    endpoint is a macro sector.
     """
     params = params or PropagationParams()
-    p_tx = node_position(topology, tx)
-    p_rx = node_position(topology, rx)
-    dist = float(np.linalg.norm(p_tx - p_rx))
-    if dist == 0.0:
+    p_tx, macro_tx, ant_tx, bore_tx = _link_ends(topology, tx_nodes, params)
+    p_rx, macro_rx, ant_rx, bore_rx = _link_ends(topology, rx_nodes, params)
+    diff = p_tx[:, None, :] - p_rx[None, :, :]
+    # vecdot is the BLAS dot np.linalg.norm takes on a 2-vector
+    dist = np.sqrt(np.vecdot(diff, diff))
+    if np.any(dist == 0.0):
         raise DomainError("tx and rx positions coincide")
 
-    cls = link_class(tx, rx)
-    if cls == "macro":
-        dist = max(dist, params.min_dist_macro_m)
-        gain_db = -pathloss_macro_db(dist / 1000.0, params)
-    else:
-        dist = max(dist, params.min_dist_pico_m)
-        gain_db = -pathloss_pico_db(dist, params)
+    gain_db = np.where(
+        macro_tx[:, None] | macro_rx[None, :],
+        -pathloss_macro_db(np.maximum(dist, params.min_dist_macro_m) / 1000.0,
+                           params),
+        -pathloss_pico_db(np.maximum(dist, params.min_dist_pico_m), params))
+    # bearing from each end toward the other, in degrees
+    bearing_tx = np.degrees(np.arctan2(-diff[..., 1], -diff[..., 0]))
+    bearing_rx = np.degrees(np.arctan2(diff[..., 1], diff[..., 0]))
+    # the antenna gain, then the sector pattern at a macro end, at the tx end
+    # and then at the rx end: the order of the sums fixes the rounding
+    gain_db = gain_db + ant_tx[:, None]
+    gain_db = gain_db + np.where(
+        macro_tx[:, None],
+        sector_gain_db(bearing_tx - bore_tx[:, None], params), 0.0)
+    gain_db = gain_db + ant_rx[None, :]
+    gain_db = gain_db + np.where(
+        macro_rx[None, :],
+        sector_gain_db(bearing_rx - bore_rx[None, :], params), 0.0)
 
-    for node, other in ((tx, rx), (rx, tx)):
-        kind = node[0]
-        if kind == "macro":
-            gain_db += params.gain_macro_dbi
-            bearing = np.degrees(np.arctan2(*(node_position(topology, other)
-                                              - node_position(topology, node))[::-1]))
-            boresight = topology.sector_boresights[node[1] - 1, node[2]]
-            gain_db += sector_gain_db(bearing - boresight, params)
-        elif kind == "pico":
-            gain_db += params.gain_pico_dbi
-        else:
-            gain_db += params.gain_ms_dbi
-
-    if include_shadowing:
-        if rng is not None:
-            gain_db += shadowing_db(cls, rng, params)
-        else:
-            gain_db += link_shadowing_db(topology, tx, rx, params)
-    return float(db_to_pow(gain_db))
+    shadow = np.array([[link_shadowing_db(topology, t, r, params)
+                        for r in rx_nodes] for t in tx_nodes],
+                      dtype=float).reshape(gain_db.shape)
+    return db_to_pow(gain_db + shadow)

@@ -120,10 +120,7 @@ def build_cluster(topology, params=None):
     n_bs, n_ms = len(bs_nodes), len(ms_nodes)
     cells = topology.interferer_set
 
-    gain = np.zeros((n_bs, n_ms))
-    for i, b in enumerate(bs_nodes):
-        for k, m in enumerate(ms_nodes):
-            gain[i, k] = cellgeom.link_gain_linear(b, m, topology, params)
+    gain = cellgeom.link_gain_linear(bs_nodes, ms_nodes, topology, params)
 
     thermal_ul = np.array([
         thermal_noise_w(params.nf_macro_db if b[0] == "macro"
@@ -132,25 +129,23 @@ def build_cluster(topology, params=None):
 
     p_macro = dbm_to_watts(params.tx_macro_dbm)
     p_pico = dbm_to_watts(params.tx_pico_dbm)
-    sigma2_dl = np.zeros(n_ms)
-    for k, m in enumerate(ms_nodes):
-        total = thermal_noise_w(params.nf_ms_db, params.bandwidth_hz)
-        for c in cells:
-            for s in range(3):
-                total += p_macro * cellgeom.link_gain_linear(
-                    ("macro", c, s), m, topology, params)
-            for j in range(topology.n_pico):
-                total += p_pico * cellgeom.link_gain_linear(
-                    ("pico", c, j), m, topology, params)
-        sigma2_dl[k] = total
+    dl_nodes, dl_power = [], []
+    for c in cells:
+        dl_nodes += [("macro", c, s) for s in range(3)]
+        dl_nodes += [("pico", c, j) for j in range(topology.n_pico)]
+        dl_power += [p_macro] * 3 + [p_pico] * topology.n_pico
+    dl_rx = np.array(dl_power)[:, None] * cellgeom.link_gain_linear(
+        dl_nodes, ms_nodes, topology, params)
+    sigma2_dl = np.full(n_ms, thermal_noise_w(params.nf_ms_db,
+                                              params.bandwidth_hz))
+    for row in dl_rx:   # one interferer at a time, in a fixed order
+        sigma2_dl += row
 
     p_ms = dbm_to_watts(params.tx_ms_dbm)
-    ul_interference = np.zeros((len(cells), topology.k_ms, n_bs))
-    for ci, c in enumerate(cells):
-        for j in range(topology.k_ms):
-            for i, b in enumerate(bs_nodes):
-                ul_interference[ci, j, i] = p_ms * cellgeom.link_gain_linear(
-                    ("ms", c, j), b, topology, params)
+    ul_nodes = [("ms", c, j) for c in cells for j in range(topology.k_ms)]
+    ul_interference = (p_ms * cellgeom.link_gain_linear(
+        ul_nodes, bs_nodes, topology, params)).reshape(
+            len(cells), topology.k_ms, n_bs)
 
     return Cluster(topology=topology, params=params,
                    bs_nodes=bs_nodes, ms_nodes=ms_nodes, gain=gain,

@@ -20,7 +20,7 @@ feasible, and ascent steps from the current point never decrease the true
 objective.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
@@ -179,6 +179,9 @@ class _Point:
     a: np.ndarray                 # (n_act, n_ms) complex
     l: np.ndarray = None          # (n_act, n_act) complex lower-triangular (mt)
     u: np.ndarray = None          # (n_act,) real, omega = exp(u) (p2p)
+    # Omega's terms at this l/u, built on first use (_PrecodingProblem._noise);
+    # only a point with the same l/u may share them
+    noise: "_Noise" = field(default=None, repr=False, compare=False)
 
 
 # log-parameterization of the diagonal noise powers: strictly positive by
@@ -211,7 +214,6 @@ class _Noise:
 class _Eval:
     """One point of the inner barrier problem under a fixed tangent."""
     point: _Point
-    noise: _Noise
     power_slack: np.ndarray = None
     bh_slack: np.ndarray = None
     rate_parts: tuple = None      # (m, total, interf), see _rate_parts
@@ -288,28 +290,26 @@ class _PrecodingProblem:
 
     # -- mm_solve protocol ---------------------------------------------------
 
+    def _noise(self, point):
+        """The point's noise terms, built once and kept on the point so that
+        mm_solve's checks and the next step reuse them."""
+        if point.noise is None:
+            point.noise = _Noise(self, point)
+        return point.noise
+
     def objective(self, point):
-        omega = self._omega_full(point)
-        _, total, interf = self._rate_parts(point, omega)
+        _, total, interf = self._rate_parts(point, self._noise(point).omega)
         rates = np.log2(total) - np.log2(interf)
         return float(self.w @ rates)
 
     def violation(self, point):
-        noise = _Noise(self, point)
+        noise = self._noise(point)
         if noise.logdets is None:
             return np.inf
         power = self._tx_power(point, noise.diag)
         g = self.masks @ np.log2(power) - noise.logdets
         return float(max(np.max(power - self.p_lim),
                          np.max(g - self.subset_caps)))
-
-    def interpolate(self, a, b, t):
-        point = _Point(a=a.a + t * (b.a - a.a))
-        if self.mode == MODE_MT:
-            point.l = a.l + t * (b.l - a.l)
-        else:
-            point.u = a.u + t * (b.u - a.u)
-        return point
 
     # -- surrogate construction and inner barrier ascent ---------------------
 
@@ -323,9 +323,8 @@ class _PrecodingProblem:
         return b_slope, lin_const, self.w / (interf0 * LN2)
 
     def step(self, point0):
-        noise0 = _Noise(self, point0)
-        tangent = self._tangent(point0, noise0)
-        current = self._evaluate(point0, tangent, noise0)
+        tangent = self._tangent(point0, self._noise(point0))
+        current = self._evaluate(point0, tangent)
         if current.surr is None:
             raise NumericalDomainError("current iterate lost strict feasibility")
 
@@ -348,10 +347,7 @@ class _PrecodingProblem:
                     for _ in range(30):
                         point = self._advance(current.point, grads,
                                               eta[block], block)
-                        # an A step leaves L/u, and so Omega, unchanged
-                        noise = current.noise if block == "a" \
-                            else _Noise(self, point)
-                        cand = self._evaluate(point, tangent, noise)
+                        cand = self._evaluate(point, tangent)
                         total_cand = self._barrier(cand, mu)
                         if total_cand > total_cur:
                             gain += total_cand - total_cur
@@ -369,11 +365,11 @@ class _PrecodingProblem:
                     break
         return best.point
 
-    def _evaluate(self, point, tangent, noise):
-        """Slacks, rate parts and surrogate objective (constants dropped) at
-        a point whose noise terms are `noise`."""
+    def _evaluate(self, point, tangent):
+        """Slacks, rate parts and surrogate objective (constants dropped)."""
         b_slope, lin_const, s_coef = tangent
-        ev = _Eval(point, noise)
+        noise = self._noise(point)
+        ev = _Eval(point)
         power = self._tx_power(point, noise.diag)
         ev.power_slack = self.p_lim - power
         if np.any(ev.power_slack <= 0) or noise.logdets is None:
@@ -396,7 +392,8 @@ class _PrecodingProblem:
 
     def _gradients(self, ev, tangent, mu):
         b_slope, _, s_coef = tangent
-        point, omega, diag = ev.point, ev.noise.omega, ev.noise.diag
+        point = ev.point
+        omega, diag = point.noise.omega, point.noise.diag
         m, total, _ = ev.rate_parts
         alpha = self.w / (total * LN2)
 
@@ -426,7 +423,9 @@ class _PrecodingProblem:
     def _advance(self, point, grads, eta, block):
         grad_a, grad_noise = grads
         if block == "a":
-            return _Point(a=point.a + eta * grad_a, l=point.l, u=point.u)
+            # L/u, and so Omega and its noise terms, stay unchanged
+            return _Point(a=point.a + eta * grad_a, l=point.l, u=point.u,
+                          noise=point.noise)
         if self.mode == MODE_MT:
             return _Point(a=point.a, l=np.tril(point.l + eta * grad_noise))
         return _Point(a=point.a,

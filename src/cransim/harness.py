@@ -17,10 +17,9 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-import yaml
 
 from . import cellgeom, channel as channel_mod, downlink, scheduler, uplink
 from .errors import ConfigurationError, DomainError
@@ -120,17 +119,6 @@ class ExperimentConfig:
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data).validate()
-
-    @classmethod
-    def from_yaml(cls, path):
-        with open(path) as fh:
-            data = yaml.safe_load(fh) or {}
-        if not isinstance(data, dict):
-            raise ConfigurationError("config file must contain a mapping")
-        return cls.from_dict(data)
-
-    def to_dict(self):
-        return asdict(self)
 
 
 # Named experiment setups.  The two downlink entries are the two parameter

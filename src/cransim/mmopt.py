@@ -14,11 +14,10 @@ A problem object plugged into :func:`mm_solve` provides:
     objective(x)          true objective value (to maximize)
     violation(x)          max violation of the true constraints (<= 0 if feasible)
     step(x)               build the surrogate at x and solve it, returning a candidate
-    interpolate(a, b, t)  point a + t*(b - a) in parameter space
 
 `step` is expected to never decrease the surrogate relative to its starting
-point; mm_solve additionally guards acceptance with the true objective and
-restores true feasibility by step-halving toward the previous iterate.
+point and to stay inside the true feasible set; mm_solve additionally guards
+acceptance with the true objective and with the true constraints.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +27,6 @@ from .errors import NumericalDomainError
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITER = 100
 FEASIBILITY_TOL = 1e-7
-MAX_HALVINGS = 30
 
 
 @dataclass
@@ -69,19 +67,9 @@ def mm_solve(problem, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
 
         viol = problem.violation(candidate)
         if viol > feas_tol:
-            t = 1.0
-            proposed = candidate
-            for _ in range(MAX_HALVINGS):
-                t *= 0.5
-                proposed = problem.interpolate(x, candidate, t)
-                viol = problem.violation(proposed)
-                if viol <= feas_tol:
-                    break
-            if viol > feas_tol:
-                trace.warnings.append(
-                    "feasibility backtracking exhausted; keeping previous iterate")
-                break
-            candidate = proposed
+            trace.warnings.append(
+                "step left the feasible set; keeping previous iterate")
+            break
 
         new_obj = problem.objective(candidate)
         if new_obj < obj - 1e-12 * max(1.0, abs(obj)):

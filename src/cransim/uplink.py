@@ -237,9 +237,6 @@ class _PowerProblem:
         return float(max(np.max(p - self.p_max, initial=-np.inf),
                          np.max(-p, initial=-np.inf)))
 
-    def interpolate(self, a, b, t):
-        return a + t * (b - a)
-
     def tangent_slopes(self, p0, x0):
         """Gradient of sum_k w_k psi_k at p0, given X = L^-1 H at p0.
 

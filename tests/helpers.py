@@ -9,6 +9,7 @@ separate log-dets of directly summed covariances.
 
 import numpy as np
 
+from cransim import cellgeom
 from cransim.channel import ChannelRealization
 
 
@@ -112,3 +113,42 @@ def ul_slopes_oracle(h, d, p, w):
         g[k] = 0.0
         slopes += w[k] * g
     return slopes
+
+
+def link_gain_oracle(tx, rx, topology, params, shadowing=True):
+    """Linear large-scale gain of one link, evaluated one scalar at a time.
+
+    This is the per-link formula the array-valued
+    ``cellgeom.link_gain_linear`` must reproduce bit for bit: the distance
+    is ``np.linalg.norm``, the squares and the dB-to-linear step are scalar
+    ``**``, and the terms are added in the order path loss, tx end, rx end,
+    shadowing.
+    """
+    p_tx = cellgeom.node_position(topology, tx)
+    p_rx = cellgeom.node_position(topology, rx)
+    dist = float(np.linalg.norm(p_tx - p_rx))
+    if "macro" in (tx[0], rx[0]):
+        dist = max(dist, params.min_dist_macro_m)
+        a, b = params.macro_pathloss
+        gain_db = -float(a + b * np.log10(np.asarray(dist / 1000.0)))
+    else:
+        dist = max(dist, params.min_dist_pico_m)
+        a, b = params.pico_pathloss
+        gain_db = -float(a + b * np.log10(np.asarray(dist)))
+    for node, other in ((tx, rx), (rx, tx)):
+        if node[0] == "macro":
+            gain_db += params.gain_macro_dbi
+            d = cellgeom.node_position(topology, other) \
+                - cellgeom.node_position(topology, node)
+            offset = np.degrees(np.arctan2(d[1], d[0])) \
+                - topology.sector_boresights[node[1] - 1, node[2]]
+            theta = np.mod(np.asarray(offset) + 180.0, 360.0) - 180.0
+            gain_db += -float(np.minimum(
+                12.0 * (theta / params.theta_3db_deg) ** 2, params.a_m_db))
+        elif node[0] == "pico":
+            gain_db += params.gain_pico_dbi
+        else:
+            gain_db += params.gain_ms_dbi
+    if shadowing:
+        gain_db += cellgeom.link_shadowing_db(topology, tx, rx, params)
+    return float(10.0 ** (np.asarray(gain_db) / 10.0))

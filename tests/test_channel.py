@@ -6,6 +6,7 @@ import pytest
 from cransim import cellgeom, channel
 from cransim.errors import DomainError
 from cransim.units import dbm_to_watts
+from helpers import link_gain_oracle
 
 
 @pytest.fixture(scope="module")
@@ -64,12 +65,48 @@ def test_downlink_interference_accumulates_coband_cells(small_drop):
     p_pico = dbm_to_watts(params.tx_pico_dbm)
     for c in (8, 10, 12, 14, 16, 18):
         for s in range(3):
-            expected += p_macro * cellgeom.link_gain_linear(
+            expected += p_macro * link_gain_oracle(
                 ("macro", c, s), node, topo, params)
         for j in range(topo.n_pico):
-            expected += p_pico * cellgeom.link_gain_linear(
+            expected += p_pico * link_gain_oracle(
                 ("pico", c, j), node, topo, params)
     assert cluster.sigma2_dl[1] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_pico, k_ms, reuse", [
+    (0, 3, "F1_3"), (2, 1, "F1_3"), (20, 2, "F1_3"), (2, 3, "F1")])
+def test_cluster_gains_match_scalar_oracle_bitwise(n_pico, k_ms, reuse):
+    """The array link gains and the interference sums built from them are
+    bit-for-bit those of the per-link scalar formula, summed from the
+    thermal floor one interferer at a time."""
+    params = cellgeom.PropagationParams()
+    topo = cellgeom.build_layout(40 + n_pico, k_ms, n_pico, params,
+                                 reuse=reuse)
+    cluster = channel.build_cluster(topo, params)
+    gain = np.array([[link_gain_oracle(b, m, topo, params)
+                      for m in cluster.ms_nodes] for b in cluster.bs_nodes])
+    assert np.array_equal(cluster.gain, gain)
+
+    p_macro = dbm_to_watts(params.tx_macro_dbm)
+    p_pico = dbm_to_watts(params.tx_pico_dbm)
+    sigma2_dl = []
+    for m in cluster.ms_nodes:
+        total = channel.thermal_noise_w(params.nf_ms_db, params.bandwidth_hz)
+        for c in topo.interferer_set:
+            for s in range(3):
+                total += p_macro * link_gain_oracle(("macro", c, s), m, topo,
+                                                    params)
+            for j in range(n_pico):
+                total += p_pico * link_gain_oracle(("pico", c, j), m, topo,
+                                                   params)
+        sigma2_dl.append(total)
+    assert np.array_equal(cluster.sigma2_dl, sigma2_dl)
+
+    p_ms = dbm_to_watts(params.tx_ms_dbm)
+    ul = [[[p_ms * link_gain_oracle(("ms", c, j), b, topo, params)
+            for b in cluster.bs_nodes] for j in range(k_ms)]
+          for c in topo.interferer_set]
+    assert np.array_equal(cluster.ul_interference, ul)
 
 
 def _mean_ul_interference(cluster):
@@ -100,7 +137,7 @@ def test_uplink_activity_model(small_drop):
     topo, params, cluster = small_drop
     p_ms = dbm_to_watts(params.tx_ms_dbm)
     assert cluster.ul_interference[0, 2, 0] == pytest.approx(
-        p_ms * cellgeom.link_gain_linear(
+        p_ms * link_gain_oracle(
             ("ms", topo.interferer_set[0], 2), ("macro", 1, 0), topo, params),
         rel=1e-12)
     lo = cluster.thermal_ul + 3.0 * cluster.ul_interference.min(axis=1).sum(axis=0)

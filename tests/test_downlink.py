@@ -313,6 +313,29 @@ def test_inner_step_factors_each_omega_once(monkeypatch):
         assert len(set(calls)) == len(calls)
 
 
+def test_optimize_dl_factors_each_omega_once(monkeypatch):
+    """Over one whole multiterminal design, no Omega has its subset log-dets
+    factored twice: mm_solve's feasibility check and the next step reuse the
+    noise terms of the point the last step returned."""
+    calls = []
+    problem_cls = downlink._PrecodingProblem
+    logdets = problem_cls._subset_logdets
+
+    def counted_logdets(self, omega):
+        calls.append(omega.tobytes())
+        return logdets(self, omega)
+
+    monkeypatch.setattr(problem_cls, "_subset_logdets", counted_logdets)
+    rng = np.random.default_rng(54)
+    ch = rand_channel(rng, 4, 3)
+    result = downlink.optimize_dl(ch, rng.uniform(1.0, 4.0, 4),
+                                  rng.uniform(2.0, 8.0, 4), np.ones(3),
+                                  "multiterminal")
+    assert result.trace.iterations > 1
+    assert len(calls) > 0
+    assert len(set(calls)) == len(calls)
+
+
 @pytest.mark.parametrize("mode", ["point_to_point", "multiterminal"])
 def test_inner_gradients_match_finite_differences(mode):
     """grad_a and the lower triangle of grad_l are (d/dRe + i d/dIm)/2 of
@@ -324,7 +347,7 @@ def test_inner_gradients_match_finite_differences(mode):
                                          rng.uniform(1.0, 3.0, n_bs),
                                          np.ones(n_bs), mode)
     point0 = problem.cold_start()
-    tangent = problem._tangent(point0, downlink._Noise(problem, point0))
+    tangent = problem._tangent(point0, problem._noise(point0))
     # a nearby point with a generic (correlated, for multiterminal) Omega
     point = downlink._Point(
         a=point0.a * (0.9 + 0.05 * cn_samples(rng, (n_bs, n_ms))))
@@ -337,10 +360,10 @@ def test_inner_gradients_match_finite_differences(mode):
     mu = 0.05
 
     def barrier(p):
-        ev = problem._evaluate(p, tangent, downlink._Noise(problem, p))
+        ev = problem._evaluate(p, tangent)
         return problem._barrier(ev, mu)
 
-    ev = problem._evaluate(point, tangent, downlink._Noise(problem, point))
+    ev = problem._evaluate(point, tangent)
     assert ev.surr is not None
     grads = dict(zip(("a", noise_param), problem._gradients(ev, tangent, mu)))
 
@@ -356,7 +379,8 @@ def test_inner_gradients_match_finite_differences(mode):
                 def shifted(sign):
                     y = x.copy()
                     y[idx] += sign * h * d
-                    return barrier(downlink._Point(**{**vars(point), name: y}))
+                    return barrier(downlink._Point(
+                        **{**vars(point), name: y, "noise": None}))
                 fd[idx] += (shifted(1) - shifted(-1)) / (2 * h) * d / len(dirs)
         err = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
         assert err < 1e-5, (name, err)

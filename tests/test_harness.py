@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import os
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 import yaml
 
 from cransim import cellgeom, channel, downlink, harness, uplink
-from cransim.cli import main as cli_main
+from cransim.cli import build_config, main as cli_main
 from cransim.errors import ConfigurationError, DomainError
 
 
@@ -56,8 +58,8 @@ def test_config_from_dict_and_yaml(tmp_path):
 
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(data))
-    cfg2 = harness.ExperimentConfig.from_yaml(path)
-    assert cfg2.to_dict() == cfg.to_dict()
+    cfg2 = build_config(argparse.Namespace(preset=None, config=str(path)))
+    assert dataclasses.asdict(cfg2) == dataclasses.asdict(cfg)
 
     with pytest.raises(ConfigurationError):
         harness.ExperimentConfig.from_dict(dict(direction="sideways"))
