@@ -40,6 +40,7 @@ _CELL_AXIAL = {
     19: (2, -2),
 }
 N_CELLS = 19
+REUSE_MODES = ("F1", "F1_3")
 _MAX_DROP_TRIES = 10000
 
 
@@ -145,7 +146,7 @@ def build_layout(seed, k_ms, n_pico, params=None, reuse="F1_3"):
         raise ConfigurationError("n_pico must be >= 0")
     if params.inter_site_distance_m <= 0:
         raise ConfigurationError("inter_site_distance_m must be > 0")
-    if reuse not in ("F1", "F1_3"):
+    if reuse not in REUSE_MODES:
         raise ConfigurationError(f"unknown reuse mode {reuse!r}")
 
     d = params.inter_site_distance_m

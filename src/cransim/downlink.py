@@ -20,7 +20,7 @@ feasible, and ascent steps from the current point never decrease the true
 objective.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -28,11 +28,10 @@ import numpy as np
 
 from .errors import DomainError, NumericalDomainError
 from .gaussinfo import LN2, hermitize, logdet2
-from .mmopt import MMTrace, mm_solve
+from .mmopt import FEASIBILITY_TOL, INNER_TOL, MMTrace, mm_solve
 from .uplink import MODE_MT, MODE_P2P
 
 SUBSET_ENUM_CAP = 16
-FEAS_TOL = 1e-7
 
 
 @dataclass
@@ -123,7 +122,7 @@ def enumerate_subsets(indices):
     return out
 
 
-def feasible_dl(design, tol=FEAS_TOL):
+def feasible_dl(design):
     """Check all subset backhaul conditions and per-BS power constraints.
 
     Returns a report with the worst slack margin (negative means violated).
@@ -164,7 +163,8 @@ def feasible_dl(design, tol=FEAS_TOL):
         if slack < margin:
             margin, worst = slack, f"backhaul{subset}"
 
-    return FeasibilityReport(feasible=bool(margin >= -tol), margin=float(margin),
+    return FeasibilityReport(feasible=bool(margin >= -FEASIBILITY_TOL),
+                             margin=float(margin),
                              worst_constraint=worst,
                              n_subsets_checked=len(subsets))
 
@@ -175,13 +175,9 @@ def feasible_dl(design, tol=FEAS_TOL):
 
 @dataclass
 class _Point:
-    """Inner parameterization: free A, plus a PSD-by-construction Omega."""
+    """Inner parameterization: free A, plus the noise parameters of Omega."""
     a: np.ndarray                 # (n_act, n_ms) complex
-    l: np.ndarray = None          # (n_act, n_act) complex lower-triangular (mt)
-    u: np.ndarray = None          # (n_act,) real, omega = exp(u) (p2p)
-    # Omega's terms at this l/u, built on first use (_PrecodingProblem._noise);
-    # only a point with the same l/u may share them
-    noise: "_Noise" = field(default=None, repr=False, compare=False)
+    noise: "_Noise"
 
 
 # log-parameterization of the diagonal noise powers: strictly positive by
@@ -191,19 +187,24 @@ _U_CLIP = (-600.0, 60.0)
 
 
 class _Noise:
-    """Omega at one value of the noise parameters (L or u), shared by every
-    point with that value; its log-dets are factored once, on first use."""
+    """The noise parameters and the Omega they make: Omega = L L^H for a
+    complex lower-triangular L (multiterminal), or diag(exp(u)) for a real u
+    (point-to-point).  Every point with these parameters shares the object,
+    so Omega's log-dets are factored once, on first use."""
 
-    def __init__(self, problem, point):
-        self.problem = problem
-        self.omega = problem._omega_full(point)
+    def __init__(self, problem, l=None, u=None):
+        self.problem, self.l, self.u = problem, l, u
+        if l is not None:
+            self.omega = l @ l.conj().T
+        else:
+            self.omega = np.diag(np.exp(u)).astype(complex)
         self.diag = np.diag(self.omega).real
 
     @cached_property
     def logdets(self):
         """log2 det of each constrained block of Omega; None if not PD."""
         try:
-            if self.problem.mode == MODE_MT:
+            if self.l is not None:
                 return self.problem._subset_logdets(self.omega)
             return None if np.any(self.diag <= 0) else np.log2(self.diag)
         except np.linalg.LinAlgError:
@@ -224,7 +225,7 @@ class _PrecodingProblem:
     """MM adapter for the joint precoder / quantization-covariance design."""
 
     def __init__(self, hbar, weights, caps, p_lim, mode,
-                 inner_steps=40, barrier_rounds=3, inner_tol=1e-6):
+                 inner_steps=40, barrier_rounds=3):
         self.hbar = hbar                      # (n_ms, n_act) noise-normalized
         self.w = np.asarray(weights, dtype=float)
         self.p_lim = np.asarray(p_lim, dtype=float)
@@ -232,7 +233,6 @@ class _PrecodingProblem:
         self.n = hbar.shape[1]
         self.inner_steps = inner_steps
         self.barrier_rounds = barrier_rounds
-        self.inner_tol = inner_tol
 
         if mode == MODE_MT:
             self.subsets = enumerate_subsets(range(self.n))
@@ -251,13 +251,8 @@ class _PrecodingProblem:
 
     # -- shared quantities -------------------------------------------------
 
-    def _omega_full(self, point):
-        if self.mode == MODE_MT:
-            return point.l @ point.l.conj().T
-        return np.diag(np.exp(point.u)).astype(complex)
-
-    def _tx_power(self, point, omega_diag):
-        return np.sum(np.abs(point.a) ** 2, axis=1) + omega_diag
+    def _tx_power(self, point):
+        return np.sum(np.abs(point.a) ** 2, axis=1) + point.noise.diag
 
     def _subset_logdets(self, omega):
         """log2 det of Omega restricted to every subset (batched by size)."""
@@ -279,9 +274,9 @@ class _PrecodingProblem:
             np.add.at(g, (gather[:, :, None], gather[:, None, :]), scaled)
         return g
 
-    def _rate_parts(self, point, omega):
+    def _rate_parts(self, point):
         m = self.hbar @ point.a                      # (n_ms, n_ms)
-        qn = np.einsum("ki,ij,kj->k", self.hbar, omega,
+        qn = np.einsum("ki,ij,kj->k", self.hbar, point.noise.omega,
                        self.hbar.conj()).real
         sig = np.abs(m) ** 2
         total = 1.0 + np.sum(sig, axis=1) + qn
@@ -290,40 +285,33 @@ class _PrecodingProblem:
 
     # -- mm_solve protocol ---------------------------------------------------
 
-    def _noise(self, point):
-        """The point's noise terms, built once and kept on the point so that
-        mm_solve's checks and the next step reuse them."""
-        if point.noise is None:
-            point.noise = _Noise(self, point)
-        return point.noise
-
     def objective(self, point):
-        _, total, interf = self._rate_parts(point, self._noise(point).omega)
+        _, total, interf = self._rate_parts(point)
         rates = np.log2(total) - np.log2(interf)
         return float(self.w @ rates)
 
     def violation(self, point):
-        noise = self._noise(point)
-        if noise.logdets is None:
+        logdets = point.noise.logdets
+        if logdets is None:
             return np.inf
-        power = self._tx_power(point, noise.diag)
-        g = self.masks @ np.log2(power) - noise.logdets
+        power = self._tx_power(point)
+        g = self.masks @ np.log2(power) - logdets
         return float(max(np.max(power - self.p_lim),
                          np.max(g - self.subset_caps)))
 
     # -- surrogate construction and inner barrier ascent ---------------------
 
-    def _tangent(self, point0, noise0):
+    def _tangent(self, point0):
         """Slopes and offsets of the log2(power) terms linearized at point0,
         and the weights of the linearized log2(interference) terms."""
-        power0 = self._tx_power(point0, noise0.diag)
+        power0 = self._tx_power(point0)
         b_slope = 1.0 / (power0 * LN2)
         lin_const = self.masks @ (np.log2(power0) - b_slope * power0)
-        _, _, interf0 = self._rate_parts(point0, noise0.omega)
+        _, _, interf0 = self._rate_parts(point0)
         return b_slope, lin_const, self.w / (interf0 * LN2)
 
     def step(self, point0):
-        tangent = self._tangent(point0, self._noise(point0))
+        tangent = self._tangent(point0)
         current = self._evaluate(point0, tangent)
         if current.surr is None:
             raise NumericalDomainError("current iterate lost strict feasibility")
@@ -336,16 +324,16 @@ class _PrecodingProblem:
                   max(10.0 * min_slack, 1e-10))
         # independent step sizes per variable block: the precoder and the
         # noise parameters live on very different scales
-        eta = {"a": 1.0, "omega": 1.0}
+        eta = {"a": 1.0, "noise": 1.0}
         for round_idx in range(self.barrier_rounds):
             mu = mu0 * (0.1 ** round_idx)
             total_cur = self._barrier(current, mu)
             for _ in range(self.inner_steps):
                 gain = 0.0
-                for block in ("a", "omega"):
-                    grads = self._gradients(current, tangent, mu)
+                for block in ("a", "noise"):
+                    grad = self._gradient(current, tangent, mu, block)
                     for _ in range(30):
-                        point = self._advance(current.point, grads,
+                        point = self._advance(current.point, grad,
                                               eta[block], block)
                         cand = self._evaluate(point, tangent)
                         total_cand = self._barrier(cand, mu)
@@ -361,16 +349,16 @@ class _PrecodingProblem:
                     break
                 if current.surr > best.surr:
                     best = current
-                if gain <= self.inner_tol * max(1.0, abs(total_cur)):
+                if gain <= INNER_TOL * max(1.0, abs(total_cur)):
                     break
         return best.point
 
     def _evaluate(self, point, tangent):
         """Slacks, rate parts and surrogate objective (constants dropped)."""
         b_slope, lin_const, s_coef = tangent
-        noise = self._noise(point)
+        noise = point.noise
         ev = _Eval(point)
-        power = self._tx_power(point, noise.diag)
+        power = self._tx_power(point)
         ev.power_slack = self.p_lim - power
         if np.any(ev.power_slack <= 0) or noise.logdets is None:
             return ev
@@ -378,7 +366,7 @@ class _PrecodingProblem:
         ev.bh_slack = self.subset_caps - g_surr
         if np.any(ev.bh_slack <= 0):
             return ev
-        ev.rate_parts = self._rate_parts(point, noise.omega)
+        ev.rate_parts = self._rate_parts(point)
         _, total, interf = ev.rate_parts
         ev.surr = float(self.w @ np.log2(total) - s_coef @ interf)
         return ev
@@ -390,10 +378,11 @@ class _PrecodingProblem:
         return ev.surr + mu * (np.sum(np.log(ev.power_slack))
                                + np.sum(np.log(ev.bh_slack)))
 
-    def _gradients(self, ev, tangent, mu):
+    def _gradient(self, ev, tangent, mu, block):
+        """Gradient of the barrier value in one block: A, or the noise
+        parameters (L for multiterminal, u for point-to-point)."""
         b_slope, _, s_coef = tangent
-        point = ev.point
-        omega, diag = point.noise.omega, point.noise.diag
+        point, noise = ev.point, ev.point.noise
         m, total, _ = ev.rate_parts
         alpha = self.w / (total * LN2)
 
@@ -401,40 +390,39 @@ class _PrecodingProblem:
         coef_t = -mu / ev.power_slack \
             - b_slope * (self.masks.T @ (mu / ev.bh_slack))
 
-        m_off = m.copy()
-        np.fill_diagonal(m_off, 0.0)
-        grad_a = self.hbar.conj().T @ (alpha[:, None] * m) \
-            - self.hbar.conj().T @ (s_coef[:, None] * m_off) \
-            + coef_t[:, None] * point.a
+        if block == "a":
+            m_off = m.copy()
+            np.fill_diagonal(m_off, 0.0)
+            return self.hbar.conj().T @ (alpha[:, None] * m) \
+                - self.hbar.conj().T @ (s_coef[:, None] * m_off) \
+                + coef_t[:, None] * point.a
 
         quad_coef = alpha - s_coef
-        if self.mode == MODE_MT:
+        if noise.l is not None:
             gq = self.hbar.conj().T @ (quad_coef[:, None] * self.hbar)
-            g_inv = self._subset_inv_scatter(omega, mu / ev.bh_slack) / LN2
-            grad_l = (gq + np.diag(coef_t) + g_inv) @ point.l
-            grad_l = np.tril(grad_l)
-            return grad_a, grad_l
+            g_inv = self._subset_inv_scatter(noise.omega,
+                                             mu / ev.bh_slack) / LN2
+            return np.tril((gq + np.diag(coef_t) + g_inv) @ noise.l)
         qcoef = np.sum(quad_coef[:, None] * np.abs(self.hbar) ** 2, axis=0)
-        domega = qcoef + coef_t + (mu / ev.bh_slack) / (diag * LN2)
+        domega = qcoef + coef_t + (mu / ev.bh_slack) / (noise.diag * LN2)
         # diag is exp(u), so this is the chain rule through omega = exp(u)
-        grad_u = domega * diag
-        return grad_a, grad_u
+        return domega * noise.diag
 
-    def _advance(self, point, grads, eta, block):
-        grad_a, grad_noise = grads
+    def _advance(self, point, grad, eta, block):
+        noise = point.noise
         if block == "a":
-            # L/u, and so Omega and its noise terms, stay unchanged
-            return _Point(a=point.a + eta * grad_a, l=point.l, u=point.u,
-                          noise=point.noise)
-        if self.mode == MODE_MT:
-            return _Point(a=point.a, l=np.tril(point.l + eta * grad_noise))
-        return _Point(a=point.a,
-                      u=np.clip(point.u + eta * grad_noise, *_U_CLIP))
+            return _Point(a=point.a + eta * grad, noise=noise)
+        if noise.l is not None:
+            return _Point(a=point.a,
+                          noise=_Noise(self, l=np.tril(noise.l + eta * grad)))
+        return _Point(a=point.a, noise=_Noise(
+            self, u=np.clip(noise.u + eta * grad, *_U_CLIP)))
 
     # -- starting point -------------------------------------------------------
 
     def cold_start(self):
-        """Matched-filter columns at 80% of each power budget, noise in the rest.
+        """Point-to-point start: matched-filter columns at 80% of each power
+        budget, noise in the rest.
 
         The signal share is halved until every backhaul constraint holds
         strictly; fails loudly naming the binding constraint.
@@ -452,8 +440,7 @@ class _PrecodingProblem:
             scale = 0.0
 
         gamma = 1.0
-        caps = self.subset_caps[:self.n] if self.mode == MODE_MT \
-            else self.subset_caps
+        caps = self.subset_caps
         for _ in range(80):
             a = a_unit * (scale * np.sqrt(gamma))
             sig = np.sum(np.abs(a) ** 2, axis=1)
@@ -461,9 +448,7 @@ class _PrecodingProblem:
             g = np.log2(sig + omega) - np.log2(omega)
             slack = caps - g
             if np.all(slack > 1e-6 * np.maximum(1.0, caps)):
-                if self.mode == MODE_MT:
-                    return _Point(a=a, l=np.diag(np.sqrt(omega)).astype(complex))
-                return _Point(a=a, u=np.log(omega))
+                return _Point(a=a, noise=_Noise(self, u=np.log(omega)))
             gamma *= 0.5
         worst = int(np.argmin(slack))
         raise NumericalDomainError(
@@ -471,19 +456,20 @@ class _PrecodingProblem:
             f"cannot be met (capacity {caps[worst]:.3g} bps/Hz)")
 
 
-def _point_from_design(design, active, mode, scale):
+def _point_from_design(problem, design, active, scale):
     a = design.a[active] / scale[:, None]
     omega = hermitize(design.omega[np.ix_(active, active)]
                       / np.outer(scale, scale))
-    if mode == MODE_MT:
+    if problem.mode == MODE_MT:
         try:
             l = np.linalg.cholesky(omega)
         except np.linalg.LinAlgError:
             l = np.linalg.cholesky(
                 omega + 1e-12 * np.trace(omega).real / max(len(active), 1)
                 * np.eye(len(active)))
-        return _Point(a=a.copy(), l=l)
-    return _Point(a=a.copy(), u=np.log(np.diag(omega).real))
+        return _Point(a=a.copy(), noise=_Noise(problem, l=l))
+    return _Point(a=a.copy(),
+                  noise=_Noise(problem, u=np.log(np.diag(omega).real)))
 
 
 def _interior_restart(point, shrink=0.06):
@@ -496,12 +482,12 @@ def _interior_restart(point, shrink=0.06):
     giving the joint optimization room to trade description resolution for
     noise shaping.
     """
-    return _Point(a=point.a * np.sqrt(1.0 - shrink), l=point.l.copy())
+    return _Point(a=point.a * np.sqrt(1.0 - shrink), noise=point.noise)
 
 
 def optimize_dl(channel, c, p_bs, weights, mode, init=None,
                 mm_tol=1e-4, mm_max_iter=60, inner_steps=40,
-                barrier_rounds=3, inner_tol=1e-6):
+                barrier_rounds=3):
     """Weighted-sum-rate design of (A, Omega) under backhaul and power limits.
 
     Multiterminal mode without an explicit `init` first solves the
@@ -539,22 +525,20 @@ def optimize_dl(channel, c, p_bs, weights, mode, init=None,
     problem = _PrecodingProblem(hbar, weights, c[active],
                                 np.ones(active.size), mode,
                                 inner_steps=inner_steps,
-                                barrier_rounds=barrier_rounds,
-                                inner_tol=inner_tol)
+                                barrier_rounds=barrier_rounds)
 
     if init is None and mode == MODE_MT:
         p2p = optimize_dl(channel, c, p_bs, weights, MODE_P2P,
                           mm_tol=mm_tol, mm_max_iter=mm_max_iter,
                           inner_steps=inner_steps,
-                          barrier_rounds=barrier_rounds,
-                          inner_tol=inner_tol)
+                          barrier_rounds=barrier_rounds)
         init = p2p.design
 
     if init is None:
         start = problem.cold_start()
         incumbent = None
     else:
-        incumbent = _point_from_design(init, active, mode, scale)
+        incumbent = _point_from_design(problem, init, active, scale)
         # warm starts typically sit on their constraint boundaries; step
         # inside before optimizing and keep the original as the incumbent
         start = _interior_restart(incumbent) if mode == MODE_MT else incumbent
@@ -571,7 +555,7 @@ def optimize_dl(channel, c, p_bs, weights, mode, init=None,
     a_full[active] = point.a * scale[:, None]
     omega_full = np.zeros((n_bs, n_bs), dtype=complex)
     omega_full[np.ix_(active, active)] = \
-        problem._omega_full(point) * np.outer(scale, scale)
+        point.noise.omega * np.outer(scale, scale)
     design = DownlinkDesign(a=a_full, omega=hermitize(omega_full), c=c,
                             p_bs=p_bs, mode=mode)
     rates = np.array([rate_dl(design, channel, k) for k in range(n_ms)])

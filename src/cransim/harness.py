@@ -16,8 +16,10 @@ are byte-identical no matter how many workers are used.
 import json
 import os
 import time
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -41,13 +43,15 @@ class RateMapping:
     scale: float = 0.6
     cap: float = 4.4
 
+    def __post_init__(self):
+        if self.kind not in ("shannon", "attenuated"):
+            raise ConfigurationError(f"unknown rate mapping {self.kind!r}")
+
     def apply(self, rates):
         rates = np.asarray(rates, dtype=float)
-        if self.kind == "shannon":
-            return rates
         if self.kind == "attenuated":
             return np.minimum(self.scale * rates, self.cap)
-        raise ConfigurationError(f"unknown rate mapping {self.kind!r}")
+        return rates
 
 
 @dataclass
@@ -57,7 +61,6 @@ class SolverOptions:
     inner_steps_ul: int = 200
     inner_steps_dl: int = 40
     barrier_rounds: int = 3
-    inner_tol: float = 1e-6
 
 
 @dataclass
@@ -91,14 +94,17 @@ class ExperimentConfig:
             raise ConfigurationError("backhaul capacities must be >= 0")
         if self.k_ms < 1 or self.n_pico < 0:
             raise ConfigurationError("k_ms must be >= 1 and n_pico >= 0")
-        if self.jobs < 1:
-            raise ConfigurationError("jobs must be >= 1")
+        if self.jobs < 1 or self.seed < 0:
+            raise ConfigurationError("jobs must be >= 1 and seed >= 0")
+        if self.reuse not in cellgeom.REUSE_MODES:
+            raise ConfigurationError(f"unknown reuse mode {self.reuse!r}")
         alphas = self.alpha if isinstance(self.alpha, (list, tuple)) \
             else [self.alpha]
         if len(alphas) == 0:
             raise ConfigurationError("alpha sweep list must be nonempty")
-        if any(a < 0 for a in alphas):
-            raise ConfigurationError("fairness exponents must be >= 0")
+        if not all(_is_number(a) and a >= 0 for a in alphas):
+            raise ConfigurationError(f"fairness exponents must be numbers "
+                                     f">= 0, got {self.alpha!r}")
         return self
 
     @property
@@ -107,18 +113,44 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data):
-        data = dict(data)
-        if "rate_mapping" in data and isinstance(data["rate_mapping"], dict):
-            data["rate_mapping"] = RateMapping(**data["rate_mapping"])
-        if "solver" in data and isinstance(data["solver"], dict):
-            data["solver"] = SolverOptions(**data["solver"])
-        if "propagation" in data and isinstance(data["propagation"], dict):
-            data["propagation"] = cellgeom.PropagationParams(**data["propagation"])
-        unknown = set(data) - {f.name for f in
-                               cls.__dataclass_fields__.values()}
-        if unknown:
-            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data).validate()
+        """A validated config from a mapping of its fields; nested settings
+        may be mappings.  Any malformed input raises ConfigurationError."""
+        return _from_mapping(cls, data).validate()
+
+
+def _is_number(value):
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+# value checks by field annotation; `object` fields are checked by validate()
+_FITS = {
+    int: lambda v: isinstance(v, Integral) and not isinstance(v, bool),
+    float: _is_number,
+    str: lambda v: isinstance(v, str),
+    tuple: lambda v: (isinstance(v, (list, tuple)) and len(v) == 2
+                      and all(map(_is_number, v))),   # path-loss pairs
+}
+
+
+def _from_mapping(cls, data, prefix=""):
+    """cls(**data) for a config dataclass, once every key names a field of
+    cls and every value fits the field's type; nested config dataclasses
+    may be given as mappings."""
+    if not isinstance(data, Mapping):
+        raise ConfigurationError(f"{prefix.rstrip('.') or 'config'} must be "
+                                 f"a mapping, got {data!r}")
+    kinds = {f.name: f.type for f in fields(cls)}
+    values = dict(data)
+    for key, value in data.items():
+        kind = kinds.get(key)
+        if kind is None:
+            raise ConfigurationError(f"unknown config key {prefix}{key}")
+        if is_dataclass(kind) and not isinstance(value, kind):
+            values[key] = _from_mapping(kind, value, f"{prefix}{key}.")
+        elif kind in _FITS and not _FITS[kind](value):
+            raise ConfigurationError(f"{prefix}{key} must be of type "
+                                     f"{kind.__name__}, got {value!r}")
+    return cls(**values)
 
 
 # Named experiment setups.  The two downlink entries are the two parameter
@@ -200,13 +232,12 @@ def _simulate_drop(config, drop):
                     chan, c_vec, scheduler.weights(states[m]), m, p_max,
                     n_macro=cluster.n_macro, mm_tol=sol.mm_tol,
                     mm_max_iter=sol.mm_max_iter,
-                    inner_steps=sol.inner_steps_ul, inner_tol=sol.inner_tol)
+                    inner_steps=sol.inner_steps_ul)
         else:
             p_bs = cluster.power_limits_dl()
             dl_opts = dict(mm_tol=sol.mm_tol, mm_max_iter=sol.mm_max_iter,
                            inner_steps=sol.inner_steps_dl,
-                           barrier_rounds=sol.barrier_rounds,
-                           inner_tol=sol.inner_tol)
+                           barrier_rounds=sol.barrier_rounds)
             p2p_res = None
             if MODE_P2P in modes:
                 p2p_res = downlink.optimize_dl(

@@ -26,7 +26,10 @@ from .errors import NumericalDomainError
 
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITER = 100
+# largest true-constraint violation that still counts as feasible
 FEASIBILITY_TOL = 1e-7
+# relative gain below which the solvers' inner surrogate ascent stops
+INNER_TOL = 1e-6
 
 
 @dataclass
@@ -39,17 +42,17 @@ class MMTrace:
     warnings: list = field(default_factory=list)
 
 
-def mm_solve(problem, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
-             feas_tol=FEASIBILITY_TOL):
+def mm_solve(problem, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Run the MM loop from a feasible starting point.
 
-    Returns (solution, MMTrace).  Stops when the relative objective change
-    drops below `tol` or after `max_iter` accepted steps; non-convergence is
-    reported through the trace, not raised.
+    Returns (solution, MMTrace).  Converged means the relative objective
+    change dropped below `tol`.  A step that fails, leaves the feasible set
+    or decreases the objective stops the loop unconverged at the previous
+    iterate, as do `max_iter` accepted steps; none of these raises.
     """
     trace = MMTrace()
     v0 = problem.violation(init)
-    if v0 > feas_tol:
+    if v0 > FEASIBILITY_TOL:
         raise NumericalDomainError(
             f"mm_solve requires a feasible starting point "
             f"(constraint violation {v0:.3e})")
@@ -66,7 +69,7 @@ def mm_solve(problem, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
             break
 
         viol = problem.violation(candidate)
-        if viol > feas_tol:
+        if viol > FEASIBILITY_TOL:
             trace.warnings.append(
                 "step left the feasible set; keeping previous iterate")
             break
@@ -75,7 +78,6 @@ def mm_solve(problem, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
         if new_obj < obj - 1e-12 * max(1.0, abs(obj)):
             trace.warnings.append(
                 "surrogate step decreased the objective; stopping at previous iterate")
-            trace.converged = True
             break
 
         rel_change = abs(new_obj - obj) / max(1.0, abs(obj))

@@ -29,8 +29,8 @@ class FairnessState:
             raise DomainError("average rates must be strictly positive")
 
 
-def initial_state(n_ms, alpha, beta, r_init=R_BAR_INIT):
-    return FairnessState(r_bar=np.full(n_ms, float(r_init)),
+def initial_state(n_ms, alpha, beta):
+    return FairnessState(r_bar=np.full(n_ms, R_BAR_INIT),
                          alpha=float(alpha), beta=float(beta), slot=0)
 
 

@@ -25,7 +25,7 @@ from scipy.linalg import solve_triangular
 
 from .errors import DomainError, NumericalDomainError
 from .gaussinfo import LN2, cholesky, hermitize, logdet2_from_cholesky
-from .mmopt import mm_solve
+from .mmopt import INNER_TOL, mm_solve
 
 MODE_P2P = "point_to_point"
 MODE_MT = "multiterminal"
@@ -220,14 +220,12 @@ class _PowerProblem:
     all come from one Cholesky factor of M at the point in question.
     """
 
-    def __init__(self, h, sigma2, weights, p_max, inner_steps=200,
-                 inner_tol=1e-6):
+    def __init__(self, h, sigma2, weights, p_max, inner_steps=200):
         self.h = h                      # (n_bs_active, n_ms)
         self.sigma2 = sigma2
         self.weights = np.asarray(weights, dtype=float)
         self.p_max = np.asarray(p_max, dtype=float)
         self.inner_steps = inner_steps
-        self.inner_tol = inner_tol
 
     def objective(self, p):
         _, x = _factor(self.h, self.sigma2, p)
@@ -281,14 +279,13 @@ class _PowerProblem:
                 step *= 0.5
             if not improved:
                 break
-            if abs(f - f_prev) <= self.inner_tol * max(1.0, abs(f_prev)):
+            if abs(f - f_prev) <= INNER_TOL * max(1.0, abs(f_prev)):
                 break
         return p
 
 
 def optimize_ul(channel, c, weights, mode, p_max, n_macro=3,
-                mm_tol=1e-4, mm_max_iter=100, inner_steps=200,
-                inner_tol=1e-6):
+                mm_tol=1e-4, mm_max_iter=100, inner_steps=200):
     """Two-step uplink design: MM power optimization, then closed-form noise.
 
     Returns an UplinkResult whose trace flags non-convergence instead of
@@ -307,7 +304,7 @@ def optimize_ul(channel, c, weights, mode, p_max, n_macro=3,
 
     active = np.flatnonzero(c > 0)
     problem = _PowerProblem(channel.h_ul[active], channel.sigma2_z_ul[active],
-                            weights, p_max, inner_steps, inner_tol)
+                            weights, p_max, inner_steps)
     p_star, trace = mm_solve(problem, p_max.copy(), tol=mm_tol,
                              max_iter=mm_max_iter)
 

@@ -336,51 +336,83 @@ def test_optimize_dl_factors_each_omega_once(monkeypatch):
     assert len(set(calls)) == len(calls)
 
 
+def test_a_step_inverts_no_subset_block(monkeypatch):
+    """Only a noise step needs the inverses of Omega's subset blocks: every
+    _subset_inv_scatter call of a multiterminal design feeds a noise-block
+    line search, never an A-block one."""
+    events = []
+    problem_cls = downlink._PrecodingProblem
+    scatter, advance = problem_cls._subset_inv_scatter, problem_cls._advance
+
+    def counted_scatter(self, omega, coeffs):
+        events.append("inv")
+        return scatter(self, omega, coeffs)
+
+    def counted_advance(self, point, grad, eta, block):
+        events.append(block)
+        return advance(self, point, grad, eta, block)
+
+    monkeypatch.setattr(problem_cls, "_subset_inv_scatter", counted_scatter)
+    monkeypatch.setattr(problem_cls, "_advance", counted_advance)
+    rng = np.random.default_rng(54)
+    ch = rand_channel(rng, 4, 3)
+    downlink.optimize_dl(ch, rng.uniform(1.0, 4.0, 4), rng.uniform(2.0, 8.0, 4),
+                         np.ones(3), "multiterminal", mm_max_iter=3)
+    after_inv = [b for prev, b in zip(events, events[1:]) if prev == "inv"]
+    assert len(after_inv) == events.count("inv") > 0
+    assert "a" not in after_inv
+
+
 @pytest.mark.parametrize("mode", ["point_to_point", "multiterminal"])
 def test_inner_gradients_match_finite_differences(mode):
-    """grad_a and the lower triangle of grad_l are (d/dRe + i d/dIm)/2 of
-    the barrier value, grad_u is its derivative in u."""
+    """The A gradient and the lower triangle of the L gradient are
+    (d/dRe + i d/dIm)/2 of the barrier value, the u gradient is its
+    derivative in u."""
     rng = np.random.default_rng(55)
     n_bs, n_ms = 3, 2
     hbar = rand_channel(rng, n_bs, n_ms).h_dl
-    problem = downlink._PrecodingProblem(hbar, rng.uniform(0.5, 1.5, n_ms),
-                                         rng.uniform(1.0, 3.0, n_bs),
-                                         np.ones(n_bs), mode)
-    point0 = problem.cold_start()
-    tangent = problem._tangent(point0, problem._noise(point0))
+    weights, caps = rng.uniform(0.5, 1.5, n_ms), rng.uniform(1.0, 3.0, n_bs)
+    problem = downlink._PrecodingProblem(hbar, weights, caps, np.ones(n_bs),
+                                         mode)
+    # the p2p cold start; multiterminal starts from its diagonal Omega
+    start = downlink._PrecodingProblem(hbar, weights, caps, np.ones(n_bs),
+                                       "point_to_point").cold_start()
+    noise_param = "l" if mode == "multiterminal" else "u"
+    x_start = np.diag(np.exp(start.noise.u / 2)).astype(complex) \
+        if noise_param == "l" else start.noise.u
+
+    def at(a, x):
+        return downlink._Point(a, downlink._Noise(problem, **{noise_param: x}))
+
+    tangent = problem._tangent(at(start.a, x_start))
     # a nearby point with a generic (correlated, for multiterminal) Omega
-    point = downlink._Point(
-        a=point0.a * (0.9 + 0.05 * cn_samples(rng, (n_bs, n_ms))))
-    if mode == "multiterminal":
-        point.l = point0.l + 0.02 * np.tril(cn_samples(rng, (n_bs, n_bs)))
-        noise_param = "l"
+    a = start.a * (0.9 + 0.05 * cn_samples(rng, (n_bs, n_ms)))
+    if noise_param == "l":
+        x = x_start + 0.02 * np.tril(cn_samples(rng, (n_bs, n_bs)))
     else:
-        point.u = point0.u + 0.02 * rng.standard_normal(n_bs)
-        noise_param = "u"
+        x = x_start + 0.02 * rng.standard_normal(n_bs)
     mu = 0.05
 
-    def barrier(p):
-        ev = problem._evaluate(p, tangent)
-        return problem._barrier(ev, mu)
+    def barrier(a, x):
+        return problem._barrier(problem._evaluate(at(a, x), tangent), mu)
 
-    ev = problem._evaluate(point, tangent)
+    ev = problem._evaluate(at(a, x), tangent)
     assert ev.surr is not None
-    grads = dict(zip(("a", noise_param), problem._gradients(ev, tangent, mu)))
 
     h = 1e-6
-    for name, grad in grads.items():
-        x = getattr(point, name)
-        dirs = (1.0,) if name == "u" else (1.0, 1j)      # Re, then Im
+    for block, var in (("a", a), ("noise", x)):
+        grad = problem._gradient(ev, tangent, mu, block)
+        real = block == "noise" and noise_param == "u"
+        dirs = (1.0,) if real else (1.0, 1j)            # Re, then Im
         fd = np.zeros_like(grad)
-        for idx in np.ndindex(x.shape):
-            if name == "l" and idx[1] > idx[0]:
+        for idx in np.ndindex(var.shape):
+            if block == "noise" and noise_param == "l" and idx[1] > idx[0]:
                 continue
             for d in dirs:
                 def shifted(sign):
-                    y = x.copy()
+                    y = var.copy()
                     y[idx] += sign * h * d
-                    return barrier(downlink._Point(
-                        **{**vars(point), name: y, "noise": None}))
+                    return barrier(y, x) if block == "a" else barrier(a, y)
                 fd[idx] += (shifted(1) - shifted(-1)) / (2 * h) * d / len(dirs)
         err = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
-        assert err < 1e-5, (name, err)
+        assert err < 1e-5, (block, err)

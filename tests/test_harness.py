@@ -61,10 +61,52 @@ def test_config_from_dict_and_yaml(tmp_path):
     cfg2 = build_config(argparse.Namespace(preset=None, config=str(path)))
     assert dataclasses.asdict(cfg2) == dataclasses.asdict(cfg)
 
-    with pytest.raises(ConfigurationError):
-        harness.ExperimentConfig.from_dict(dict(direction="sideways"))
-    with pytest.raises(ConfigurationError):
-        harness.ExperimentConfig.from_dict(dict(bogus_key=1))
+    for bad in (dict(direction="sideways"), dict(bogus_key=1),
+                dict(solver=dict(bogus=1)), dict(propagation=dict(bogus=1)),
+                dict(k_ms="x"), dict(solver=5), dict(reuse="F7"),
+                dict(rate_mapping=dict(kind="nope"))):
+        with pytest.raises(ConfigurationError):
+            harness.ExperimentConfig.from_dict(bad)
+
+
+def test_config_from_dict_fuzz_raises_only_configuration_errors():
+    """Random dicts with unknown keys, wrong types and wrong nested types:
+    from_dict returns a config whose settings have their declared types, or
+    raises ConfigurationError, and nothing else."""
+    rng = np.random.default_rng(56)
+    junk = [None, True, -3, 2, 2.5, float("nan"), "x", "F1", [], [1.0, "x"],
+            [1.0, 2.0], {}, {"bogus": 1}, {"kind": "nope"}, 7j]
+    nested = {"rate_mapping": harness.RateMapping,
+              "solver": harness.SolverOptions,
+              "propagation": cellgeom.PropagationParams}
+
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)] + ["bogus"]
+
+    def pick(keys, n):
+        return {str(k): junk[rng.integers(len(junk))]
+                for k in rng.choice(keys, size=n)}
+
+    loaded = 0
+    for _ in range(400):
+        data = pick(names(harness.ExperimentConfig), rng.integers(1, 4))
+        for key in [k for k in data if k in nested]:
+            if rng.random() < 0.5:
+                data[key] = pick(names(nested[key]), rng.integers(1, 3))
+        try:
+            cfg = harness.ExperimentConfig.from_dict(data)
+        except ConfigurationError:
+            continue
+        loaded += 1
+        for key, cls in nested.items():
+            assert isinstance(getattr(cfg, key), cls)
+        for sub in (cfg.solver, cfg.rate_mapping):
+            for f in dataclasses.fields(sub):
+                value = getattr(sub, f.name)
+                kinds = (int, float) if f.type is float else f.type
+                assert isinstance(value, kinds), (f.name, value)
+                assert not isinstance(value, bool), (f.name, value)
+    assert 0 < loaded < 400
 
 
 def test_presets_are_valid_configs():
@@ -223,6 +265,11 @@ def test_cli_sweep_and_error_exit(tmp_path):
 
     bad = cli_main(["uplink", "--config", str(tmp_path / "missing.yaml")])
     assert bad == 2
+
+    for bad_cfg in (dict(solver=dict(bogus=1)), dict(k_ms="x")):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(bad_cfg))
+        assert cli_main(["uplink", "--config", str(path)]) == 2
 
 
 def test_cli_config_file_with_flag_override(tmp_path):

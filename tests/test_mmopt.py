@@ -110,3 +110,18 @@ def test_mm_solve_feasibility_backtracking():
     assert not trace.converged
     assert trace.iterations == 0
     assert trace.objective == [_ScalarDC().objective(5.0)]
+
+
+class _DownhillStepProblem(_ScalarDC):
+    def step(self, x0):
+        return x0 - 1.0  # feasible, but away from the optimum at 3.5
+
+
+def test_mm_solve_objective_decrease_stops_unconverged():
+    x, trace = mmopt.mm_solve(_DownhillStepProblem(), 3.0)
+    assert x == 3.0
+    assert trace.warnings == [
+        "surrogate step decreased the objective; stopping at previous iterate"]
+    assert not trace.converged
+    assert trace.iterations == 0
+    assert trace.objective == [_ScalarDC().objective(3.0)]
