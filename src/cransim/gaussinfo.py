@@ -29,11 +29,6 @@ def cholesky(m):
             f"matrix is not positive definite (min eigenvalue {w.min():.6e})")
 
 
-def logdet2_from_cholesky(chol):
-    """log2 det(L L^H) from a lower Cholesky factor L."""
-    return float(2.0 * np.sum(np.log2(np.diag(chol).real)))
-
-
 def logdet2(m):
     """log2 det(M) of a positive definite Hermitian matrix, via Cholesky."""
-    return logdet2_from_cholesky(cholesky(m))
+    return float(2.0 * np.sum(np.log2(np.diag(cholesky(m)).real)))

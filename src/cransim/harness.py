@@ -14,6 +14,7 @@ are byte-identical no matter how many workers are used.
 """
 
 import json
+import math
 import os
 import time
 from collections.abc import Mapping
@@ -58,7 +59,6 @@ class RateMapping:
 class SolverOptions:
     mm_tol: float = 1e-4
     mm_max_iter: int = 60
-    inner_steps_ul: int = 200
     inner_steps_dl: int = 40
     barrier_rounds: int = 3
 
@@ -92,6 +92,8 @@ class ExperimentConfig:
             raise ConfigurationError("drops and slots must be >= 1")
         if self.c_macro < 0 or self.c_pico < 0:
             raise ConfigurationError("backhaul capacities must be >= 0")
+        if not 0.0 <= self.beta <= 1.0:
+            raise ConfigurationError("beta must lie in [0, 1]")
         if self.k_ms < 1 or self.n_pico < 0:
             raise ConfigurationError("k_ms must be >= 1 and n_pico >= 0")
         if self.jobs < 1 or self.seed < 0:
@@ -119,7 +121,9 @@ class ExperimentConfig:
 
 
 def _is_number(value):
-    return isinstance(value, Real) and not isinstance(value, bool)
+    """A finite real number that is not a bool."""
+    return (isinstance(value, Real) and not isinstance(value, bool)
+            and (isinstance(value, Integral) or math.isfinite(value)))
 
 
 # value checks by field annotation; `object` fields are checked by validate()
@@ -231,8 +235,7 @@ def _simulate_drop(config, drop):
                 results[m] = uplink.optimize_ul(
                     chan, c_vec, scheduler.weights(states[m]), m, p_max,
                     n_macro=cluster.n_macro, mm_tol=sol.mm_tol,
-                    mm_max_iter=sol.mm_max_iter,
-                    inner_steps=sol.inner_steps_ul)
+                    mm_max_iter=sol.mm_max_iter)
         else:
             p_bs = cluster.power_limits_dl()
             dl_opts = dict(mm_tol=sol.mm_tol, mm_max_iter=sol.mm_max_iter,

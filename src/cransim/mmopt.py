@@ -5,19 +5,21 @@ expressions are concave in their matrix (scalar) argument, so their
 first-order expansion is a global upper bound that touches at the expansion
 point.  Swapping those terms for their tangents yields an inner problem
 whose solution can only improve the true objective, which gives the usual
-monotone-ascent guarantee of MM/DC schemes.  Each design problem builds its
-own tangents (the uplink power problem in ``uplink``, the joint precoding
-problem in ``downlink``); this module only drives the outer loop.
+monotone-ascent guarantee of MM/DC schemes.  The joint precoding problem in
+``downlink`` builds its own tangents; the uplink power problem in ``uplink``
+has a box as its only constraint and ascends its true objective directly.
+This module only drives the outer loop.
 
 A problem object plugged into :func:`mm_solve` provides:
 
     objective(x)          true objective value (to maximize)
     violation(x)          max violation of the true constraints (<= 0 if feasible)
-    step(x)               build the surrogate at x and solve it, returning a candidate
+    step(x)               one inner ascent from x, returning a candidate
 
-`step` is expected to never decrease the surrogate relative to its starting
-point and to stay inside the true feasible set; mm_solve additionally guards
-acceptance with the true objective and with the true constraints.
+`step` is expected to never decrease its own ascent objective relative to
+its starting point and to stay inside the true feasible set; mm_solve
+additionally guards acceptance with the true objective and with the true
+constraints.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +30,7 @@ DEFAULT_TOL = 1e-4
 DEFAULT_MAX_ITER = 100
 # largest true-constraint violation that still counts as feasible
 FEASIBILITY_TOL = 1e-7
-# relative gain below which the solvers' inner surrogate ascent stops
+# relative gain below which the solvers' inner ascent stops
 INNER_TOL = 1e-6
 
 

@@ -9,13 +9,13 @@ shrinking the variance that must be described and hence the noise power an
 identical backhaul capacity can afford.
 
 The per-slot design runs in two steps: MS transmit powers are optimized for
-ideal backhaul via MM on the difference-of-log-dets objective, then the
-quantization noise powers follow in closed form from the backhaul capacities
-held at equality.
+ideal backhaul by projected-gradient ascent of the weighted sum rate over
+the power box, then the quantization noise powers follow in closed form from
+the backhaul capacities held at equality.
 
 Rates treat interference as noise.  One Cholesky factor of the received
 covariance M gives G = H^H M^-1 H, and from G every rate
-r_k = -log2(1 - p_k G_kk) and every tangent slope of the MM surrogate.
+r_k = -log2(1 - p_k G_kk) and the gradient of the weighted sum rate.
 """
 
 from dataclasses import dataclass
@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import DomainError, NumericalDomainError
-from .gaussinfo import LN2, cholesky, hermitize, logdet2_from_cholesky
+from .gaussinfo import LN2, cholesky, hermitize
 from .mmopt import INNER_TOL, mm_solve
 
 MODE_P2P = "point_to_point"
@@ -150,18 +150,14 @@ def omega_closed_form(p, order, c, channel, mode):
     return omega
 
 
-def _received_cholesky(h, d, p):
-    """Cholesky factor L of M = diag(d) + H diag(p) H^H."""
-    return cholesky((h * p) @ h.conj().T + np.diag(d))
-
-
 def _factor(h, d, p):
-    """L and X = L^-1 H, so that G = H^H M^-1 H = X^H X.
+    """X = L^-1 H, with L L^H = M = diag(d) + H diag(p) H^H (lower Cholesky).
 
-    G yields every uplink rate and tangent slope.
+    G = H^H M^-1 H = X^H X yields every uplink rate and the objective's
+    gradient.
     """
-    chol = _received_cholesky(h, d, p)
-    return chol, solve_triangular(chol, h, lower=True)
+    chol = cholesky((h * p) @ h.conj().T + np.diag(d))
+    return solve_triangular(chol, h, lower=True)
 
 
 def _rates_from(x, p):
@@ -188,8 +184,8 @@ def rates_ul(design, channel):
         raise DomainError("active BSs need finite nonnegative noise powers")
     if np.any(design.p < 0):
         raise DomainError("transmit powers must be nonnegative")
-    _, x = _factor(channel.h_ul[active], channel.sigma2_z_ul[active] + omega,
-                   design.p)
+    x = _factor(channel.h_ul[active], channel.sigma2_z_ul[active] + omega,
+                design.p)
     return _rates_from(x, design.p)
 
 
@@ -208,28 +204,35 @@ def decompression_order(p, channel, c, n_macro):
     return tuple(order)
 
 
+# accepted ascent steps per call of _PowerProblem.step
+INNER_STEPS = 200
+
+
 class _PowerProblem:
     """MM adapter for the ideal-backhaul power optimization.
 
-    True objective: sum_k w_k [phi(p) - psi_k(p)] with
-    phi(p)  = log2 det M(p),  M(p) = D + sum_j p_j h_j h_j^H  (concave in p)
+    Objective: sum_k w_k r_k = sum_k w_k [phi(p) - psi_k(p)] with
+    phi(p)  = log2 det M(p),  M(p) = D + sum_j p_j h_j h_j^H
     psi_k(p) = same with MS k excluded.
-    The surrogate replaces each psi_k by its tangent at the current iterate,
-    leaving a concave inner problem over the power box, solved by projected
-    gradient ascent with backtracking.  Rates, objective and tangent slopes
-    all come from one Cholesky factor of M at the point in question.
+    Each step ascends this objective over the power box by projected
+    gradient with Armijo backtracking, in units q = p / p_max.  The value at
+    a point and its gradient, w_tot G_jj / ln 2 minus the gradient of
+    sum_k w_k psi_k, come from one Cholesky factor of M at that point.
     """
 
-    def __init__(self, h, sigma2, weights, p_max, inner_steps=200):
+    def __init__(self, h, sigma2, weights, p_max):
         self.h = h                      # (n_bs_active, n_ms)
         self.sigma2 = sigma2
         self.weights = np.asarray(weights, dtype=float)
         self.p_max = np.asarray(p_max, dtype=float)
-        self.inner_steps = inner_steps
+
+    def _evaluate(self, p):
+        """X = L^-1 H and the objective at p."""
+        x = _factor(self.h, self.sigma2, p)
+        return x, float(self.weights @ _rates_from(x, p))
 
     def objective(self, p):
-        _, x = _factor(self.h, self.sigma2, p)
-        return float(self.weights @ _rates_from(x, p))
+        return self._evaluate(p)[1]
 
     def violation(self, p):
         return float(max(np.max(p - self.p_max, initial=-np.inf),
@@ -249,30 +252,24 @@ class _PowerProblem:
         return self.weights @ slopes / LN2
 
     def step(self, p0):
-        chol, x = _factor(self.h, self.sigma2, p0)
-        lin = self.tangent_slopes(p0, x)
-        w_total = float(np.sum(self.weights))
-
-        def surrogate(p, chol):
-            return w_total * logdet2_from_cholesky(chol) - float(lin @ p)
-
-        p = p0.copy()
-        f = surrogate(p, chol)
-        step = 1.0
-        for _ in range(self.inner_steps):
-            grad = w_total * (np.sum(np.abs(x) ** 2, axis=0) / LN2) - lin
+        p, q = p0, p0 / self.p_max
+        x, f = self._evaluate(p)
+        # a first trial step that puts every coordinate on a face of the box,
+        # where most optima lie; Armijo halving brings it down to scale
+        step = 1e6
+        for _ in range(INNER_STEPS):
+            grad = np.sum(self.weights) * np.sum(np.abs(x) ** 2, axis=0) / LN2
+            grad = self.p_max * (grad - self.tangent_slopes(p, x))
             improved = False
             for _ in range(40):
-                cand = np.clip(p + step * grad, 0.0, self.p_max)
-                move = cand - p
+                cand = np.clip(q + step * grad, 0.0, 1.0)
+                move = cand - q
                 if not np.any(move):
                     break
-                chol = _received_cholesky(self.h, self.sigma2, cand)
-                f_cand = surrogate(cand, chol)
+                p_cand = cand * self.p_max
+                x_cand, f_cand = self._evaluate(p_cand)
                 if f_cand >= f + 1e-4 * float(grad @ move):
-                    p, f_prev, f = cand, f, f_cand
-                    # only an accepted point needs X, for the next gradient
-                    x = solve_triangular(chol, self.h, lower=True)
+                    p, q, x, f_prev, f = p_cand, cand, x_cand, f, f_cand
                     step *= 1.3
                     improved = True
                     break
@@ -285,8 +282,8 @@ class _PowerProblem:
 
 
 def optimize_ul(channel, c, weights, mode, p_max, n_macro=3,
-                mm_tol=1e-4, mm_max_iter=100, inner_steps=200):
-    """Two-step uplink design: MM power optimization, then closed-form noise.
+                mm_tol=1e-4, mm_max_iter=100):
+    """Two-step uplink design: ideal-backhaul powers, then closed-form noise.
 
     Returns an UplinkResult whose trace flags non-convergence instead of
     raising.  BSs with zero capacity are dropped from all assemblies.
@@ -303,8 +300,10 @@ def optimize_ul(channel, c, weights, mode, p_max, n_macro=3,
         raise DomainError("power limits must be positive")
 
     active = np.flatnonzero(c > 0)
+    # weights divided by their largest, so that neither the first trial step
+    # nor the stopping tests (relative to max(1, objective)) see their scale
     problem = _PowerProblem(channel.h_ul[active], channel.sigma2_z_ul[active],
-                            weights, p_max, inner_steps)
+                            weights / (np.max(weights) or 1.0), p_max)
     p_star, trace = mm_solve(problem, p_max.copy(), tol=mm_tol,
                              max_iter=mm_max_iter)
 

@@ -185,7 +185,7 @@ def _ul_power_problem(rng):
     p_max = rng.uniform(0.5, 2.0, ch.n_ms)
     problem = uplink._PowerProblem(ch.h_ul, ch.sigma2_z_ul, w, p_max)
     p0 = rng.uniform(0.1, 1.0, ch.n_ms) * p_max
-    _, x0 = uplink._factor(ch.h_ul, ch.sigma2_z_ul, p0)
+    x0 = uplink._factor(ch.h_ul, ch.sigma2_z_ul, p0)
     return problem, p0, problem.tangent_slopes(p0, x0)
 
 

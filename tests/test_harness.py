@@ -12,8 +12,8 @@ from cransim.errors import ConfigurationError, DomainError
 
 
 def fast_solver():
-    return harness.SolverOptions(mm_max_iter=20, inner_steps_ul=80,
-                                 inner_steps_dl=25, barrier_rounds=2)
+    return harness.SolverOptions(mm_max_iter=20, inner_steps_dl=25,
+                                 barrier_rounds=2)
 
 
 def test_percentile_reference_values():
@@ -74,8 +74,9 @@ def test_config_from_dict_fuzz_raises_only_configuration_errors():
     from_dict returns a config whose settings have their declared types, or
     raises ConfigurationError, and nothing else."""
     rng = np.random.default_rng(56)
-    junk = [None, True, -3, 2, 2.5, float("nan"), "x", "F1", [], [1.0, "x"],
-            [1.0, 2.0], {}, {"bogus": 1}, {"kind": "nope"}, 7j]
+    junk = [None, True, -3, 2, 2.5, float("nan"), float("inf"), float("-inf"),
+            "x", "F1", [], [1.0, "x"], [1.0, 2.0], {}, {"bogus": 1},
+            {"kind": "nope"}, 7j]
     nested = {"rate_mapping": harness.RateMapping,
               "solver": harness.SolverOptions,
               "propagation": cellgeom.PropagationParams}
@@ -106,6 +107,10 @@ def test_config_from_dict_fuzz_raises_only_configuration_errors():
                 kinds = (int, float) if f.type is float else f.type
                 assert isinstance(value, kinds), (f.name, value)
                 assert not isinstance(value, bool), (f.name, value)
+        for sub in (cfg, cfg.solver, cfg.rate_mapping, cfg.propagation):
+            for f in dataclasses.fields(sub):
+                if f.type is float:
+                    assert np.isfinite(getattr(sub, f.name)), f.name
     assert 0 < loaded < 400
 
 
@@ -131,7 +136,7 @@ def test_run_experiment_single_user_pipeline_identity():
     res = uplink.optimize_ul(chan, cluster.backhaul_capacities(40.0, 40.0),
                              np.ones(1), "point_to_point",
                              cluster.power_limits_ul(),
-                             mm_max_iter=20, inner_steps=80)
+                             mm_max_iter=20)
     assert got == pytest.approx(res.rates[0], abs=1e-12)
     assert report.metrics["point_to_point"].p50_sum_rate == pytest.approx(
         got, abs=1e-12)
@@ -270,6 +275,16 @@ def test_cli_sweep_and_error_exit(tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(bad_cfg))
         assert cli_main(["uplink", "--config", str(path)]) == 2
+
+    # non-finite capacities and an out-of-range forgetting factor are
+    # rejected at load, before any drop runs
+    small = ["--k-ms", "2", "--n-pico", "1", "--drops", "1",
+             "--out", str(tmp_path / "never")]
+    for flags in (["uplink", "--c-macro", "nan"],
+                  ["downlink", "--c-pico", "inf"],
+                  ["uplink", "--beta", "1.5"]):
+        assert cli_main(flags + small) == 2, flags
+    assert not (tmp_path / "never").exists()
 
 
 def test_cli_config_file_with_flag_override(tmp_path):

@@ -16,7 +16,7 @@ def _single_ms_tangent(rng, n_bs, n_ms):
     p_max = rng.uniform(0.5, 2.0, n_ms)
     problem = uplink._PowerProblem(ch.h_ul, ch.sigma2_z_ul, weights, p_max)
     p0 = rng.uniform(0.1, 1.0, n_ms) * p_max
-    _, x0 = uplink._factor(ch.h_ul, ch.sigma2_z_ul, p0)
+    x0 = uplink._factor(ch.h_ul, ch.sigma2_z_ul, p0)
     return ch, k, p0, problem.tangent_slopes(p0, x0)
 
 

@@ -313,7 +313,51 @@ def test_one_factor_matches_logdet_oracle():
                                        np.full(n_ms, 2.0))
         assert _close(problem.objective(p),
                       ul_objective_oracle(ch.h_ul, ch.sigma2_z_ul, p, w))
-        _, x = uplink._factor(ch.h_ul, ch.sigma2_z_ul, p)
+        x = uplink._factor(ch.h_ul, ch.sigma2_z_ul, p)
         assert _close(problem.tangent_slopes(p, x),
                       ul_slopes_oracle(ch.h_ul, ch.sigma2_z_ul, p, w))
     assert zero_power_seen > 0
+
+
+def test_power_solve_reaches_box_kkt_point():
+    # the returned powers satisfy the box KKT conditions of the true
+    # weighted sum rate: in q = p / p_max units the projected gradient step
+    # clip(q + grad, 0, 1) - q vanishes.  The gradient comes from central
+    # differences of the K+1 log-det oracle, divided by the largest weight.
+    rng = np.random.default_rng(37)
+    worst = 0.0
+    for _ in range(200):
+        n_bs, n_ms = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        h = cn_samples(rng, (n_bs, n_ms)) \
+            * np.sqrt(10.0 ** rng.uniform(-1.0, 3.0, (n_bs, n_ms)))
+        d = rng.uniform(0.5, 2.0, n_bs)
+        ch = unit_channel(h, d)
+        w = 10.0 ** rng.uniform(-3.0, 3.0, n_ms)
+        p_max = rng.uniform(0.5, 2.0, n_ms)
+        res = uplink.optimize_ul(ch, np.ones(n_bs), w, "point_to_point", p_max)
+        q = res.design.p / p_max
+        grad = np.zeros(n_ms)
+        for j in range(n_ms):
+            e = np.zeros(n_ms)
+            e[j] = 1e-6
+            grad[j] = (ul_objective_oracle(h, d, (q + e) * p_max, w)
+                       - ul_objective_oracle(h, d, (q - e) * p_max, w)) / 2e-6
+        step = np.clip(q + grad / np.max(w), 0.0, 1.0) - q
+        worst = max(worst, float(np.max(np.abs(step))))
+    assert worst < 1e-3
+
+
+def test_power_solve_ignores_weight_scale():
+    # the fairness weights r_bar^-alpha span many decades from slot to slot;
+    # the power design depends only on their ratios
+    rng = np.random.default_rng(38)
+    for _ in range(50):
+        n_bs, n_ms = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        ch = rand_channel(rng, n_bs, n_ms)
+        w = rng.uniform(0.1, 1.0, n_ms)
+        base = uplink.optimize_ul(ch, np.ones(n_bs), w, "point_to_point",
+                                  p_max=1.0).design.p
+        for scale in (1e-6, 1e9):
+            p = uplink.optimize_ul(ch, np.ones(n_bs), scale * w,
+                                   "point_to_point", p_max=1.0).design.p
+            assert np.allclose(p, base, rtol=0.0, atol=1e-9), scale
