@@ -18,6 +18,6 @@ from .harness import (ExperimentConfig, MetricsReport, PRESETS, RateMapping,
 from .mmopt import MMTrace, mm_solve
 from .scheduler import FairnessState, initial_state, update, weights
 from .uplink import (UplinkDesign, UplinkResult, backhaul_p2p, backhaul_wz,
-                     omega_closed_form, optimize_ul, rate_ul, rates_ul)
+                     omega_closed_form, optimize_ul, rates_ul)
 
 __version__ = "0.1.0"

@@ -10,7 +10,10 @@ gains paired comparisons.
 
 Drops execute independently (optionally in a process pool); every drop
 derives its rng streams from the master seed and its own index, so results
-are byte-identical no matter how many workers are used.
+are byte-identical no matter how many workers are used.  A drop's geometry
+(layout and cluster) depends on neither alpha nor the slot, so an alpha
+sweep builds each drop once and runs every alpha on it, and a run opens at
+most one process pool, in which one worker takes all alphas of a drop.
 """
 
 import json
@@ -152,8 +155,12 @@ def _from_mapping(cls, data, prefix=""):
         if is_dataclass(kind) and not isinstance(value, kind):
             values[key] = _from_mapping(kind, value, f"{prefix}{key}.")
         elif kind in _FITS and not _FITS[kind](value):
-            raise ConfigurationError(f"{prefix}{key} must be of type "
-                                     f"{kind.__name__}, got {value!r}")
+            # a real that a float field refuses is NaN or infinite
+            fault = ("be finite" if kind is float and isinstance(value, Real)
+                     and not isinstance(value, bool)
+                     else f"be of type {kind.__name__}")
+            raise ConfigurationError(f"{prefix}{key} must {fault}, "
+                                     f"got {value!r}")
     return cls(**values)
 
 
@@ -208,12 +215,28 @@ class DropOutcome:
     mm_iterations: dict      # mode -> MM iterations over the drop's slots
 
 
+# (geometry key, Cluster) of the last drop built in this process; a run
+# empties it when it starts and when it ends
+_last_cluster = []
+
+
+def _drop_cluster(config, drop):
+    """The drop's Cluster, built once for consecutive calls that share
+    everything the geometry reads (every alpha of a sweep does)."""
+    key = (config.seed, drop, config.k_ms, config.n_pico, config.reuse,
+           config.propagation)
+    if not _last_cluster or _last_cluster[0][0] != key:
+        topo = cellgeom.build_layout(_drop_seed(config.seed, drop),
+                                     config.k_ms, config.n_pico,
+                                     config.propagation, reuse=config.reuse)
+        _last_cluster[:] = [(key, channel_mod.build_cluster(
+            topo, config.propagation))]
+    return _last_cluster[0][1]
+
+
 def _simulate_drop(config, drop):
     """Run all slots of one drop; deterministic given (config.seed, drop)."""
-    topo = cellgeom.build_layout(_drop_seed(config.seed, drop), config.k_ms,
-                                 config.n_pico, config.propagation,
-                                 reuse=config.reuse)
-    cluster = channel_mod.build_cluster(topo, config.propagation)
+    cluster = _drop_cluster(config, drop)
     c_vec = cluster.backhaul_capacities(config.c_macro, config.c_pico)
     modes = config.modes
     states = {m: scheduler.initial_state(config.k_ms, float(config.alpha),
@@ -304,23 +327,42 @@ def _aggregate(config, outcomes):
     return metrics
 
 
+def _run(config, alphas):
+    """One MetricsReport per alpha, all from a single pass over the drops.
+
+    The (drop, alpha) grid runs drop-major, in one process pool when
+    `jobs` > 1, whose workers take all alphas of a drop as one chunk, so
+    each drop's cluster is built once.  Every report's `elapsed_s` is the
+    wall time of the whole run.
+    """
+    configs = [replace(config, alpha=a) for a in alphas]
+    grid = [(c, d) for d in range(config.drops) for c in configs]
+    start = time.perf_counter()
+    _last_cluster.clear()
+    try:
+        if config.jobs > 1:
+            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+                outcomes = list(pool.map(_simulate_drop, *zip(*grid),
+                                         chunksize=len(configs)))
+        else:
+            outcomes = [_simulate_drop(c, d) for c, d in grid]
+    finally:
+        _last_cluster.clear()
+    metrics = [_aggregate(c, sorted(outcomes[i::len(configs)],
+                                    key=lambda o: o.drop))
+               for i, c in enumerate(configs)]
+    elapsed = time.perf_counter() - start
+    return [MetricsReport(config=c, metrics=m, elapsed_s=elapsed)
+            for c, m in zip(configs, metrics)]
+
+
 def run_experiment(config):
     """Execute all drops of one configuration and aggregate the metrics."""
     config.validate()
     if isinstance(config.alpha, (list, tuple)):
         raise ConfigurationError(
             "run_experiment needs a scalar alpha; use alpha_sweep for lists")
-    start = time.perf_counter()
-    indices = range(config.drops)
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = list(pool.map(_simulate_drop,
-                                     [config] * config.drops, indices))
-    else:
-        outcomes = [_simulate_drop(config, d) for d in indices]
-    outcomes.sort(key=lambda o: o.drop)
-    return MetricsReport(config=config, metrics=_aggregate(config, outcomes),
-                         elapsed_s=time.perf_counter() - start)
+    return _run(config, [config.alpha])[0]
 
 
 @dataclass
@@ -346,18 +388,19 @@ def alpha_sweep(config):
     """One (efficiency, cell-edge) curve point per fairness exponent and mode.
 
     All sweep points share the same seed, so curves are paired across both
-    alpha and compression mode.  The expected fairness trade-off (cell edge
-    non-decreasing in alpha) is checked softly and reported in `notes`.
+    alpha and compression mode.  Each drop is built once per sweep and
+    shared by all alphas, and the sweep opens at most one process pool;
+    every report's `elapsed_s` is the wall time of the whole sweep.  The
+    expected fairness trade-off (cell edge non-decreasing in alpha) is
+    checked softly and reported in `notes`.
     """
     config.validate()
     alphas = config.alpha if isinstance(config.alpha, (list, tuple)) \
         else [config.alpha]
     alphas = tuple(float(a) for a in alphas)
     points = {m: [] for m in config.modes}
-    reports = []
-    for a in alphas:
-        rep = run_experiment(replace(config, alpha=a))
-        reports.append(rep)
+    reports = _run(config, alphas)
+    for a, rep in zip(alphas, reports):
         for m in config.modes:
             mm = rep.metrics[m]
             points[m].append(SweepPoint(

@@ -189,11 +189,6 @@ def rates_ul(design, channel):
     return _rates_from(x, design.p)
 
 
-def rate_ul(design, channel, k):
-    """Achievable rate of MS k (bps/Hz), interference treated as noise."""
-    return float(rates_ul(design, channel)[k])
-
-
 def decompression_order(p, channel, c, n_macro):
     """Macro antennas first, then picos, each group by descending signal power."""
     active = np.flatnonzero(np.asarray(c, dtype=float) > 0)

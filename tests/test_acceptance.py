@@ -67,8 +67,8 @@ def test_criterion_2_uplink_multiterminal_dominance():
             omega_violations += 1
         d_wz = uplink.UplinkDesign(p=p, omega=om_wz, order=order, c=c, mode=MT)
         d_pp = uplink.UplinkDesign(p=p, omega=om_pp, order=order, c=c, mode=P2P)
-        sum_wz = sum(uplink.rate_ul(d_wz, ch, k) for k in range(ch.n_ms))
-        sum_pp = sum(uplink.rate_ul(d_pp, ch, k) for k in range(ch.n_ms))
+        sum_wz = sum(uplink.rates_ul(d_wz, ch)[k] for k in range(ch.n_ms))
+        sum_pp = sum(uplink.rates_ul(d_pp, ch)[k] for k in range(ch.n_ms))
         if sum_wz < sum_pp:
             rate_violations += 1
     assert omega_violations == 0
@@ -130,7 +130,7 @@ def _ul_mi_instance(rng):
         design = uplink.UplinkDesign(p=p, omega=omega,
                                      order=tuple(range(n_bs)),
                                      c=np.ones(n_bs), mode=MT)
-        rates = [uplink.rate_ul(design, ch, k) for k in range(n_ms)]
+        rates = [uplink.rates_ul(design, ch)[k] for k in range(n_ms)]
         if min(rates) > 0.15:
             return ch, p, omega, design, rates
 
@@ -268,7 +268,7 @@ def test_criterion_7_limit_checks():
                                     order=res.design.order, c=c, mode=MT)
         for k in range(ch.n_ms):
             worst_gap = max(worst_gap,
-                            abs(res.rates[k] - uplink.rate_ul(ideal, ch, k)))
+                            abs(res.rates[k] - uplink.rates_ul(ideal, ch)[k]))
     assert worst_gap < 1e-3
 
     worst_bump = -np.inf
@@ -287,7 +287,8 @@ def test_criterion_7_limit_checks():
         reduced = uplink.UplinkDesign(p=p, omega=omega2, order=order2, c=c2,
                                       mode=MT)
         for k in range(ch.n_ms):
-            bump = uplink.rate_ul(reduced, ch, k) - uplink.rate_ul(full, ch, k)
+            bump = (uplink.rates_ul(reduced, ch)[k]
+                    - uplink.rates_ul(full, ch)[k])
             worst_bump = max(worst_bump, bump)
     assert worst_bump <= 1e-9
     announce(7, f"ideal-backhaul gap at C>=30: {worst_gap:.2e} (< 1e-3); "

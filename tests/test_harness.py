@@ -232,6 +232,68 @@ def test_alpha_sweep_points_and_soft_checks():
     assert np.all(samples >= 0)
 
 
+SWEEP_BASE = dict(mode="both", k_ms=2, n_pico=1, c_macro=6.0, c_pico=2.0,
+                  beta=0.5, slots=2, drops=3, seed=31)
+SWEEP_ALPHAS = {"uplink": [0.0, 1.0, 3.0], "downlink": [2.0, 3.0, 4.0]}
+
+
+@pytest.mark.parametrize("direction", ["uplink", "downlink"])
+def test_alpha_sweep_matches_single_alpha_runs(direction):
+    """Sharing each drop's geometry across alphas, and one pool per sweep,
+    leave every alpha's rates exactly as a run at that alpha alone."""
+    alphas = SWEEP_ALPHAS[direction]
+    single = [harness.run_experiment(harness.ExperimentConfig(
+        direction=direction, alpha=a, solver=fast_solver(), **SWEEP_BASE))
+        for a in alphas]
+    for jobs in (1, 2):
+        sweep = harness.alpha_sweep(harness.ExperimentConfig(
+            direction=direction, alpha=alphas, jobs=jobs,
+            solver=fast_solver(), **SWEEP_BASE))
+        assert len(sweep.reports) == len(alphas)
+        for a, got, want in zip(alphas, sweep.reports, single):
+            assert got.config.alpha == a
+            for mode in want.metrics:
+                assert np.array_equal(got.metrics[mode].rates,
+                                      want.metrics[mode].rates), (jobs, a)
+
+
+def counting(monkeypatch, module, name):
+    """Record the first argument of every call to module.name."""
+    calls, fn = [], getattr(module, name)
+
+    def counted(first, *args, **kwargs):
+        calls.append(first)
+        return fn(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_alpha_sweep_builds_each_drop_once(monkeypatch):
+    layouts = counting(monkeypatch, cellgeom, "build_layout")
+    clusters = counting(monkeypatch, channel, "build_cluster")
+    cfg = harness.ExperimentConfig(direction="uplink",
+                                   alpha=SWEEP_ALPHAS["uplink"],
+                                   solver=fast_solver(), **SWEEP_BASE)
+    harness.alpha_sweep(cfg)
+    assert layouts == [harness._drop_seed(cfg.seed, d)
+                       for d in range(cfg.drops)]
+    assert len(clusters) == cfg.drops
+
+
+def test_drop_reuse_never_crosses_runs(monkeypatch):
+    cfg = harness.ExperimentConfig(direction="uplink", alpha=1.0,
+                                   solver=fast_solver(),
+                                   **dict(SWEEP_BASE, drops=1))
+    first = harness.run_experiment(cfg)
+    clusters = counting(monkeypatch, channel, "build_cluster")
+    second = harness.run_experiment(cfg)
+    assert len(clusters) == 1
+    for mode in cfg.modes:
+        assert np.array_equal(first.metrics[mode].rates,
+                              second.metrics[mode].rates)
+
+
 def test_report_files_written(tmp_path):
     cfg = harness.ExperimentConfig(direction="uplink", mode="both", k_ms=2,
                                    n_pico=0, c_macro=3.0, c_pico=1.0,
@@ -258,7 +320,7 @@ def test_cli_runs_and_writes(tmp_path):
     assert (out / "records.csv").exists()
 
 
-def test_cli_sweep_and_error_exit(tmp_path):
+def test_cli_sweep_and_error_exit(tmp_path, capsys):
     out = tmp_path / "sweep_out"
     code = cli_main(["sweep", "--direction", "uplink", "--k-ms", "1",
                      "--n-pico", "0", "--drops", "2", "--slots", "1",
@@ -280,10 +342,13 @@ def test_cli_sweep_and_error_exit(tmp_path):
     # rejected at load, before any drop runs
     small = ["--k-ms", "2", "--n-pico", "1", "--drops", "1",
              "--out", str(tmp_path / "never")]
-    for flags in (["uplink", "--c-macro", "nan"],
-                  ["downlink", "--c-pico", "inf"],
-                  ["uplink", "--beta", "1.5"]):
+    capsys.readouterr()
+    for flags, message in (
+            (["uplink", "--c-macro", "nan"], "c_macro must be finite"),
+            (["downlink", "--c-pico", "inf"], "c_pico must be finite"),
+            (["uplink", "--beta", "1.5"], "beta must lie in [0, 1]")):
         assert cli_main(flags + small) == 2, flags
+        assert message in capsys.readouterr().err, flags
     assert not (tmp_path / "never").exists()
 
 

@@ -122,10 +122,10 @@ def test_omega_zero_capacity_rejected():
 def test_rate_reference_values():
     ch = unit_channel([[1.0]], [1.0])
     design = make_design([1.0], [1.0])
-    assert uplink.rate_ul(design, ch, 0) == pytest.approx(np.log2(1.5),
+    assert uplink.rates_ul(design, ch)[0] == pytest.approx(np.log2(1.5),
                                                           abs=1e-12)
     ideal = make_design([1.0], [0.0])
-    assert uplink.rate_ul(ideal, ch, 0) == pytest.approx(1.0, abs=1e-12)
+    assert uplink.rates_ul(ideal, ch)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rate_matches_monte_carlo_mi():
@@ -141,7 +141,7 @@ def test_rate_matches_monte_carlo_mi():
     y_hat = x @ ch.h_ul.T + noise + q
     for k in range(2):
         est = mi_from_samples(x[:, [k]], y_hat)
-        assert uplink.rate_ul(design, ch, k) == pytest.approx(est, rel=0.01)
+        assert uplink.rates_ul(design, ch)[k] == pytest.approx(est, rel=0.01)
 
 
 def test_rate_nonnegative_and_zero_power():
@@ -151,7 +151,7 @@ def test_rate_nonnegative_and_zero_power():
         p = rng.uniform(0.0, 2.0, 3)
         p[1] = 0.0
         design = make_design(p, rng.uniform(0.2, 1.0, 3))
-        rates = [uplink.rate_ul(design, ch, k) for k in range(3)]
+        rates = [uplink.rates_ul(design, ch)[k] for k in range(3)]
         assert all(r >= 0.0 for r in rates)
         assert rates[1] == 0.0
 
@@ -161,11 +161,11 @@ def test_rate_non_increasing_in_omega():
     ch = rand_channel(rng, 3, 2)
     p = rng.uniform(0.5, 1.5, 2)
     omega = rng.uniform(0.3, 0.8, 3)
-    base = [uplink.rate_ul(make_design(p, omega), ch, k) for k in range(2)]
+    base = [uplink.rates_ul(make_design(p, omega), ch)[k] for k in range(2)]
     for i in range(3):
         bumped = omega.copy()
         bumped[i] *= 2.5
-        worse = [uplink.rate_ul(make_design(p, bumped), ch, k)
+        worse = [uplink.rates_ul(make_design(p, bumped), ch)[k]
                  for k in range(2)]
         assert all(w <= b + 1e-12 for w, b in zip(worse, base))
 
@@ -196,8 +196,8 @@ def test_multiterminal_noise_and_rates_dominate_p2p():
         assert np.all(om_wz <= om_pp)
         d_wz = make_design(p, om_wz, c=c, mode="multiterminal")
         d_pp = make_design(p, om_pp, c=c, mode="point_to_point")
-        r_wz = sum(uplink.rate_ul(d_wz, ch, k) for k in range(n_ms))
-        r_pp = sum(uplink.rate_ul(d_pp, ch, k) for k in range(n_ms))
+        r_wz = sum(uplink.rates_ul(d_wz, ch)[k] for k in range(n_ms))
+        r_pp = sum(uplink.rates_ul(d_pp, ch)[k] for k in range(n_ms))
         assert r_wz >= r_pp
 
 
@@ -217,7 +217,7 @@ def test_optimize_large_capacity_reaches_ideal_rates():
                              n_macro=3)
     ideal = make_design(res.design.p, np.zeros(3), c=c)
     for k in range(2):
-        assert res.rates[k] == pytest.approx(uplink.rate_ul(ideal, ch, k),
+        assert res.rates[k] == pytest.approx(uplink.rates_ul(ideal, ch)[k],
                                              abs=1e-3)
 
 
@@ -231,7 +231,7 @@ def test_optimize_beats_full_power_and_grid():
 
     def ideal_objective(p):
         design = make_design(np.asarray(p), np.zeros(2), c=np.full(2, 30.0))
-        return sum(uplink.rate_ul(design, ch, k) for k in range(2))
+        return sum(uplink.rates_ul(design, ch)[k] for k in range(2))
 
     full_power = ideal_objective(p_max)
     assert res.objective >= full_power - 1e-6
