@@ -5,7 +5,7 @@ and per-link backhaul capacity limits."""
 
 from .cellgeom import (PropagationParams, Topology, build_layout,
                        link_gain_linear, pathloss_macro_db, pathloss_pico_db,
-                       sector_gain_db, shadowing_db)
+                       sector_gain_db)
 from .channel import (ChannelRealization, Cluster, build_cluster,
                       realize_channel, thermal_noise_w)
 from .downlink import (DownlinkDesign, DownlinkResult, backhaul_mv_dl,

@@ -8,6 +8,15 @@ sectorized antennas; N pico-BSs and K MSs are dropped uniformly inside every
 cell.  Large-scale propagation combines distance path loss, lognormal
 shadowing, the parabolic sector pattern and fixed antenna gains.
 
+A drop is one rejection sampler over one stream, ``default_rng(seed)``: every
+cell's picos, then every cell's MSs, each node taking the first uniform
+candidate in its bounding box that lies in its hexagon and keeps the minimum
+distances.  The candidates are drawn and tested in batches.  Each link's
+shadowing is ``normal(0, std)`` from PCG64 seeded by
+``SeedSequence([seed mod 2^32, lower node code, higher node code])``, so it
+depends on the unordered node pair alone; the seed hashes of a whole link
+set are computed in one batch.
+
 Nodes are addressed by tuples:
 
     ("macro", cell_id, sector)   sector in 0..2
@@ -17,9 +26,12 @@ Nodes are addressed by tuples:
 with 1-based cell ids matching the ring numbering above.
 """
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigurationError, DomainError
 from .units import db_to_pow
@@ -42,6 +54,7 @@ _CELL_AXIAL = {
 N_CELLS = 19
 REUSE_MODES = ("F1", "F1_3")
 _MAX_DROP_TRIES = 10000
+_MAX_LOOKAHEAD = 4096
 
 
 @dataclass
@@ -108,28 +121,161 @@ class Topology:
 
 
 def hexagon_contains(center, radius, points):
-    """Membership test for a flat-topped hexagon of given circumradius."""
+    """Membership test for a flat-topped hexagon of given circumradius;
+    ``points`` and ``center`` broadcast over all but the last axis."""
     d = np.atleast_2d(points) - center
-    x, y = np.abs(d[:, 0]), np.abs(d[:, 1])
+    x, y = np.abs(d[..., 0]), np.abs(d[..., 1])
     eps = 1e-9 * radius
     inside = (y <= np.sqrt(3.0) / 2.0 * radius + eps) & \
              (np.sqrt(3.0) * x + y <= np.sqrt(3.0) * radius + eps)
     return inside if inside.size > 1 else bool(inside[0])
 
 
-def _sample_in_hexagon(center, radius, rng, reject=None):
-    """Uniform point in a hexagon, resampled until `reject` clears."""
-    r_in = np.sqrt(3.0) / 2.0 * radius
-    for _ in range(_MAX_DROP_TRIES):
-        p = center + np.array([rng.uniform(-radius, radius),
-                               rng.uniform(-r_in, r_in)])
-        if not hexagon_contains(center, radius, p):
+class _Candidates:
+    """The layout generator's stream of candidate node offsets, and which
+    candidates fall in each cell's hexagon.
+
+    ``uniform(low, high, size=(n, 2))`` gives the (x, y) pairs of successive
+    scalar ``uniform(-R, R)``, ``uniform(-r_in, r_in)`` calls bit for bit, so
+    one array holds the stream.  The offsets do not depend on the cell, and
+    nothing draws from the generator after the last node, so the stream may
+    be drawn past the last candidate a node takes.
+    """
+
+    def __init__(self, rng, sites, radius, n_nodes):
+        r_in = np.sqrt(3.0) / 2.0 * radius
+        self.rng = rng
+        self.sites = sites
+        self.radius = radius
+        self.low = np.array([-radius, -r_in])
+        self.high = np.array([radius, r_in])
+        self.offsets = np.empty((0, 2))
+        self.inside = [[] for _ in sites]   # per cell, ascending positions
+        # three in four candidates fall in the hexagon
+        self._draw(n_nodes * 3 // 2 + 32)
+
+    def points(self, cells, positions):
+        """Candidate points: the cell centers plus the offsets."""
+        return self.sites[cells] + self.offsets[positions]
+
+    def take(self, cell, start, count, rejected):
+        """Positions of the next ``count`` candidates from ``start`` on that
+        lie in the cell's hexagon and are not in ``rejected``.  The list
+        stops short where ``_MAX_DROP_TRIES`` candidates in a row hold
+        none."""
+        inside = self.inside[cell]
+        k = bisect.bisect_left(inside, start)
+        picks, last = [], start - 1
+        while len(picks) < count:
+            if k == len(inside):
+                if len(self.offsets) - last > _MAX_DROP_TRIES:
+                    break
+                self._draw(max(256, len(self.offsets)))
+                continue
+            if inside[k] - last > _MAX_DROP_TRIES:
+                break
+            if inside[k] not in rejected:
+                picks.append(inside[k])
+                last = inside[k]
+            k += 1
+        return picks
+
+    def _draw(self, n):
+        first = len(self.offsets)
+        batch = self.rng.uniform(self.low, self.high, size=(n, 2))
+        center = self.sites[:, None, :]
+        cells, pos = np.nonzero(
+            hexagon_contains(center, self.radius, center + batch))
+        pos = (pos + first).tolist()
+        cuts = np.searchsorted(cells, np.arange(len(self.sites) + 1)).tolist()
+        for cell, inside in enumerate(self.inside):
+            inside += pos[cuts[cell]:cuts[cell + 1]]
+        self.offsets = np.concatenate([self.offsets, batch])
+
+
+def _place(candidates, start, count, near, spacing=None):
+    """(positions (n_cells, count, 2), next stream position): ``count`` nodes
+    in each cell, cell after cell, from stream position ``start`` on.
+
+    A node takes the first candidate after the previous node's that lies in
+    its cell's hexagon, that ``near`` (a mask over (m, 2) points) does not
+    reject and, with ``spacing``, that lies that far from the cell's earlier
+    nodes: the candidate a one-node rejection sampler would take.  A node
+    with no such candidate in ``_MAX_DROP_TRIES`` tries is a
+    ConfigurationError.
+
+    The tests run on all cells at once.  A scan takes each cell's next
+    in-hexagon candidates; ``near`` and the spacing then check them.  The
+    cells before the first rejected pick are settled.  That pick, and every
+    candidate ``near`` rejects, is remembered as rejected, and the scan
+    repeats from the first unsettled cell, which also has twice as many
+    candidates past its picks checked (up to ``_MAX_LOOKAHEAD``), so even a
+    cell that rejects every candidate takes few scans.
+    """
+    n_cells = len(candidates.sites)
+    rejected = [set() for _ in range(n_cells)]
+    taken = [[] for _ in range(n_cells)]
+    extra = [0] * n_cells
+    starts = [start] * (n_cells + 1)
+    earlier = np.triu(np.ones((count, count), dtype=bool), 1)
+    settled = 0
+    while settled < n_cells:
+        scanned = settled
+        while scanned < n_cells:
+            taken[scanned] = candidates.take(
+                scanned, starts[scanned], count + extra[scanned],
+                rejected[scanned])
+            if len(taken[scanned]) < count:
+                # exact only once every earlier cell is settled
+                if scanned == settled:
+                    raise ConfigurationError(
+                        "could not place a node satisfying the minimum "
+                        "distance constraints; check the geometry")
+                break
+            starts[scanned + 1] = (taken[scanned][count - 1] + 1 if count
+                                   else starts[scanned])
+            scanned += 1
+
+        rows = range(settled, scanned)
+        cells = [c for c in rows for _ in taken[c]]
+        flat = [p for c in rows for p in taken[c]]
+        too_near = near(candidates.points(cells, flat)).tolist()
+        bad, at = [], 0
+        for c in rows:
+            bad.append(too_near[at:at + count])
+            at += len(taken[c])
+        bad = np.array(bad, dtype=bool).reshape(len(rows), count)
+        if spacing is not None:
+            points = candidates.points(
+                np.array(rows)[:, None],
+                np.array([taken[c][:count] for c in rows], dtype=int))
+            diff = points[:, :, None, :] - points[:, None, :, :]
+            # vecdot is the BLAS dot np.linalg.norm takes on a 2-vector
+            close = np.sqrt(np.vecdot(diff, diff)) < spacing
+            bad |= (close & earlier).any(axis=1)
+        if not bad.any():
+            settled = scanned
             continue
-        if reject is not None and reject(p):
-            continue
-        return p
-    raise ConfigurationError("could not place a node satisfying the minimum "
-                             "distance constraints; check the geometry")
+        # a candidate too near a fixed node is rejected in any order
+        for c, p, reject in zip(cells, flat, too_near):
+            if reject:
+                rejected[c].add(p)
+        # the first bad pick's cell is settled up to that pick, so the pick
+        # and every later candidate too close to a settled pick are rejected
+        first, j = divmod(int(np.argmax(bad)), count)
+        settled += first
+        kept, later = taken[settled][:j], taken[settled][j:]
+        reject = np.zeros(len(later), dtype=bool)
+        if spacing is not None and kept:
+            diff = (candidates.points(settled, kept)[:, None, :]
+                    - candidates.points(settled, later)[None, :, :])
+            reject = (np.sqrt(np.vecdot(diff, diff)) < spacing).any(axis=0)
+        reject[0] = True
+        rejected[settled].update(p for p, r in zip(later, reject) if r)
+        extra[settled] = min(2 * extra[settled] + 8, _MAX_LOOKAHEAD)
+    picks = np.array([t[:count] for t in taken], dtype=int)
+    return (candidates.points(np.arange(n_cells)[:, None],
+                              picks.reshape(n_cells, count)), starts[-1])
 
 
 def build_layout(seed, k_ms, n_pico, params=None, reuse="F1_3"):
@@ -166,44 +312,27 @@ def build_layout(seed, k_ms, n_pico, params=None, reuse="F1_3"):
     interferers = tuple(cid for cid in range(2, N_CELLS + 1)
                         if reuse_band[cid] == own)
 
-    radius = d / np.sqrt(3.0)
-    rng = np.random.default_rng(seed)
-    pico_positions = np.zeros((N_CELLS, n_pico, 2))
-    ms_positions = np.zeros((N_CELLS, k_ms, 2))
+    candidates = _Candidates(np.random.default_rng(seed), sites,
+                             d / np.sqrt(3.0), N_CELLS * (n_pico + k_ms))
 
-    def too_close_to_macros(p):
-        return np.min(np.linalg.norm(sites - p, axis=1)) < params.min_dist_macro_m
+    def near(nodes, distance):
+        """Mask over (m, 2) points: closer than ``distance`` to a node.  The
+        sum of squares is np.linalg.norm(axis=1)'s arithmetic."""
+        def test(points):
+            dx = nodes[:, 0] - points[:, 0:1]
+            dy = nodes[:, 1] - points[:, 1:2]
+            return np.sqrt(dx * dx + dy * dy).min(axis=1, initial=np.inf) \
+                < distance
+        return test
 
-    for cid in range(1, N_CELLS + 1):
-        center = sites[cid - 1]
-        placed = []
-
-        def reject_pico(p):
-            if too_close_to_macros(p):
-                return True
-            return any(np.linalg.norm(q - p) < params.min_dist_pico_m
-                       for q in placed)
-
-        for j in range(n_pico):
-            pos = _sample_in_hexagon(center, radius, rng, reject_pico)
-            pico_positions[cid - 1, j] = pos
-            placed.append(pos)
-
-    all_picos = pico_positions.reshape(-1, 2)
-
-    def reject_ms(p):
-        if too_close_to_macros(p):
-            return True
-        if all_picos.size and np.min(np.linalg.norm(all_picos - p, axis=1)) \
-                < params.min_dist_pico_m:
-            return True
-        return False
-
-    for cid in range(1, N_CELLS + 1):
-        center = sites[cid - 1]
-        for j in range(k_ms):
-            ms_positions[cid - 1, j] = _sample_in_hexagon(
-                center, radius, rng, reject_ms)
+    near_macro = near(sites, params.min_dist_macro_m)
+    # every cell's picos, then every cell's MSs, from one stream; only the
+    # picos' spacing from their own cell's earlier picos depends on order
+    pico_positions, start = _place(candidates, 0, n_pico, near_macro,
+                                   spacing=params.min_dist_pico_m)
+    near_pico = near(pico_positions.reshape(-1, 2), params.min_dist_pico_m)
+    ms_positions, _ = _place(candidates, start, k_ms,
+                             lambda p: near_macro(p) | near_pico(p))
 
     boresights = np.tile(np.array(SECTOR_BORESIGHTS_DEG), (N_CELLS, 1))
     return Topology(
@@ -253,26 +382,17 @@ def sector_gain_db(offset_angle_deg, params=None):
     return float(out) if out.ndim == 0 else out
 
 
-def shadowing_db(link_class, rng, params=None, size=None):
-    """Zero-mean lognormal shadowing sample(s) in dB for a link class."""
-    params = params or PropagationParams()
-    if link_class == "macro":
-        std = params.shadow_std_macro_db
-    elif link_class == "pico":
-        std = params.shadow_std_pico_db
-    else:
-        raise DomainError(f"unknown link class {link_class!r}")
-    return rng.normal(0.0, std, size=size)
-
-
 _NODE_KIND_CODE = {"macro": 1, "pico": 2, "ms": 3}
+_MAX_NODE_INDEX = 10 ** 4
 
 
 def _node_code(node):
+    """kind * 10^6 + cell * 10^4 + index: distinct for distinct valid nodes,
+    and below 2^32."""
     kind, cell, idx = node
     if kind not in _NODE_KIND_CODE:
         raise DomainError(f"unknown node kind {kind!r}")
-    if not 1 <= cell <= N_CELLS or idx < 0:
+    if not 1 <= cell <= N_CELLS or not 0 <= idx < _MAX_NODE_INDEX:
         raise DomainError(f"invalid node {node!r}")
     return _NODE_KIND_CODE[kind] * 10 ** 6 + int(cell) * 10 ** 4 + int(idx)
 
@@ -295,17 +415,91 @@ def node_position(topology, node):
     raise DomainError(f"unknown node kind {kind!r}")
 
 
-def link_shadowing_db(topology, tx, rx, params=None):
-    """Per-link shadowing, derived deterministically from the topology seed.
+# np.random.SeedSequence's constants: entropy mixing into a pool of four
+# words, then generate_state
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
 
-    The value depends only on the unordered node pair, so the same link seen
-    from either end (or re-queried with a different interferer set) always
-    gets the same draw, while distinct links are independent.
+
+def _hashmix(values, hash_const, mult):
+    """SeedSequence's hashmix of each row of the (m, n) uint32 ``values`` in
+    turn, the hash constant starting at ``hash_const``; returns the hashed
+    rows and the next hash constant.  uint32 array arithmetic wraps modulo
+    2^32 as the reference's does."""
+    consts = [hash_const]
+    for _ in range(len(values)):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    consts = np.array(consts, dtype=np.uint32)[:, None]
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ (values >> 16), int(consts[-1, 0])
+
+
+def _seed_state_words(entropy):
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for each row of an
+    (n, e) uint32 array, e <= 4, as an (n, 4) uint64 array.
+
+    The hash constants do not depend on the entropy, so every step of
+    SeedSequence's algorithm is an array operation over all n rows.
     """
-    codes = sorted((_node_code(tx), _node_code(rx)))
-    ss = np.random.SeedSequence([topology.seed & 0xFFFFFFFF, *codes])
-    cls = "macro" if "macro" in (tx[0], rx[0]) else "pico"
-    return float(shadowing_db(cls, np.random.default_rng(ss), params))
+    n, width = entropy.shape
+    pool = np.zeros((_POOL_SIZE, n), dtype=np.uint32)
+    pool[:width] = entropy.T
+    pool, hash_const = _hashmix(pool, _INIT_A, _MULT_A)
+    for i_src in range(_POOL_SIZE):
+        # mixing into the other words leaves word i_src as it is
+        dst = [i for i in range(_POOL_SIZE) if i != i_src]
+        mixed, hash_const = _hashmix(
+            np.broadcast_to(pool[i_src], (len(dst), n)), hash_const, _MULT_A)
+        result = (np.uint32(_MIX_MULT_L) * pool[dst]
+                  - np.uint32(_MIX_MULT_R) * mixed)
+        pool[dst] = result ^ (result >> 16)
+    words, _ = _hashmix(pool[np.arange(2 * _POOL_SIZE) % _POOL_SIZE],
+                        _INIT_B, _MULT_B)
+    # little-endian pairs of uint32 words make the uint64 words; each row
+    # must be contiguous, for PCG64 reads it as a C array
+    words = words.astype(np.uint64)
+    return np.ascontiguousarray((words[0::2] | words[1::2] << 32).T)
+
+
+class _StateWords(ISeedSequence):
+    """Seeds a bit generator with state words computed beforehand."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def link_shadowing_db(topology, tx_nodes, rx_nodes, params=None):
+    """Lognormal shadowing in dB of every (tx, rx) link, shape
+    (len(tx_nodes), len(rx_nodes)).
+
+    Link (a, b) draws ``normal(0, std)`` from PCG64 seeded by
+    ``SeedSequence([seed mod 2^32, lower code, higher code])``, where
+    ``seed`` is the topology's, the codes are the two nodes' and ``std`` is
+    the macro class's if either end is a macro sector, the pico class's
+    otherwise.  So the same link seen from either end (or re-queried with a
+    different link set) always gets the same draw, while distinct links are
+    independent.  The seed hashes of the whole set are computed in one batch.
+    """
+    params = params or PropagationParams()
+    shape = (len(tx_nodes), len(rx_nodes))
+    tx_code = np.array([_node_code(n) for n in tx_nodes], dtype=np.uint32)
+    rx_code = np.array([_node_code(n) for n in rx_nodes], dtype=np.uint32)
+    entropy = np.stack([
+        np.full(shape, topology.seed & 0xFFFFFFFF, dtype=np.uint32),
+        np.minimum.outer(tx_code, rx_code),
+        np.maximum.outer(tx_code, rx_code)], axis=-1).reshape(-1, 3)
+    macro = np.logical_or.outer([n[0] == "macro" for n in tx_nodes],
+                                [n[0] == "macro" for n in rx_nodes])
+    std = np.where(macro, params.shadow_std_macro_db,
+                   params.shadow_std_pico_db).ravel().tolist()
+    shadow = [Generator(PCG64(_StateWords(words))).normal(0.0, s)
+              for words, s in zip(_seed_state_words(entropy), std)]
+    return np.array(shadow, dtype=float).reshape(shape)
 
 
 def _link_ends(topology, nodes, params):
@@ -326,10 +520,12 @@ def _link_ends(topology, nodes, params):
 def link_gain_linear(tx_nodes, rx_nodes, topology, params=None):
     """Large-scale linear power gains, shape (len(tx_nodes), len(rx_nodes)).
 
-    Combines path loss, the per-link shadowing of :func:`link_shadowing_db`,
-    the sector pattern (applied at a macro endpoint, whichever side of the
-    link it is on) and antenna gains.  A link is in the macro class if either
-    endpoint is a macro sector.
+    Combines path loss, the sector pattern (applied at a macro endpoint,
+    whichever side of the link it is on), antenna gains and the shadowing of
+    :func:`link_shadowing_db`: each link's ``normal(0, std)`` draw from PCG64
+    seeded by ``SeedSequence([seed mod 2^32, lower code, higher code])``,
+    with the seed hashes of the whole link set computed in one batch.  A
+    link is in the macro class if either endpoint is a macro sector.
     """
     params = params or PropagationParams()
     p_tx, macro_tx, ant_tx, bore_tx = _link_ends(topology, tx_nodes, params)
@@ -359,7 +555,5 @@ def link_gain_linear(tx_nodes, rx_nodes, topology, params=None):
         macro_rx[None, :],
         sector_gain_db(bearing_rx - bore_rx[None, :], params), 0.0)
 
-    shadow = np.array([[link_shadowing_db(topology, t, r, params)
-                        for r in rx_nodes] for t in tx_nodes],
-                      dtype=float).reshape(gain_db.shape)
-    return db_to_pow(gain_db + shadow)
+    return db_to_pow(gain_db
+                     + link_shadowing_db(topology, tx_nodes, rx_nodes, params))

@@ -123,10 +123,22 @@ class ExperimentConfig:
         return _from_mapping(cls, data).validate()
 
 
+def _is_real(value):
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def _is_number(value):
     """A finite real number that is not a bool."""
-    return (isinstance(value, Real) and not isinstance(value, bool)
-            and (isinstance(value, Integral) or math.isfinite(value)))
+    return _is_real(value) and (isinstance(value, Integral)
+                                or math.isfinite(value))
+
+
+def _non_finite(kind, value):
+    """A float or a path-loss pair whose only fault is a NaN or infinity."""
+    if kind is tuple:
+        return (isinstance(value, (list, tuple)) and len(value) == 2
+                and all(map(_is_real, value)))
+    return kind is float and _is_real(value)
 
 
 # value checks by field annotation; `object` fields are checked by validate()
@@ -155,9 +167,7 @@ def _from_mapping(cls, data, prefix=""):
         if is_dataclass(kind) and not isinstance(value, kind):
             values[key] = _from_mapping(kind, value, f"{prefix}{key}.")
         elif kind in _FITS and not _FITS[kind](value):
-            # a real that a float field refuses is NaN or infinite
-            fault = ("be finite" if kind is float and isinstance(value, Real)
-                     and not isinstance(value, bool)
+            fault = ("be finite" if _non_finite(kind, value)
                      else f"be of type {kind.__name__}")
             raise ConfigurationError(f"{prefix}{key} must {fault}, "
                                      f"got {value!r}")

@@ -11,6 +11,7 @@ import numpy as np
 
 from cransim import cellgeom
 from cransim.channel import ChannelRealization
+from cransim.errors import ConfigurationError
 
 
 def cn_samples(rng, shape, var=1.0):
@@ -150,5 +151,59 @@ def link_gain_oracle(tx, rx, topology, params, shadowing=True):
         else:
             gain_db += params.gain_ms_dbi
     if shadowing:
-        gain_db += cellgeom.link_shadowing_db(topology, tx, rx, params)
+        gain_db += link_shadowing_oracle(topology, tx, rx, params)
     return float(10.0 ** (np.asarray(gain_db) / 10.0))
+
+
+def link_shadowing_oracle(topology, tx, rx, params):
+    """Shadowing of one link in dB, from its own SeedSequence and Generator:
+    the per-link draw ``cellgeom.link_shadowing_db`` must reproduce bit for
+    bit."""
+    codes = sorted((cellgeom._node_code(tx), cellgeom._node_code(rx)))
+    ss = np.random.SeedSequence([topology.seed & 0xFFFFFFFF, *codes])
+    std = params.shadow_std_macro_db if "macro" in (tx[0], rx[0]) \
+        else params.shadow_std_pico_db
+    return float(np.random.default_rng(ss).normal(0.0, std))
+
+
+def layout_oracle(seed, k_ms, n_pico, params, sites):
+    """(pico_positions, ms_positions) of a drop, placed one node at a time,
+    every cell's picos and then every cell's MSs.
+
+    Each try draws ``uniform(-R, R)`` and then ``uniform(-r_in, r_in)`` and
+    is kept if it lies in the cell's hexagon, at least 10 m from every macro
+    site, and at least 1 m from every pico placed so far in the cell (for a
+    pico) or from every pico (for an MS).  A node that fails 10000 tries is
+    a ConfigurationError.  ``cellgeom.build_layout`` must reproduce this bit
+    for bit.
+    """
+    radius = params.inter_site_distance_m / np.sqrt(3.0)
+    r_in = np.sqrt(3.0) / 2.0 * radius
+    rng = np.random.default_rng(seed)
+
+    def sample(center, reject):
+        for _ in range(10000):
+            p = center + np.array([rng.uniform(-radius, radius),
+                                   rng.uniform(-r_in, r_in)])
+            if cellgeom.hexagon_contains(center, radius, p) and not reject(p):
+                return p
+        raise ConfigurationError("could not place a node")
+
+    def near_macro(p):
+        return np.min(np.linalg.norm(sites - p, axis=1)) \
+            < params.min_dist_macro_m
+
+    picos = np.zeros((cellgeom.N_CELLS, n_pico, 2))
+    for c in range(cellgeom.N_CELLS):
+        for j in range(n_pico):
+            picos[c, j] = sample(sites[c], lambda p: near_macro(p) or any(
+                np.linalg.norm(q - p) < params.min_dist_pico_m
+                for q in picos[c, :j]))
+    flat = picos.reshape(-1, 2)
+    ms = np.zeros((cellgeom.N_CELLS, k_ms, 2))
+    for c in range(cellgeom.N_CELLS):
+        for j in range(k_ms):
+            ms[c, j] = sample(sites[c], lambda p: near_macro(p) or (
+                flat.size > 0 and np.min(np.linalg.norm(flat - p, axis=1))
+                < params.min_dist_pico_m))
+    return picos, ms

@@ -6,7 +6,7 @@ import pytest
 from cransim import cellgeom, channel
 from cransim.errors import DomainError
 from cransim.units import dbm_to_watts
-from helpers import link_gain_oracle
+from helpers import link_gain_oracle, link_shadowing_oracle
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +71,45 @@ def test_downlink_interference_accumulates_coband_cells(small_drop):
             expected += p_pico * link_gain_oracle(
                 ("pico", c, j), node, topo, params)
     assert cluster.sigma2_dl[1] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_pico", [0, 3, 20])
+def test_cluster_shadowing_matches_per_link_oracle(n_pico, monkeypatch):
+    """Every link build_cluster draws shadowing for gets the value of its
+    own SeedSequence and Generator, also for drop seeds of 2^32 and above,
+    which enter the seed sequence modulo 2^32."""
+    params = cellgeom.PropagationParams()
+    link_sets = []
+    batched = cellgeom.link_shadowing_db
+
+    def record(topology, tx_nodes, rx_nodes, params=None):
+        shadow = batched(topology, tx_nodes, rx_nodes, params)
+        link_sets.append((tx_nodes, rx_nodes, shadow))
+        return shadow
+
+    monkeypatch.setattr(cellgeom, "link_shadowing_db", record)
+    for seed in (17 + n_pico, 2 ** 32 + 17 + n_pico, 2 ** 64 - 1 - n_pico):
+        link_sets.clear()
+        topo = cellgeom.build_layout(seed, 5, n_pico, params)
+        channel.build_cluster(topo, params)
+        assert len(link_sets) == 3
+        for tx_nodes, rx_nodes, shadow in link_sets:
+            expected = [[link_shadowing_oracle(topo, t, r, params)
+                         for r in rx_nodes] for t in tx_nodes]
+            assert np.array_equal(shadow, np.reshape(expected, shadow.shape))
+
+
+def test_seed_state_words_match_seed_sequence():
+    rng = np.random.default_rng(5)
+    for width in (1, 3, 4):
+        entropy = rng.integers(0, 2 ** 32, size=(300, width),
+                               dtype=np.uint64)
+        entropy[:10] = 0
+        entropy[10:20] = 2 ** 32 - 1
+        words = cellgeom._seed_state_words(entropy.astype(np.uint32))
+        expected = [np.random.SeedSequence([int(e) for e in row])
+                    .generate_state(4, np.uint64) for row in entropy]
+        assert np.array_equal(words, expected)
 
 
 @pytest.mark.parametrize("n_pico, k_ms, reuse", [

@@ -349,6 +349,12 @@ def test_cli_sweep_and_error_exit(tmp_path, capsys):
             (["uplink", "--beta", "1.5"], "beta must lie in [0, 1]")):
         assert cli_main(flags + small) == 2, flags
         assert message in capsys.readouterr().err, flags
+    for pair in ([float("nan"), 1.0], [128.1, float("inf")]):
+        path.write_text(yaml.safe_dump(
+            dict(propagation=dict(macro_pathloss=pair))))
+        assert cli_main(["uplink", "--config", str(path)] + small) == 2
+        assert "propagation.macro_pathloss must be finite" \
+            in capsys.readouterr().err, pair
     assert not (tmp_path / "never").exists()
 
 
