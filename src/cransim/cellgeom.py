@@ -114,11 +114,6 @@ class Topology:
         self.k_ms = int(self.ms_positions.shape[1])
         self.n_pico = int(self.pico_positions.shape[1])
 
-    @property
-    def cell_radius(self):
-        """Hexagon circumradius (center to vertex)."""
-        return self.inter_site_distance / np.sqrt(3.0)
-
 
 def hexagon_contains(center, radius, points):
     """Membership test for a flat-topped hexagon of given circumradius;

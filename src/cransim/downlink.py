@@ -28,10 +28,14 @@ import numpy as np
 
 from .errors import DomainError, NumericalDomainError
 from .gaussinfo import LN2, hermitize, logdet2
-from .mmopt import FEASIBILITY_TOL, INNER_TOL, MMTrace, mm_solve
+from .mmopt import (FEASIBILITY_TOL, INNER_TOL, MM_MAX_ITER, MM_TOL, MMTrace,
+                    mm_solve)
 from .uplink import MODE_MT, MODE_P2P
 
 SUBSET_ENUM_CAP = 16
+# default inner solve per MM step: barrier rounds, and ascent steps per round
+BARRIER_ROUNDS = 3
+INNER_STEPS = 40
 
 
 @dataclass
@@ -224,8 +228,8 @@ class _Eval:
 class _PrecodingProblem:
     """MM adapter for the joint precoder / quantization-covariance design."""
 
-    def __init__(self, hbar, weights, caps, p_lim, mode,
-                 inner_steps=40, barrier_rounds=3):
+    def __init__(self, hbar, weights, caps, p_lim, mode, inner_steps,
+                 barrier_rounds):
         self.hbar = hbar                      # (n_ms, n_act) noise-normalized
         self.w = np.asarray(weights, dtype=float)
         self.p_lim = np.asarray(p_lim, dtype=float)
@@ -486,8 +490,8 @@ def _interior_restart(point, shrink=0.06):
 
 
 def optimize_dl(channel, c, p_bs, weights, mode, init=None,
-                mm_tol=1e-4, mm_max_iter=60, inner_steps=40,
-                barrier_rounds=3):
+                mm_tol=MM_TOL, mm_max_iter=MM_MAX_ITER,
+                inner_steps=INNER_STEPS, barrier_rounds=BARRIER_ROUNDS):
     """Weighted-sum-rate design of (A, Omega) under backhaul and power limits.
 
     Multiterminal mode without an explicit `init` first solves the
@@ -523,16 +527,14 @@ def optimize_dl(channel, c, p_bs, weights, mode, init=None,
     hbar = channel.h_dl[:, active] * scale[None, :] \
         / np.sqrt(channel.sigma2_z_dl)[:, None]
     problem = _PrecodingProblem(hbar, weights, c[active],
-                                np.ones(active.size), mode,
-                                inner_steps=inner_steps,
-                                barrier_rounds=barrier_rounds)
+                                np.ones(active.size), mode, inner_steps,
+                                barrier_rounds)
 
     if init is None and mode == MODE_MT:
-        p2p = optimize_dl(channel, c, p_bs, weights, MODE_P2P,
-                          mm_tol=mm_tol, mm_max_iter=mm_max_iter,
-                          inner_steps=inner_steps,
-                          barrier_rounds=barrier_rounds)
-        init = p2p.design
+        init = optimize_dl(channel, c, p_bs, weights, MODE_P2P,
+                           mm_tol=mm_tol, mm_max_iter=mm_max_iter,
+                           inner_steps=inner_steps,
+                           barrier_rounds=barrier_rounds).design
 
     if init is None:
         start = problem.cold_start()

@@ -14,6 +14,11 @@ are byte-identical no matter how many workers are used.  A drop's geometry
 (layout and cluster) depends on neither alpha nor the slot, so an alpha
 sweep builds each drop once and runs every alpha on it, and a run opens at
 most one process pool, in which one worker takes all alphas of a drop.
+
+Downlink multiterminal rates depend on which modes run: with both, each
+slot's multiterminal solve starts from that slot's point-to-point design,
+solved under the point-to-point weights; alone, it first solves
+point-to-point under its own weights.  Only a drop's first slot matches.
 """
 
 import json
@@ -29,6 +34,7 @@ import numpy as np
 
 from . import cellgeom, channel as channel_mod, downlink, scheduler, uplink
 from .errors import ConfigurationError, DomainError
+from .mmopt import MM_MAX_ITER, MM_TOL
 
 MODE_P2P = uplink.MODE_P2P
 MODE_MT = uplink.MODE_MT
@@ -60,10 +66,10 @@ class RateMapping:
 
 @dataclass
 class SolverOptions:
-    mm_tol: float = 1e-4
-    mm_max_iter: int = 60
-    inner_steps_dl: int = 40
-    barrier_rounds: int = 3
+    mm_tol: float = MM_TOL
+    mm_max_iter: int = MM_MAX_ITER
+    inner_steps_dl: int = downlink.INNER_STEPS
+    barrier_rounds: int = downlink.BARRIER_ROUNDS
 
 
 @dataclass

@@ -26,8 +26,10 @@ from dataclasses import dataclass, field
 
 from .errors import NumericalDomainError
 
-DEFAULT_TOL = 1e-4
-DEFAULT_MAX_ITER = 100
+# default stop of both solvers' MM loops: a relative objective change below
+# MM_TOL converges, MM_MAX_ITER accepted steps stop it unconverged
+MM_TOL = 1e-4
+MM_MAX_ITER = 60
 # largest true-constraint violation that still counts as feasible
 FEASIBILITY_TOL = 1e-7
 # relative gain below which the solvers' inner ascent stops
@@ -44,7 +46,7 @@ class MMTrace:
     warnings: list = field(default_factory=list)
 
 
-def mm_solve(problem, init, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def mm_solve(problem, init, tol, max_iter):
     """Run the MM loop from a feasible starting point.
 
     Returns (solution, MMTrace).  Converged means the relative objective

@@ -17,7 +17,6 @@ class FairnessState:
     r_bar: np.ndarray
     alpha: float
     beta: float
-    slot: int = 0
 
     def __post_init__(self):
         self.r_bar = np.asarray(self.r_bar, dtype=float)
@@ -31,7 +30,7 @@ class FairnessState:
 
 def initial_state(n_ms, alpha, beta):
     return FairnessState(r_bar=np.full(n_ms, R_BAR_INIT),
-                         alpha=float(alpha), beta=float(beta), slot=0)
+                         alpha=float(alpha), beta=float(beta))
 
 
 def weights(state):
@@ -46,5 +45,4 @@ def update(state, achieved_rates):
         raise DomainError("achieved rates must be nonnegative")
     r_new = state.beta * state.r_bar + (1.0 - state.beta) * achieved
     r_new = np.maximum(r_new, R_BAR_FLOOR)
-    return FairnessState(r_bar=r_new, alpha=state.alpha, beta=state.beta,
-                         slot=state.slot + 1)
+    return FairnessState(r_bar=r_new, alpha=state.alpha, beta=state.beta)

@@ -21,11 +21,10 @@ r_k = -log2(1 - p_k G_kk) and the gradient of the weighted sum rate.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .errors import DomainError, NumericalDomainError
-from .gaussinfo import LN2, cholesky, hermitize
-from .mmopt import INNER_TOL, mm_solve
+from .errors import DomainError
+from .gaussinfo import LN2, cholesky
+from .mmopt import INNER_TOL, MM_MAX_ITER, MM_TOL, mm_solve
 
 MODE_P2P = "point_to_point"
 MODE_MT = "multiterminal"
@@ -92,12 +91,7 @@ def conditional_signal_variance(p, omega, order, position, channel):
     cov_prev = (h_prev * p) @ h_prev.conj().T \
         + np.diag(channel.sigma2_z_ul[prev] + np.asarray(omega)[prev])
     cross = h_prev @ (p * h_i.conj())
-    try:
-        chol = np.linalg.cholesky(hermitize(cov_prev))
-    except np.linalg.LinAlgError:
-        raise NumericalDomainError(
-            "side-information covariance is numerically singular")
-    w = solve_triangular(chol, cross, lower=True)
+    w = np.linalg.solve(cholesky(cov_prev), cross)
     reduction = float(np.real(w.conj() @ w))
     return marginal - reduction
 
@@ -157,7 +151,7 @@ def _factor(h, d, p):
     gradient.
     """
     chol = cholesky((h * p) @ h.conj().T + np.diag(d))
-    return solve_triangular(chol, h, lower=True)
+    return np.linalg.solve(chol, h)
 
 
 def _rates_from(x, p):
@@ -277,7 +271,7 @@ class _PowerProblem:
 
 
 def optimize_ul(channel, c, weights, mode, p_max, n_macro=3,
-                mm_tol=1e-4, mm_max_iter=100):
+                mm_tol=MM_TOL, mm_max_iter=MM_MAX_ITER):
     """Two-step uplink design: ideal-backhaul powers, then closed-form noise.
 
     Returns an UplinkResult whose trace flags non-convergence instead of

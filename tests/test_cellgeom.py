@@ -137,12 +137,13 @@ def test_build_layout_unplaceable_node():
 
 def test_build_layout_positions_inside_cells():
     topo = cellgeom.build_layout(7, 5, 20)
+    radius = topo.inter_site_distance / np.sqrt(3.0)
     for c in range(19):
         center = topo.macro_sites[c]
         assert np.all(cellgeom.hexagon_contains(
-            center, topo.cell_radius, topo.pico_positions[c]))
+            center, radius, topo.pico_positions[c]))
         assert np.all(cellgeom.hexagon_contains(
-            center, topo.cell_radius, topo.ms_positions[c]))
+            center, radius, topo.ms_positions[c]))
     assert topo.pico_positions[0].shape == (20, 2)
 
 

@@ -372,11 +372,12 @@ def test_inner_gradients_match_finite_differences(mode):
     n_bs, n_ms = 3, 2
     hbar = rand_channel(rng, n_bs, n_ms).h_dl
     weights, caps = rng.uniform(0.5, 1.5, n_ms), rng.uniform(1.0, 3.0, n_bs)
+    settings = (downlink.INNER_STEPS, downlink.BARRIER_ROUNDS)
     problem = downlink._PrecodingProblem(hbar, weights, caps, np.ones(n_bs),
-                                         mode)
+                                         mode, *settings)
     # the p2p cold start; multiterminal starts from its diagonal Omega
     start = downlink._PrecodingProblem(hbar, weights, caps, np.ones(n_bs),
-                                       "point_to_point").cold_start()
+                                       "point_to_point", *settings).cold_start()
     noise_param = "l" if mode == "multiterminal" else "u"
     x_start = np.diag(np.exp(start.noise.u / 2)).astype(complex) \
         if noise_param == "l" else start.noise.u

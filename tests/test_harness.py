@@ -1,11 +1,14 @@
 import argparse
 import dataclasses
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+import cransim
 from cransim import cellgeom, channel, downlink, harness, uplink
 from cransim.cli import build_config, main as cli_main
 from cransim.errors import ConfigurationError, DomainError
@@ -318,6 +321,32 @@ def test_cli_runs_and_writes(tmp_path):
                      "--alpha", "0", "--out", str(out)])
     assert code == 0
     assert (out / "records.csv").exists()
+
+
+# runs the CLI in an interpreter where any scipy import raises ImportError
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from cransim.cli import main
+for direction in ("uplink", "downlink"):
+    code = main([direction, "--drops", "1", "--slots", "1", "--k-ms", "2",
+                 "--n-pico", "1", "--seed", "5", "--out",
+                 sys.argv[1] + "/" + direction])
+    if code:
+        sys.exit(code)
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(cransim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY,
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    for direction in ("uplink", "downlink"):
+        assert (tmp_path / direction / "records.csv").exists()
 
 
 def test_cli_sweep_and_error_exit(tmp_path, capsys):

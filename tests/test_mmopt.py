@@ -79,7 +79,8 @@ def test_mm_solve_scalar_dc_toy():
 
 
 def test_mm_solve_stationary_point_converges_immediately():
-    x, trace = mmopt.mm_solve(_ScalarDC(), 3.5, tol=1e-8)
+    x, trace = mmopt.mm_solve(_ScalarDC(), 3.5, tol=1e-8,
+                              max_iter=mmopt.MM_MAX_ITER)
     assert trace.converged
     assert trace.iterations == 1
     assert x == pytest.approx(3.5, abs=1e-9)
@@ -87,7 +88,8 @@ def test_mm_solve_stationary_point_converges_immediately():
 
 def test_mm_solve_rejects_infeasible_start():
     with pytest.raises(NumericalDomainError):
-        mmopt.mm_solve(_ScalarDC(), 11.0)
+        mmopt.mm_solve(_ScalarDC(), 11.0, tol=mmopt.MM_TOL,
+                       max_iter=mmopt.MM_MAX_ITER)
 
 
 def test_mm_solve_reports_non_convergence():
@@ -103,7 +105,8 @@ class _BadStepProblem(_ScalarDC):
 
 
 def test_mm_solve_feasibility_backtracking():
-    x, trace = mmopt.mm_solve(_BadStepProblem(), 5.0, max_iter=4)
+    x, trace = mmopt.mm_solve(_BadStepProblem(), 5.0, tol=mmopt.MM_TOL,
+                              max_iter=4)
     assert x == 5.0
     assert trace.warnings == [
         "step left the feasible set; keeping previous iterate"]
@@ -118,7 +121,8 @@ class _DownhillStepProblem(_ScalarDC):
 
 
 def test_mm_solve_objective_decrease_stops_unconverged():
-    x, trace = mmopt.mm_solve(_DownhillStepProblem(), 3.0)
+    x, trace = mmopt.mm_solve(_DownhillStepProblem(), 3.0, tol=mmopt.MM_TOL,
+                              max_iter=mmopt.MM_MAX_ITER)
     assert x == 3.0
     assert trace.warnings == [
         "surrogate step decreased the objective; stopping at previous iterate"]

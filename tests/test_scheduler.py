@@ -22,7 +22,6 @@ def test_update_reference_values():
     state = scheduler.FairnessState(r_bar=np.array([2.0]), alpha=1.0, beta=0.5)
     new = scheduler.update(state, np.array([4.0]))
     assert new.r_bar[0] == pytest.approx(3.0)
-    assert new.slot == 1
 
     frozen = scheduler.update(
         scheduler.FairnessState(r_bar=np.array([2.0]), alpha=1.0, beta=1.0),
