@@ -18,10 +18,21 @@ barrier on the linearized constraints.  The surrogate constraint set is
 convex and sits inside the true feasible set, so every accepted iterate is
 feasible, and ascent steps from the current point never decrease the true
 objective.
+
+The inner ascent evaluates many candidate points per MM step, so each
+Omega (one `_Noise`) computes its terms once, on first use, and every
+candidate of a precoder step shares them: the log-dets of all subset
+blocks (one batched Cholesky per subset size above 1; a 1x1 block's
+log-det comes from the diagonal), the log-dets of the 1x1 blocks alone,
+which screen out a candidate violating a singleton condition before any
+factoring, and the quantization-noise power hbar_k Omega hbar_k^H at each
+MS.  Blocks are gathered, and the gradient's block inverses scattered
+back, through flat indices precomputed per subset size; `feasible_dl`
+checks the subset conditions batched by size the same way.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -126,6 +137,61 @@ def enumerate_subsets(indices):
     return out
 
 
+@lru_cache(maxsize=None)
+def _size_groups(n):
+    """The subsets of range(n) in enumerate_subsets order, grouped by size.
+
+    One entry per size: the slice of the subset list holding that size, the
+    members of each subset (k, size), and the flat indices (k, size, size)
+    of their blocks in an n x n matrix, so that `m.take(flat)` gathers every
+    block of one size at once.  Callers cap n at SUBSET_ENUM_CAP, and the
+    cached arrays are read-only.
+    """
+    groups, start = [], 0
+    for size in range(1, n + 1):
+        members = np.array(list(combinations(range(n), size)), dtype=np.intp)
+        flat = members[:, :, None] * n + members[:, None, :]
+        members.flags.writeable = flat.flags.writeable = False
+        groups.append((slice(start, start + len(members)), members, flat))
+        start += len(members)
+    return tuple(groups)
+
+
+def _backhaul_slacks(design, active):
+    """Capacity minus backhaul_mv_dl for every subset of the active BSs, in
+    enumerate_subsets order, batched by subset size.
+
+    A subset whose requirement is undefined gets -inf: a diagonal noise
+    power that is not > 0, a non-finite block, a NaN requirement, or a
+    block that is not positive definite.  When a size has such a block,
+    only the block of that size with the smallest eigenvalue is marked.
+    """
+    omega = hermitize(design.omega[np.ix_(active, active)])
+    diag = design.omega.diagonal().real[active]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.log2((np.abs(design.a[active]) ** 2).sum(axis=1) + diag)
+    caps = design.c[active]
+    bad_bs = ~(diag > 0)
+    slack = np.empty(2 ** active.size - 1)
+    for rows, members, flat in _size_groups(active.size):
+        blocks = omega.take(flat)
+        bad = bad_bs[members].any(axis=1) \
+            | ~np.isfinite(blocks).all(axis=(1, 2))
+        blocks[bad] = np.eye(members.shape[1])
+        try:
+            logdet = 2.0 * np.log2(np.linalg.cholesky(blocks).diagonal(
+                axis1=1, axis2=2).real).sum(axis=1)
+        except np.linalg.LinAlgError:
+            # the other blocks of this size go unchecked (+inf slack)
+            logdet = np.full(len(blocks), np.inf)
+            bad[np.argmin(np.linalg.eigvalsh(blocks)[:, 0])] = True
+        # summed member by member, in the order backhaul_mv_dl adds them
+        g = sum(terms.take(members).T) - logdet
+        slack[rows] = np.where(bad, -np.inf, caps.take(members).sum(axis=1) - g)
+    slack[np.isnan(slack)] = -np.inf
+    return slack
+
+
 def feasible_dl(design):
     """Check all subset backhaul conditions and per-BS power constraints.
 
@@ -155,27 +221,31 @@ def feasible_dl(design):
         if slack < margin:
             margin, worst = slack, f"power[{i}]"
 
-    subsets = enumerate_subsets(active)
-    for subset in subsets:
-        cap = float(np.sum(design.c[list(subset)]))
-        try:
-            g = backhaul_mv_dl(design, subset)
-        except (DomainError, NumericalDomainError):
-            margin, worst = -np.inf, f"backhaul{subset}"
-            continue
-        slack = cap - g
-        if slack < margin:
-            margin, worst = slack, f"backhaul{subset}"
+    slack = _backhaul_slacks(design, active)
+    if slack.size:
+        j = int(np.argmin(slack))
+        if slack[j] < margin:
+            margin = slack[j]
+            worst = f"backhaul{enumerate_subsets(active.tolist())[j]}"
 
     return FeasibilityReport(feasible=bool(margin >= -FEASIBILITY_TOL),
                              margin=float(margin),
                              worst_constraint=worst,
-                             n_subsets_checked=len(subsets))
+                             n_subsets_checked=slack.size)
 
 
 # ---------------------------------------------------------------------------
 # optimizer internals
 # ---------------------------------------------------------------------------
+
+def _single_logdets(diag):
+    """log2 det of each 1x1 block of Omega from its real diagonal d, as
+    2 log2(sqrt(d)): a 1x1 Cholesky factor is sqrt(d), so this is the value
+    the factorization gives.  None if an entry is <= 0, where it fails."""
+    if (diag <= 0).any():
+        return None
+    return 2.0 * np.log2(np.sqrt(diag))
+
 
 @dataclass
 class _Point:
@@ -194,7 +264,7 @@ class _Noise:
     """The noise parameters and the Omega they make: Omega = L L^H for a
     complex lower-triangular L (multiterminal), or diag(exp(u)) for a real u
     (point-to-point).  Every point with these parameters shares the object,
-    so Omega's log-dets are factored once, on first use."""
+    so Omega's log-dets and noise form are computed once, on first use."""
 
     def __init__(self, problem, l=None, u=None):
         self.problem, self.l, self.u = problem, l, u
@@ -202,17 +272,25 @@ class _Noise:
             self.omega = l @ l.conj().T
         else:
             self.omega = np.diag(np.exp(u)).astype(complex)
-        self.diag = np.diag(self.omega).real
+        self.diag = self.omega.diagonal().real
 
     @cached_property
     def logdets(self):
         """log2 det of each constrained block of Omega; None if not PD."""
-        try:
-            if self.l is not None:
-                return self.problem._subset_logdets(self.omega)
-            return None if np.any(self.diag <= 0) else np.log2(self.diag)
-        except np.linalg.LinAlgError:
-            return None
+        if self.l is not None:
+            return self.problem._subset_logdets(self.omega)
+        return None if (self.diag <= 0).any() else np.log2(self.diag)
+
+    @cached_property
+    def single_logdets(self):
+        """log2 det of each 1x1 block of Omega (multiterminal)."""
+        return _single_logdets(self.diag)
+
+    @cached_property
+    def qn(self):
+        """Quantization noise power at each MS: hbar_k Omega hbar_k^H."""
+        hbar, hbar_c = self.problem.hbar, self.problem.hbar_c
+        return np.einsum("ki,ij,kj->k", hbar, self.omega, hbar_c).real
 
 
 @dataclass
@@ -231,6 +309,8 @@ class _PrecodingProblem:
     def __init__(self, hbar, weights, caps, p_lim, mode, inner_steps,
                  barrier_rounds):
         self.hbar = hbar                      # (n_ms, n_act) noise-normalized
+        self.hbar_c = hbar.conj()
+        self.hbar_h = self.hbar_c.T
         self.w = np.asarray(weights, dtype=float)
         self.p_lim = np.asarray(p_lim, dtype=float)
         self.mode = mode
@@ -240,51 +320,62 @@ class _PrecodingProblem:
 
         if mode == MODE_MT:
             self.subsets = enumerate_subsets(range(self.n))
-            self.masks = np.zeros((len(self.subsets), self.n), dtype=bool)
+            self.masks = np.zeros((len(self.subsets), self.n))
             for j, s in enumerate(self.subsets):
-                self.masks[j, list(s)] = True
+                self.masks[j, list(s)] = 1.0
             self.subset_caps = self.masks @ caps
-            self.size_groups = {}
-            for size in range(1, self.n + 1):
-                rows = [j for j, s in enumerate(self.subsets) if len(s) == size]
-                gather = np.array([self.subsets[j] for j in rows], dtype=int)
-                self.size_groups[size] = (np.array(rows, dtype=int), gather)
+            self.size_groups = _size_groups(self.n)
+            # every block entry of every subset, in subset order: its flat
+            # index in Omega and the subset it belongs to
+            self.scatter_index = np.concatenate(
+                [flat.ravel() for _, _, flat in self.size_groups])
+            self.entry_subset = np.repeat(np.arange(len(self.subsets)),
+                                          [len(s) ** 2 for s in self.subsets])
         else:
-            self.masks = np.eye(self.n, dtype=bool)
+            self.masks = np.eye(self.n)
             self.subset_caps = np.asarray(caps, dtype=float)
+        # C-ordered: the layout fixes the BLAS summation order of masks^T @ x
+        self.masks_t = np.ascontiguousarray(self.masks.T)
 
     # -- shared quantities -------------------------------------------------
 
     def _tx_power(self, point):
-        return np.sum(np.abs(point.a) ** 2, axis=1) + point.noise.diag
+        return (np.abs(point.a) ** 2).sum(axis=1) + point.noise.diag
 
     def _subset_logdets(self, omega):
-        """log2 det of Omega restricted to every subset (batched by size)."""
+        """log2 det of Omega restricted to every subset (batched by size);
+        None if a block is not positive definite."""
+        single = _single_logdets(omega.diagonal().real)
+        if single is None:
+            return None
         out = np.empty(len(self.subsets))
-        for size, (rows, gather) in self.size_groups.items():
-            sub = omega[gather[:, :, None], gather[:, None, :]]
-            chol = np.linalg.cholesky(sub)
-            diags = np.diagonal(chol, axis1=1, axis2=2).real
-            out[rows] = 2.0 * np.sum(np.log2(diags), axis=1)
+        out[:self.n] = single
+        for rows, _, flat in self.size_groups[1:]:
+            try:
+                chol = np.linalg.cholesky(omega.take(flat))
+            except np.linalg.LinAlgError:
+                return None
+            out[rows] = 2.0 * np.log2(
+                chol.diagonal(axis1=1, axis2=2).real).sum(axis=1)
         return out
 
     def _subset_inv_scatter(self, omega, coeffs):
         """Sum of coeff_S * scatter(inv(Omega_S)) over subsets (for gradients)."""
-        g = np.zeros((self.n, self.n), dtype=complex)
-        for size, (rows, gather) in self.size_groups.items():
-            sub = omega[gather[:, :, None], gather[:, None, :]]
-            inv = np.linalg.inv(sub)
-            scaled = inv * coeffs[rows][:, None, None]
-            np.add.at(g, (gather[:, :, None], gather[:, None, :]), scaled)
-        return g
+        inv = np.concatenate([np.linalg.inv(omega.take(flat)).ravel()
+                              for _, _, flat in self.size_groups])
+        scaled = inv * coeffs[self.entry_subset]
+        # bincount adds the entries in order, as np.add.at would
+        n2 = self.n * self.n
+        g = np.empty(n2, dtype=complex)
+        g.real = np.bincount(self.scatter_index, scaled.real, n2)
+        g.imag = np.bincount(self.scatter_index, scaled.imag, n2)
+        return g.reshape(self.n, self.n)
 
     def _rate_parts(self, point):
         m = self.hbar @ point.a                      # (n_ms, n_ms)
-        qn = np.einsum("ki,ij,kj->k", self.hbar, point.noise.omega,
-                       self.hbar.conj()).real
         sig = np.abs(m) ** 2
-        total = 1.0 + np.sum(sig, axis=1) + qn
-        interf = total - np.diagonal(sig)
+        total = 1.0 + sig.sum(axis=1) + point.noise.qn
+        interf = total - sig.diagonal()
         return m, total, interf
 
     # -- mm_solve protocol ---------------------------------------------------
@@ -300,8 +391,8 @@ class _PrecodingProblem:
             return np.inf
         power = self._tx_power(point)
         g = self.masks @ np.log2(power) - logdets
-        return float(max(np.max(power - self.p_lim),
-                         np.max(g - self.subset_caps)))
+        return float(max((power - self.p_lim).max(),
+                         (g - self.subset_caps).max()))
 
     # -- surrogate construction and inner barrier ascent ---------------------
 
@@ -364,11 +455,19 @@ class _PrecodingProblem:
         ev = _Eval(point)
         power = self._tx_power(point)
         ev.power_slack = self.p_lim - power
-        if np.any(ev.power_slack <= 0) or noise.logdets is None:
+        if (ev.power_slack <= 0).any():
             return ev
-        g_surr = lin_const + self.masks @ (b_slope * power) - noise.logdets
-        ev.bh_slack = self.subset_caps - g_surr
-        if np.any(ev.bh_slack <= 0):
+        g_lin = lin_const + self.masks @ (b_slope * power)
+        if noise.l is not None:
+            # the singleton conditions need no factoring: screen them first
+            single, n = noise.single_logdets, self.n
+            if single is None \
+                    or (self.subset_caps[:n] - (g_lin[:n] - single) <= 0).any():
+                return ev
+        if noise.logdets is None:
+            return ev
+        ev.bh_slack = self.subset_caps - (g_lin - noise.logdets)
+        if (ev.bh_slack <= 0).any():
             return ev
         ev.rate_parts = self._rate_parts(point)
         _, total, interf = ev.rate_parts
@@ -379,8 +478,8 @@ class _PrecodingProblem:
         """Surrogate plus mu times the log-barrier; -inf outside its domain."""
         if ev.surr is None:
             return -np.inf
-        return ev.surr + mu * (np.sum(np.log(ev.power_slack))
-                               + np.sum(np.log(ev.bh_slack)))
+        return ev.surr + mu * (np.log(ev.power_slack).sum()
+                               + np.log(ev.bh_slack).sum())
 
     def _gradient(self, ev, tangent, mu, block):
         """Gradient of the barrier value in one block: A, or the noise
@@ -391,24 +490,23 @@ class _PrecodingProblem:
         alpha = self.w / (total * LN2)
 
         # coefficient on d(power_i) collecting barrier terms
-        coef_t = -mu / ev.power_slack \
-            - b_slope * (self.masks.T @ (mu / ev.bh_slack))
+        bh_coef = mu / ev.bh_slack
+        coef_t = -mu / ev.power_slack - b_slope * (self.masks_t @ bh_coef)
 
         if block == "a":
             m_off = m.copy()
             np.fill_diagonal(m_off, 0.0)
-            return self.hbar.conj().T @ (alpha[:, None] * m) \
-                - self.hbar.conj().T @ (s_coef[:, None] * m_off) \
+            return self.hbar_h @ (alpha[:, None] * m) \
+                - self.hbar_h @ (s_coef[:, None] * m_off) \
                 + coef_t[:, None] * point.a
 
         quad_coef = alpha - s_coef
         if noise.l is not None:
-            gq = self.hbar.conj().T @ (quad_coef[:, None] * self.hbar)
-            g_inv = self._subset_inv_scatter(noise.omega,
-                                             mu / ev.bh_slack) / LN2
+            gq = self.hbar_h @ (quad_coef[:, None] * self.hbar)
+            g_inv = self._subset_inv_scatter(noise.omega, bh_coef) / LN2
             return np.tril((gq + np.diag(coef_t) + g_inv) @ noise.l)
-        qcoef = np.sum(quad_coef[:, None] * np.abs(self.hbar) ** 2, axis=0)
-        domega = qcoef + coef_t + (mu / ev.bh_slack) / (noise.diag * LN2)
+        qcoef = (quad_coef[:, None] * np.abs(self.hbar) ** 2).sum(axis=0)
+        domega = qcoef + coef_t + bh_coef / (noise.diag * LN2)
         # diag is exp(u), so this is the chain rule through omega = exp(u)
         return domega * noise.diag
 
@@ -417,8 +515,8 @@ class _PrecodingProblem:
         if block == "a":
             return _Point(a=point.a + eta * grad, noise=noise)
         if noise.l is not None:
-            return _Point(a=point.a,
-                          noise=_Noise(self, l=np.tril(noise.l + eta * grad)))
+            # L and its gradient are lower-triangular, so the step is too
+            return _Point(a=point.a, noise=_Noise(self, l=noise.l + eta * grad))
         return _Point(a=point.a, noise=_Noise(
             self, u=np.clip(noise.u + eta * grad, *_U_CLIP)))
 
@@ -431,7 +529,7 @@ class _PrecodingProblem:
         The signal share is halved until every backhaul constraint holds
         strictly; fails loudly naming the binding constraint.
         """
-        a_unit = self.hbar.conj().T.astype(complex)
+        a_unit = self.hbar_h.astype(complex)
         norms = np.linalg.norm(a_unit, axis=0)
         norms[norms == 0] = 1.0
         a_unit = a_unit / norms
@@ -508,11 +606,11 @@ def optimize_dl(channel, c, p_bs, weights, mode, init=None,
         raise DomainError("power limits must be positive")
     if np.any(c < 0):
         raise DomainError("backhaul capacities must be nonnegative")
-    if channel.n_bs > SUBSET_ENUM_CAP:
-        raise DomainError(f"subset enumeration capped at {SUBSET_ENUM_CAP} BSs")
-
     n_bs, n_ms = channel.n_bs, channel.n_ms
     active = np.flatnonzero(c > 0)
+    if active.size > SUBSET_ENUM_CAP:
+        raise DomainError(f"subset enumeration capped at {SUBSET_ENUM_CAP} "
+                          f"active BSs (got {active.size})")
     if active.size == 0:
         design = DownlinkDesign(a=np.zeros((n_bs, n_ms), dtype=complex),
                                 omega=np.zeros((n_bs, n_bs), dtype=complex),

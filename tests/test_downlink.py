@@ -1,7 +1,10 @@
+import ast
+from functools import cached_property
+
 import numpy as np
 import pytest
 
-from cransim import downlink
+from cransim import downlink, harness
 from cransim.channel import ChannelRealization
 from cransim.errors import DomainError, NumericalDomainError
 from helpers import cn_samples, colored_noise, mi_from_samples, rand_channel
@@ -190,6 +193,121 @@ def test_feasible_dl_inactive_bs_must_be_silent():
     assert "inactive" in report.worst_constraint
 
 
+def backhaul_margin_oracle(design):
+    """Worst subset slack of feasible_dl, one backhaul_mv_dl call per subset:
+    -inf where the requirement is undefined (raises, or is NaN)."""
+    worst = np.inf
+    for subset in downlink.enumerate_subsets(design.active):
+        try:
+            g = downlink.backhaul_mv_dl(design, subset)
+        except (DomainError, NumericalDomainError):
+            return -np.inf
+        if np.isnan(g):
+            return -np.inf
+        worst = min(worst, float(np.sum(design.c[list(subset)])) - g)
+    return worst
+
+
+def power_margin_oracle(design):
+    """Worst power slack of feasible_dl, and the leak of any inactive BS."""
+    worst = np.inf
+    scale = max(float(np.max(design.p_bs, initial=0.0)), 1e-30)
+    for i in range(design.a.shape[0]):
+        if design.c[i] > 0:
+            worst = min(worst, design.p_bs[i] - downlink.tx_power(design, i))
+            continue
+        leak = downlink.tx_power(design, i) \
+            + float(np.sum(np.abs(design.omega[i])))
+        if leak > 1e-10 * scale:
+            worst = min(worst, -leak)
+    return worst
+
+
+def assert_feasible_dl_matches_oracle(design):
+    report = downlink.feasible_dl(design)
+    bh = backhaul_margin_oracle(design)
+    expected = min(power_margin_oracle(design), bh)
+    assert report.feasible == (expected >= -1e-7)
+    assert report.margin == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert report.n_subsets_checked == 2 ** design.active.size - 1
+    if bh == -np.inf:
+        # the named subset is one whose requirement is undefined
+        assert report.worst_constraint.startswith("backhaul(")
+        subset = ast.literal_eval(report.worst_constraint[len("backhaul"):])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            try:
+                g = downlink.backhaul_mv_dl(design, subset)
+            except (DomainError, NumericalDomainError):
+                g = np.nan
+        assert np.isnan(g)
+    return report
+
+
+def test_feasible_dl_batched_matches_per_subset_loop():
+    rng = np.random.default_rng(56)
+    verdicts = set()
+    for trial in range(60):
+        n_bs = int(rng.integers(1, 7))
+        a = cn_samples(rng, (n_bs, 3), rng.uniform(0.1, 2.0))
+        l = np.tril(cn_samples(rng, (n_bs, n_bs))) \
+            + rng.uniform(0.1, 1.0) * np.eye(n_bs)
+        c = rng.uniform(0.5, 6.0, n_bs)
+        p_bs = rng.uniform(2.0, 20.0, n_bs)
+        if n_bs > 1 and trial % 3 == 0:        # an inactive BS, silent or not
+            i = int(rng.integers(n_bs))
+            c[i] = 0.0
+            if trial % 2:
+                a[i] = 0.0
+                l[i] = 0.0
+        design = make_design(a, l @ l.conj().T, c=c, p_bs=p_bs)
+        verdicts.add(assert_feasible_dl_matches_oracle(design).feasible)
+    assert verdicts == {True, False}
+
+
+def test_feasible_dl_undefined_blocks_give_minus_infinity():
+    a = 0.1 * np.ones((3, 2), dtype=complex)
+    c, p_bs = np.full(3, 50.0), np.full(3, 10.0)
+    not_pd = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
+    nan_entry = 0.5 * np.eye(3, dtype=complex)
+    nan_entry[0, 2] = nan_entry[2, 0] = np.nan
+    pair_not_pd = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    zero_diag = np.diag([0.5, 0.0, 0.5])
+    nan_precoder = a.copy()
+    nan_precoder[2, 1] = np.nan
+    for a_, omega in ((a, not_pd), (a, pair_not_pd), (a, nan_entry),
+                      (a, zero_diag), (nan_precoder, 0.5 * np.eye(3))):
+        report = assert_feasible_dl_matches_oracle(
+            make_design(a_, omega, c=c, p_bs=p_bs))
+        assert not report.feasible and report.margin == -np.inf
+    # the zero diagonal of a silent inactive BS is no subset's business
+    quiet = a.copy()
+    quiet[1] = 0.0
+    report = assert_feasible_dl_matches_oracle(
+        make_design(quiet, zero_diag, c=np.array([50.0, 0.0, 50.0]),
+                    p_bs=p_bs))
+    assert report.feasible and report.n_subsets_checked == 3
+
+
+def test_feasible_dl_matches_loop_on_sweep_designs(monkeypatch):
+    designs = []
+    optimize = downlink.optimize_dl
+
+    def recorded(*args, **kwargs):
+        result = optimize(*args, **kwargs)
+        designs.append(result.design)
+        return result
+
+    monkeypatch.setattr(downlink, "optimize_dl", recorded)
+    cfg = harness.ExperimentConfig(**{**harness.PRESETS["dl-sweep-b"],
+                                      "alpha": 2.0, "slots": 2, "drops": 1,
+                                      "seed": 1, "jobs": 1})
+    harness.run_experiment(cfg)
+    assert len(designs) == 4
+    assert {d.mode for d in designs} == {"point_to_point", "multiterminal"}
+    for design in designs:
+        assert assert_feasible_dl_matches_oracle(design).feasible
+
+
 def test_optimize_single_link_grid_oracle():
     # one BS, one MS: brute-force the (signal, noise) power split
     ch = dl_channel([[0.9 - 0.4j]], [1.0])
@@ -271,6 +389,20 @@ def test_optimize_validates_inputs():
     with pytest.raises(DomainError):
         downlink.optimize_dl(ch, np.ones(2), np.ones(2),
                              np.array([1.0, -2.0]), "point_to_point")
+
+
+@pytest.mark.parametrize("mode", ["point_to_point", "multiterminal"])
+def test_subset_cap_counts_active_bss_only(mode):
+    rng = np.random.default_rng(57)
+    ch = rand_channel(rng, 17, 2)
+    c = np.zeros(17)
+    c[[2, 9, 16]] = rng.uniform(1.0, 3.0, 3)
+    res = downlink.optimize_dl(ch, c, np.full(17, 4.0), np.ones(2), mode)
+    assert np.all(res.design.a[c == 0] == 0) and res.objective > 0
+    assert downlink.feasible_dl(res.design).feasible
+    with pytest.raises(DomainError):
+        downlink.optimize_dl(ch, np.ones(17), np.full(17, 4.0), np.ones(2),
+                             mode)
 
 
 def test_p2p_mode_design_has_diagonal_omega():
@@ -417,3 +549,81 @@ def test_inner_gradients_match_finite_differences(mode):
                 fd[idx] += (shifted(1) - shifted(-1)) / (2 * h) * d / len(dirs)
         err = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
         assert err < 1e-5, (block, err)
+
+
+def mt_problem(rng, n, n_ms=3):
+    hbar = rand_channel(rng, n, n_ms).h_dl
+    return downlink._PrecodingProblem(
+        hbar, np.ones(n_ms), rng.uniform(1.0, 3.0, n), np.ones(n),
+        "multiterminal", downlink.INNER_STEPS, downlink.BARRIER_ROUNDS)
+
+
+def random_omega(rng, n):
+    """A generic Omega = L L^H, made as the multiterminal solver makes it."""
+    l = np.tril(cn_samples(rng, (n, n))) + rng.uniform(0.05, 1.0) * np.eye(n)
+    return downlink._Noise(None, l=l).omega
+
+
+def test_subset_logdets_match_per_subset_cholesky():
+    rng = np.random.default_rng(58)
+    for n in range(1, 7):
+        problem = mt_problem(rng, n)
+        for _ in range(40):
+            omega = random_omega(rng, n)
+            oracle = [2.0 * np.sum(np.log2(np.diagonal(np.linalg.cholesky(
+                omega[np.ix_(s, s)])).real)) for s in problem.subsets]
+            assert np.array_equal(problem._subset_logdets(omega), oracle)
+    omega = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex)
+    assert mt_problem(rng, 2)._subset_logdets(omega) is None
+    assert mt_problem(rng, 2)._subset_logdets(np.diag([1.0, 0.0])) is None
+
+
+def test_subset_inv_scatter_matches_add_at():
+    rng = np.random.default_rng(59)
+    for n in range(1, 7):
+        problem = mt_problem(rng, n)
+        for _ in range(40):
+            omega = random_omega(rng, n)
+            coeffs = rng.uniform(0.0, 2.0, len(problem.subsets))
+            oracle = np.zeros((n, n), dtype=complex)
+            for size in range(1, n + 1):
+                rows = [j for j, s in enumerate(problem.subsets)
+                        if len(s) == size]
+                gather = np.array([problem.subsets[j] for j in rows])
+                idx = (gather[:, :, None], gather[:, None, :])
+                scaled = np.linalg.inv(omega[idx]) \
+                    * coeffs[rows][:, None, None]
+                np.add.at(oracle, idx, scaled)
+            assert np.array_equal(problem._subset_inv_scatter(omega, coeffs),
+                                  oracle)
+
+
+def test_inner_step_forms_each_noise_term_once(monkeypatch):
+    """Within one inner solve, the quantization-noise form of each Omega is
+    computed at most once: A-steps reuse it from the point they step from."""
+    steps, active = [], []
+    qn, step = downlink._Noise.qn.func, downlink._PrecodingProblem.step
+
+    def counted_qn(self):
+        if active:
+            active[-1].append(self.omega.tobytes())
+        return qn(self)
+
+    def counted_step(self, point):
+        active.append([])
+        try:
+            return step(self, point)
+        finally:
+            steps.append(active.pop())
+
+    counted = cached_property(counted_qn)
+    counted.__set_name__(downlink._Noise, "qn")
+    monkeypatch.setattr(downlink._Noise, "qn", counted)
+    monkeypatch.setattr(downlink._PrecodingProblem, "step", counted_step)
+    rng = np.random.default_rng(54)
+    ch = rand_channel(rng, 4, 3)
+    downlink.optimize_dl(ch, rng.uniform(1.0, 4.0, 4), rng.uniform(2.0, 8.0, 4),
+                         np.ones(3), "multiterminal", mm_max_iter=3)
+    assert sum(map(len, steps)) > len(steps) > 0
+    for calls in steps:
+        assert len(set(calls)) == len(calls)
