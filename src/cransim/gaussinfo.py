@@ -19,7 +19,14 @@ def hermitize(m):
 
 
 def cholesky(m):
-    """Lower Cholesky factor of a positive definite Hermitian matrix."""
+    """Lower Cholesky factor of a positive definite Hermitian matrix.
+
+    A non-finite entry raises: LAPACK passes NaN through into the factor
+    instead of failing.  A finite positive definite matrix has a finite
+    factor, since |L_ij| <= sqrt(m_ii).
+    """
+    if not np.isfinite(m).all():
+        raise NumericalDomainError("matrix has non-finite entries")
     m = hermitize(m)
     try:
         return np.linalg.cholesky(m)

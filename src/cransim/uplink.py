@@ -11,18 +11,24 @@ identical backhaul capacity can afford.
 The per-slot design runs in two steps: MS transmit powers are optimized for
 ideal backhaul by projected-gradient ascent of the weighted sum rate over
 the power box, then the quantization noise powers follow in closed form from
-the backhaul capacities held at equality.
+the backhaul capacities held at equality.  The power solve sees only the
+channel, the weights divided by their largest and the power limits, so the
+two modes of a slot share one solve whenever their weights match.
 
 Rates treat interference as noise.  One Cholesky factor of the received
 covariance M gives G = H^H M^-1 H, and from G every rate
-r_k = -log2(1 - p_k G_kk) and the gradient of the weighted sum rate.
+r_k = -log2(1 - p_k G_kk) and the gradient of the weighted sum rate.  After
+the power solve, one left-looking Cholesky of M in decompression order gives
+the noise powers, each fixed just before its column, and the factor that
+yields the rates; the order itself comes from the diagonal of M.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalDomainError
 from .gaussinfo import LN2, cholesky
 from .mmopt import INNER_TOL, MM_MAX_ITER, MM_TOL, mm_solve
 
@@ -73,29 +79,6 @@ def bs_signal_variance(p, channel, i):
                  + channel.sigma2_z_ul[i])
 
 
-def conditional_signal_variance(p, omega, order, position, channel):
-    """Variance of y at order[position] given the previously recovered signals.
-
-    Computed as the marginal variance minus a sum-of-squares reduction term,
-    which keeps the result <= the marginal value in exact arithmetic and in
-    floating point alike.
-    """
-    i = order[position]
-    p = np.asarray(p, dtype=float)
-    h_i = channel.h_ul[i]
-    marginal = bs_signal_variance(p, channel, i)
-    prev = np.asarray(order[:position], dtype=int)
-    if prev.size == 0:
-        return marginal
-    h_prev = channel.h_ul[prev]
-    cov_prev = (h_prev * p) @ h_prev.conj().T \
-        + np.diag(channel.sigma2_z_ul[prev] + np.asarray(omega)[prev])
-    cross = h_prev @ (p * h_i.conj())
-    w = np.linalg.solve(cholesky(cov_prev), cross)
-    reduction = float(np.real(w.conj() @ w))
-    return marginal - reduction
-
-
 def _backhaul_bits(signal_var, omega):
     if not omega > 0:
         raise DomainError("quantization noise power must be > 0")
@@ -113,11 +96,54 @@ def backhaul_wz(design, channel, position):
 
     The conditional variance of the signal given the previously decompressed
     ones replaces the marginal variance; position 0 coincides with the
-    point-to-point rate.
+    point-to-point rate.  It is the marginal variance minus a sum of squares
+    from a fresh factor of the earlier signals' covariance, which keeps it
+    <= the marginal value, and is independent of the one-factor recursion
+    the design uses, so it re-checks designs.
     """
-    var = conditional_signal_variance(design.p, design.omega, design.order,
-                                      position, channel)
-    return _backhaul_bits(var, design.omega[design.order[position]])
+    order, p = design.order, design.p
+    i = order[position]
+    var = bs_signal_variance(p, channel, i)
+    prev = np.asarray(order[:position], dtype=int)
+    if prev.size:
+        h_prev = channel.h_ul[prev]
+        cov_prev = (h_prev * p) @ h_prev.conj().T \
+            + np.diag(channel.sigma2_z_ul[prev] + design.omega[prev])
+        w = np.linalg.solve(cholesky(cov_prev),
+                            h_prev @ (p * channel.h_ul[i].conj()))
+        var -= float(np.real(w.conj() @ w))
+    return _backhaul_bits(var, design.omega[i])
+
+
+def _noise_and_factor(p, order, c, channel, mode):
+    """Noise powers at backhaul equality and the factor of M they give.
+
+    One left-looking Cholesky of M = H diag(p) H^H + diag(sigma2 + omega)
+    runs over the BSs in `order` (an index array), in that order.  Just
+    before column j, ||L[j,:j]||^2 is the part of y_j's variance
+    a_jj = M_jj - omega_j that the signals decompressed before it explain,
+    so multiterminal mode sets omega_j = (a_jj - ||L[j,:j]||^2)/(2^c_j - 1);
+    point-to-point mode uses a_jj alone.  Returns (omega, L): omega over all
+    BSs, np.inf outside `order`, and L in decompression order.
+    """
+    h = channel.h_ul[order]
+    s = (h * p) @ h.conj().T
+    a = (s.diagonal().real + channel.sigma2_z_ul[order]).tolist()
+    omega = np.full(channel.n_bs, np.inf)
+    chol = np.zeros(s.shape, dtype=complex)
+    for j, i in enumerate(order.tolist()):
+        row = chol[j, :j]
+        explained = float(np.vdot(row, row).real)
+        var = a[j] - explained if mode == MODE_MT else a[j]
+        omega[i] = var / (2.0 ** c[i] - 1.0)
+        pivot = a[j] + omega[i] - explained
+        if not pivot > 0:
+            raise NumericalDomainError(
+                f"received covariance is not positive definite "
+                f"(pivot {pivot:.6e} at decompression position {j})")
+        chol[j, j] = d = math.sqrt(pivot)
+        chol[j + 1:, j] = (s[j + 1:, j] - chol[j + 1:, :j] @ row.conj()) / d
+    return omega, chol
 
 
 def omega_closed_form(p, order, c, channel, mode):
@@ -128,20 +154,16 @@ def omega_closed_form(p, order, c, channel, mode):
     recovered with their already-fixed noise powers; point-to-point mode
     uses the marginal variances.  BSs outside `order` get np.inf.
     """
+    if mode not in (MODE_P2P, MODE_MT):
+        raise DomainError(f"unknown mode {mode!r}")
     c = np.asarray(c, dtype=float)
-    omega = np.full(channel.n_bs, np.inf)
-    for pos, i in enumerate(order):
-        if c[i] <= 0:
-            raise DomainError(
-                f"BS {i} has no backhaul capacity; drop it from the order")
-        if mode == MODE_MT:
-            var = conditional_signal_variance(p, omega, order, pos, channel)
-        elif mode == MODE_P2P:
-            var = bs_signal_variance(p, channel, i)
-        else:
-            raise DomainError(f"unknown mode {mode!r}")
-        omega[i] = var / (2.0 ** c[i] - 1.0)
-    return omega
+    order = np.asarray(order, dtype=int)
+    unserved = order[c[order] <= 0]
+    if unserved.size:
+        raise DomainError(f"BS {unserved[0]} has no backhaul capacity; "
+                          f"drop it from the order")
+    return _noise_and_factor(np.asarray(p, dtype=float), order, c, channel,
+                             mode)[0]
 
 
 def _factor(h, d, p):
@@ -183,14 +205,22 @@ def rates_ul(design, channel):
     return _rates_from(x, design.p)
 
 
-def decompression_order(p, channel, c, n_macro):
-    """Macro antennas first, then picos, each group by descending signal power."""
-    active = np.flatnonzero(np.asarray(c, dtype=float) > 0)
-    sv = np.array([bs_signal_variance(p, channel, i) for i in active])
-    macros = active < min(n_macro, channel.n_bs)
-    order = [int(i) for i in active[macros][np.argsort(-sv[macros], kind="stable")]]
-    order += [int(i) for i in active[~macros][np.argsort(-sv[~macros], kind="stable")]]
-    return tuple(order)
+def _design_and_rates(p, channel, c, mode, n_macro):
+    """The closed-form step of the design at powers p: (UplinkDesign, rates).
+
+    The active BSs are decompressed macro antennas first, then picos, each
+    group by descending received signal power a_ii (stable), which is the
+    diagonal of M without quantization noise.  One factor of M in that
+    order gives the noise powers and all K rates.
+    """
+    active = np.flatnonzero(c > 0)
+    power = np.sum(p * np.abs(channel.h_ul[active]) ** 2, axis=1) \
+        + channel.sigma2_z_ul[active]
+    order = active[np.lexsort((-power, active >= n_macro))]
+    omega, chol = _noise_and_factor(p, order, c, channel, mode)
+    design = UplinkDesign(p=p, omega=omega, order=tuple(order.tolist()), c=c,
+                          mode=mode)
+    return design, _rates_from(np.linalg.solve(chol, channel.h_ul[order]), p)
 
 
 # accepted ascent steps per call of _PowerProblem.step
@@ -207,6 +237,9 @@ class _PowerProblem:
     gradient with Armijo backtracking, in units q = p / p_max.  The value at
     a point and its gradient, w_tot G_jj / ln 2 minus the gradient of
     sum_k w_k psi_k, come from one Cholesky factor of M at that point.
+    Every point is factored once: mm_solve scores the point `step` has just
+    returned, each step starts from it, and a trial step may land on a box
+    vertex it has tried before.
     """
 
     def __init__(self, h, sigma2, weights, p_max):
@@ -214,11 +247,15 @@ class _PowerProblem:
         self.sigma2 = sigma2
         self.weights = np.asarray(weights, dtype=float)
         self.p_max = np.asarray(p_max, dtype=float)
+        self._evaluated = {}            # p bytes -> (X, objective)
 
     def _evaluate(self, p):
         """X = L^-1 H and the objective at p."""
-        x = _factor(self.h, self.sigma2, p)
-        return x, float(self.weights @ _rates_from(x, p))
+        key = p.tobytes()
+        if key not in self._evaluated:
+            x = _factor(self.h, self.sigma2, p)
+            self._evaluated[key] = x, float(self.weights @ _rates_from(x, p))
+        return self._evaluated[key]
 
     def objective(self, p):
         return self._evaluate(p)[1]
@@ -270,12 +307,35 @@ class _PowerProblem:
         return p
 
 
+# (key, powers, MMTrace) of the last power solve in this process, keyed by
+# the content of everything the solve reads
+_last_power_solve = []
+
+
+def _power_solve(h, sigma2, weights, p_max, mm_tol, mm_max_iter):
+    """mm_solve of the power problem, reusing the last solve when its inputs
+    are equal (the two modes of a slot whose weights match); every caller
+    gets its own copy of the powers and of the trace."""
+    key = (h.shape, h.tobytes(), sigma2.tobytes(), weights.tobytes(),
+           p_max.tobytes(), mm_tol, mm_max_iter)
+    if not _last_power_solve or _last_power_solve[0][0] != key:
+        p, trace = mm_solve(_PowerProblem(h, sigma2, weights, p_max),
+                            p_max.copy(), tol=mm_tol, max_iter=mm_max_iter)
+        _last_power_solve[:] = [(key, p, trace)]
+    _, p, trace = _last_power_solve[0]
+    return p.copy(), replace(trace, objective=list(trace.objective),
+                             violation=list(trace.violation),
+                             warnings=list(trace.warnings))
+
+
 def optimize_ul(channel, c, weights, mode, p_max, n_macro=3,
                 mm_tol=MM_TOL, mm_max_iter=MM_MAX_ITER):
     """Two-step uplink design: ideal-backhaul powers, then closed-form noise.
 
     Returns an UplinkResult whose trace flags non-convergence instead of
-    raising.  BSs with zero capacity are dropped from all assemblies.
+    raising.  BSs with zero capacity are dropped from all assemblies.  A
+    call whose power solve reads the same inputs as the last one in this
+    process, as the other mode of a slot with equal weights does, reuses it.
     """
     c = np.asarray(c, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -291,14 +351,9 @@ def optimize_ul(channel, c, weights, mode, p_max, n_macro=3,
     active = np.flatnonzero(c > 0)
     # weights divided by their largest, so that neither the first trial step
     # nor the stopping tests (relative to max(1, objective)) see their scale
-    problem = _PowerProblem(channel.h_ul[active], channel.sigma2_z_ul[active],
-                            weights / (np.max(weights) or 1.0), p_max)
-    p_star, trace = mm_solve(problem, p_max.copy(), tol=mm_tol,
-                             max_iter=mm_max_iter)
-
-    order = decompression_order(p_star, channel, c, n_macro)
-    omega = omega_closed_form(p_star, order, c, channel, mode)
-    design = UplinkDesign(p=p_star, omega=omega, order=order, c=c, mode=mode)
-    rates = rates_ul(design, channel)
+    p_star, trace = _power_solve(
+        channel.h_ul[active], channel.sigma2_z_ul[active],
+        weights / (np.max(weights) or 1.0), p_max, mm_tol, mm_max_iter)
+    design, rates = _design_and_rates(p_star, channel, c, mode, n_macro)
     return UplinkResult(design=design, rates=rates,
                         objective=float(weights @ rates), trace=trace)

@@ -90,6 +90,24 @@ def ul_rates_oracle(h, d, p):
                      for k in range(h.shape[1])])
 
 
+def ul_omega_prefix_oracle(h, d, p, order, c, mode):
+    """Uplink noise powers with every backhaul constraint at equality, fixed
+    one BS at a time along `order`: the variance of y_i (conditioned in
+    multiterminal mode on the earlier y_hat, by an explicit Schur complement
+    of their summed covariance) over 2^c_i - 1.  np.inf outside `order`."""
+    cov = received_cov_oracle(h, d, p)
+    omega = np.full(h.shape[0], np.inf)
+    for pos, i in enumerate(order):
+        var = cov[i, i].real
+        prev = list(order[:pos])
+        if mode == "multiterminal" and prev:
+            block = cov[np.ix_(prev, prev)] + np.diag(omega[prev])
+            cross = cov[prev, i]
+            var -= np.real(cross.conj() @ np.linalg.solve(block, cross))
+        omega[i] = var / (2.0 ** c[i] - 1.0)
+    return omega
+
+
 def ul_objective_oracle(h, d, p, w):
     """sum_k w_k r_k over the MSs with nonzero weight."""
     rates = ul_rates_oracle(h, d, p)

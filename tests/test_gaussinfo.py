@@ -32,3 +32,14 @@ def test_logdet2_monotone_under_psd_order():
         m1 = rand_psd(rng, 4)
         m2 = m1 + rand_psd(rng, 4, scale=0.5)
         assert gaussinfo.logdet2(m1) <= gaussinfo.logdet2(m2) + 1e-12
+
+
+def test_cholesky_rejects_non_finite_input():
+    # LAPACK factors [[1, nan], [nan, 1]] into [[1, 0], [nan, nan]] without
+    # an error; the kernel raises instead
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.array([[1.0, bad], [bad, 1.0]])
+        with pytest.raises(NumericalDomainError, match="non-finite"):
+            gaussinfo.cholesky(m)
+        with pytest.raises(NumericalDomainError):
+            gaussinfo.logdet2(np.diag([1.0, bad]))

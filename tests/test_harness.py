@@ -162,6 +162,29 @@ def test_mode_both_is_aligned_with_single_mode_runs():
                           solo.metrics["point_to_point"].rates)
 
 
+def test_mode_both_shares_the_power_solve_at_alpha_zero(monkeypatch):
+    # at alpha = 0 both modes weigh every MS alike, so each slot solves the
+    # powers once; the multiterminal rates are those of a run without p2p
+    calls = []
+    solve = uplink.mm_solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(uplink, "mm_solve", counting)
+    base = dict(direction="uplink", k_ms=2, n_pico=1, c_macro=3.0,
+                c_pico=1.0, alpha=0.0, slots=2, drops=2, seed=11,
+                solver=fast_solver())
+    both = harness.run_experiment(
+        harness.ExperimentConfig(mode="both", **base))
+    assert len(calls) == 2 * 2
+    solo = harness.run_experiment(
+        harness.ExperimentConfig(mode="multiterminal", **base))
+    assert np.array_equal(both.metrics["multiterminal"].rates,
+                          solo.metrics["multiterminal"].rates)
+
+
 def test_paired_dominance_at_alpha_zero():
     cfg = harness.ExperimentConfig(direction="uplink", mode="both", k_ms=3,
                                    n_pico=2, c_macro=3.0, c_pico=1.0,

@@ -3,9 +3,10 @@ import pytest
 
 from cransim import uplink
 from cransim.channel import ChannelRealization
-from cransim.errors import DomainError
+from cransim.errors import DomainError, NumericalDomainError
 from helpers import (cn_samples, mi_from_samples, rand_channel,
-                     ul_objective_oracle, ul_rates_oracle, ul_slopes_oracle)
+                     ul_objective_oracle, ul_omega_prefix_oracle,
+                     ul_rates_oracle, ul_slopes_oracle)
 
 
 def unit_channel(h, sigma2_ul):
@@ -361,3 +362,148 @@ def test_power_solve_ignores_weight_scale():
             p = uplink.optimize_ul(ch, np.ones(n_bs), scale * w,
                                    "point_to_point", p_max=1.0).design.p
             assert np.allclose(p, base, rtol=0.0, atol=1e-9), scale
+
+
+def _decompression_order_oracle(p, ch, c, n_macro):
+    """The decompression order rule, one BS at a time: macro antennas first,
+    then picos, each group by descending received signal power (stable)."""
+    active = np.flatnonzero(c > 0)
+    sv = np.array([uplink.bs_signal_variance(p, ch, i) for i in active])
+    macros = active < min(n_macro, ch.n_bs)
+    order = [int(i) for i in
+             active[macros][np.argsort(-sv[macros], kind="stable")]]
+    order += [int(i) for i in
+              active[~macros][np.argsort(-sv[~macros], kind="stable")]]
+    return tuple(order)
+
+
+def test_one_factor_noise_order_and_rates_match_oracles():
+    # one left-looking factor gives the order, every noise power and all K
+    # rates; each against its own oracle, in both modes, with MSs at zero
+    # power and BSs without backhaul
+    rng = np.random.default_rng(39)
+    for trial in range(1000):
+        n_bs, n_ms = int(rng.integers(1, 8)), int(rng.integers(1, 6))
+        ch = rand_channel(rng, n_bs, n_ms)
+        p = rng.uniform(0.0, 2.0, n_ms)
+        p[rng.random(n_ms) < 0.25] = 0.0
+        c = rng.uniform(0.5, 8.0, n_bs)
+        c[rng.random(n_bs) < 0.25] = 0.0
+        n_macro = int(rng.integers(0, n_bs + 1))
+        mode = ("point_to_point", "multiterminal")[trial % 2]
+
+        design, rates = uplink._design_and_rates(p, ch, c, mode, n_macro)
+        order = _decompression_order_oracle(p, ch, c, n_macro)
+        assert design.order == order
+        want = ul_omega_prefix_oracle(ch.h_ul, ch.sigma2_z_ul, p, order, c,
+                                      mode)
+        served = c > 0
+        assert np.array_equal(np.isinf(design.omega), ~served)
+        assert np.all(np.abs(design.omega[served] - want[served])
+                      <= 1e-12 * want[served])
+        assert np.array_equal(
+            uplink.omega_closed_form(p, order, c, ch, mode), design.omega)
+        assert _close(rates, uplink.rates_ul(design, ch))
+
+
+def test_one_factor_rejects_nan_pivot():
+    # a NaN noise power or channel entry reaches a pivot and raises, at the
+    # first position and at a later one, instead of flowing into the rates
+    for h, sigma2 in (([[1.0], [0.5]], [np.nan, 1.0]),
+                      ([[1.0], [0.5]], [1.0, np.nan]),
+                      ([[1.0], [np.nan]], [1.0, 1.0])):
+        ch = unit_channel(h, sigma2)
+        for mode in ("point_to_point", "multiterminal"):
+            with pytest.raises(NumericalDomainError):
+                uplink.omega_closed_form(np.array([1.0]), (0, 1),
+                                         np.ones(2), ch, mode)
+
+
+def test_optimize_factors_each_power_point_once(monkeypatch):
+    # mm_solve scores the point a power step has just returned, the next
+    # step starts from it, and trial steps can land on a box vertex tried
+    # before; each point is still factored once per solve
+    keys = []
+    factor = uplink._factor
+
+    def recording(h, d, p):
+        keys.append(p.tobytes())
+        return factor(h, d, p)
+
+    monkeypatch.setattr(uplink, "_factor", recording)
+    rng = np.random.default_rng(40)
+    evaluated = 0
+    for _ in range(1000):
+        n_bs, n_ms = int(rng.integers(1, 8)), int(rng.integers(1, 6))
+        h = cn_samples(rng, (n_bs, n_ms)) \
+            * np.sqrt(10.0 ** rng.uniform(-1.0, 3.0, (n_bs, n_ms)))
+        ch = unit_channel(h, rng.uniform(0.5, 2.0, n_bs))
+        keys.clear()
+        uplink.optimize_ul(ch, np.ones(n_bs), 10.0 ** rng.uniform(-3, 3, n_ms),
+                           "multiterminal", rng.uniform(0.5, 2.0, n_ms))
+        assert len(set(keys)) == len(keys)
+        evaluated += len(keys)
+    assert evaluated > 1000      # every solve factors its start point
+
+    # a trial step that returns to an earlier vertex, not only to the last
+    # point, is not factored again
+    problem = uplink._PowerProblem(ch.h_ul, ch.sigma2_z_ul, np.ones(n_ms),
+                                   np.ones(n_ms))
+    keys.clear()
+    for p in (np.ones(n_ms), np.zeros(n_ms), np.ones(n_ms)):
+        problem.objective(p)
+    assert len(keys) == 2
+
+
+def test_power_solve_shared_only_between_equal_inputs(monkeypatch):
+    calls = []
+    solve = uplink.mm_solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(uplink, "mm_solve", counting)
+    rng = np.random.default_rng(41)
+    ch = rand_channel(rng, 3, 2)
+    c, w, p_max = np.ones(3), np.array([0.5, 1.0]), np.array([1.0, 0.8])
+
+    # the solve sees the weights divided by their largest, so a scaled copy
+    # under the other mode shares it; each result owns its powers and trace
+    p2p = uplink.optimize_ul(ch, c, w, "point_to_point", p_max)
+    mt = uplink.optimize_ul(ch, c, 3.0 * w, "multiterminal", p_max)
+    assert len(calls) == 1
+    assert np.array_equal(p2p.design.p, mt.design.p)
+    assert p2p.design.p is not mt.design.p
+    assert p2p.trace == mt.trace and p2p.trace is not mt.trace
+    p_star = p2p.design.p.copy()
+    p2p.design.p[:] = 0.0
+    p2p.trace.objective.append(0.0)
+    p2p.trace.warnings.append("edited")
+    again = uplink.optimize_ul(ch, c, w, "point_to_point", p_max)
+    assert len(calls) == 1
+    assert np.array_equal(again.design.p, p_star)
+    assert again.trace == mt.trace
+
+    # every input the solve reads, changed in place, misses
+    def edit_h():
+        ch.h_ul[1, 0] *= 1.5
+
+    def edit_sigma2():
+        ch.sigma2_z_ul[2] *= 1.5
+
+    def edit_w():
+        w[0] = 0.25
+
+    def edit_p_max():
+        p_max[1] = 0.9
+
+    for edit in (edit_h, edit_sigma2, edit_w, edit_p_max):
+        edit()
+        uplink.optimize_ul(ch, c, w, "point_to_point", p_max)
+        calls_after = len(calls)
+        uplink.optimize_ul(ch, c, w, "multiterminal", p_max)
+        assert len(calls) == calls_after, edit.__name__
+    assert len(calls) == 5
+    uplink.optimize_ul(ch, c, w, "multiterminal", p_max, mm_tol=1e-6)
+    assert len(calls) == 6
