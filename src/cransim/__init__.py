@@ -8,10 +8,9 @@ from .cellgeom import (PropagationParams, Topology, build_layout,
                        sector_gain_db)
 from .channel import (ChannelRealization, Cluster, build_cluster,
                       realize_channel, thermal_noise_w)
-from .downlink import (DownlinkDesign, DownlinkResult, backhaul_mv_dl,
-                       backhaul_p2p_dl, feasible_dl, optimize_dl, rate_dl)
+from .downlink import (DownlinkDesign, DownlinkResult, feasible_dl,
+                       optimize_dl, rate_dl)
 from .errors import ConfigurationError, DomainError, NumericalDomainError
-from .gaussinfo import logdet2
 from .harness import (ExperimentConfig, MetricsReport, PRESETS, RateMapping,
                       SolverOptions, SweepResult, alpha_sweep, percentile,
                       run_experiment)

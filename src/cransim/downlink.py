@@ -19,16 +19,13 @@ convex and sits inside the true feasible set, so every accepted iterate is
 feasible, and ascent steps from the current point never decrease the true
 objective.
 
-The inner ascent evaluates many candidate points per MM step, so each
-Omega (one `_Noise`) computes its terms once, on first use, and every
-candidate of a precoder step shares them: the log-dets of all subset
-blocks (one batched Cholesky per subset size above 1; a 1x1 block's
-log-det comes from the diagonal), the log-dets of the 1x1 blocks alone,
-which screen out a candidate violating a singleton condition before any
-factoring, and the quantization-noise power hbar_k Omega hbar_k^H at each
-MS.  Blocks are gathered, and the gradient's block inverses scattered
-back, through flat indices precomputed per subset size; `feasible_dl`
-checks the subset conditions batched by size the same way.
+The solver and the re-check `feasible_dl` take every subset log-det from
+one kernel, `_subset_logdets`, which marks an undefined one -inf so that its
+condition fails on both sides.  The inner ascent evaluates many candidates
+per MM step, so each Omega (one `_Noise`) computes its log-dets and the
+quantization-noise power at each MS once, on first use; its 1x1 log-dets
+come first and screen out a candidate violating a singleton condition
+before any block is factored.
 """
 
 from dataclasses import dataclass
@@ -38,9 +35,9 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DomainError, NumericalDomainError
-from .gaussinfo import LN2, hermitize, logdet2
+from .gaussinfo import LN2, hermitize
 from .mmopt import (FEASIBILITY_TOL, INNER_TOL, MM_MAX_ITER, MM_TOL, MMTrace,
-                    mm_solve)
+                    mm_solve, solver_inputs)
 from .uplink import MODE_MT, MODE_P2P
 
 SUBSET_ENUM_CAP = 16
@@ -88,38 +85,15 @@ class FeasibilityReport:
     n_subsets_checked: int
 
 
-def tx_power(design, i):
-    """Transmit power of BS i: precoded signal power plus quantization noise."""
-    return float(np.sum(np.abs(design.a[i]) ** 2) + design.omega[i, i].real)
-
-
-def backhaul_p2p_dl(design, i):
-    """Backhaul rate (bps/Hz) to ship BS i's signal, independent compression."""
-    omega_ii = design.omega[i, i].real
-    if not omega_ii > 0:
-        raise DomainError("diagonal quantization noise power must be > 0")
-    sig = float(np.sum(np.abs(design.a[i]) ** 2))
-    return float(np.log2(sig + omega_ii) - np.log2(omega_ii))
-
-
-def backhaul_mv_dl(design, subset):
-    """Joint backhaul requirement of a BS subset under correlated noise."""
-    subset = tuple(int(i) for i in subset)
-    if len(subset) == 0:
-        raise DomainError("subset must be nonempty")
-    total = 0.0
-    for i in subset:
-        omega_ii = design.omega[i, i].real
-        if not omega_ii > 0:
-            raise DomainError("diagonal quantization noise power must be > 0")
-        sig = float(np.sum(np.abs(design.a[i]) ** 2))
-        total += float(np.log2(sig + omega_ii))
-    sub = design.omega[np.ix_(subset, subset)]
-    return total - logdet2(sub)
+def _bs_power(a, omega_diag):
+    """Transmit power of each BS: precoded signal plus quantization noise."""
+    return (np.abs(a) ** 2).sum(axis=1) + omega_diag
 
 
 def rate_dl(design, channel, k):
     """Achievable rate of MS k (bps/Hz), interference treated as noise."""
+    # the result files' rates: the solver's normalized _rate_parts differ
+    # from these in the last bits
     r = channel.h_dl[k]
     m = r @ design.a
     qn = float(np.real(r @ design.omega @ r.conj()))
@@ -128,18 +102,10 @@ def rate_dl(design, channel, k):
     return float(np.log2(total) - np.log2(interference))
 
 
-def enumerate_subsets(indices):
-    """All nonempty subsets, ordered by size then lexicographically."""
-    indices = tuple(indices)
-    out = []
-    for size in range(1, len(indices) + 1):
-        out.extend(combinations(indices, size))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _size_groups(n):
-    """The subsets of range(n) in enumerate_subsets order, grouped by size.
+    """The nonempty subsets of range(n), ordered by size and then
+    lexicographically, grouped by size.
 
     One entry per size: the slice of the subset list holding that size, the
     members of each subset (k, size), and the flat indices (k, size, size)
@@ -157,95 +123,93 @@ def _size_groups(n):
     return tuple(groups)
 
 
-def _backhaul_slacks(design, active):
-    """Capacity minus backhaul_mv_dl for every subset of the active BSs, in
-    enumerate_subsets order, batched by subset size.
+def _subset_logdets(omega):
+    """log2 det of Omega's block on every subset, yielded one array per size
+    in _size_groups order: the 1x1 blocks from the diagonal, each larger
+    size by one batched Cholesky when it is asked for.
 
-    A subset whose requirement is undefined gets -inf: a diagonal noise
-    power that is not > 0, a non-finite block, a NaN requirement, or a
-    block that is not positive definite.  When a size has such a block,
-    only the block of that size with the smallest eigenvalue is marked.
+    A block with a non-finite entry or a diagonal entry not > 0 gets -inf.
+    When a size fails to factor, its block with the smallest eigenvalue gets
+    -inf and the others +inf (unchecked).  No result is NaN: a finite
+    positive definite block has a finite positive Cholesky diagonal.
     """
-    omega = hermitize(design.omega[np.ix_(active, active)])
-    diag = design.omega.diagonal().real[active]
+    n = omega.shape[0]
+    diag = omega.diagonal().real
+    bad = ~np.isfinite(omega)
+    bad.flat[::n + 1] |= diag <= 0
+    any_bad = bad.any()
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.log2((np.abs(design.a[active]) ** 2).sum(axis=1) + diag)
-    caps = design.c[active]
-    bad_bs = ~(diag > 0)
-    slack = np.empty(2 ** active.size - 1)
-    for rows, members, flat in _size_groups(active.size):
+        # a 1x1 Cholesky factor is sqrt(d): this is the value factoring gives
+        single = 2.0 * np.log2(np.sqrt(diag))
+    single[bad.diagonal()] = -np.inf
+    yield single
+    for _, members, flat in _size_groups(n)[1:]:
         blocks = omega.take(flat)
-        bad = bad_bs[members].any(axis=1) \
-            | ~np.isfinite(blocks).all(axis=(1, 2))
-        blocks[bad] = np.eye(members.shape[1])
+        if any_bad:
+            undefined = bad.take(flat).any(axis=(1, 2))
+            blocks[undefined] = np.eye(members.shape[1])
         try:
             logdet = 2.0 * np.log2(np.linalg.cholesky(blocks).diagonal(
                 axis1=1, axis2=2).real).sum(axis=1)
         except np.linalg.LinAlgError:
-            # the other blocks of this size go unchecked (+inf slack)
             logdet = np.full(len(blocks), np.inf)
-            bad[np.argmin(np.linalg.eigvalsh(blocks)[:, 0])] = True
-        # summed member by member, in the order backhaul_mv_dl adds them
-        g = sum(terms.take(members).T) - logdet
-        slack[rows] = np.where(bad, -np.inf, caps.take(members).sum(axis=1) - g)
-    slack[np.isnan(slack)] = -np.inf
-    return slack
+            logdet[np.argmin(np.linalg.eigvalsh(blocks)[:, 0])] = -np.inf
+        if any_bad:
+            logdet[undefined] = -np.inf
+        yield logdet
 
 
 def feasible_dl(design):
     """Check all subset backhaul conditions and per-BS power constraints.
 
-    Returns a report with the worst slack margin (negative means violated).
-    Inactive BSs (zero capacity) must be silent.  Refuses clusters with more
-    than 16 active BSs, where exhaustive subset enumeration is off the table.
+    Returns a report with the worst slack margin (negative means violated;
+    -inf where a constraint's value is undefined).  Inactive BSs (zero
+    capacity) must be silent.  Refuses clusters with more than 16 active
+    BSs, where exhaustive subset enumeration is off the table.
     """
     active = design.active
     if active.size > SUBSET_ENUM_CAP:
         raise DomainError(
             f"subset enumeration capped at {SUBSET_ENUM_CAP} BSs "
             f"(got {active.size})")
-    margin = np.inf
-    worst = "none"
+    power = _bs_power(design.a, design.omega.diagonal().real)
+    leak = power + np.abs(design.omega).sum(axis=1)
+    leak_tol = 1e-10 * max(float(np.max(design.p_bs, initial=0.0)), 1e-30)
+    on = design.c > 0
+    slacks = [np.where(on, design.p_bs - power,
+                       np.where(leak <= leak_tol, np.inf, -leak))]
 
-    power_scale = max(float(np.max(design.p_bs, initial=0.0)), 1e-30)
-    for i in range(design.a.shape[0]):
-        if i in active:
-            continue
-        leak = tx_power(design, i) + float(np.sum(np.abs(design.omega[i])))
-        if leak > 1e-10 * power_scale:
-            margin = min(margin, -leak)
-            worst = f"inactive_bs[{i}]"
-
-    for i in active:
-        slack = design.p_bs[i] - tx_power(design, i)
-        if slack < margin:
-            margin, worst = slack, f"power[{i}]"
-
-    slack = _backhaul_slacks(design, active)
-    if slack.size:
+    omega = hermitize(design.omega[np.ix_(active, active)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.log2(power[active])
+    caps = design.c[active]
+    groups = _size_groups(active.size)
+    for (_, members, _), logdet in zip(groups, _subset_logdets(omega)):
+        # the requirement of subset S: its terms summed member by member,
+        # minus log2 det Omega_S
+        g = sum(terms.take(members).T) - logdet
+        slacks.append(caps.take(members).sum(axis=1) - g)
+    # per BS, then per subset: on a tie the power constraint is named
+    slack = np.concatenate(slacks)
+    slack[np.isnan(slack)] = -np.inf
+    margin, worst = float(np.min(slack, initial=np.inf)), "none"
+    if margin < np.inf:
         j = int(np.argmin(slack))
-        if slack[j] < margin:
-            margin = slack[j]
-            worst = f"backhaul{enumerate_subsets(active.tolist())[j]}"
+        if j < on.size:
+            worst = f"power[{j}]" if on[j] else f"inactive_bs[{j}]"
+        else:
+            j -= on.size
+            rows, m, _ = next(grp for grp in groups if j < grp[0].stop)
+            worst = f"backhaul{tuple(active[m[j - rows.start]].tolist())}"
 
     return FeasibilityReport(feasible=bool(margin >= -FEASIBILITY_TOL),
-                             margin=float(margin),
-                             worst_constraint=worst,
-                             n_subsets_checked=slack.size)
+                             margin=margin, worst_constraint=worst,
+                             n_subsets_checked=slack.size - on.size)
 
 
 # ---------------------------------------------------------------------------
 # optimizer internals
 # ---------------------------------------------------------------------------
-
-def _single_logdets(diag):
-    """log2 det of each 1x1 block of Omega from its real diagonal d, as
-    2 log2(sqrt(d)): a 1x1 Cholesky factor is sqrt(d), so this is the value
-    the factorization gives.  None if an entry is <= 0, where it fails."""
-    if (diag <= 0).any():
-        return None
-    return 2.0 * np.log2(np.sqrt(diag))
-
 
 @dataclass
 class _Point:
@@ -270,21 +234,22 @@ class _Noise:
         self.problem, self.l, self.u = problem, l, u
         if l is not None:
             self.omega = l @ l.conj().T
+            self._sizes = _subset_logdets(self.omega)
         else:
             self.omega = np.diag(np.exp(u)).astype(complex)
         self.diag = self.omega.diagonal().real
 
     @cached_property
-    def logdets(self):
-        """log2 det of each constrained block of Omega; None if not PD."""
-        if self.l is not None:
-            return self.problem._subset_logdets(self.omega)
-        return None if (self.diag <= 0).any() else np.log2(self.diag)
-
-    @cached_property
     def single_logdets(self):
         """log2 det of each 1x1 block of Omega (multiterminal)."""
-        return _single_logdets(self.diag)
+        return next(self._sizes)
+
+    @cached_property
+    def logdets(self):
+        """log2 det of each constrained block of Omega."""
+        if self.l is not None:
+            return np.concatenate([self.single_logdets, *self._sizes])
+        return np.log2(self.diag)
 
     @cached_property
     def qn(self):
@@ -319,18 +284,17 @@ class _PrecodingProblem:
         self.barrier_rounds = barrier_rounds
 
         if mode == MODE_MT:
-            self.subsets = enumerate_subsets(range(self.n))
-            self.masks = np.zeros((len(self.subsets), self.n))
-            for j, s in enumerate(self.subsets):
-                self.masks[j, list(s)] = 1.0
-            self.subset_caps = self.masks @ caps
             self.size_groups = _size_groups(self.n)
+            self.masks = np.concatenate([np.eye(self.n)[m].sum(axis=1)
+                                         for _, m, _ in self.size_groups])
+            self.subset_caps = self.masks @ caps
             # every block entry of every subset, in subset order: its flat
             # index in Omega and the subset it belongs to
             self.scatter_index = np.concatenate(
                 [flat.ravel() for _, _, flat in self.size_groups])
-            self.entry_subset = np.repeat(np.arange(len(self.subsets)),
-                                          [len(s) ** 2 for s in self.subsets])
+            self.entry_subset = np.concatenate(
+                [np.repeat(np.arange(rows.start, rows.stop), flat[0].size)
+                 for rows, _, flat in self.size_groups])
         else:
             self.masks = np.eye(self.n)
             self.subset_caps = np.asarray(caps, dtype=float)
@@ -338,26 +302,6 @@ class _PrecodingProblem:
         self.masks_t = np.ascontiguousarray(self.masks.T)
 
     # -- shared quantities -------------------------------------------------
-
-    def _tx_power(self, point):
-        return (np.abs(point.a) ** 2).sum(axis=1) + point.noise.diag
-
-    def _subset_logdets(self, omega):
-        """log2 det of Omega restricted to every subset (batched by size);
-        None if a block is not positive definite."""
-        single = _single_logdets(omega.diagonal().real)
-        if single is None:
-            return None
-        out = np.empty(len(self.subsets))
-        out[:self.n] = single
-        for rows, _, flat in self.size_groups[1:]:
-            try:
-                chol = np.linalg.cholesky(omega.take(flat))
-            except np.linalg.LinAlgError:
-                return None
-            out[rows] = 2.0 * np.log2(
-                chol.diagonal(axis1=1, axis2=2).real).sum(axis=1)
-        return out
 
     def _subset_inv_scatter(self, omega, coeffs):
         """Sum of coeff_S * scatter(inv(Omega_S)) over subsets (for gradients)."""
@@ -386,11 +330,8 @@ class _PrecodingProblem:
         return float(self.w @ rates)
 
     def violation(self, point):
-        logdets = point.noise.logdets
-        if logdets is None:
-            return np.inf
-        power = self._tx_power(point)
-        g = self.masks @ np.log2(power) - logdets
+        power = _bs_power(point.a, point.noise.diag)
+        g = self.masks @ np.log2(power) - point.noise.logdets
         return float(max((power - self.p_lim).max(),
                          (g - self.subset_caps).max()))
 
@@ -399,7 +340,7 @@ class _PrecodingProblem:
     def _tangent(self, point0):
         """Slopes and offsets of the log2(power) terms linearized at point0,
         and the weights of the linearized log2(interference) terms."""
-        power0 = self._tx_power(point0)
+        power0 = _bs_power(point0.a, point0.noise.diag)
         b_slope = 1.0 / (power0 * LN2)
         lin_const = self.masks @ (np.log2(power0) - b_slope * power0)
         _, _, interf0 = self._rate_parts(point0)
@@ -453,19 +394,17 @@ class _PrecodingProblem:
         b_slope, lin_const, s_coef = tangent
         noise = point.noise
         ev = _Eval(point)
-        power = self._tx_power(point)
+        power = _bs_power(point.a, point.noise.diag)
         ev.power_slack = self.p_lim - power
-        if (ev.power_slack <= 0).any():
+        if not (ev.power_slack > 0).all():
             return ev
         g_lin = lin_const + self.masks @ (b_slope * power)
         if noise.l is not None:
             # the singleton conditions need no factoring: screen them first
-            single, n = noise.single_logdets, self.n
-            if single is None \
-                    or (self.subset_caps[:n] - (g_lin[:n] - single) <= 0).any():
+            n = self.n
+            if (self.subset_caps[:n]
+                    - (g_lin[:n] - noise.single_logdets) <= 0).any():
                 return ev
-        if noise.logdets is None:
-            return ev
         ev.bh_slack = self.subset_caps - (g_lin - noise.logdets)
         if (ev.bh_slack <= 0).any():
             return ev
@@ -597,15 +536,7 @@ def optimize_dl(channel, c, p_bs, weights, mode, init=None,
     the multiterminal objective can only improve on it.  Zero-capacity BSs
     are silenced and dropped from all constraint sets.
     """
-    c = np.asarray(c, dtype=float)
-    p_bs = np.asarray(p_bs, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if np.any(weights < 0):
-        raise DomainError("weights must be nonnegative")
-    if np.any(p_bs <= 0):
-        raise DomainError("power limits must be positive")
-    if np.any(c < 0):
-        raise DomainError("backhaul capacities must be nonnegative")
+    weights, c, p_bs = solver_inputs(weights, c, p_bs)
     n_bs, n_ms = channel.n_bs, channel.n_ms
     active = np.flatnonzero(c > 0)
     if active.size > SUBSET_ENUM_CAP:

@@ -1,8 +1,7 @@
 """Numerically robust Gaussian-information kernels.
 
 All covariance matrices are treated as Hermitian PSD ndarrays; helpers here
-symmetrize before factorizing and report log-determinants in base 2 so that
-information quantities come out in bits.
+symmetrize before factorizing, and LN2 converts natural logs to bits.
 """
 
 import numpy as np
@@ -34,8 +33,3 @@ def cholesky(m):
         w = np.linalg.eigvalsh(m)
         raise NumericalDomainError(
             f"matrix is not positive definite (min eigenvalue {w.min():.6e})")
-
-
-def logdet2(m):
-    """log2 det(M) of a positive definite Hermitian matrix, via Cholesky."""
-    return float(2.0 * np.sum(np.log2(np.diag(cholesky(m)).real)))

@@ -24,7 +24,9 @@ constraints.
 
 from dataclasses import dataclass, field
 
-from .errors import NumericalDomainError
+import numpy as np
+
+from .errors import DomainError, NumericalDomainError
 
 # default stop of both solvers' MM loops: a relative objective change below
 # MM_TOL converges, MM_MAX_ITER accepted steps stop it unconverged
@@ -44,6 +46,21 @@ class MMTrace:
     converged: bool = False
     iterations: int = 0
     warnings: list = field(default_factory=list)
+
+
+def solver_inputs(weights, caps, power_limits):
+    """The weights, backhaul capacities and power limits as float arrays;
+    raises DomainError unless the first two are finite and >= 0 and the
+    power limits finite and > 0."""
+    weights, caps, power_limits = (np.asarray(x, dtype=float)
+                                   for x in (weights, caps, power_limits))
+    if not np.all(np.isfinite(weights) & (weights >= 0)):
+        raise DomainError("weights must be finite and nonnegative")
+    if not np.all(np.isfinite(caps) & (caps >= 0)):
+        raise DomainError("backhaul capacities must be finite and nonnegative")
+    if not np.all(np.isfinite(power_limits) & (power_limits > 0)):
+        raise DomainError("power limits must be finite and positive")
+    return weights, caps, power_limits
 
 
 def mm_solve(problem, init, tol, max_iter):

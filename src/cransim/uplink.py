@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalDomainError
 from .gaussinfo import LN2, cholesky
-from .mmopt import INNER_TOL, MM_MAX_ITER, MM_TOL, mm_solve
+from .mmopt import INNER_TOL, MM_MAX_ITER, MM_TOL, mm_solve, solver_inputs
 
 MODE_P2P = "point_to_point"
 MODE_MT = "multiterminal"
@@ -337,16 +337,8 @@ def optimize_ul(channel, c, weights, mode, p_max, n_macro=3,
     call whose power solve reads the same inputs as the last one in this
     process, as the other mode of a slot with equal weights does, reuses it.
     """
-    c = np.asarray(c, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    p_max = np.broadcast_to(np.asarray(p_max, dtype=float),
-                            (channel.n_ms,)).copy()
-    if np.any(weights < 0):
-        raise DomainError("weights must be nonnegative")
-    if np.any(c < 0):
-        raise DomainError("backhaul capacities must be nonnegative")
-    if np.any(p_max <= 0):
-        raise DomainError("power limits must be positive")
+    weights, c, p_max = solver_inputs(weights, c, p_max)
+    p_max = np.broadcast_to(p_max, (channel.n_ms,)).copy()
 
     active = np.flatnonzero(c > 0)
     # weights divided by their largest, so that neither the first trial step

@@ -3,15 +3,20 @@
 The oracles here deliberately avoid the library's own computational paths:
 mutual informations come from empirical sample covariances, conditional
 variances from explicit Schur complements or regression residuals,
-log-determinants from eigenvalue products, and uplink rates from K+1
-separate log-dets of directly summed covariances.
+log-determinants from eigenvalue products, uplink rates from K+1 separate
+log-dets of directly summed covariances, and downlink backhaul requirements
+from one BS or one subset at a time (`backhaul_p2p_dl`, `backhaul_mv_dl`,
+with `logdet2` factoring one block per call).
 """
+
+from itertools import combinations
 
 import numpy as np
 
 from cransim import cellgeom
 from cransim.channel import ChannelRealization
-from cransim.errors import ConfigurationError
+from cransim.errors import ConfigurationError, DomainError
+from cransim.gaussinfo import cholesky
 
 
 def cn_samples(rng, shape, var=1.0):
@@ -46,6 +51,45 @@ def logdet2_oracle(m):
 def logdet2_slogdet(m):
     sign, ld = np.linalg.slogdet(m)
     return float(ld / np.log(2.0))
+
+
+def logdet2(m):
+    """log2 det(M) of a positive definite Hermitian matrix, via Cholesky."""
+    return float(2.0 * np.sum(np.log2(np.diag(cholesky(m)).real)))
+
+
+def enumerate_subsets(indices):
+    """All nonempty subsets, ordered by size then lexicographically."""
+    indices = tuple(indices)
+    out = []
+    for size in range(1, len(indices) + 1):
+        out.extend(combinations(indices, size))
+    return out
+
+
+def backhaul_p2p_dl(design, i):
+    """Backhaul rate (bps/Hz) to ship BS i's signal, independent compression."""
+    omega_ii = design.omega[i, i].real
+    if not omega_ii > 0:
+        raise DomainError("diagonal quantization noise power must be > 0")
+    sig = float(np.sum(np.abs(design.a[i]) ** 2))
+    return float(np.log2(sig + omega_ii) - np.log2(omega_ii))
+
+
+def backhaul_mv_dl(design, subset):
+    """Joint backhaul requirement of a BS subset under correlated noise."""
+    subset = tuple(int(i) for i in subset)
+    if len(subset) == 0:
+        raise DomainError("subset must be nonempty")
+    total = 0.0
+    for i in subset:
+        omega_ii = design.omega[i, i].real
+        if not omega_ii > 0:
+            raise DomainError("diagonal quantization noise power must be > 0")
+        sig = float(np.sum(np.abs(design.a[i]) ** 2))
+        total += float(np.log2(sig + omega_ii))
+    sub = design.omega[np.ix_(subset, subset)]
+    return total - logdet2(sub)
 
 
 def mi_from_samples(x, y):

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from cransim import downlink, harness, uplink
-from helpers import (cn_samples, colored_noise, mi_from_samples, rand_channel,
-                     ul_psi_oracle, ul_weighted_psi_oracle)
+from helpers import (backhaul_mv_dl, backhaul_p2p_dl, cn_samples,
+                     colored_noise, enumerate_subsets, mi_from_samples,
+                     rand_channel, ul_psi_oracle, ul_weighted_psi_oracle)
 
 P2P = "point_to_point"
 MT = "multiterminal"
@@ -111,10 +112,9 @@ def test_criterion_4_diagonal_reduction_identity():
         omega = np.diag(rng.uniform(0.05, 3.0, n_bs)).astype(complex)
         design = downlink.DownlinkDesign(a=a, omega=omega, c=np.ones(n_bs),
                                          p_bs=np.full(n_bs, 1e3), mode=P2P)
-        for subset in downlink.enumerate_subsets(range(n_bs)):
-            total = sum(downlink.backhaul_p2p_dl(design, i) for i in subset)
-            worst = max(worst, abs(downlink.backhaul_mv_dl(design, subset)
-                                   - total))
+        for subset in enumerate_subsets(range(n_bs)):
+            total = sum(backhaul_p2p_dl(design, i) for i in subset)
+            worst = max(worst, abs(backhaul_mv_dl(design, subset) - total))
     assert worst < 1e-12
     announce(4, f"100 instances, all subsets: worst |g_S - sum p2p| = "
                 f"{worst:.2e} (< 1e-12)")

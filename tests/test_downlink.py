@@ -7,7 +7,10 @@ import pytest
 from cransim import downlink, harness
 from cransim.channel import ChannelRealization
 from cransim.errors import DomainError, NumericalDomainError
-from helpers import cn_samples, colored_noise, mi_from_samples, rand_channel
+from cransim.mmopt import FEASIBILITY_TOL
+from helpers import (backhaul_mv_dl, backhaul_p2p_dl, cn_samples,
+                     colored_noise, enumerate_subsets, mi_from_samples,
+                     rand_channel)
 
 
 def make_design(a, omega, c=None, p_bs=None, mode="multiterminal"):
@@ -28,14 +31,20 @@ def dl_channel(h_dl, sigma2_dl):
         sigma2_z_dl=np.asarray(sigma2_dl, dtype=float), slot_index=0)
 
 
+def tx_power(design, i):
+    """Transmit power of BS i, one scalar at a time: precoded signal power
+    plus quantization noise."""
+    return float(np.sum(np.abs(design.a[i]) ** 2) + design.omega[i, i].real)
+
+
 def test_backhaul_p2p_dl_reference():
     a = np.array([[np.sqrt(3.0), 0.0]])      # row power 3
     design = make_design(a, [[1.0]])
-    assert downlink.backhaul_p2p_dl(design, 0) == pytest.approx(2.0, abs=1e-12)
+    assert backhaul_p2p_dl(design, 0) == pytest.approx(2.0, abs=1e-12)
     zero = make_design(np.zeros((1, 2)), [[0.5]])
-    assert downlink.backhaul_p2p_dl(zero, 0) == pytest.approx(0.0, abs=1e-12)
+    assert backhaul_p2p_dl(zero, 0) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(DomainError):
-        downlink.backhaul_p2p_dl(make_design(a, [[0.0]]), 0)
+        backhaul_p2p_dl(make_design(a, [[0.0]]), 0)
 
 
 def test_backhaul_p2p_dl_mi_oracle():
@@ -49,8 +58,7 @@ def test_backhaul_p2p_dl_mi_oracle():
         joint = np.array([[sig, sig], [sig, sig + w]])
         oracle = (np.log2(max(joint[0, 0], 1e-300)) + np.log2(joint[1, 1])
                   - np.log2(np.linalg.det(joint))) if sig > 0 else 0.0
-        assert downlink.backhaul_p2p_dl(design, i) == pytest.approx(oracle,
-                                                                    abs=1e-9)
+        assert backhaul_p2p_dl(design, i) == pytest.approx(oracle, abs=1e-9)
 
 
 def test_backhaul_mv_diagonal_reduces_to_p2p_sum():
@@ -60,9 +68,9 @@ def test_backhaul_mv_diagonal_reduces_to_p2p_sum():
         a = cn_samples(rng, (n_bs, 3))
         omega = np.diag(rng.uniform(0.1, 2.0, n_bs)).astype(complex)
         design = make_design(a, omega)
-        for subset in downlink.enumerate_subsets(range(n_bs)):
-            total = sum(downlink.backhaul_p2p_dl(design, i) for i in subset)
-            assert downlink.backhaul_mv_dl(design, subset) == pytest.approx(
+        for subset in enumerate_subsets(range(n_bs)):
+            total = sum(backhaul_p2p_dl(design, i) for i in subset)
+            assert backhaul_mv_dl(design, subset) == pytest.approx(
                 total, abs=1e-12)
 
 
@@ -72,8 +80,8 @@ def test_backhaul_mv_singleton_equals_p2p():
     l = np.tril(cn_samples(rng, (3, 3))) + 2 * np.eye(3)
     design = make_design(a, l @ l.conj().T)
     for i in range(3):
-        assert downlink.backhaul_mv_dl(design, (i,)) == pytest.approx(
-            downlink.backhaul_p2p_dl(design, i), abs=1e-12)
+        assert backhaul_mv_dl(design, (i,)) == pytest.approx(
+            backhaul_p2p_dl(design, i), abs=1e-12)
 
 
 def test_backhaul_mv_correlation_costs_backhaul():
@@ -83,8 +91,8 @@ def test_backhaul_mv_correlation_costs_backhaul():
     off = w * rho
     corr = make_design(a, np.array([[w, off], [off, w]], dtype=complex))
     diag = make_design(a, np.diag([w, w]).astype(complex))
-    g_corr = downlink.backhaul_mv_dl(corr, (0, 1))
-    g_diag = downlink.backhaul_mv_dl(diag, (0, 1))
+    g_corr = backhaul_mv_dl(corr, (0, 1))
+    g_diag = backhaul_mv_dl(diag, (0, 1))
     det_oracle = w ** 2 * (1 - rho ** 2)
     expected_gap = np.log2(w ** 2) - np.log2(det_oracle)
     assert g_corr - g_diag == pytest.approx(expected_gap, abs=1e-12)
@@ -94,12 +102,12 @@ def test_backhaul_mv_correlation_costs_backhaul():
 def test_backhaul_mv_rejects_bad_subsets():
     design = make_design(np.eye(2), np.diag([1.0, 0.0]))
     with pytest.raises(DomainError):
-        downlink.backhaul_mv_dl(design, ())
+        backhaul_mv_dl(design, ())
     with pytest.raises(DomainError):
-        downlink.backhaul_mv_dl(design, (1,))
+        backhaul_mv_dl(design, (1,))
     singular = make_design(np.eye(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(NumericalDomainError):
-        downlink.backhaul_mv_dl(singular, (0, 1))
+        backhaul_mv_dl(singular, (0, 1))
 
 
 def test_rate_dl_reference_values():
@@ -147,8 +155,8 @@ def test_gs_monotone_in_subset_for_diagonal():
     rng = np.random.default_rng(47)
     a = cn_samples(rng, (4, 2))
     design = make_design(a, np.diag(rng.uniform(0.2, 1.0, 4)).astype(complex))
-    subsets = downlink.enumerate_subsets(range(4))
-    g = {s: downlink.backhaul_mv_dl(design, s) for s in subsets}
+    subsets = enumerate_subsets(range(4))
+    g = {s: backhaul_mv_dl(design, s) for s in subsets}
     for s1 in subsets:
         for s2 in subsets:
             if set(s1) <= set(s2):
@@ -197,9 +205,9 @@ def backhaul_margin_oracle(design):
     """Worst subset slack of feasible_dl, one backhaul_mv_dl call per subset:
     -inf where the requirement is undefined (raises, or is NaN)."""
     worst = np.inf
-    for subset in downlink.enumerate_subsets(design.active):
+    for subset in enumerate_subsets(design.active):
         try:
-            g = downlink.backhaul_mv_dl(design, subset)
+            g = backhaul_mv_dl(design, subset)
         except (DomainError, NumericalDomainError):
             return -np.inf
         if np.isnan(g):
@@ -209,34 +217,34 @@ def backhaul_margin_oracle(design):
 
 
 def power_margin_oracle(design):
-    """Worst power slack of feasible_dl, and the leak of any inactive BS."""
+    """Worst power slack of feasible_dl, and the leak of any inactive BS;
+    -inf where one is NaN."""
     worst = np.inf
     scale = max(float(np.max(design.p_bs, initial=0.0)), 1e-30)
     for i in range(design.a.shape[0]):
         if design.c[i] > 0:
-            worst = min(worst, design.p_bs[i] - downlink.tx_power(design, i))
-            continue
-        leak = downlink.tx_power(design, i) \
-            + float(np.sum(np.abs(design.omega[i])))
-        if leak > 1e-10 * scale:
-            worst = min(worst, -leak)
+            slack = design.p_bs[i] - tx_power(design, i)
+        else:
+            leak = tx_power(design, i) + float(np.sum(np.abs(design.omega[i])))
+            slack = np.inf if leak <= 1e-10 * scale else -leak
+        worst = min(worst, -np.inf if np.isnan(slack) else slack)
     return worst
 
 
 def assert_feasible_dl_matches_oracle(design):
     report = downlink.feasible_dl(design)
-    bh = backhaul_margin_oracle(design)
-    expected = min(power_margin_oracle(design), bh)
+    power, bh = power_margin_oracle(design), backhaul_margin_oracle(design)
+    expected = min(power, bh)
     assert report.feasible == (expected >= -1e-7)
     assert report.margin == pytest.approx(expected, rel=1e-12, abs=0.0)
     assert report.n_subsets_checked == 2 ** design.active.size - 1
-    if bh == -np.inf:
+    if bh == -np.inf < power:
         # the named subset is one whose requirement is undefined
         assert report.worst_constraint.startswith("backhaul(")
         subset = ast.literal_eval(report.worst_constraint[len("backhaul"):])
         with np.errstate(invalid="ignore", divide="ignore"):
             try:
-                g = downlink.backhaul_mv_dl(design, subset)
+                g = backhaul_mv_dl(design, subset)
             except (DomainError, NumericalDomainError):
                 g = np.nan
         assert np.isnan(g)
@@ -282,10 +290,21 @@ def test_feasible_dl_undefined_blocks_give_minus_infinity():
     # the zero diagonal of a silent inactive BS is no subset's business
     quiet = a.copy()
     quiet[1] = 0.0
+    c_quiet = np.array([50.0, 0.0, 50.0])
     report = assert_feasible_dl_matches_oracle(
-        make_design(quiet, zero_diag, c=np.array([50.0, 0.0, 50.0]),
-                    p_bs=p_bs))
+        make_design(quiet, zero_diag, c=c_quiet, p_bs=p_bs))
     assert report.feasible and report.n_subsets_checked == 3
+    # but a NaN in its precoder row or its Omega row is a leak of unknown size
+    nan_row = quiet.copy()
+    nan_row[1, 0] = np.nan
+    nan_omega_row = 0.5 * np.eye(3, dtype=complex)
+    nan_omega_row[1, 1] = 0.0
+    nan_omega_row[1, 0] = np.nan
+    for a_, omega in ((nan_row, zero_diag), (quiet, nan_omega_row)):
+        report = assert_feasible_dl_matches_oracle(
+            make_design(a_, omega, c=c_quiet, p_bs=p_bs))
+        assert not report.feasible and report.margin == -np.inf
+        assert report.worst_constraint == "inactive_bs[1]"
 
 
 def test_feasible_dl_matches_loop_on_sweep_designs(monkeypatch):
@@ -325,9 +344,8 @@ def test_optimize_single_link_grid_oracle():
     best = max(rate(s, w) for s in grid for w in grid)
     assert res.objective >= best - 0.02
     # optimum saturates the power budget and the backhaul constraint
-    assert downlink.tx_power(res.design, 0) == pytest.approx(4.0, rel=0.02)
-    assert downlink.backhaul_p2p_dl(res.design, 0) == pytest.approx(2.0,
-                                                                    rel=0.02)
+    assert tx_power(res.design, 0) == pytest.approx(4.0, rel=0.02)
+    assert backhaul_p2p_dl(res.design, 0) == pytest.approx(2.0, rel=0.02)
 
 
 def test_optimize_large_capacity_single_ms_hits_mrt_bound():
@@ -414,17 +432,25 @@ def test_p2p_mode_design_has_diagonal_omega():
     assert np.allclose(off, 0.0)
 
 
+def count_factorings(monkeypatch, record):
+    """Wrap the subset log-det kernel so that record(omega.tobytes()) runs
+    whenever it goes past an Omega's 1x1 blocks, which need no factoring."""
+    kernel = downlink._subset_logdets
+
+    def counted(omega):
+        sizes = kernel(omega)
+        yield next(sizes)
+        record(omega.tobytes())
+        yield from sizes
+
+    monkeypatch.setattr(downlink, "_subset_logdets", counted)
+
+
 def test_inner_step_factors_each_omega_once(monkeypatch):
     """Within one inner solve, no Omega has its subset log-dets factored
     twice: A-steps reuse the noise terms of the point they step from."""
     steps, active = [], []
-    problem_cls = downlink._PrecodingProblem
-    logdets, step = problem_cls._subset_logdets, problem_cls.step
-
-    def counted_logdets(self, omega):
-        if active:
-            active[-1].append(omega.tobytes())
-        return logdets(self, omega)
+    step = downlink._PrecodingProblem.step
 
     def counted_step(self, point):
         active.append([])
@@ -433,8 +459,12 @@ def test_inner_step_factors_each_omega_once(monkeypatch):
         finally:
             steps.append(active.pop())
 
-    monkeypatch.setattr(problem_cls, "_subset_logdets", counted_logdets)
-    monkeypatch.setattr(problem_cls, "step", counted_step)
+    def record(key):
+        if active:
+            active[-1].append(key)
+
+    count_factorings(monkeypatch, record)
+    monkeypatch.setattr(downlink._PrecodingProblem, "step", counted_step)
     rng = np.random.default_rng(54)
     ch = rand_channel(rng, 4, 3)
     downlink.optimize_dl(ch, rng.uniform(1.0, 4.0, 4), rng.uniform(2.0, 8.0, 4),
@@ -450,14 +480,7 @@ def test_optimize_dl_factors_each_omega_once(monkeypatch):
     factored twice: mm_solve's feasibility check and the next step reuse the
     noise terms of the point the last step returned."""
     calls = []
-    problem_cls = downlink._PrecodingProblem
-    logdets = problem_cls._subset_logdets
-
-    def counted_logdets(self, omega):
-        calls.append(omega.tobytes())
-        return logdets(self, omega)
-
-    monkeypatch.setattr(problem_cls, "_subset_logdets", counted_logdets)
+    count_factorings(monkeypatch, calls.append)
     rng = np.random.default_rng(54)
     ch = rand_channel(rng, 4, 3)
     result = downlink.optimize_dl(ch, rng.uniform(1.0, 4.0, 4),
@@ -567,15 +590,71 @@ def random_omega(rng, n):
 def test_subset_logdets_match_per_subset_cholesky():
     rng = np.random.default_rng(58)
     for n in range(1, 7):
-        problem = mt_problem(rng, n)
         for _ in range(40):
             omega = random_omega(rng, n)
             oracle = [2.0 * np.sum(np.log2(np.diagonal(np.linalg.cholesky(
-                omega[np.ix_(s, s)])).real)) for s in problem.subsets]
-            assert np.array_equal(problem._subset_logdets(omega), oracle)
-    omega = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex)
-    assert mt_problem(rng, 2)._subset_logdets(omega) is None
-    assert mt_problem(rng, 2)._subset_logdets(np.diag([1.0, 0.0])) is None
+                omega[np.ix_(s, s)])).real))
+                for s in enumerate_subsets(range(n))]
+            assert np.array_equal(
+                np.concatenate(list(downlink._subset_logdets(omega))), oracle)
+
+
+def test_subset_logdets_mark_undefined_blocks():
+    """A block with a non-positive diagonal, a non-finite entry or no
+    Cholesky factor gets -inf; when a size fails to factor, only its block
+    with the smallest eigenvalue does, and the others of that size +inf.
+    Both the solver's true constraints and its surrogate reject such an
+    Omega, with capacities so large that a positive definite one passes."""
+    rng = np.random.default_rng(60)
+    problem = downlink._PrecodingProblem(
+        rand_channel(rng, 3, 3).h_dl, np.ones(3), np.full(3, 10.0),
+        np.ones(3), "multiterminal", downlink.INNER_STEPS,
+        downlink.BARRIER_ROUNDS)
+    a = 0.2 * cn_samples(rng, (3, 3))
+
+    def point(l):
+        return downlink._Point(a=a, noise=downlink._Noise(problem, l=l))
+
+    tangent = problem._tangent(point(0.5 * np.eye(3)))
+    subsets = enumerate_subsets(range(3))
+    nan_l = np.eye(3, dtype=complex)
+    nan_l[2, 0] = np.nan
+    nan_omega = np.eye(3, dtype=complex)
+    nan_omega[0, 1] = nan_omega[1, 0] = np.nan
+    # (L, or Omega where no L L^H makes it; subsets at -inf; at +inf)
+    cases = (
+        ("l", np.eye(3), set(), set()),
+        ("l", [[1, 0, 0], [0.5, 1, 0], [1, 1, 0]], {(0, 1, 2)}, set()),
+        ("l", [[1, 0, 0], [1, 0, 0], [0, 0, 1]], {(0, 1), (0, 1, 2)},
+         {(0, 2), (1, 2)}),
+        ("l", [[1, 0, 0], [0, 0, 0], [0.3, 0.2, 1]],
+         {s for s in subsets if 1 in s}, set()),
+        ("l", nan_l, {s for s in subsets if 2 in s}, set()),
+        ("omega", nan_omega, {(0, 1), (0, 1, 2)}, set()),
+    )
+    for kind, matrix, minus_inf, plus_inf in cases:
+        if kind == "omega":
+            omega = matrix
+        else:
+            at = point(0.5 * np.asarray(matrix))
+            omega = at.noise.omega
+            violation = problem.violation(at)
+            surr = problem._evaluate(at, tangent).surr
+            if not minus_inf:
+                assert violation <= FEASIBILITY_TOL and surr is not None
+                continue
+            assert not violation <= FEASIBILITY_TOL and surr is None
+            if np.isfinite(downlink._bs_power(at.a, at.noise.diag)).all():
+                assert violation == np.inf
+        logdets = np.concatenate(list(downlink._subset_logdets(omega)))
+        for s, value in zip(subsets, logdets):
+            if s in minus_inf:
+                assert value == -np.inf, s
+            elif s in plus_inf:
+                assert value == np.inf, s
+            else:
+                assert value == 2.0 * np.sum(np.log2(np.diagonal(
+                    np.linalg.cholesky(omega[np.ix_(s, s)])).real)), s
 
 
 def test_subset_inv_scatter_matches_add_at():
@@ -584,12 +663,12 @@ def test_subset_inv_scatter_matches_add_at():
         problem = mt_problem(rng, n)
         for _ in range(40):
             omega = random_omega(rng, n)
-            coeffs = rng.uniform(0.0, 2.0, len(problem.subsets))
+            subsets = enumerate_subsets(range(n))
+            coeffs = rng.uniform(0.0, 2.0, len(subsets))
             oracle = np.zeros((n, n), dtype=complex)
             for size in range(1, n + 1):
-                rows = [j for j, s in enumerate(problem.subsets)
-                        if len(s) == size]
-                gather = np.array([problem.subsets[j] for j in rows])
+                rows = [j for j, s in enumerate(subsets) if len(s) == size]
+                gather = np.array([subsets[j] for j in rows])
                 idx = (gather[:, :, None], gather[:, None, :])
                 scaled = np.linalg.inv(omega[idx]) \
                     * coeffs[rows][:, None, None]

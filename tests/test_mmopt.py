@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cransim import mmopt, uplink
-from cransim.errors import NumericalDomainError
+from cransim import downlink, mmopt, uplink
+from cransim.errors import DomainError, NumericalDomainError
 from cransim.gaussinfo import LN2
 from helpers import rand_channel, ul_psi_oracle
 
@@ -129,3 +129,22 @@ def test_mm_solve_objective_decrease_stops_unconverged():
     assert not trace.converged
     assert trace.iterations == 0
     assert trace.objective == [_ScalarDC().objective(3.0)]
+
+
+@pytest.mark.parametrize("solve", [
+    lambda ch, c, p, w: uplink.optimize_ul(ch, c, w, "multiterminal", p),
+    lambda ch, c, p, w: downlink.optimize_dl(ch, c, p, w, "multiterminal"),
+], ids=["optimize_ul", "optimize_dl"])
+def test_solvers_reject_non_finite_or_out_of_range_inputs(solve):
+    """A NaN capacity would silence its BS and a NaN weight give a NaN
+    objective, both without a word: each bad value raises instead."""
+    ch = rand_channel(np.random.default_rng(61), 2, 2)
+    good = {"c": np.ones(2), "p": np.ones(2), "w": np.ones(2)}
+    assert np.isfinite(solve(ch, **good).objective)
+    bad_values = {"c": (np.nan, np.inf, -1.0), "w": (np.nan, np.inf, -1.0),
+                  "p": (np.nan, np.inf, 0.0, -1.0)}
+    for name, values in bad_values.items():
+        for value in values:
+            args = {**good, name: np.array([1.0, value])}
+            with pytest.raises(DomainError):
+                solve(ch, **args)
