@@ -497,22 +497,6 @@ class _PrecodingProblem:
             f"cannot be met (capacity {caps[worst]:.3g} bps/Hz)")
 
 
-def _point_from_design(problem, design, active, scale):
-    a = design.a[active] / scale[:, None]
-    omega = hermitize(design.omega[np.ix_(active, active)]
-                      / np.outer(scale, scale))
-    if problem.mode == MODE_MT:
-        try:
-            l = np.linalg.cholesky(omega)
-        except np.linalg.LinAlgError:
-            l = np.linalg.cholesky(
-                omega + 1e-12 * np.trace(omega).real / max(len(active), 1)
-                * np.eye(len(active)))
-        return _Point(a=a.copy(), noise=_Noise(problem, l=l))
-    return _Point(a=a.copy(),
-                  noise=_Noise(problem, u=np.log(np.diag(omega).real)))
-
-
 def _interior_restart(point, shrink=0.06):
     """Back a boundary point off its active constraints.
 
@@ -531,12 +515,19 @@ def optimize_dl(channel, c, p_bs, weights, mode, init=None,
                 inner_steps=INNER_STEPS, barrier_rounds=BARRIER_ROUNDS):
     """Weighted-sum-rate design of (A, Omega) under backhaul and power limits.
 
-    Multiterminal mode without an explicit `init` first solves the
-    point-to-point problem and continues from its solution, which guarantees
-    the multiterminal objective can only improve on it.  Zero-capacity BSs
+    Point-to-point mode starts cold and takes no `init`.  Multiterminal mode
+    refines `init`, a point-to-point design for the same channel, capacities
+    and power limits, and raises DomainError without one; when refining does
+    not improve on init under `weights`, init is returned.  Zero-capacity BSs
     are silenced and dropped from all constraint sets.
     """
     weights, c, p_bs = solver_inputs(weights, c, p_bs)
+    if mode == MODE_MT:
+        if not isinstance(init, DownlinkDesign) or init.mode != MODE_P2P:
+            raise DomainError("multiterminal mode refines a point-to-point "
+                              "design passed as init")
+    elif init is not None:
+        raise DomainError("point-to-point mode starts cold and takes no init")
     n_bs, n_ms = channel.n_bs, channel.n_ms
     active = np.flatnonzero(c > 0)
     if active.size > SUBSET_ENUM_CAP:
@@ -559,20 +550,18 @@ def optimize_dl(channel, c, p_bs, weights, mode, init=None,
                                 np.ones(active.size), mode, inner_steps,
                                 barrier_rounds)
 
-    if init is None and mode == MODE_MT:
-        init = optimize_dl(channel, c, p_bs, weights, MODE_P2P,
-                           mm_tol=mm_tol, mm_max_iter=mm_max_iter,
-                           inner_steps=inner_steps,
-                           barrier_rounds=barrier_rounds).design
-
-    if init is None:
-        start = problem.cold_start()
-        incumbent = None
+    if mode == MODE_MT:
+        # a point-to-point Omega is diagonal, so its Cholesky factor is the
+        # square root of the diagonal
+        omega_diag = (init.omega.diagonal()[active] / (scale * scale)).real
+        incumbent = _Point(a=init.a[active] / scale[:, None], noise=_Noise(
+            problem, l=np.diag(np.sqrt(omega_diag) + 0j)))
+        # it sits on its constraint boundaries: step inside before refining,
+        # and keep the original as the incumbent
+        start = _interior_restart(incumbent)
     else:
-        incumbent = _point_from_design(problem, init, active, scale)
-        # warm starts typically sit on their constraint boundaries; step
-        # inside before optimizing and keep the original as the incumbent
-        start = _interior_restart(incumbent) if mode == MODE_MT else incumbent
+        incumbent = None
+        start = problem.cold_start()
 
     point, trace = mm_solve(problem, start, tol=mm_tol, max_iter=mm_max_iter)
 

@@ -15,10 +15,9 @@ are byte-identical no matter how many workers are used.  A drop's geometry
 sweep builds each drop once and runs every alpha on it, and a run opens at
 most one process pool, in which one worker takes all alphas of a drop.
 
-Downlink multiterminal rates depend on which modes run: with both, each
-slot's multiterminal solve starts from that slot's point-to-point design,
-solved under the point-to-point weights; alone, it first solves
-point-to-point under its own weights.  Only a drop's first slot matches.
+A downlink multiterminal run also solves and schedules point-to-point each
+slot, as its start, so its files equal the multiterminal half of a run with
+both modes.
 """
 
 import json
@@ -113,9 +112,12 @@ class ExperimentConfig:
             else [self.alpha]
         if len(alphas) == 0:
             raise ConfigurationError("alpha sweep list must be nonempty")
-        if not all(_is_number(a) and a >= 0 for a in alphas):
-            raise ConfigurationError(f"fairness exponents must be numbers "
-                                     f">= 0, got {self.alpha!r}")
+        if not all(_is_number(a) and 0 <= a <= scheduler.ALPHA_MAX
+                   for a in alphas):
+            raise ConfigurationError(
+                f"fairness exponents must be numbers in [0, "
+                f"{scheduler.ALPHA_MAX:.4g}], above which the weights "
+                f"overflow; got {self.alpha!r}")
         return self
 
     @property
@@ -255,8 +257,12 @@ def _simulate_drop(config, drop):
     cluster = _drop_cluster(config, drop)
     c_vec = cluster.backhaul_capacities(config.c_macro, config.c_pico)
     modes = config.modes
+    # a downlink multiterminal design refines the slot's point-to-point one,
+    # so point-to-point is solved and scheduled whether recorded or not
+    solved = MODE_ORDER if config.direction == "downlink" \
+        and MODE_MT in modes else modes
     states = {m: scheduler.initial_state(config.k_ms, float(config.alpha),
-                                         config.beta) for m in modes}
+                                         config.beta) for m in solved}
     out = DropOutcome(drop=drop,
                       rates={m: np.zeros((config.slots, config.k_ms))
                              for m in modes},
@@ -280,24 +286,19 @@ def _simulate_drop(config, drop):
             dl_opts = dict(mm_tol=sol.mm_tol, mm_max_iter=sol.mm_max_iter,
                            inner_steps=sol.inner_steps_dl,
                            barrier_rounds=sol.barrier_rounds)
-            p2p_res = None
-            if MODE_P2P in modes:
-                p2p_res = downlink.optimize_dl(
-                    chan, c_vec, p_bs, scheduler.weights(states[MODE_P2P]),
-                    MODE_P2P, **dl_opts)
-                results[MODE_P2P] = p2p_res
-            if MODE_MT in modes:
-                init = p2p_res.design if p2p_res is not None else None
-                results[MODE_MT] = downlink.optimize_dl(
-                    chan, c_vec, p_bs, scheduler.weights(states[MODE_MT]),
-                    MODE_MT, init=init, **dl_opts)
+            for m in solved:
+                init = results[MODE_P2P].design if m == MODE_MT else None
+                results[m] = downlink.optimize_dl(
+                    chan, c_vec, p_bs, scheduler.weights(states[m]), m,
+                    init=init, **dl_opts)
 
-        for m in modes:
+        for m in solved:
             mapped = config.rate_mapping.apply(results[m].rates)
-            out.rates[m][slot] = mapped
             states[m] = scheduler.update(states[m], mapped)
-            out.warnings[m] += len(results[m].trace.warnings)
-            out.mm_iterations[m] += results[m].trace.iterations
+            if m in modes:
+                out.rates[m][slot] = mapped
+                out.warnings[m] += len(results[m].trace.warnings)
+                out.mm_iterations[m] += results[m].trace.iterations
     return out
 
 

@@ -73,7 +73,8 @@ def mm_solve(problem, init, tol, max_iter):
     """
     trace = MMTrace()
     v0 = problem.violation(init)
-    if v0 > FEASIBILITY_TOL:
+    # written so that a NaN violation counts as infeasible
+    if not v0 <= FEASIBILITY_TOL:
         raise NumericalDomainError(
             f"mm_solve requires a feasible starting point "
             f"(constraint violation {v0:.3e})")
@@ -90,7 +91,7 @@ def mm_solve(problem, init, tol, max_iter):
             break
 
         viol = problem.violation(candidate)
-        if viol > FEASIBILITY_TOL:
+        if not viol <= FEASIBILITY_TOL:
             trace.warnings.append(
                 "step left the feasible set; keeping previous iterate")
             break

@@ -8,6 +8,9 @@ from .errors import DomainError
 
 R_BAR_INIT = 1e-3
 R_BAR_FLOOR = 1e-6
+# largest fairness exponent whose weight at the floor, R_BAR_FLOOR**-alpha,
+# is still a finite float (about 51.4)
+ALPHA_MAX = float(np.log(np.finfo(float).max) / -np.log(R_BAR_FLOOR))
 
 
 @dataclass

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from cransim import cellgeom
+from cransim import cellgeom, downlink
 from cransim.channel import ChannelRealization
 from cransim.errors import ConfigurationError, DomainError
 from cransim.gaussinfo import cholesky
@@ -90,6 +90,14 @@ def backhaul_mv_dl(design, subset):
         total += float(np.log2(sig + omega_ii))
     sub = design.omega[np.ix_(subset, subset)]
     return total - logdet2(sub)
+
+
+def solve_multiterminal(ch, c, p_bs, w, **opts):
+    """Multiterminal downlink design refining the point-to-point design
+    solved under the same weights and solver options."""
+    p2p = downlink.optimize_dl(ch, c, p_bs, w, "point_to_point", **opts)
+    return downlink.optimize_dl(ch, c, p_bs, w, "multiterminal",
+                                init=p2p.design, **opts)
 
 
 def mi_from_samples(x, y):

@@ -14,7 +14,8 @@ import pytest
 from cransim import downlink, harness, uplink
 from helpers import (backhaul_mv_dl, backhaul_p2p_dl, cn_samples,
                      colored_noise, enumerate_subsets, mi_from_samples,
-                     rand_channel, ul_psi_oracle, ul_weighted_psi_oracle)
+                     rand_channel, solve_multiterminal, ul_psi_oracle,
+                     ul_weighted_psi_oracle)
 
 P2P = "point_to_point"
 MT = "multiterminal"
@@ -238,10 +239,10 @@ def test_criterion_6_mm_soundness():
         traces.append(res.trace)
     for _ in range(6):
         ch = rand_channel(rng, int(rng.integers(2, 4)), 2)
-        res = downlink.optimize_dl(ch, rng.uniform(1.0, 4.0, ch.n_bs),
-                                   rng.uniform(2.0, 6.0, ch.n_bs),
-                                   np.ones(2), MT, mm_max_iter=25,
-                                   inner_steps=25)
+        c = rng.uniform(1.0, 4.0, ch.n_bs)
+        p_bs = rng.uniform(2.0, 6.0, ch.n_bs)
+        res = solve_multiterminal(ch, c, p_bs, np.ones(2), mm_max_iter=25,
+                                  inner_steps=25)
         traces.append(res.trace)
     for tr in traces:
         diffs = np.diff(tr.objective)

@@ -10,7 +10,7 @@ from cransim.errors import DomainError, NumericalDomainError
 from cransim.mmopt import FEASIBILITY_TOL
 from helpers import (backhaul_mv_dl, backhaul_p2p_dl, cn_samples,
                      colored_noise, enumerate_subsets, mi_from_samples,
-                     rand_channel)
+                     rand_channel, solve_multiterminal)
 
 
 def make_design(a, omega, c=None, p_bs=None, mode="multiterminal"):
@@ -377,14 +377,20 @@ def test_optimize_multiterminal_dominates_p2p():
         assert np.all(np.diff(p2p.trace.objective) >= -1e-9)
 
 
-def test_optimize_auto_p2p_init():
+def test_multiterminal_refines_only_a_point_to_point_init():
     rng = np.random.default_rng(50)
     ch = rand_channel(rng, 2, 2)
-    mt = downlink.optimize_dl(ch, np.array([2.0, 1.5]), np.array([4.0, 4.0]),
-                              np.ones(2), "multiterminal")
-    p2p = downlink.optimize_dl(ch, np.array([2.0, 1.5]), np.array([4.0, 4.0]),
-                               np.ones(2), "point_to_point")
+    c, p_bs, w = np.array([2.0, 1.5]), np.array([4.0, 4.0]), np.ones(2)
+    p2p = downlink.optimize_dl(ch, c, p_bs, w, "point_to_point")
+    mt = downlink.optimize_dl(ch, c, p_bs, w, "multiterminal",
+                              init=p2p.design)
     assert mt.objective >= p2p.objective - 1e-9
+    for init in (None, mt.design):
+        with pytest.raises(DomainError):
+            downlink.optimize_dl(ch, c, p_bs, w, "multiterminal", init=init)
+    with pytest.raises(DomainError):
+        downlink.optimize_dl(ch, c, p_bs, w, "point_to_point",
+                             init=p2p.design)
 
 
 def test_optimize_inactive_bs_silenced():
@@ -415,12 +421,16 @@ def test_subset_cap_counts_active_bss_only(mode):
     ch = rand_channel(rng, 17, 2)
     c = np.zeros(17)
     c[[2, 9, 16]] = rng.uniform(1.0, 3.0, 3)
-    res = downlink.optimize_dl(ch, c, np.full(17, 4.0), np.ones(2), mode)
+    p_bs = np.full(17, 4.0)
+    res = downlink.optimize_dl(ch, c, p_bs, np.ones(2), "point_to_point")
+    init = res.design if mode == "multiterminal" else None
+    if init is not None:
+        res = downlink.optimize_dl(ch, c, p_bs, np.ones(2), mode, init=init)
     assert np.all(res.design.a[c == 0] == 0) and res.objective > 0
     assert downlink.feasible_dl(res.design).feasible
-    with pytest.raises(DomainError):
-        downlink.optimize_dl(ch, np.ones(17), np.full(17, 4.0), np.ones(2),
-                             mode)
+    with pytest.raises(DomainError, match="capped"):
+        downlink.optimize_dl(ch, np.ones(17), p_bs, np.ones(2), mode,
+                             init=init)
 
 
 def test_p2p_mode_design_has_diagonal_omega():
@@ -467,9 +477,9 @@ def test_inner_step_factors_each_omega_once(monkeypatch):
     monkeypatch.setattr(downlink._PrecodingProblem, "step", counted_step)
     rng = np.random.default_rng(54)
     ch = rand_channel(rng, 4, 3)
-    downlink.optimize_dl(ch, rng.uniform(1.0, 4.0, 4), rng.uniform(2.0, 8.0, 4),
-                         np.ones(3), "multiterminal", mm_max_iter=3)
-    steps = [k for k in steps if k]        # the p2p warm start has no subsets
+    solve_multiterminal(ch, rng.uniform(1.0, 4.0, 4), rng.uniform(2.0, 8.0, 4),
+                        np.ones(3), mm_max_iter=3)
+    steps = [k for k in steps if k]     # the point-to-point start has none
     assert sum(map(len, steps)) > len(steps) > 0
     for calls in steps:
         assert len(set(calls)) == len(calls)
@@ -483,9 +493,8 @@ def test_optimize_dl_factors_each_omega_once(monkeypatch):
     count_factorings(monkeypatch, calls.append)
     rng = np.random.default_rng(54)
     ch = rand_channel(rng, 4, 3)
-    result = downlink.optimize_dl(ch, rng.uniform(1.0, 4.0, 4),
-                                  rng.uniform(2.0, 8.0, 4), np.ones(3),
-                                  "multiterminal")
+    result = solve_multiterminal(ch, rng.uniform(1.0, 4.0, 4),
+                                 rng.uniform(2.0, 8.0, 4), np.ones(3))
     assert result.trace.iterations > 1
     assert len(calls) > 0
     assert len(set(calls)) == len(calls)
@@ -511,8 +520,8 @@ def test_a_step_inverts_no_subset_block(monkeypatch):
     monkeypatch.setattr(problem_cls, "_advance", counted_advance)
     rng = np.random.default_rng(54)
     ch = rand_channel(rng, 4, 3)
-    downlink.optimize_dl(ch, rng.uniform(1.0, 4.0, 4), rng.uniform(2.0, 8.0, 4),
-                         np.ones(3), "multiterminal", mm_max_iter=3)
+    solve_multiterminal(ch, rng.uniform(1.0, 4.0, 4), rng.uniform(2.0, 8.0, 4),
+                        np.ones(3), mm_max_iter=3)
     after_inv = [b for prev, b in zip(events, events[1:]) if prev == "inv"]
     assert len(after_inv) == events.count("inv") > 0
     assert "a" not in after_inv
@@ -701,8 +710,8 @@ def test_inner_step_forms_each_noise_term_once(monkeypatch):
     monkeypatch.setattr(downlink._PrecodingProblem, "step", counted_step)
     rng = np.random.default_rng(54)
     ch = rand_channel(rng, 4, 3)
-    downlink.optimize_dl(ch, rng.uniform(1.0, 4.0, 4), rng.uniform(2.0, 8.0, 4),
-                         np.ones(3), "multiterminal", mm_max_iter=3)
+    solve_multiterminal(ch, rng.uniform(1.0, 4.0, 4), rng.uniform(2.0, 8.0, 4),
+                        np.ones(3), mm_max_iter=3)
     assert sum(map(len, steps)) > len(steps) > 0
     for calls in steps:
         assert len(set(calls)) == len(calls)

@@ -9,7 +9,8 @@ import pytest
 import yaml
 
 import cransim
-from cransim import cellgeom, channel, downlink, harness, uplink
+from cransim import (cellgeom, channel, downlink, harness, scheduler,
+                     uplink)
 from cransim.cli import build_config, main as cli_main
 from cransim.errors import ConfigurationError, DomainError
 
@@ -161,6 +162,20 @@ def test_mode_both_is_aligned_with_single_mode_runs():
     assert np.array_equal(both.metrics["point_to_point"].rates,
                           solo.metrics["point_to_point"].rates)
 
+    # a downlink multiterminal run schedules point-to-point as its start:
+    # from the second slot on, the two modes' weights differ
+    base.update(direction="downlink", alpha=2.0, slots=3)
+    both = harness.run_experiment(
+        harness.ExperimentConfig(mode="both", **base))
+    for mode in harness.MODE_ORDER:
+        solo = harness.run_experiment(
+            harness.ExperimentConfig(mode=mode, **base))
+        assert solo.modes == (mode,)
+        assert np.array_equal(both.metrics[mode].rates,
+                              solo.metrics[mode].rates), mode
+        assert both.metrics[mode].mm_iterations \
+            == solo.metrics[mode].mm_iterations
+
 
 def test_mode_both_shares_the_power_solve_at_alpha_zero(monkeypatch):
     # at alpha = 0 both modes weigh every MS alike, so each slot solves the
@@ -212,6 +227,24 @@ def test_config_rejects_negative_alpha():
         harness.ExperimentConfig(alpha=-0.5).validate()
     with pytest.raises(ConfigurationError):
         harness.ExperimentConfig(alpha=[0.0, -1.0]).validate()
+
+
+def test_config_rejects_alpha_whose_weights_overflow(tmp_path, capsys):
+    # at the r_bar floor the weight is R_BAR_FLOOR**-alpha, finite up to
+    # ALPHA_MAX and inf above it
+    limit = scheduler.ALPHA_MAX
+    with np.errstate(over="ignore"):
+        assert np.isfinite(np.float64(scheduler.R_BAR_FLOOR) ** -limit)
+        assert np.isinf(np.float64(scheduler.R_BAR_FLOOR) ** -(limit + 0.01))
+    assert harness.ExperimentConfig.from_dict(dict(alpha=limit)).alpha == limit
+    for alpha in (limit + 0.01, [1.0, 200.0]):
+        with pytest.raises(ConfigurationError, match="overflow"):
+            harness.ExperimentConfig.from_dict(dict(alpha=alpha))
+    out = tmp_path / "never"
+    assert cli_main(["uplink", "--preset", "ul-sweep", "--alpha", "200",
+                     "--slots", "2", "--drops", "1", "--out", str(out)]) == 2
+    assert "weights overflow" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_csv_reproducible_across_jobs(tmp_path):

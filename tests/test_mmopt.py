@@ -87,9 +87,11 @@ def test_mm_solve_stationary_point_converges_immediately():
 
 
 def test_mm_solve_rejects_infeasible_start():
-    with pytest.raises(NumericalDomainError):
-        mmopt.mm_solve(_ScalarDC(), 11.0, tol=mmopt.MM_TOL,
-                       max_iter=mmopt.MM_MAX_ITER)
+    # a NaN start has a NaN violation, and NaN > tol is False
+    for start in (11.0, np.nan):
+        with pytest.raises(NumericalDomainError):
+            mmopt.mm_solve(_ScalarDC(), start, tol=mmopt.MM_TOL,
+                           max_iter=mmopt.MM_MAX_ITER)
 
 
 def test_mm_solve_reports_non_convergence():
@@ -100,19 +102,24 @@ def test_mm_solve_reports_non_convergence():
 
 
 class _BadStepProblem(_ScalarDC):
+    def __init__(self, bad):
+        self.bad = bad
+
     def step(self, x0):
-        return 50.0  # far outside the box
+        return self.bad
 
 
 def test_mm_solve_feasibility_backtracking():
-    x, trace = mmopt.mm_solve(_BadStepProblem(), 5.0, tol=mmopt.MM_TOL,
-                              max_iter=4)
-    assert x == 5.0
-    assert trace.warnings == [
-        "step left the feasible set; keeping previous iterate"]
-    assert not trace.converged
-    assert trace.iterations == 0
-    assert trace.objective == [_ScalarDC().objective(5.0)]
+    # a step far outside the box, and one whose violation is NaN
+    for bad in (50.0, np.nan):
+        x, trace = mmopt.mm_solve(_BadStepProblem(bad), 5.0,
+                                  tol=mmopt.MM_TOL, max_iter=4)
+        assert x == 5.0
+        assert trace.warnings == [
+            "step left the feasible set; keeping previous iterate"]
+        assert not trace.converged
+        assert trace.iterations == 0
+        assert trace.objective == [_ScalarDC().objective(5.0)]
 
 
 class _DownhillStepProblem(_ScalarDC):
@@ -131,9 +138,18 @@ def test_mm_solve_objective_decrease_stops_unconverged():
     assert trace.objective == [_ScalarDC().objective(3.0)]
 
 
+def _optimize_dl_multiterminal(ch, c, p, w):
+    """The multiterminal downlink solve, refining a point-to-point design
+    solved at valid inputs, so that its own input check is the one tested."""
+    ones = np.ones(ch.n_bs)
+    init = downlink.optimize_dl(ch, ones, ones, np.ones(ch.n_ms),
+                                "point_to_point").design
+    return downlink.optimize_dl(ch, c, p, w, "multiterminal", init=init)
+
+
 @pytest.mark.parametrize("solve", [
     lambda ch, c, p, w: uplink.optimize_ul(ch, c, w, "multiterminal", p),
-    lambda ch, c, p, w: downlink.optimize_dl(ch, c, p, w, "multiterminal"),
+    _optimize_dl_multiterminal,
 ], ids=["optimize_ul", "optimize_dl"])
 def test_solvers_reject_non_finite_or_out_of_range_inputs(solve):
     """A NaN capacity would silence its BS and a NaN weight give a NaN
