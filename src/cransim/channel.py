@@ -9,7 +9,8 @@ per sector on the uplink).
 
 Large-scale link gains (path loss, shadowing, antenna terms) are fixed for
 the lifetime of a drop; small-scale Rayleigh fades are redrawn independently
-per slot.
+per slot.  A cluster is built for one direction and tabulates only that
+direction's interference; its slots carry that direction's noise alone.
 """
 
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from .units import dbm_to_watts
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 CLUSTER_CELL = 1   # the served cell; topology.interferer_set is its co-band set
+DIRECTIONS = ("uplink", "downlink")
 
 
 def thermal_noise_w(nf_db, bandwidth_hz):
@@ -37,7 +39,8 @@ class ChannelRealization:
     ``h_ul[i, k]`` is the complex gain from MS k to BS antenna i (so the BS
     observation vector is ``h_ul @ x + z``); ``h_dl[k, i]`` the gain from BS
     antenna i to MS k.  Noise variances are in watts and include the
-    inter-cluster interference.
+    inter-cluster interference; the noise of the direction a realization
+    was not drawn for is None.
     """
 
     h_ul: np.ndarray
@@ -50,10 +53,14 @@ class ChannelRealization:
         n_bs, n_ms = self.h_ul.shape
         if self.h_dl.shape != (n_ms, n_bs):
             raise DomainError("h_dl shape inconsistent with h_ul")
-        if self.sigma2_z_ul.shape != (n_bs,) or self.sigma2_z_dl.shape != (n_ms,):
-            raise DomainError("noise vector shapes inconsistent with channel")
-        if np.any(self.sigma2_z_ul <= 0) or np.any(self.sigma2_z_dl <= 0):
-            raise DomainError("noise variances must be strictly positive")
+        for noise, n in ((self.sigma2_z_ul, n_bs), (self.sigma2_z_dl, n_ms)):
+            if noise is None:
+                continue
+            if noise.shape != (n,):
+                raise DomainError(
+                    "noise vector shapes inconsistent with channel")
+            if np.any(noise <= 0):
+                raise DomainError("noise variances must be strictly positive")
 
     @property
     def n_bs(self):
@@ -66,16 +73,18 @@ class ChannelRealization:
 
 @dataclass
 class Cluster:
-    """Drop-level state for the cluster: nodes and large-scale quantities."""
+    """Drop-level state for the cluster in one direction: nodes and
+    large-scale quantities.  The other direction's interference is None."""
 
     topology: cellgeom.Topology
     params: cellgeom.PropagationParams
+    direction: str
     bs_nodes: list
     ms_nodes: list
     gain: np.ndarray            # (n_bs, n_ms) large-scale linear gains
     thermal_ul: np.ndarray      # (n_bs,) watts
-    sigma2_dl: np.ndarray       # (n_ms,) watts, thermal + downlink interference
-    ul_interference: np.ndarray  # (n_cells, k_ms, n_bs) rx power if that MS is active
+    sigma2_dl: np.ndarray       # downlink: (n_ms,) watts, thermal + interference
+    ul_interference: np.ndarray  # uplink: (n_cells, k_ms, n_bs) rx power if that MS is active
     n_macro: int = 3
 
     @property
@@ -106,15 +115,19 @@ def _cluster_nodes(topology):
     return bs, ms
 
 
-def build_cluster(topology, params=None):
-    """Precompute the drop-level large-scale state of one cluster.
+def build_cluster(topology, params=None, *, direction):
+    """Precompute the drop-level large-scale state of one cluster for one
+    direction ("uplink" or "downlink").
 
     The inter-cluster interference model lives here and in
-    ``realize_channel`` only: each MS's downlink noise is its thermal floor
-    plus every co-band cell's sector antennas and picos at full power, and
-    the uplink interference each co-band MS would cause at each cluster BS
-    is tabulated for ``realize_channel`` to draw the active MSs from.
+    ``realize_channel`` only.  A downlink cluster gives each MS's noise: its
+    thermal floor plus every co-band cell's sector antennas and picos at
+    full power.  An uplink cluster tabulates the interference each co-band
+    MS would cause at each cluster BS, for ``realize_channel`` to draw the
+    active MSs from.  Each evaluates only its own interferer links.
     """
+    if direction not in DIRECTIONS:
+        raise DomainError(f"unknown direction {direction!r}")
     params = params or cellgeom.PropagationParams()
     bs_nodes, ms_nodes = _cluster_nodes(topology)
     n_bs, n_ms = len(bs_nodes), len(ms_nodes)
@@ -127,27 +140,29 @@ def build_cluster(topology, params=None):
                         else params.nf_pico_db, params.bandwidth_hz)
         for b in bs_nodes])
 
-    p_macro = dbm_to_watts(params.tx_macro_dbm)
-    p_pico = dbm_to_watts(params.tx_pico_dbm)
-    dl_nodes, dl_power = [], []
-    for c in cells:
-        dl_nodes += [("macro", c, s) for s in range(3)]
-        dl_nodes += [("pico", c, j) for j in range(topology.n_pico)]
-        dl_power += [p_macro] * 3 + [p_pico] * topology.n_pico
-    dl_rx = np.array(dl_power)[:, None] * cellgeom.link_gain_linear(
-        dl_nodes, ms_nodes, topology, params)
-    sigma2_dl = np.full(n_ms, thermal_noise_w(params.nf_ms_db,
-                                              params.bandwidth_hz))
-    for row in dl_rx:   # one interferer at a time, in a fixed order
-        sigma2_dl += row
+    sigma2_dl = ul_interference = None
+    if direction == "downlink":
+        p_macro = dbm_to_watts(params.tx_macro_dbm)
+        p_pico = dbm_to_watts(params.tx_pico_dbm)
+        dl_nodes, dl_power = [], []
+        for c in cells:
+            dl_nodes += [("macro", c, s) for s in range(3)]
+            dl_nodes += [("pico", c, j) for j in range(topology.n_pico)]
+            dl_power += [p_macro] * 3 + [p_pico] * topology.n_pico
+        dl_rx = np.array(dl_power)[:, None] * cellgeom.link_gain_linear(
+            dl_nodes, ms_nodes, topology, params)
+        sigma2_dl = np.full(n_ms, thermal_noise_w(params.nf_ms_db,
+                                                  params.bandwidth_hz))
+        for row in dl_rx:   # one interferer at a time, in a fixed order
+            sigma2_dl += row
+    else:
+        p_ms = dbm_to_watts(params.tx_ms_dbm)
+        ul_nodes = [("ms", c, j) for c in cells for j in range(topology.k_ms)]
+        ul_interference = (p_ms * cellgeom.link_gain_linear(
+            ul_nodes, bs_nodes, topology, params)).reshape(
+                len(cells), topology.k_ms, n_bs)
 
-    p_ms = dbm_to_watts(params.tx_ms_dbm)
-    ul_nodes = [("ms", c, j) for c in cells for j in range(topology.k_ms)]
-    ul_interference = (p_ms * cellgeom.link_gain_linear(
-        ul_nodes, bs_nodes, topology, params)).reshape(
-            len(cells), topology.k_ms, n_bs)
-
-    return Cluster(topology=topology, params=params,
+    return Cluster(topology=topology, params=params, direction=direction,
                    bs_nodes=bs_nodes, ms_nodes=ms_nodes, gain=gain,
                    thermal_ul=thermal_ul, sigma2_dl=sigma2_dl,
                    ul_interference=ul_interference)
@@ -156,9 +171,11 @@ def build_cluster(topology, params=None):
 def realize_channel(cluster, slot, rng):
     """Draw one slot of i.i.d. Rayleigh fading for the cluster.
 
-    Uplink and downlink fades are independent; the uplink noise adds the
-    interference of one uniformly chosen active MS per sector of each
-    co-band cell.  Deterministic given the rng state.
+    Uplink and downlink fades are independent and both are drawn, uplink
+    first, whatever the cluster's direction.  An uplink slot's noise then
+    adds the interference of one uniformly chosen active MS per sector of
+    each co-band cell; a downlink slot's is the cluster's drop-level noise,
+    and it draws nothing more.  Deterministic given the rng state.
     """
     n_bs, n_ms = cluster.n_bs, cluster.n_ms
     fade_ul = (rng.standard_normal((n_bs, n_ms))
@@ -169,13 +186,16 @@ def realize_channel(cluster, slot, rng):
     h_ul = amp * fade_ul
     h_dl = amp.T * fade_dl
 
-    sigma2_ul = cluster.thermal_ul.copy()
-    k = cluster.topology.k_ms
-    for ci in range(cluster.ul_interference.shape[0]):
-        active = rng.integers(0, k, size=3)
-        sigma2_ul += cluster.ul_interference[ci, active].sum(axis=0)
+    sigma2_ul = sigma2_dl = None
+    if cluster.direction == "downlink":
+        sigma2_dl = cluster.sigma2_dl.copy()
+    else:
+        sigma2_ul = cluster.thermal_ul.copy()
+        k = cluster.topology.k_ms
+        for ci in range(cluster.ul_interference.shape[0]):
+            active = rng.integers(0, k, size=3)
+            sigma2_ul += cluster.ul_interference[ci, active].sum(axis=0)
 
     return ChannelRealization(h_ul=h_ul, h_dl=h_dl,
-                              sigma2_z_ul=sigma2_ul,
-                              sigma2_z_dl=cluster.sigma2_dl.copy(),
+                              sigma2_z_ul=sigma2_ul, sigma2_z_dl=sigma2_dl,
                               slot_index=int(slot))

@@ -11,9 +11,12 @@ gains paired comparisons.
 Drops execute independently (optionally in a process pool); every drop
 derives its rng streams from the master seed and its own index, so results
 are byte-identical no matter how many workers are used.  A drop's geometry
-(layout and cluster) depends on neither alpha nor the slot, so an alpha
-sweep builds each drop once and runs every alpha on it, and a run opens at
-most one process pool, in which one worker takes all alphas of a drop.
+(layout, and the cluster for the run's direction) and its slots' channel
+realizations depend on neither alpha nor the mode, so an alpha sweep builds
+each drop and realizes each of its slots once, and every alpha reuses them;
+a run opens at most one process pool, in which one worker takes all alphas
+of a drop.  The first slot's weights are equal at every alpha, so the
+uplink solves that slot once per drop (``uplink.optimize_ul``).
 
 A downlink multiterminal run also solves and schedules point-to-point each
 slot, as its start, so its files equal the multiterminal half of a run with
@@ -233,28 +236,36 @@ class DropOutcome:
     mm_iterations: dict      # mode -> MM iterations over the drop's slots
 
 
-# (geometry key, Cluster) of the last drop built in this process; a run
-# empties it when it starts and when it ends
-_last_cluster = []
+# (geometry key, Cluster, {slot: ChannelRealization}) of the last drop
+# built in this process; a run empties it, and the uplink's kept power
+# solves, when it starts and when it ends
+_last_drop = []
 
 
-def _drop_cluster(config, drop):
-    """The drop's Cluster, built once for consecutive calls that share
-    everything the geometry reads (every alpha of a sweep does)."""
-    key = (config.seed, drop, config.k_ms, config.n_pico, config.reuse,
-           config.propagation)
-    if not _last_cluster or _last_cluster[0][0] != key:
+def _forget_drops():
+    _last_drop.clear()
+    uplink._power_solves.clear()
+
+
+def _drop_channels(config, drop):
+    """The drop's Cluster and its realized slots, built once for consecutive
+    calls that share everything the geometry reads (every alpha of a sweep
+    does).  A slot is realized on first use, and depends only on the
+    cluster and its own rng stream."""
+    key = (config.seed, drop, config.direction, config.k_ms, config.n_pico,
+           config.reuse, config.propagation)
+    if not _last_drop or _last_drop[0][0] != key:
         topo = cellgeom.build_layout(_drop_seed(config.seed, drop),
                                      config.k_ms, config.n_pico,
                                      config.propagation, reuse=config.reuse)
-        _last_cluster[:] = [(key, channel_mod.build_cluster(
-            topo, config.propagation))]
-    return _last_cluster[0][1]
+        _last_drop[:] = [(key, channel_mod.build_cluster(
+            topo, config.propagation, direction=config.direction), {})]
+    return _last_drop[0][1:]
 
 
 def _simulate_drop(config, drop):
     """Run all slots of one drop; deterministic given (config.seed, drop)."""
-    cluster = _drop_cluster(config, drop)
+    cluster, channels = _drop_channels(config, drop)
     c_vec = cluster.backhaul_capacities(config.c_macro, config.c_pico)
     modes = config.modes
     # a downlink multiterminal design refines the slot's point-to-point one,
@@ -271,8 +282,10 @@ def _simulate_drop(config, drop):
     sol = config.solver
 
     for slot in range(config.slots):
-        chan = channel_mod.realize_channel(cluster, slot,
-                                           _slot_rng(config.seed, drop, slot))
+        if slot not in channels:
+            channels[slot] = channel_mod.realize_channel(
+                cluster, slot, _slot_rng(config.seed, drop, slot))
+        chan = channels[slot]
         results = {}
         if config.direction == "uplink":
             p_max = cluster.power_limits_ul()
@@ -355,7 +368,7 @@ def _run(config, alphas):
     configs = [replace(config, alpha=a) for a in alphas]
     grid = [(c, d) for d in range(config.drops) for c in configs]
     start = time.perf_counter()
-    _last_cluster.clear()
+    _forget_drops()
     try:
         if config.jobs > 1:
             with ProcessPoolExecutor(max_workers=config.jobs) as pool:
@@ -364,7 +377,7 @@ def _run(config, alphas):
         else:
             outcomes = [_simulate_drop(c, d) for c, d in grid]
     finally:
-        _last_cluster.clear()
+        _forget_drops()
     metrics = [_aggregate(c, sorted(outcomes[i::len(configs)],
                                     key=lambda o: o.drop))
                for i, c in enumerate(configs)]

@@ -13,7 +13,8 @@ ideal backhaul by projected-gradient ascent of the weighted sum rate over
 the power box, then the quantization noise powers follow in closed form from
 the backhaul capacities held at equality.  The power solve sees only the
 channel, the weights divided by their largest and the power limits, so the
-two modes of a slot share one solve whenever their weights match.
+two modes of a slot share one solve whenever their weights match, and so
+does the first slot of a drop across an alpha sweep (equal weights).
 
 Rates treat interference as noise.  One Cholesky factor of the received
 covariance M gives G = H^H M^-1 H, and from G every rate
@@ -307,22 +308,29 @@ class _PowerProblem:
         return p
 
 
-# (key, powers, MMTrace) of the last power solve in this process, keyed by
-# the content of everything the solve reads
-_last_power_solve = []
+# power solves kept in this process, keyed by the content of everything the
+# solve reads, least recently used first; room for every solve of one alpha
+# of a 10-slot drop in both modes, so the first slot's solve outlives them
+_power_solves = {}
+_POWER_SOLVES_KEPT = 24
 
 
 def _power_solve(h, sigma2, weights, p_max, mm_tol, mm_max_iter):
-    """mm_solve of the power problem, reusing the last solve when its inputs
-    are equal (the two modes of a slot whose weights match); every caller
-    gets its own copy of the powers and of the trace."""
+    """mm_solve of the power problem, reusing a recent solve whose inputs
+    are equal (the two modes of a slot whose weights match, and the first
+    slot of a drop at every alpha); every caller gets its own copy of the
+    powers and of the trace."""
     key = (h.shape, h.tobytes(), sigma2.tobytes(), weights.tobytes(),
            p_max.tobytes(), mm_tol, mm_max_iter)
-    if not _last_power_solve or _last_power_solve[0][0] != key:
-        p, trace = mm_solve(_PowerProblem(h, sigma2, weights, p_max),
-                            p_max.copy(), tol=mm_tol, max_iter=mm_max_iter)
-        _last_power_solve[:] = [(key, p, trace)]
-    _, p, trace = _last_power_solve[0]
+    if key in _power_solves:
+        _power_solves[key] = _power_solves.pop(key)
+    else:
+        _power_solves[key] = mm_solve(
+            _PowerProblem(h, sigma2, weights, p_max), p_max.copy(),
+            tol=mm_tol, max_iter=mm_max_iter)
+        if len(_power_solves) > _POWER_SOLVES_KEPT:
+            del _power_solves[next(iter(_power_solves))]
+    p, trace = _power_solves[key]
     return p.copy(), replace(trace, objective=list(trace.objective),
                              violation=list(trace.violation),
                              warnings=list(trace.warnings))
@@ -334,8 +342,10 @@ def optimize_ul(channel, c, weights, mode, p_max, n_macro=3,
 
     Returns an UplinkResult whose trace flags non-convergence instead of
     raising.  BSs with zero capacity are dropped from all assemblies.  A
-    call whose power solve reads the same inputs as the last one in this
-    process, as the other mode of a slot with equal weights does, reuses it.
+    call whose power solve reads the same inputs as a recent one in this
+    process reuses it: the other mode of a slot with equal weights does, and
+    so does the first slot of a drop at every alpha, whose weights are all
+    equal.
     """
     weights, c, p_max = solver_inputs(weights, c, p_max)
     p_max = np.broadcast_to(p_max, (channel.n_ms,)).copy()

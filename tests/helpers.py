@@ -230,10 +230,56 @@ def link_shadowing_oracle(topology, tx, rx, params):
     the per-link draw ``cellgeom.link_shadowing_db`` must reproduce bit for
     bit."""
     codes = sorted((cellgeom._node_code(tx), cellgeom._node_code(rx)))
-    ss = np.random.SeedSequence([topology.seed & 0xFFFFFFFF, *codes])
     std = params.shadow_std_macro_db if "macro" in (tx[0], rx[0]) \
         else params.shadow_std_pico_db
+    return shadow_draw_oracle([topology.seed & 0xFFFFFFFF, *codes], std)
+
+
+def shadow_draw_oracle(entropy, std):
+    """``normal(0, std)`` from a Generator on PCG64 seeded by
+    ``SeedSequence(entropy)``."""
+    ss = np.random.SeedSequence([int(e) for e in entropy])
     return float(np.random.default_rng(ss).normal(0.0, std))
+
+
+def ziggurat_tables_oracle():
+    """(wi, ki) of numpy's standard-normal ziggurat, probed from numpy's own
+    ``standard_normal`` with every ki entry found by a full bisection.
+
+    A probe sets a PCG64 state whose next 64-bit output is the draw: strip
+    index in bits 0-7, sign 0, magnitude rabs in bits 9-60.  The draw took
+    the fast path when it consumed exactly that one output; wi is the value
+    of the draw with rabs 1 (0 where that misses the fast path), ki the
+    least rabs that misses it (2^52 if none does)."""
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    inv = pow(mult, -1, 2 ** 128)
+    bitgen = np.random.PCG64()
+    gen = np.random.Generator(bitgen)
+
+    def draw(idx, rabs):
+        out = rabs << 9 | idx
+        # increment 1; the stepped state is ``out``, output without rotation
+        bitgen.state = {"bit_generator": "PCG64",
+                        "state": {"state": (out - 1) * inv % 2 ** 128,
+                                  "inc": 1},
+                        "has_uint32": 0, "uinteger": 0}
+        x = gen.standard_normal()
+        return bitgen.state["state"]["state"] == out, x
+
+    wi = np.zeros(256)
+    ki = np.zeros(256, dtype=np.uint64)
+    for idx in range(256):
+        fast, x = draw(idx, 1)
+        wi[idx] = x if fast else 0.0
+        lo, hi = 0, 2 ** 52
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if draw(idx, mid)[0]:
+                lo = mid + 1
+            else:
+                hi = mid
+        ki[idx] = lo
+    return wi, ki
 
 
 def layout_oracle(seed, k_ms, n_pico, params, sites):

@@ -3,7 +3,8 @@ import pytest
 
 from cransim import cellgeom
 from cransim.errors import ConfigurationError, DomainError
-from helpers import layout_oracle
+from helpers import (layout_oracle, shadow_draw_oracle,
+                     ziggurat_tables_oracle)
 
 
 def test_pathloss_macro_reference_points():
@@ -78,6 +79,63 @@ def test_shadowing_deterministic_and_classes():
     assert np.all(flipped[:, 0] == 0.0)
     with pytest.raises(DomainError):
         cellgeom.link_shadowing_db(topo, [("femto", 1, 0)], rx)
+
+
+def _fast_path_rows(n, seed):
+    """n random entropy rows of the shadowing seed sequence, their state
+    words, and each row's strip index, magnitude and fast-path flag."""
+    entropy = np.random.default_rng(seed).integers(
+        0, 2 ** 32, size=(n, 3), dtype=np.uint64).astype(np.uint32)
+    words = cellgeom._seed_state_words(entropy)
+    r = cellgeom._pcg64_first_output(words)
+    idx = (r & np.uint64(0xFF)).astype(int)
+    rabs = r >> np.uint64(9) & np.uint64(2 ** 52 - 1)
+    _, ki = cellgeom._ziggurat_tables()
+    return entropy, words, idx, rabs < ki[idx]
+
+
+def test_pcg64_first_output_matches_bit_generator():
+    entropy, words, _, _ = _fast_path_rows(500, 3)
+    expected = [np.random.PCG64(np.random.SeedSequence(
+        [int(e) for e in row])).random_raw() for row in entropy]
+    assert np.array_equal(cellgeom._pcg64_first_output(words), expected)
+
+
+def test_shadowing_fast_path_matches_generator_bitwise():
+    """20000 random seed sequences, in both std classes: the array fast
+    path and its per-link fallback give numpy's draws bit for bit, and both
+    paths occur, the fallback in strip 1, in strip 0's tail and in a
+    wedge."""
+    entropy, words, idx, fast = _fast_path_rows(20000, 2)
+    params = cellgeom.PropagationParams()
+    std = np.where(np.arange(len(entropy)) % 2 == 0,
+                   params.shadow_std_macro_db, params.shadow_std_pico_db)
+    got = cellgeom._normals(words, std)
+    expected = [shadow_draw_oracle(row, s) for row, s in zip(entropy, std)]
+    assert np.array_equal(got.view(np.uint64),
+                          np.array(expected).view(np.uint64))
+    assert fast.sum() > 19000
+    assert not fast[idx == 1].any() and (idx == 1).any()
+    assert (~fast & (idx == 0)).any()
+    assert (~fast & (idx > 1)).any()
+
+
+def test_shadowing_without_fast_path_tables(monkeypatch):
+    """If the probed tables fail their self-check, every link takes the
+    per-link Generator and the draws do not change."""
+    entropy, words, _, _ = _fast_path_rows(300, 4)
+    std = np.full(len(entropy), 6.0)
+    fast = cellgeom._normals(words, std)
+    monkeypatch.setattr(cellgeom, "_ziggurat_tables", lambda: None)
+    assert np.array_equal(cellgeom._normals(words, std), fast)
+
+
+def test_ziggurat_tables_match_full_bisection():
+    wi, ki = cellgeom._ziggurat_tables()
+    wi_oracle, ki_oracle = ziggurat_tables_oracle()
+    assert np.array_equal(wi, wi_oracle)
+    assert np.array_equal(ki, ki_oracle)
+    assert ki[1] == 0
 
 
 def test_node_codes_distinct_and_32_bit():
@@ -269,3 +327,5 @@ def test_propagation_params_validation():
         cellgeom.PropagationParams(theta_3db_deg=0.0)
     with pytest.raises(ConfigurationError):
         cellgeom.PropagationParams(shadow_std_macro_db=np.inf)
+    with pytest.raises(ConfigurationError):
+        cellgeom.PropagationParams(shadow_std_pico_db=-1.0)

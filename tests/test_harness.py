@@ -135,7 +135,7 @@ def test_run_experiment_single_user_pipeline_identity():
     # rebuild the same drop by hand and solve it directly
     topo = cellgeom.build_layout(harness._drop_seed(5, 0), 1, 0,
                                  cfg.propagation)
-    cluster = channel.build_cluster(topo, cfg.propagation)
+    cluster = channel.build_cluster(topo, cfg.propagation, direction="uplink")
     chan = channel.realize_channel(cluster, 0, harness._slot_rng(5, 0, 0))
     res = uplink.optimize_ul(chan, cluster.backhaul_capacities(40.0, 40.0),
                              np.ones(1), "point_to_point",
@@ -331,6 +331,7 @@ def counting(monkeypatch, module, name):
 def test_alpha_sweep_builds_each_drop_once(monkeypatch):
     layouts = counting(monkeypatch, cellgeom, "build_layout")
     clusters = counting(monkeypatch, channel, "build_cluster")
+    slots = counting(monkeypatch, channel, "realize_channel")
     cfg = harness.ExperimentConfig(direction="uplink",
                                    alpha=SWEEP_ALPHAS["uplink"],
                                    solver=fast_solver(), **SWEEP_BASE)
@@ -338,6 +339,64 @@ def test_alpha_sweep_builds_each_drop_once(monkeypatch):
     assert layouts == [harness._drop_seed(cfg.seed, d)
                        for d in range(cfg.drops)]
     assert len(clusters) == cfg.drops
+    # every alpha reuses the drop's realized slots
+    assert len(slots) == cfg.drops * cfg.slots
+
+
+def test_alpha_sweep_solves_the_first_slot_once_per_drop(monkeypatch):
+    # the first slot's weights are equal at every alpha, so with one slot
+    # per drop an uplink sweep makes one power solve per drop
+    calls = counting(monkeypatch, uplink, "mm_solve")
+    cfg = harness.ExperimentConfig(direction="uplink",
+                                   alpha=SWEEP_ALPHAS["uplink"],
+                                   solver=fast_solver(),
+                                   **dict(SWEEP_BASE, slots=1))
+    sweep = harness.alpha_sweep(cfg)
+    assert len(calls) == cfg.drops
+    single = harness.run_experiment(dataclasses.replace(cfg, alpha=3.0))
+    for mode in cfg.modes:
+        assert np.array_equal(sweep.reports[-1].metrics[mode].rates,
+                              single.metrics[mode].rates)
+
+
+def test_drop_reuse_is_per_direction(monkeypatch):
+    """An uplink run and then a downlink run of an otherwise equal config
+    in one process build a cluster each, and the drop cache never hands one
+    direction's cluster to the other."""
+    clusters = counting(monkeypatch, channel, "build_cluster")
+    base = dict(k_ms=2, n_pico=1, alpha=2.0, slots=2, drops=1, seed=13,
+                solver=fast_solver())
+    up = harness.ExperimentConfig(direction="uplink", **base)
+    down = harness.ExperimentConfig(direction="downlink", **base)
+    harness.run_experiment(up)
+    harness.run_experiment(down)
+    assert len(clusters) == 2
+    try:
+        built = [harness._drop_channels(cfg, 0)[0] for cfg in (up, down)]
+    finally:
+        harness._forget_drops()
+    assert [c.direction for c in built] == ["uplink", "downlink"]
+    assert built[0].sigma2_dl is None and built[1].ul_interference is None
+    assert len(clusters) == 4
+
+
+@pytest.mark.parametrize("direction", ["uplink", "downlink"])
+def test_f1_reuse_records_identical_across_jobs(tmp_path, direction):
+    # universal reuse: all 18 other cells interfere
+    assert len(cellgeom.build_layout(29, 1, 0, reuse="F1").interferer_set) \
+        == 18
+    base = dict(direction=direction, mode="both", k_ms=3, n_pico=1,
+                alpha=1.0, slots=2, drops=2, seed=29, reuse="F1",
+                solver=fast_solver())
+    records = []
+    for jobs in (1, 2):
+        report = harness.run_experiment(
+            harness.ExperimentConfig(jobs=jobs, **base))
+        out = tmp_path / f"jobs{jobs}"
+        harness.write_report(report, out)
+        records.append((out / "records.csv").read_bytes())
+    assert records[0] == records[1]
+    assert len(records[0].splitlines()) == 1 + 2 * 2 * 2 * 3
 
 
 def test_drop_reuse_never_crosses_runs(monkeypatch):
