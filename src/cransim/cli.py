@@ -31,8 +31,13 @@ def _add_common(sub):
 
 
 def _parse_alpha(text):
-    parts = [p for p in text.split(",") if p.strip()]
-    values = [float(p) for p in parts]
+    try:
+        values = [float(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise ConfigurationError(f"--alpha takes a number or a comma-separated "
+                                 f"list of numbers (got {text!r})")
     return values if len(values) > 1 else values[0]
 
 
@@ -43,7 +48,16 @@ def build_config(args, direction=None):
     if args.config:
         import yaml
         with open(args.config) as fh:
-            file_data = yaml.safe_load(fh) or {}
+            try:
+                file_data = yaml.safe_load(fh) or {}
+            except yaml.YAMLError as exc:
+                mark = getattr(exc, "problem_mark", None)
+                where = "" if mark is None else \
+                    f" at line {mark.line + 1}, column {mark.column + 1}"
+                problem = getattr(exc, "problem", None) or "syntax error"
+                raise ConfigurationError(
+                    f"config file {args.config} is not valid YAML: "
+                    f"{problem}{where}") from None
         if not isinstance(file_data, dict):
             raise ConfigurationError("config file must contain a mapping")
         data.update(file_data)

@@ -21,11 +21,16 @@ objective.
 
 The solver and the re-check `feasible_dl` take every subset log-det from
 one kernel, `_subset_logdets`, which marks an undefined one -inf so that its
-condition fails on both sides.  The inner ascent evaluates many candidates
-per MM step, so each Omega (one `_Noise`) computes its log-dets and the
-quantization-noise power at each MS once, on first use; its 1x1 log-dets
-come first and screen out a candidate violating a singleton condition
-before any block is factored.
+condition fails on both sides.  It works on a symmetric chain decomposition
+of the subset lattice: C(n, n//2) orderings of the BSs whose leading blocks
+hold each of the 2^n - 1 subsets once.  One batched Cholesky of the reordered
+Omegas gives every subset's log-det as a cumulative sum of its chain's
+pivots, and the noise gradient's sum of scattered subset inverses comes
+from the same factors with one batched inverse.  The inner ascent evaluates
+many candidates per MM step, so each Omega (one `_Noise`) and each precoder
+(one `_Precoder`) computes its terms once, on first use; Omega's 1x1
+log-dets come first and screen out a candidate violating a singleton
+condition before any block is factored.
 """
 
 from dataclasses import dataclass
@@ -85,9 +90,9 @@ class FeasibilityReport:
     n_subsets_checked: int
 
 
-def _bs_power(a, omega_diag):
-    """Transmit power of each BS: precoded signal plus quantization noise."""
-    return (np.abs(a) ** 2).sum(axis=1) + omega_diag
+def _row_power(a):
+    """Precoded signal power of each BS: the squared norms of A's rows."""
+    return (np.abs(a) ** 2).sum(axis=1)
 
 
 def rate_dl(design, channel, k):
@@ -107,56 +112,142 @@ def _size_groups(n):
     """The nonempty subsets of range(n), ordered by size and then
     lexicographically, grouped by size.
 
-    One entry per size: the slice of the subset list holding that size, the
-    members of each subset (k, size), and the flat indices (k, size, size)
-    of their blocks in an n x n matrix, so that `m.take(flat)` gathers every
-    block of one size at once.  Callers cap n at SUBSET_ENUM_CAP, and the
-    cached arrays are read-only.
+    One entry per size: the slice of the subset list holding that size and
+    the members of each subset (k, size).  Callers cap n at
+    SUBSET_ENUM_CAP, and the cached arrays are read-only.
     """
     groups, start = [], 0
     for size in range(1, n + 1):
         members = np.array(list(combinations(range(n), size)), dtype=np.intp)
-        flat = members[:, :, None] * n + members[:, None, :]
-        members.flags.writeable = flat.flags.writeable = False
-        groups.append((slice(start, start + len(members)), members, flat))
+        members.flags.writeable = False
+        groups.append((slice(start, start + len(members)), members))
         start += len(members)
     return tuple(groups)
 
 
-def _subset_logdets(omega):
-    """log2 det of Omega's block on every subset, yielded one array per size
-    in _size_groups order: the 1x1 blocks from the diagonal, each larger
-    size by one batched Cholesky when it is asked for.
+def _symmetric_chains(n):
+    """A symmetric chain decomposition of the subsets of range(n) (de Bruijn,
+    van Ebbenhorst Tengbergen and Kruyswijk, 1951): C(n, n//2) chains of
+    nested subsets (sorted tuples), each one BS larger than the one before,
+    that together hold every subset exactly once."""
+    chains = [[()]]
+    for i in range(n):
+        grown = []
+        for chain in chains:
+            grown.append(chain + [chain[-1] + (i,)])
+            if len(chain) > 1:
+                grown.append([s + (i,) for s in chain[:-1]])
+        chains = grown
+    return chains
 
-    A block with a non-finite entry or a diagonal entry not > 0 gets -inf.
-    When a size fails to factor, its block with the smallest eigenvalue gets
-    -inf and the others +inf (unchecked).  No result is NaN: a finite
-    positive definite block has a finite positive Cholesky diagonal.
+
+@dataclass(frozen=True)
+class _ChainTables:
+    """Index tables of the chain kernel for one n (see `_chain_tables`)."""
+    gather: np.ndarray    # (k, n, n) flat index of each reordered Omega entry
+    source: np.ndarray    # (2^n - 1,) flat (chain, prefix size - 1) per subset
+    columns: np.ndarray   # (k, n, n) flat index putting columns in BS order
+
+
+@lru_cache(maxsize=None)
+def _chain_tables(n):
+    """Every nonempty subset of range(n) as a leading block of one of the
+    C(n, n//2) chain orderings of the BSs.
+
+    A chain S_1 < ... < S_m becomes the BS ordering S_1, then the BS each
+    later set adds, then the BSs outside S_m; its used prefixes have sizes
+    |S_1| to |S_m| (the empty set excluded).  `source` lists, in
+    `_size_groups` order, where each subset's prefix sits in a (chain,
+    prefix size - 1) table.  Callers cap n at SUBSET_ENUM_CAP, and the
+    cached arrays are read-only.
+    """
+    position = {tuple(s): j for j, s in enumerate(
+        s for _, members in _size_groups(n) for s in members.tolist())}
+    chains = _symmetric_chains(n)
+    order = np.empty((len(chains), n), dtype=np.intp)
+    source = np.empty(len(position), dtype=np.intp)
+    for c, chain in enumerate(chains):
+        first = list(chain[0])
+        added = [next(iter(set(b) - set(a))) for a, b in zip(chain, chain[1:])]
+        order[c] = first + added + sorted(set(range(n)) - set(chain[-1]))
+        for s in chain:
+            if s:
+                source[position[s]] = c * n + len(s) - 1
+    gather = order[:, :, None] * n + order[:, None, :]
+    rank = np.argsort(order, axis=1)
+    columns = np.arange(len(chains) * n).reshape(-1, n, 1) * n \
+        + rank[:, None, :]
+    for table in (gather, source, columns):
+        table.flags.writeable = False
+    return _ChainTables(gather=gather, source=source, columns=columns)
+
+
+def _subset_logdets(omega):
+    """log2 det of Omega's block on every subset, in _size_groups order, and
+    the Cholesky factors of the reordered Omegas of _chain_tables.
+
+    One batched Cholesky of the C(n, n//2) chain orderings of Omega gives
+    them all: a leading block's factor is the leading block of the factor,
+    so the cumulative sums of 2 log2 of the pivots are every prefix's
+    log-det.  A prefix with a non-finite entry or a diagonal entry not > 0,
+    and every longer prefix of its chain, gets -inf.  When the batch fails to
+    factor, each chain is factored alone, and from its first prefix that
+    does not factor on, its prefixes get -inf; the factors are then None.
+    No result is +inf or NaN: a finite positive definite block has a finite
+    positive Cholesky diagonal.
     """
     n = omega.shape[0]
-    diag = omega.diagonal().real
-    bad = ~np.isfinite(omega)
-    bad.flat[::n + 1] |= diag <= 0
-    any_bad = bad.any()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # a 1x1 Cholesky factor is sqrt(d): this is the value factoring gives
-        single = 2.0 * np.log2(np.sqrt(diag))
-    single[bad.diagonal()] = -np.inf
-    yield single
-    for _, members, flat in _size_groups(n)[1:]:
-        blocks = omega.take(flat)
-        if any_bad:
-            undefined = bad.take(flat).any(axis=(1, 2))
-            blocks[undefined] = np.eye(members.shape[1])
-        try:
-            logdet = 2.0 * np.log2(np.linalg.cholesky(blocks).diagonal(
-                axis1=1, axis2=2).real).sum(axis=1)
-        except np.linalg.LinAlgError:
-            logdet = np.full(len(blocks), np.inf)
-            logdet[np.argmin(np.linalg.eigvalsh(blocks)[:, 0])] = -np.inf
-        if any_bad:
-            logdet[undefined] = -np.inf
-        yield logdet
+    tables = _chain_tables(n)
+    blocks = omega.take(tables.gather)
+    undefined = None
+    diag_ok = omega.diagonal().real > 0
+    if not (diag_ok.all() and np.isfinite(omega).all()):
+        # prefixes from the first row reaching a bad entry on: identity rows
+        bad = ~np.isfinite(omega)
+        bad.flat[::n + 1] |= ~diag_ok
+        bad = bad.take(tables.gather)
+        undefined = np.logical_or.accumulate(
+            np.tril(bad | bad.swapaxes(1, 2)).any(axis=2), axis=1)
+        blocks = np.where(undefined[:, :, None] | undefined[:, None, :],
+                          np.eye(n), blocks)
+    try:
+        factors = np.linalg.cholesky(blocks)
+        pivots = factors.diagonal(axis1=1, axis2=2).real.copy()
+    except np.linalg.LinAlgError:
+        factors, pivots = None, np.zeros(blocks.shape[:2])
+        for c, block in enumerate(blocks):
+            for size in range(n, 0, -1):
+                try:
+                    pivots[c, :size] = np.linalg.cholesky(
+                        block[:size, :size]).diagonal().real
+                    break
+                except np.linalg.LinAlgError:
+                    pass
+    if undefined is not None:
+        pivots[undefined] = 0.0
+    # a zero pivot is -inf, and so is every cumulative sum after it
+    with np.errstate(divide="ignore"):
+        return 2.0 * np.log2(pivots).cumsum(axis=1).take(tables.source), \
+            factors
+
+
+def _subset_inv_scatter(factors, coeffs):
+    """Sum over subsets S of coeff_S * scatter(inv(Omega_S)), from the chain
+    factors of `_subset_logdets` (for gradients).
+
+    The inverse of a leading block is L_m^-H L_m^-1 with L_m^-1 the leading
+    block of L^-1, so a chain's terms sum to L^-H diag(d) L^-1 with d the
+    reverse cumulative sum of its prefixes' coefficients: Y^H Y, where Y
+    stacks the rows of diag(sqrt(d)) L^-1 with their columns in BS order.
+    """
+    k, n = factors.shape[:2]
+    tables = _chain_tables(n)
+    d = np.zeros(k * n)
+    d[tables.source] = coeffs
+    d = d.reshape(k, n)[:, ::-1].cumsum(axis=1)[:, ::-1]
+    y = (np.sqrt(d)[:, :, None] * np.linalg.inv(factors)).take(
+        tables.columns).reshape(k * n, n)
+    return y.conj().T @ y
 
 
 def feasible_dl(design):
@@ -172,7 +263,7 @@ def feasible_dl(design):
         raise DomainError(
             f"subset enumeration capped at {SUBSET_ENUM_CAP} BSs "
             f"(got {active.size})")
-    power = _bs_power(design.a, design.omega.diagonal().real)
+    power = _row_power(design.a) + design.omega.diagonal().real
     leak = power + np.abs(design.omega).sum(axis=1)
     leak_tol = 1e-10 * max(float(np.max(design.p_bs, initial=0.0)), 1e-30)
     on = design.c > 0
@@ -184,10 +275,11 @@ def feasible_dl(design):
         terms = np.log2(power[active])
     caps = design.c[active]
     groups = _size_groups(active.size)
-    for (_, members, _), logdet in zip(groups, _subset_logdets(omega)):
+    logdets, _ = _subset_logdets(omega)
+    for rows, members in groups:
         # the requirement of subset S: its terms summed member by member,
         # minus log2 det Omega_S
-        g = sum(terms.take(members).T) - logdet
+        g = sum(terms.take(members).T) - logdets[rows]
         slacks.append(caps.take(members).sum(axis=1) - g)
     # per BS, then per subset: on a tie the power constraint is named
     slack = np.concatenate(slacks)
@@ -199,7 +291,7 @@ def feasible_dl(design):
             worst = f"power[{j}]" if on[j] else f"inactive_bs[{j}]"
         else:
             j -= on.size
-            rows, m, _ = next(grp for grp in groups if j < grp[0].stop)
+            rows, m = next(grp for grp in groups if j < grp[0].stop)
             worst = f"backhaul{tuple(active[m[j - rows.start]].tolist())}"
 
     return FeasibilityReport(feasible=bool(margin >= -FEASIBILITY_TOL),
@@ -213,9 +305,35 @@ def feasible_dl(design):
 
 @dataclass
 class _Point:
-    """Inner parameterization: free A, plus the noise parameters of Omega."""
+    """Inner parameterization: free A, plus the noise parameters of Omega.
+    Points with the same A share its terms, `pre`."""
     a: np.ndarray                 # (n_act, n_ms) complex
     noise: "_Noise"
+    pre: "_Precoder" = None
+
+    def __post_init__(self):
+        if self.pre is None:
+            self.pre = _Precoder(self.noise.problem.hbar, self.a)
+        # transmit power of each BS: precoded signal plus quantization noise
+        self.power = self.pre.power + self.noise.diag
+
+
+class _Precoder:
+    """A precoder A and its terms.  The noise-step candidates of a point
+    share its object, so A's row powers (made with it) and received signals
+    (on first use) are computed once."""
+
+    def __init__(self, hbar, a):
+        self.hbar, self.a = hbar, a
+        self.power = _row_power(a)
+
+    @cached_property
+    def signal(self):
+        """hbar A, and the signal power each MS receives in all and from
+        its own stream."""
+        m = self.hbar @ self.a
+        sig = np.abs(m) ** 2
+        return m, sig.sum(axis=1), sig.diagonal()
 
 
 # log-parameterization of the diagonal noise powers: strictly positive by
@@ -228,34 +346,49 @@ class _Noise:
     """The noise parameters and the Omega they make: Omega = L L^H for a
     complex lower-triangular L (multiterminal), or diag(exp(u)) for a real u
     (point-to-point).  Every point with these parameters shares the object,
-    so Omega's log-dets and noise form are computed once, on first use."""
+    so Omega's log-dets, chain factors and noise form are computed once, on
+    first use."""
 
     def __init__(self, problem, l=None, u=None):
         self.problem, self.l, self.u = problem, l, u
         if l is not None:
             self.omega = l @ l.conj().T
-            self._sizes = _subset_logdets(self.omega)
         else:
             self.omega = np.diag(np.exp(u)).astype(complex)
         self.diag = self.omega.diagonal().real
 
     @cached_property
     def single_logdets(self):
-        """log2 det of each 1x1 block of Omega (multiterminal)."""
-        return next(self._sizes)
+        """log2 det of each 1x1 block of Omega (multiterminal), -inf where
+        the diagonal entry is not finite and > 0: the values factoring
+        gives, since a 1x1 Cholesky factor is sqrt(d)."""
+        d = self.diag
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where((d > 0) & (d < np.inf),
+                            2.0 * np.log2(np.sqrt(d)), -np.inf)
 
     @cached_property
     def logdets(self):
-        """log2 det of each constrained block of Omega."""
-        if self.l is not None:
-            return np.concatenate([self.single_logdets, *self._sizes])
-        return np.log2(self.diag)
+        """log2 det of each constrained block of Omega; multiterminal keeps
+        the chain factors for the gradient."""
+        if self.l is None:
+            return np.log2(self.diag)
+        logdets, self.chain_factors = _subset_logdets(self.omega)
+        if self.chain_factors is None:
+            # some ordering of Omega does not factor, so there is no
+            # gradient here: the solver takes the whole set as undefined
+            logdets[-1] = -np.inf
+        return logdets
 
     @cached_property
     def qn(self):
-        """Quantization noise power at each MS: hbar_k Omega hbar_k^H."""
-        hbar, hbar_c = self.problem.hbar, self.problem.hbar_c
-        return np.einsum("ki,ij,kj->k", hbar, self.omega, hbar_c).real
+        """Quantization noise power at each MS: hbar_k Omega hbar_k^H, the
+        squared norm of hbar_k L in multiterminal mode."""
+        hbar = self.problem.hbar
+        if self.l is not None:
+            return (np.abs(hbar @ self.l) ** 2).sum(axis=1)
+        return np.einsum("ki,ij,kj->k", hbar, self.omega,
+                         self.problem.hbar_c).real
 
 
 @dataclass
@@ -284,17 +417,9 @@ class _PrecodingProblem:
         self.barrier_rounds = barrier_rounds
 
         if mode == MODE_MT:
-            self.size_groups = _size_groups(self.n)
             self.masks = np.concatenate([np.eye(self.n)[m].sum(axis=1)
-                                         for _, m, _ in self.size_groups])
+                                         for _, m in _size_groups(self.n)])
             self.subset_caps = self.masks @ caps
-            # every block entry of every subset, in subset order: its flat
-            # index in Omega and the subset it belongs to
-            self.scatter_index = np.concatenate(
-                [flat.ravel() for _, _, flat in self.size_groups])
-            self.entry_subset = np.concatenate(
-                [np.repeat(np.arange(rows.start, rows.stop), flat[0].size)
-                 for rows, _, flat in self.size_groups])
         else:
             self.masks = np.eye(self.n)
             self.subset_caps = np.asarray(caps, dtype=float)
@@ -303,23 +428,10 @@ class _PrecodingProblem:
 
     # -- shared quantities -------------------------------------------------
 
-    def _subset_inv_scatter(self, omega, coeffs):
-        """Sum of coeff_S * scatter(inv(Omega_S)) over subsets (for gradients)."""
-        inv = np.concatenate([np.linalg.inv(omega.take(flat)).ravel()
-                              for _, _, flat in self.size_groups])
-        scaled = inv * coeffs[self.entry_subset]
-        # bincount adds the entries in order, as np.add.at would
-        n2 = self.n * self.n
-        g = np.empty(n2, dtype=complex)
-        g.real = np.bincount(self.scatter_index, scaled.real, n2)
-        g.imag = np.bincount(self.scatter_index, scaled.imag, n2)
-        return g.reshape(self.n, self.n)
-
     def _rate_parts(self, point):
-        m = self.hbar @ point.a                      # (n_ms, n_ms)
-        sig = np.abs(m) ** 2
-        total = 1.0 + sig.sum(axis=1) + point.noise.qn
-        interf = total - sig.diagonal()
+        m, sig_total, sig_own = point.pre.signal       # m: (n_ms, n_ms)
+        total = 1.0 + sig_total + point.noise.qn
+        interf = total - sig_own
         return m, total, interf
 
     # -- mm_solve protocol ---------------------------------------------------
@@ -330,7 +442,7 @@ class _PrecodingProblem:
         return float(self.w @ rates)
 
     def violation(self, point):
-        power = _bs_power(point.a, point.noise.diag)
+        power = point.power
         g = self.masks @ np.log2(power) - point.noise.logdets
         return float(max((power - self.p_lim).max(),
                          (g - self.subset_caps).max()))
@@ -340,7 +452,7 @@ class _PrecodingProblem:
     def _tangent(self, point0):
         """Slopes and offsets of the log2(power) terms linearized at point0,
         and the weights of the linearized log2(interference) terms."""
-        power0 = _bs_power(point0.a, point0.noise.diag)
+        power0 = point0.power
         b_slope = 1.0 / (power0 * LN2)
         lin_const = self.masks @ (np.log2(power0) - b_slope * power0)
         _, _, interf0 = self._rate_parts(point0)
@@ -394,7 +506,7 @@ class _PrecodingProblem:
         b_slope, lin_const, s_coef = tangent
         noise = point.noise
         ev = _Eval(point)
-        power = _bs_power(point.a, point.noise.diag)
+        power = point.power
         ev.power_slack = self.p_lim - power
         if not (ev.power_slack > 0).all():
             return ev
@@ -442,7 +554,7 @@ class _PrecodingProblem:
         quad_coef = alpha - s_coef
         if noise.l is not None:
             gq = self.hbar_h @ (quad_coef[:, None] * self.hbar)
-            g_inv = self._subset_inv_scatter(noise.omega, bh_coef) / LN2
+            g_inv = _subset_inv_scatter(noise.chain_factors, bh_coef) / LN2
             return np.tril((gq + np.diag(coef_t) + g_inv) @ noise.l)
         qcoef = (quad_coef[:, None] * np.abs(self.hbar) ** 2).sum(axis=0)
         domega = qcoef + coef_t + bh_coef / (noise.diag * LN2)
@@ -455,8 +567,9 @@ class _PrecodingProblem:
             return _Point(a=point.a + eta * grad, noise=noise)
         if noise.l is not None:
             # L and its gradient are lower-triangular, so the step is too
-            return _Point(a=point.a, noise=_Noise(self, l=noise.l + eta * grad))
-        return _Point(a=point.a, noise=_Noise(
+            return _Point(a=point.a, pre=point.pre,
+                          noise=_Noise(self, l=noise.l + eta * grad))
+        return _Point(a=point.a, pre=point.pre, noise=_Noise(
             self, u=np.clip(noise.u + eta * grad, *_U_CLIP)))
 
     # -- starting point -------------------------------------------------------

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from cransim import cellgeom, downlink
+from cransim import cellgeom, downlink, harness
 from cransim.channel import ChannelRealization
 from cransim.errors import ConfigurationError, DomainError
 from cransim.gaussinfo import cholesky
@@ -98,6 +98,51 @@ def solve_multiterminal(ch, c, p_bs, w, **opts):
     p2p = downlink.optimize_dl(ch, c, p_bs, w, "point_to_point", **opts)
     return downlink.optimize_dl(ch, c, p_bs, w, "multiterminal",
                                 init=p2p.design, **opts)
+
+
+# criterion 9's sweeps: each preset as is, at the seed under test
+DOMINANCE_PRESETS = ("ul-sweep", "dl-sweep-a", "dl-sweep-b")
+
+
+def dominance_sweep(preset, seed):
+    """The alpha sweep criterion 9 runs for `preset`, at `seed`."""
+    cfg = harness.ExperimentConfig.from_dict(
+        {**harness.PRESETS[preset], "seed": seed, "jobs": 4})
+    return harness.alpha_sweep(cfg)
+
+
+def sweep_dominance(sweep):
+    """Criterion 9's checks on one alpha sweep.
+
+    Per alpha: the mt/p2p ratios of the average spectral efficiency and of
+    the cell-edge throughput, and whether mt dominates each within 1e-9.
+    Over the sweep: whether mt's efficiency ceiling is above p2p's, and
+    `passed` when every check holds.  `edge_ratios` are the cell-edge ratios
+    criterion 9 prints: those where p2p's cell edge is above 1e-9.
+    """
+    points = []
+    for pp, mt in zip(sweep.points["point_to_point"],
+                      sweep.points["multiterminal"]):
+        eff_pp, eff_mt = pp.avg_spectral_efficiency, mt.avg_spectral_efficiency
+        edge_pp, edge_mt = pp.cell_edge_throughput, mt.cell_edge_throughput
+        points.append(dict(
+            alpha=pp.alpha,
+            efficiency_ratio=eff_mt / max(eff_pp, 1e-12),
+            cell_edge_ratio=edge_mt / max(edge_pp, 1e-12),
+            efficiency_dominated=bool(eff_mt >= eff_pp - 1e-9),
+            cell_edge_dominated=bool(edge_mt >= edge_pp - 1e-9),
+            cell_edge_below=bool(edge_mt < edge_pp),
+            printed=bool(edge_pp > 1e-9)))
+    ceiling_pp = sweep.max_efficiency("point_to_point")
+    ceiling_mt = sweep.max_efficiency("multiterminal")
+    ceiling_above = bool(ceiling_pp < ceiling_mt)
+    return dict(
+        points=points, ceiling_p2p=ceiling_pp, ceiling_mt=ceiling_mt,
+        ceiling_above=ceiling_above,
+        edge_ratios=[p["cell_edge_ratio"] for p in points if p["printed"]],
+        passed=ceiling_above and all(p["efficiency_dominated"]
+                                     and p["cell_edge_dominated"]
+                                     for p in points))
 
 
 def mi_from_samples(x, y):

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from cransim import downlink, harness, uplink
-from helpers import (backhaul_mv_dl, backhaul_p2p_dl, cn_samples,
-                     colored_noise, enumerate_subsets, mi_from_samples,
-                     rand_channel, solve_multiterminal, ul_psi_oracle,
+from helpers import (DOMINANCE_PRESETS, backhaul_mv_dl, backhaul_p2p_dl,
+                     cn_samples, colored_noise, dominance_sweep,
+                     enumerate_subsets, mi_from_samples, rand_channel,
+                     solve_multiterminal, sweep_dominance, ul_psi_oracle,
                      ul_weighted_psi_oracle)
 
 P2P = "point_to_point"
@@ -330,36 +331,20 @@ def test_criterion_8_gain_trend_over_pico_density(trend_reports):
                 f"runtime {total_runtime:.0f}s (< 30 min)")
 
 
-SWEEP_SETUPS = (
-    ("ul-sweep", {}),
-    ("dl-sweep-a", {}),
-    ("dl-sweep-b", {}),
-)
-
-
 def test_criterion_9_alpha_sweep_dominance_and_ceiling():
     lines = []
-    for preset, overrides in SWEEP_SETUPS:
-        cfg = harness.ExperimentConfig.from_dict(
-            {**harness.PRESETS[preset], **overrides, "seed": 7, "jobs": 4})
-        sweep = harness.alpha_sweep(cfg)
-        for pp, mt in zip(sweep.points[P2P], sweep.points[MT]):
-            assert mt.avg_spectral_efficiency >= \
-                pp.avg_spectral_efficiency - 1e-9, \
-                f"{preset} alpha={pp.alpha}: efficiency not dominated"
-            assert mt.cell_edge_throughput >= \
-                pp.cell_edge_throughput - 1e-9, \
-                f"{preset} alpha={pp.alpha}: cell edge not dominated"
-        ceiling_pp = sweep.max_efficiency(P2P)
-        ceiling_mt = sweep.max_efficiency(MT)
-        assert ceiling_pp < ceiling_mt
-        edge_ratios = [mt.cell_edge_throughput
-                       / max(pp.cell_edge_throughput, 1e-12)
-                       for pp, mt in zip(sweep.points[P2P], sweep.points[MT])
-                       if pp.cell_edge_throughput > 1e-9]
-        lines.append(f"{preset}: efficiency ceiling {ceiling_pp:.3f} < "
-                     f"{ceiling_mt:.3f}, cell-edge ratios "
-                     + "/".join(f"{r:.2f}x" for r in edge_ratios))
+    for preset in DOMINANCE_PRESETS:
+        check = sweep_dominance(dominance_sweep(preset, seed=7))
+        for point in check["points"]:
+            assert point["efficiency_dominated"], \
+                f"{preset} alpha={point['alpha']}: efficiency not dominated"
+            assert point["cell_edge_dominated"], \
+                f"{preset} alpha={point['alpha']}: cell edge not dominated"
+        assert check["ceiling_above"]
+        lines.append(f"{preset}: efficiency ceiling "
+                     f"{check['ceiling_p2p']:.3f} < {check['ceiling_mt']:.3f}"
+                     ", cell-edge ratios "
+                     + "/".join(f"{r:.2f}x" for r in check["edge_ratios"]))
     announce(9, "; ".join(lines))
 
 

@@ -1,4 +1,5 @@
 import ast
+import math
 from functools import cached_property
 
 import numpy as np
@@ -443,15 +444,13 @@ def test_p2p_mode_design_has_diagonal_omega():
 
 
 def count_factorings(monkeypatch, record):
-    """Wrap the subset log-det kernel so that record(omega.tobytes()) runs
-    whenever it goes past an Omega's 1x1 blocks, which need no factoring."""
+    """Wrap the subset log-det kernel, which factors an Omega's chain
+    orderings, so that record(omega.tobytes()) runs on every call."""
     kernel = downlink._subset_logdets
 
     def counted(omega):
-        sizes = kernel(omega)
-        yield next(sizes)
         record(omega.tobytes())
-        yield from sizes
+        return kernel(omega)
 
     monkeypatch.setattr(downlink, "_subset_logdets", counted)
 
@@ -501,22 +500,22 @@ def test_optimize_dl_factors_each_omega_once(monkeypatch):
 
 
 def test_a_step_inverts_no_subset_block(monkeypatch):
-    """Only a noise step needs the inverses of Omega's subset blocks: every
+    """Only a noise step needs the inverses of Omega's chain factors: every
     _subset_inv_scatter call of a multiterminal design feeds a noise-block
     line search, never an A-block one."""
     events = []
     problem_cls = downlink._PrecodingProblem
-    scatter, advance = problem_cls._subset_inv_scatter, problem_cls._advance
+    scatter, advance = downlink._subset_inv_scatter, problem_cls._advance
 
-    def counted_scatter(self, omega, coeffs):
+    def counted_scatter(factors, coeffs):
         events.append("inv")
-        return scatter(self, omega, coeffs)
+        return scatter(factors, coeffs)
 
     def counted_advance(self, point, grad, eta, block):
         events.append(block)
         return advance(self, point, grad, eta, block)
 
-    monkeypatch.setattr(problem_cls, "_subset_inv_scatter", counted_scatter)
+    monkeypatch.setattr(downlink, "_subset_inv_scatter", counted_scatter)
     monkeypatch.setattr(problem_cls, "_advance", counted_advance)
     rng = np.random.default_rng(54)
     ch = rand_channel(rng, 4, 3)
@@ -583,17 +582,36 @@ def test_inner_gradients_match_finite_differences(mode):
         assert err < 1e-5, (block, err)
 
 
-def mt_problem(rng, n, n_ms=3):
-    hbar = rand_channel(rng, n, n_ms).h_dl
-    return downlink._PrecodingProblem(
-        hbar, np.ones(n_ms), rng.uniform(1.0, 3.0, n), np.ones(n),
-        "multiterminal", downlink.INNER_STEPS, downlink.BARRIER_ROUNDS)
-
-
 def random_omega(rng, n):
     """A generic Omega = L L^H, made as the multiterminal solver makes it."""
     l = np.tril(cn_samples(rng, (n, n))) + rng.uniform(0.05, 1.0) * np.eye(n)
     return downlink._Noise(None, l=l).omega
+
+
+def block_logdet(omega, s):
+    """log2 det of Omega's block on subset s, from its own Cholesky factor."""
+    return 2.0 * np.sum(np.log2(np.diagonal(np.linalg.cholesky(
+        omega[np.ix_(s, s)])).real))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_symmetric_chains_cover_every_subset_once(n):
+    chains = downlink._symmetric_chains(n)
+    assert len(chains) == math.comb(n, n // 2)
+    seen = []
+    for chain in chains:
+        for smaller, larger in zip(chain, chain[1:]):
+            assert set(smaller) < set(larger)
+            assert len(larger) == len(smaller) + 1
+        seen += [frozenset(s) for s in chain if s]
+    assert len(seen) == len(set(seen)) == 2 ** n - 1
+    if n <= 6:
+        # each subset is the leading block of its chain's ordering
+        tables = downlink._chain_tables(n)
+        order = tables.gather[:, :, 0] // n
+        for j, s in enumerate(enumerate_subsets(range(n))):
+            chain, size = divmod(int(tables.source[j]), n)
+            assert sorted(order[chain, :size + 1]) == list(s)
 
 
 def test_subset_logdets_match_per_subset_cholesky():
@@ -601,19 +619,19 @@ def test_subset_logdets_match_per_subset_cholesky():
     for n in range(1, 7):
         for _ in range(40):
             omega = random_omega(rng, n)
-            oracle = [2.0 * np.sum(np.log2(np.diagonal(np.linalg.cholesky(
-                omega[np.ix_(s, s)])).real))
-                for s in enumerate_subsets(range(n))]
-            assert np.array_equal(
-                np.concatenate(list(downlink._subset_logdets(omega))), oracle)
+            oracle = np.array([block_logdet(omega, s)
+                               for s in enumerate_subsets(range(n))])
+            logdets, _ = downlink._subset_logdets(omega)
+            assert np.all(np.abs(logdets - oracle)
+                          <= 1e-12 * np.maximum(1.0, np.abs(oracle)))
 
 
 def test_subset_logdets_mark_undefined_blocks():
     """A block with a non-positive diagonal, a non-finite entry or no
-    Cholesky factor gets -inf; when a size fails to factor, only its block
-    with the smallest eigenvalue does, and the others of that size +inf.
-    Both the solver's true constraints and its surrogate reject such an
-    Omega, with capacities so large that a positive definite one passes."""
+    Cholesky factor gets -inf, and every other block its finite log-det;
+    no value is +inf or NaN.  Both the solver's true constraints and its
+    surrogate reject such an Omega, with capacities so large that a positive
+    definite one passes."""
     rng = np.random.default_rng(60)
     problem = downlink._PrecodingProblem(
         rand_channel(rng, 3, 3).h_dl, np.ones(3), np.full(3, 10.0),
@@ -630,18 +648,19 @@ def test_subset_logdets_mark_undefined_blocks():
     nan_l[2, 0] = np.nan
     nan_omega = np.eye(3, dtype=complex)
     nan_omega[0, 1] = nan_omega[1, 0] = np.nan
-    # (L, or Omega where no L L^H makes it; subsets at -inf; at +inf)
+    # (L, or Omega where no L L^H makes it; subsets at -inf)
     cases = (
-        ("l", np.eye(3), set(), set()),
-        ("l", [[1, 0, 0], [0.5, 1, 0], [1, 1, 0]], {(0, 1, 2)}, set()),
-        ("l", [[1, 0, 0], [1, 0, 0], [0, 0, 1]], {(0, 1), (0, 1, 2)},
-         {(0, 2), (1, 2)}),
+        ("l", np.eye(3), set()),
+        ("l", [[1, 0, 0], [0.5, 1, 0], [1, 1, 0]], {(0, 1, 2)}),
+        # finite with a positive diagonal, but the batch fails to factor:
+        # each chain is factored alone
+        ("l", [[1, 0, 0], [1, 0, 0], [0, 0, 1]], {(0, 1), (0, 1, 2)}),
         ("l", [[1, 0, 0], [0, 0, 0], [0.3, 0.2, 1]],
-         {s for s in subsets if 1 in s}, set()),
-        ("l", nan_l, {s for s in subsets if 2 in s}, set()),
-        ("omega", nan_omega, {(0, 1), (0, 1, 2)}, set()),
+         {s for s in subsets if 1 in s}),
+        ("l", nan_l, {s for s in subsets if 2 in s}),
+        ("omega", nan_omega, {(0, 1), (0, 1, 2)}),
     )
-    for kind, matrix, minus_inf, plus_inf in cases:
+    for kind, matrix, minus_inf in cases:
         if kind == "omega":
             omega = matrix
         else:
@@ -653,23 +672,49 @@ def test_subset_logdets_mark_undefined_blocks():
                 assert violation <= FEASIBILITY_TOL and surr is not None
                 continue
             assert not violation <= FEASIBILITY_TOL and surr is None
-            if np.isfinite(downlink._bs_power(at.a, at.noise.diag)).all():
+            if np.isfinite(at.power).all():
                 assert violation == np.inf
-        logdets = np.concatenate(list(downlink._subset_logdets(omega)))
+        logdets, _ = downlink._subset_logdets(omega)
         for s, value in zip(subsets, logdets):
             if s in minus_inf:
                 assert value == -np.inf, s
-            elif s in plus_inf:
-                assert value == np.inf, s
             else:
-                assert value == 2.0 * np.sum(np.log2(np.diagonal(
-                    np.linalg.cholesky(omega[np.ix_(s, s)])).real)), s
+                assert value == pytest.approx(block_logdet(omega, s),
+                                              rel=1e-12, abs=1e-12), s
+
+
+def test_solver_refuses_an_omega_some_chain_cannot_factor():
+    """A nearly singular Omega can factor in one BS ordering and not in
+    another.  Every subset log-det is then finite, but with no chain
+    factors there is no noise gradient, so the solver takes the whole set's
+    condition as undefined, even with capacities that would admit it."""
+    rng = np.random.default_rng(61)
+    problem = downlink._PrecodingProblem(
+        rand_channel(rng, 3, 3).h_dl, np.ones(3), np.full(3, 50.0),
+        np.ones(3), "multiterminal", downlink.INNER_STEPS,
+        downlink.BARRIER_ROUNDS)
+    for _ in range(200):
+        l = np.tril(cn_samples(rng, (3, 3))) + np.eye(3)
+        l[2, 2] = 1e-9
+        noise = downlink._Noise(problem, l=l)
+        logdets, factors = downlink._subset_logdets(noise.omega)
+        if factors is None and np.isfinite(logdets).all():
+            break
+    else:
+        pytest.fail("no Omega with a chain that does not factor")
+    at = downlink._Point(a=0.01 * np.ones((3, 3), dtype=complex),
+                         noise=noise)
+    assert noise.logdets[-1] == -np.inf
+    assert np.array_equal(noise.logdets[:-1], logdets[:-1])
+    assert problem.violation(at) == np.inf
+    tangent = problem._tangent(downlink._Point(
+        a=at.a, noise=downlink._Noise(problem, l=0.5 * np.eye(3))))
+    assert problem._evaluate(at, tangent).surr is None
 
 
 def test_subset_inv_scatter_matches_add_at():
     rng = np.random.default_rng(59)
     for n in range(1, 7):
-        problem = mt_problem(rng, n)
         for _ in range(40):
             omega = random_omega(rng, n)
             subsets = enumerate_subsets(range(n))
@@ -682,8 +727,10 @@ def test_subset_inv_scatter_matches_add_at():
                 scaled = np.linalg.inv(omega[idx]) \
                     * coeffs[rows][:, None, None]
                 np.add.at(oracle, idx, scaled)
-            assert np.array_equal(problem._subset_inv_scatter(omega, coeffs),
-                                  oracle)
+            _, factors = downlink._subset_logdets(omega)
+            scatter = downlink._subset_inv_scatter(factors, coeffs)
+            assert np.linalg.norm(scatter - oracle) \
+                <= 1e-9 * np.linalg.norm(oracle)
 
 
 def test_inner_step_forms_each_noise_term_once(monkeypatch):
@@ -715,3 +762,50 @@ def test_inner_step_forms_each_noise_term_once(monkeypatch):
     assert sum(map(len, steps)) > len(steps) > 0
     for calls in steps:
         assert len(set(calls)) == len(calls)
+
+
+def test_inner_step_forms_each_precoder_term_once(monkeypatch):
+    """Within one inner solve, the row powers and the received signals of
+    each precoder are computed at most once: noise-step candidates share
+    them with the point they step from."""
+    steps, active = [], []
+    step = downlink._PrecodingProblem.step
+    init, signal = downlink._Precoder.__init__, downlink._Precoder.signal.func
+
+    def counted_init(self, hbar, a):
+        if active:
+            active[-1].append(("power", a.tobytes()))
+        init(self, hbar, a)
+
+    def counted_signal(self):
+        if active:
+            active[-1].append(("signal", self.a.tobytes()))
+        return signal(self)
+
+    def counted_step(self, point):
+        active.append([])
+        try:
+            return step(self, point)
+        finally:
+            steps.append(active.pop())
+
+    counted = cached_property(counted_signal)
+    counted.__set_name__(downlink._Precoder, "signal")
+    monkeypatch.setattr(downlink._Precoder, "__init__", counted_init)
+    monkeypatch.setattr(downlink._Precoder, "signal", counted)
+    monkeypatch.setattr(downlink._PrecodingProblem, "step", counted_step)
+    rng = np.random.default_rng(54)
+    ch = rand_channel(rng, 4, 3)
+    for mode in ("point_to_point", "multiterminal"):
+        steps.clear()
+        if mode == "point_to_point":
+            downlink.optimize_dl(ch, rng.uniform(1.0, 4.0, 4),
+                                 rng.uniform(2.0, 8.0, 4), np.ones(3), mode,
+                                 mm_max_iter=3)
+        else:
+            solve_multiterminal(ch, rng.uniform(1.0, 4.0, 4),
+                                rng.uniform(2.0, 8.0, 4), np.ones(3),
+                                mm_max_iter=3)
+        assert sum(map(len, steps)) > len(steps) > 0, mode
+        for calls in steps:
+            assert len(set(calls)) == len(calls), mode

@@ -482,6 +482,18 @@ def test_cli_sweep_and_error_exit(tmp_path, capsys):
         path.write_text(yaml.safe_dump(bad_cfg))
         assert cli_main(["uplink", "--config", str(path)]) == 2
 
+    # unparsable alphas and YAML syntax errors end in one error line, not a
+    # traceback
+    capsys.readouterr()
+    syntax = tmp_path / "syntax.yaml"
+    syntax.write_text("k_ms: [1, 2\ndrops: 3\n")
+    for flags in (["--alpha", "x"], ["--alpha", ","], ["--alpha", ""],
+                  ["--alpha", "1,y"], ["--config", str(syntax)]):
+        assert cli_main(["sweep", "--direction", "uplink"] + flags
+                        + ["--out", str(tmp_path / "never")]) == 2, flags
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, flags
+
     # non-finite capacities and an out-of-range forgetting factor are
     # rejected at load, before any drop runs
     small = ["--k-ms", "2", "--n-pico", "1", "--drops", "1",
