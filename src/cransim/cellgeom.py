@@ -12,12 +12,11 @@ A drop is one rejection sampler over one stream, ``default_rng(seed)``: every
 cell's picos, then every cell's MSs, each node taking the first uniform
 candidate in its bounding box that lies in its hexagon and keeps the minimum
 distances.  The candidates are drawn and tested in batches.  Each link's
-shadowing is ``normal(0, std)`` from PCG64 seeded by
+shadowing is ``normal(0, std)`` from numpy's own PCG64 Generator, seeded by
 ``SeedSequence([seed mod 2^32, lower node code, higher node code])``, so it
-depends on the unordered node pair alone.  A whole link set's seed hashes,
-PCG64 outputs and ziggurat draws are computed as array arithmetic, bit for
-bit numpy's; the draws that leave the ziggurat's fast path, about 1.6%,
-are numpy's own per-link Generator.
+depends on the unordered node pair alone.  The SeedSequence state words of
+a whole link set are computed at once as array arithmetic, bit for bit
+numpy's.
 
 Nodes are addressed by tuples:
 
@@ -29,7 +28,6 @@ with 1-based cell ids matching the ring numbering above.
 """
 
 import bisect
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -473,150 +471,6 @@ class _StateWords(ISeedSequence):
         return self.words
 
 
-# PCG64's 128-bit LCG multiplier (O'Neill, HMC-CS-2014-0905); numpy 2
-# casts Python ints to the uint64 arrays they meet, which wrap modulo 2^64
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MULT_HI, _MULT_LO = _PCG_MULT >> 64, _PCG_MULT & (2 ** 64 - 1)
-_LIMB = 0xFFFFFFFF
-_ZIG_STRIPS = 256
-_RABS_LIMIT = 2 ** 52            # the 52-bit magnitude of a ziggurat draw
-_ZIG_SELF_CHECKS = 64
-
-
-def _mul_wide(a, b):
-    """(high, low) words of the 128-bit products of the uint64 array ``a``
-    and the 64-bit ``b``, from 32-bit limbs."""
-    a0, a1 = a & _LIMB, a >> 32
-    b0, b1 = b & _LIMB, b >> 32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _LIMB) + (p10 & _LIMB)
-    high = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    return high, mid << 32 | p00 & _LIMB
-
-
-def _add_wide(a_hi, a_lo, b_hi, b_lo):
-    """128-bit sums, modulo 2^128, of (high, low) word arrays."""
-    low = a_lo + b_lo
-    return a_hi + b_hi + (low < a_lo), low
-
-
-def _lcg_step(hi, lo, inc_hi, inc_lo):
-    """PCG64's state step, state * multiplier + increment modulo 2^128."""
-    p_hi, p_lo = _mul_wide(lo, _MULT_LO)
-    return _add_wide(p_hi + lo * _MULT_HI + hi * _MULT_LO, p_lo,
-                     inc_hi, inc_lo)
-
-
-def _pcg64_first_output(words):
-    """The first 64-bit output of ``PCG64`` seeded with each row of the
-    (n, 4) uint64 state words: seed and stream words (high first) set up
-    as pcg64_set_seed does, one more state step, then the XSL-RR output."""
-    seq_hi, seq_lo = words[:, 2], words[:, 3]
-    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
-    hi, lo = _add_wide(inc_hi, inc_lo, words[:, 0], words[:, 1])
-    hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-    hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-    rot, mixed = hi >> 58, hi ^ lo
-    return mixed >> rot | mixed << (64 - rot & 63)
-
-
-def _normal_fallback(words, std):
-    """``normal(0, std)`` from PCG64 seeded with the state words, through
-    numpy's own Generator."""
-    return Generator(PCG64(_StateWords(words))).normal(0.0, std)
-
-
-def _fast_draws(words, std, wi, ki):
-    """numpy's ``normal(0, std)`` for each row of state words as its
-    ziggurat fast path gives it (Marsaglia and Tsang, J. Stat. Softw.
-    2000), and whether the row takes that path.  Of the first output, bits
-    0-7 pick the strip idx, bit 8 the sign and bits 9-60 the magnitude rabs;
-    the draw is ``0.0 + std * x``, x = +-rabs * wi[idx], when
-    rabs < ki[idx]."""
-    r = _pcg64_first_output(words)
-    idx = (r & 0xFF).astype(np.intp)
-    rabs = r >> 9 & _RABS_LIMIT - 1
-    x = rabs.astype(float) * wi[idx]
-    x = np.where(r >> 8 & 1 == 1, -x, x)
-    return 0.0 + std * x, rabs < ki[idx]
-
-
-def _normals(words, std):
-    """``normal(0, std)`` for each row of state words: the fast path as
-    array arithmetic over every row, and ``_normal_fallback`` for the rows
-    that miss it, so the wedge and tail are numpy's own."""
-    tables = _ziggurat_tables()
-    if tables is None:
-        out, fast = np.empty(len(words)), np.zeros(len(words), dtype=bool)
-    else:
-        out, fast = _fast_draws(words, std, *tables)
-    for i in np.flatnonzero(~fast).tolist():
-        out[i] = _normal_fallback(words[i], std[i])
-    return out
-
-
-@functools.cache
-def _ziggurat_tables():
-    """numpy's ziggurat tables (wi float64, ki uint64), probed from its own
-    standard normal on first use in a process; None if the fast path they
-    give misses a self-check against the per-link Generator.
-
-    A probe sets the PCG64 state so that the next output is a chosen draw
-    with sign 0, and the draw took the fast path exactly when it consumed
-    that one output.  wi[i] is the value of the draw with rabs 1 (0 where
-    even that misses the fast path: then only rabs 0, whose value is 0,
-    takes it).  ki[i] is the least rabs that misses it, about
-    2^52 wi[i-1] / wi[i]; that value and the next are tried first, each
-    certified by two probes (k - 1 is fast, k is not), and 52 steps of
-    bisection find the entries no guess certifies.
-    """
-    bitgen = PCG64()
-    gen = Generator(bitgen)
-    mult_inv = pow(_PCG_MULT, -1, 2 ** 128)
-
-    def fast(idx, rabs):
-        """(whether the draw takes the fast path, its value)."""
-        if rabs >= _RABS_LIMIT:
-            return False, None
-        out = rabs << 9 | idx
-        # with increment 1 the state steps to ``out``, whose XSL-RR output
-        # is ``out`` itself (zero high word, so no rotation)
-        bitgen.state = {"bit_generator": "PCG64",
-                        "state": {"state": (out - 1) * mult_inv % 2 ** 128,
-                                  "inc": 1},
-                        "has_uint32": 0, "uinteger": 0}
-        x = gen.standard_normal()
-        return bitgen.state["state"]["state"] == out, x
-
-    wi = np.zeros(_ZIG_STRIPS)
-    for i in range(_ZIG_STRIPS):
-        taken, x = fast(i, 1)
-        if taken:
-            wi[i] = x
-    ki = np.zeros(_ZIG_STRIPS, dtype=np.uint64)
-    for i in range(_ZIG_STRIPS):
-        guess = int(2.0 ** 52 * wi[i - 1] / wi[i]) if i and wi[i] else 0
-        for k in (guess, guess + 1):
-            if 0 < k <= _RABS_LIMIT and fast(i, k - 1)[0] \
-                    and not fast(i, k)[0]:
-                ki[i] = k
-                break
-        else:
-            lo, hi = 0, _RABS_LIMIT
-            while lo < hi:
-                mid = (lo + hi) // 2
-                lo, hi = (mid + 1, hi) if fast(i, mid)[0] else (lo, mid)
-            ki[i] = lo
-
-    words = _seed_state_words(np.arange(
-        3 * _ZIG_SELF_CHECKS, dtype=np.uint32).reshape(-1, 3))
-    x, taken = _fast_draws(words, 1.0, wi, ki)
-    for row, value in zip(words[taken], x[taken].tolist()):
-        if _normal_fallback(row, 1.0) != value:
-            return None
-    return wi, ki
-
-
 def link_shadowing_db(topology, tx_nodes, rx_nodes, params=None):
     """Lognormal shadowing in dB of every (tx, rx) link, shape
     (len(tx_nodes), len(rx_nodes)).
@@ -629,11 +483,8 @@ def link_shadowing_db(topology, tx_nodes, rx_nodes, params=None):
     different link set) always gets the same draw, while distinct links are
     independent.
 
-    The draws are numpy's bit for bit but computed over the whole link set
-    at once: the seed hashes, the PCG64 seeding and its first output, and
-    the ziggurat fast path.  About 1.6% of links miss the fast path (every
-    link whose draw falls in strip 1, the tail strip or a wedge) and take
-    the per-link Generator instead.
+    Each draw is numpy's own ``Generator(PCG64)``; only the SeedSequence
+    state words that seed it are computed for the whole link set at once.
     """
     params = params or PropagationParams()
     shape = (len(tx_nodes), len(rx_nodes))
@@ -647,7 +498,9 @@ def link_shadowing_db(topology, tx_nodes, rx_nodes, params=None):
                                 [n[0] == "macro" for n in rx_nodes])
     std = np.where(macro, params.shadow_std_macro_db,
                    params.shadow_std_pico_db).ravel()
-    return _normals(_seed_state_words(entropy), std).reshape(shape)
+    draws = [Generator(PCG64(_StateWords(words))).normal(0.0, s)
+             for words, s in zip(_seed_state_words(entropy), std.tolist())]
+    return np.array(draws, dtype=float).reshape(shape)
 
 
 def _link_ends(topology, nodes, params):
@@ -670,11 +523,11 @@ def link_gain_linear(tx_nodes, rx_nodes, topology, params=None):
 
     Combines path loss, the sector pattern (applied at a macro endpoint,
     whichever side of the link it is on), antenna gains and the shadowing of
-    :func:`link_shadowing_db`: each link's ``normal(0, std)`` draw from PCG64
-    seeded by ``SeedSequence([seed mod 2^32, lower code, higher code])``,
-    computed over the whole link set at once up to numpy's ziggurat fast
-    path, with the few links that miss it drawn by their own Generator.  A
-    link is in the macro class if either endpoint is a macro sector.
+    :func:`link_shadowing_db`: each link's ``normal(0, std)`` draw from
+    numpy's own PCG64 Generator, seeded by
+    ``SeedSequence([seed mod 2^32, lower code, higher code])`` with the
+    state words of the whole link set computed at once.  A link is in the
+    macro class if either endpoint is a macro sector.
     """
     params = params or PropagationParams()
     p_tx, macro_tx, ant_tx, bore_tx = _link_ends(topology, tx_nodes, params)

@@ -121,6 +121,12 @@ class ExperimentConfig:
                 f"fairness exponents must be numbers in [0, "
                 f"{scheduler.ALPHA_MAX:.4g}], above which the weights "
                 f"overflow; got {self.alpha!r}")
+        labels = [alpha_label(a) for a in alphas]
+        if len(set(labels)) < len(labels):
+            raise ConfigurationError(
+                f"fairness exponents must differ in their labels "
+                f"{labels}, which name each alpha's result directory; "
+                f"got {self.alpha!r}")
         return self
 
     @property
@@ -132,6 +138,11 @@ class ExperimentConfig:
         """A validated config from a mapping of its fields; nested settings
         may be mappings.  Any malformed input raises ConfigurationError."""
         return _from_mapping(cls, data).validate()
+
+
+def alpha_label(alpha):
+    """How a sweep's files name a fairness exponent: its ``%g`` form."""
+    return f"{float(alpha):g}"
 
 
 def _is_real(value):
@@ -410,9 +421,6 @@ class SweepResult:
     reports: list                     # one MetricsReport per alpha
     notes: list
 
-    def max_efficiency(self, mode):
-        return max(p.avg_spectral_efficiency for p in self.points[mode])
-
 
 def alpha_sweep(config):
     """One (efficiency, cell-edge) curve point per fairness exponent and mode.
@@ -532,12 +540,12 @@ def write_sweep(sweep, out_dir):
     for mode, pts in sweep.points.items():
         lines.append(f"[{mode}]")
         for p in pts:
-            lines.append(f"  alpha={p.alpha:g} "
+            lines.append(f"  alpha={alpha_label(p.alpha)} "
                          f"avg_se={FLOAT_FMT % p.avg_spectral_efficiency} "
                          f"cell_edge={FLOAT_FMT % p.cell_edge_throughput}")
     lines.extend(sweep.notes)
     with open(os.path.join(out_dir, "sweep_summary.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     for a, rep in zip(sweep.alphas, sweep.reports):
-        sub = os.path.join(out_dir, f"alpha_{a:g}")
+        sub = os.path.join(out_dir, f"alpha_{alpha_label(a)}")
         write_report(rep, sub)

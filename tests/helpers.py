@@ -111,6 +111,11 @@ def dominance_sweep(preset, seed):
     return harness.alpha_sweep(cfg)
 
 
+def max_efficiency(sweep, mode):
+    """The highest average spectral efficiency of `mode` over a sweep."""
+    return max(p.avg_spectral_efficiency for p in sweep.points[mode])
+
+
 def sweep_dominance(sweep):
     """Criterion 9's checks on one alpha sweep.
 
@@ -133,8 +138,8 @@ def sweep_dominance(sweep):
             cell_edge_dominated=bool(edge_mt >= edge_pp - 1e-9),
             cell_edge_below=bool(edge_mt < edge_pp),
             printed=bool(edge_pp > 1e-9)))
-    ceiling_pp = sweep.max_efficiency("point_to_point")
-    ceiling_mt = sweep.max_efficiency("multiterminal")
+    ceiling_pp = max_efficiency(sweep, "point_to_point")
+    ceiling_mt = max_efficiency(sweep, "multiterminal")
     ceiling_above = bool(ceiling_pp < ceiling_mt)
     return dict(
         points=points, ceiling_p2p=ceiling_pp, ceiling_mt=ceiling_mt,
@@ -285,46 +290,6 @@ def shadow_draw_oracle(entropy, std):
     ``SeedSequence(entropy)``."""
     ss = np.random.SeedSequence([int(e) for e in entropy])
     return float(np.random.default_rng(ss).normal(0.0, std))
-
-
-def ziggurat_tables_oracle():
-    """(wi, ki) of numpy's standard-normal ziggurat, probed from numpy's own
-    ``standard_normal`` with every ki entry found by a full bisection.
-
-    A probe sets a PCG64 state whose next 64-bit output is the draw: strip
-    index in bits 0-7, sign 0, magnitude rabs in bits 9-60.  The draw took
-    the fast path when it consumed exactly that one output; wi is the value
-    of the draw with rabs 1 (0 where that misses the fast path), ki the
-    least rabs that misses it (2^52 if none does)."""
-    mult = 0x2360ED051FC65DA44385DF649FCCF645
-    inv = pow(mult, -1, 2 ** 128)
-    bitgen = np.random.PCG64()
-    gen = np.random.Generator(bitgen)
-
-    def draw(idx, rabs):
-        out = rabs << 9 | idx
-        # increment 1; the stepped state is ``out``, output without rotation
-        bitgen.state = {"bit_generator": "PCG64",
-                        "state": {"state": (out - 1) * inv % 2 ** 128,
-                                  "inc": 1},
-                        "has_uint32": 0, "uinteger": 0}
-        x = gen.standard_normal()
-        return bitgen.state["state"]["state"] == out, x
-
-    wi = np.zeros(256)
-    ki = np.zeros(256, dtype=np.uint64)
-    for idx in range(256):
-        fast, x = draw(idx, 1)
-        wi[idx] = x if fast else 0.0
-        lo, hi = 0, 2 ** 52
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if draw(idx, mid)[0]:
-                lo = mid + 1
-            else:
-                hi = mid
-        ki[idx] = lo
-    return wi, ki
 
 
 def layout_oracle(seed, k_ms, n_pico, params, sites):

@@ -3,8 +3,7 @@ import pytest
 
 from cransim import cellgeom
 from cransim.errors import ConfigurationError, DomainError
-from helpers import (layout_oracle, shadow_draw_oracle,
-                     ziggurat_tables_oracle)
+from helpers import layout_oracle
 
 
 def test_pathloss_macro_reference_points():
@@ -81,61 +80,28 @@ def test_shadowing_deterministic_and_classes():
         cellgeom.link_shadowing_db(topo, [("femto", 1, 0)], rx)
 
 
-def _fast_path_rows(n, seed):
-    """n random entropy rows of the shadowing seed sequence, their state
-    words, and each row's strip index, magnitude and fast-path flag."""
-    entropy = np.random.default_rng(seed).integers(
-        0, 2 ** 32, size=(n, 3), dtype=np.uint64).astype(np.uint32)
-    words = cellgeom._seed_state_words(entropy)
-    r = cellgeom._pcg64_first_output(words)
-    idx = (r & np.uint64(0xFF)).astype(int)
-    rabs = r >> np.uint64(9) & np.uint64(2 ** 52 - 1)
-    _, ki = cellgeom._ziggurat_tables()
-    return entropy, words, idx, rabs < ki[idx]
-
-
-def test_pcg64_first_output_matches_bit_generator():
-    entropy, words, _, _ = _fast_path_rows(500, 3)
-    expected = [np.random.PCG64(np.random.SeedSequence(
-        [int(e) for e in row])).random_raw() for row in entropy]
-    assert np.array_equal(cellgeom._pcg64_first_output(words), expected)
-
-
-def test_shadowing_fast_path_matches_generator_bitwise():
-    """20000 random seed sequences, in both std classes: the array fast
-    path and its per-link fallback give numpy's draws bit for bit, and both
-    paths occur, the fallback in strip 1, in strip 0's tail and in a
-    wedge."""
-    entropy, words, idx, fast = _fast_path_rows(20000, 2)
-    params = cellgeom.PropagationParams()
-    std = np.where(np.arange(len(entropy)) % 2 == 0,
-                   params.shadow_std_macro_db, params.shadow_std_pico_db)
-    got = cellgeom._normals(words, std)
-    expected = [shadow_draw_oracle(row, s) for row, s in zip(entropy, std)]
-    assert np.array_equal(got.view(np.uint64),
-                          np.array(expected).view(np.uint64))
-    assert fast.sum() > 19000
-    assert not fast[idx == 1].any() and (idx == 1).any()
-    assert (~fast & (idx == 0)).any()
-    assert (~fast & (idx > 1)).any()
-
-
-def test_shadowing_without_fast_path_tables(monkeypatch):
-    """If the probed tables fail their self-check, every link takes the
-    per-link Generator and the draws do not change."""
-    entropy, words, _, _ = _fast_path_rows(300, 4)
-    std = np.full(len(entropy), 6.0)
-    fast = cellgeom._normals(words, std)
-    monkeypatch.setattr(cellgeom, "_ziggurat_tables", lambda: None)
-    assert np.array_equal(cellgeom._normals(words, std), fast)
-
-
-def test_ziggurat_tables_match_full_bisection():
-    wi, ki = cellgeom._ziggurat_tables()
-    wi_oracle, ki_oracle = ziggurat_tables_oracle()
-    assert np.array_equal(wi, wi_oracle)
-    assert np.array_equal(ki, ki_oracle)
-    assert ki[1] == 0
+def test_shadowing_stream_golden_values():
+    """The shadowing stream itself, pinned: a numpy release that changed
+    SeedSequence, PCG64 or ``Generator.normal`` would move every result.
+    Each value is integer hashing, one PCG64 output and IEEE products (the
+    ziggurat's fast path), so it does not depend on the CPU or libm."""
+    topo = cellgeom.build_layout(2 ** 40 + 9, 5, 3)
+    tx = [("macro", 1, 0), ("macro", 12, 2), ("pico", 1, 2), ("pico", 19, 0)]
+    rx = [("ms", 1, 1), ("ms", 1, 4), ("ms", 8, 3), ("ms", 17, 1)]
+    golden = [
+        # macro class, std 10 dB
+        ["0x1.0290bfa751aecp+4", "-0x1.857e4b6313f1cp-2",
+         "-0x1.235320eefa94dp+2", "-0x1.cdcb72805b800p+0"],
+        ["-0x1.5db6648bda460p+3", "0x1.561e3919cb513p+1",
+         "-0x1.20f4534a572a1p+4", "0x1.75cfcc0967233p+2"],
+        # pico class, std 6 dB
+        ["0x1.c0c6bdd75af00p+0", "-0x1.41acc44a3be24p+2",
+         "0x1.5fd95ff7dc4bfp+2", "0x1.5f599761b311cp+3"],
+        ["-0x1.b659c865fd186p+3", "-0x1.7f1fecace0caap-3",
+         "-0x1.05509206b3d54p-1", "-0x1.1477449c1f4bfp+3"],
+    ]
+    got = cellgeom.link_shadowing_db(topo, tx, rx)
+    assert [[v.hex() for v in row] for row in got.tolist()] == golden
 
 
 def test_node_codes_distinct_and_32_bit():

@@ -13,6 +13,7 @@ from cransim import (cellgeom, channel, downlink, harness, scheduler,
                      uplink)
 from cransim.cli import build_config, main as cli_main
 from cransim.errors import ConfigurationError, DomainError
+from helpers import max_efficiency
 
 
 def fast_solver():
@@ -284,7 +285,7 @@ def test_alpha_sweep_points_and_soft_checks():
         assert len(pts) == 2
         # sum-rate operation maximizes average efficiency by construction
         assert pts[0].avg_spectral_efficiency == pytest.approx(
-            sweep.max_efficiency(mode))
+            max_efficiency(sweep, mode))
     # CDF of sum rate is a valid distribution function
     samples = sweep.reports[0].metrics["multiterminal"].sum_rate_samples
     assert np.all(np.diff(samples) >= 0)
@@ -482,13 +483,14 @@ def test_cli_sweep_and_error_exit(tmp_path, capsys):
         path.write_text(yaml.safe_dump(bad_cfg))
         assert cli_main(["uplink", "--config", str(path)]) == 2
 
-    # unparsable alphas and YAML syntax errors end in one error line, not a
-    # traceback
+    # unparsable alphas, alphas that share a result directory and YAML
+    # syntax errors end in one error line, not a traceback
     capsys.readouterr()
     syntax = tmp_path / "syntax.yaml"
     syntax.write_text("k_ms: [1, 2\ndrops: 3\n")
     for flags in (["--alpha", "x"], ["--alpha", ","], ["--alpha", ""],
-                  ["--alpha", "1,y"], ["--config", str(syntax)]):
+                  ["--alpha", "1,y"], ["--alpha", "1,1.0000001"],
+                  ["--alpha", "2,2"], ["--config", str(syntax)]):
         assert cli_main(["sweep", "--direction", "uplink"] + flags
                         + ["--out", str(tmp_path / "never")]) == 2, flags
         err = capsys.readouterr().err
@@ -512,6 +514,15 @@ def test_cli_sweep_and_error_exit(tmp_path, capsys):
         assert "propagation.macro_pathloss must be finite" \
             in capsys.readouterr().err, pair
     assert not (tmp_path / "never").exists()
+
+
+def test_sweep_rejects_alphas_that_share_a_label():
+    # each alpha's files go to alpha_<%g label>/: alphas with one label
+    # would overwrite each other's files
+    for alphas in ([1.0, 1.0000001], [2.0, 2], [0.5, 1.0, 0.5]):
+        with pytest.raises(ConfigurationError, match="label"):
+            harness.ExperimentConfig(alpha=alphas).validate()
+    harness.ExperimentConfig(alpha=[1.0, 1.00001]).validate()
 
 
 def test_cli_config_file_with_flag_override(tmp_path):
