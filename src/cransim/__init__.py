@@ -12,8 +12,7 @@ from .downlink import (DownlinkDesign, DownlinkResult, feasible_dl,
                        optimize_dl, rate_dl)
 from .errors import ConfigurationError, DomainError, NumericalDomainError
 from .harness import (ExperimentConfig, MetricsReport, PRESETS, RateMapping,
-                      SolverOptions, SweepResult, alpha_sweep, percentile,
-                      run_experiment)
+                      SweepResult, alpha_sweep, percentile, run_experiment)
 from .mmopt import MMTrace, mm_solve
 from .scheduler import FairnessState, initial_state, update, weights
 from .uplink import (UplinkDesign, UplinkResult, backhaul_p2p, backhaul_wz,

@@ -46,9 +46,10 @@ from .mmopt import (FEASIBILITY_TOL, INNER_TOL, MM_MAX_ITER, MM_TOL, MMTrace,
 from .uplink import MODE_MT, MODE_P2P
 
 SUBSET_ENUM_CAP = 16
-# default inner solve per MM step: barrier rounds, and ascent steps per round
+# inner solve per MM step: barrier rounds, and default ascent steps per round
 BARRIER_ROUNDS = 3
 INNER_STEPS = 40
+RESTART_SHRINK = 0.06   # signal power share a warm start gives up
 
 
 @dataclass
@@ -404,8 +405,7 @@ class _Eval:
 class _PrecodingProblem:
     """MM adapter for the joint precoder / quantization-covariance design."""
 
-    def __init__(self, hbar, weights, caps, p_lim, mode, inner_steps,
-                 barrier_rounds):
+    def __init__(self, hbar, weights, caps, p_lim, mode, inner_steps):
         self.hbar = hbar                      # (n_ms, n_act) noise-normalized
         self.hbar_c = hbar.conj()
         self.hbar_h = self.hbar_c.T
@@ -414,7 +414,6 @@ class _PrecodingProblem:
         self.mode = mode
         self.n = hbar.shape[1]
         self.inner_steps = inner_steps
-        self.barrier_rounds = barrier_rounds
 
         if mode == MODE_MT:
             self.masks = np.concatenate([np.eye(self.n)[m].sum(axis=1)
@@ -473,7 +472,7 @@ class _PrecodingProblem:
         # independent step sizes per variable block: the precoder and the
         # noise parameters live on very different scales
         eta = {"a": 1.0, "noise": 1.0}
-        for round_idx in range(self.barrier_rounds):
+        for round_idx in range(BARRIER_ROUNDS):
             mu = mu0 * (0.1 ** round_idx)
             total_cur = self._barrier(current, mu)
             for _ in range(self.inner_steps):
@@ -610,7 +609,7 @@ class _PrecodingProblem:
             f"cannot be met (capacity {caps[worst]:.3g} bps/Hz)")
 
 
-def _interior_restart(point, shrink=0.06):
+def _interior_restart(point):
     """Back a boundary point off its active constraints.
 
     A design whose per-BS description rates sit at capacity leaves every
@@ -620,19 +619,20 @@ def _interior_restart(point, shrink=0.06):
     giving the joint optimization room to trade description resolution for
     noise shaping.
     """
-    return _Point(a=point.a * np.sqrt(1.0 - shrink), noise=point.noise)
+    return _Point(a=point.a * np.sqrt(1.0 - RESTART_SHRINK), noise=point.noise)
 
 
 def optimize_dl(channel, c, p_bs, weights, mode, init=None,
-                mm_tol=MM_TOL, mm_max_iter=MM_MAX_ITER,
-                inner_steps=INNER_STEPS, barrier_rounds=BARRIER_ROUNDS):
+                mm_max_iter=MM_MAX_ITER, inner_steps=INNER_STEPS):
     """Weighted-sum-rate design of (A, Omega) under backhaul and power limits.
 
     Point-to-point mode starts cold and takes no `init`.  Multiterminal mode
     refines `init`, a point-to-point design for the same channel, capacities
     and power limits, and raises DomainError without one; when refining does
     not improve on init under `weights`, init is returned.  Zero-capacity BSs
-    are silenced and dropped from all constraint sets.
+    are silenced and dropped from all constraint sets.  The MM loop stops at
+    the relative tolerance MM_TOL or after `mm_max_iter` steps; each step
+    runs BARRIER_ROUNDS barrier rounds of `inner_steps` ascent steps.
     """
     weights, c, p_bs = solver_inputs(weights, c, p_bs)
     if mode == MODE_MT:
@@ -660,8 +660,7 @@ def optimize_dl(channel, c, p_bs, weights, mode, init=None,
     hbar = channel.h_dl[:, active] * scale[None, :] \
         / np.sqrt(channel.sigma2_z_dl)[:, None]
     problem = _PrecodingProblem(hbar, weights, c[active],
-                                np.ones(active.size), mode, inner_steps,
-                                barrier_rounds)
+                                np.ones(active.size), mode, inner_steps)
 
     if mode == MODE_MT:
         # a point-to-point Omega is diagonal, so its Cholesky factor is the
@@ -676,7 +675,7 @@ def optimize_dl(channel, c, p_bs, weights, mode, init=None,
         incumbent = None
         start = problem.cold_start()
 
-    point, trace = mm_solve(problem, start, tol=mm_tol, max_iter=mm_max_iter)
+    point, trace = mm_solve(problem, start, tol=MM_TOL, max_iter=mm_max_iter)
 
     if incumbent is not None \
             and problem.objective(incumbent) > problem.objective(point):

@@ -36,7 +36,6 @@ import numpy as np
 
 from . import cellgeom, channel as channel_mod, downlink, scheduler, uplink
 from .errors import ConfigurationError, DomainError
-from .mmopt import MM_MAX_ITER, MM_TOL
 
 MODE_P2P = uplink.MODE_P2P
 MODE_MT = uplink.MODE_MT
@@ -67,14 +66,6 @@ class RateMapping:
 
 
 @dataclass
-class SolverOptions:
-    mm_tol: float = MM_TOL
-    mm_max_iter: int = MM_MAX_ITER
-    inner_steps_dl: int = downlink.INNER_STEPS
-    barrier_rounds: int = downlink.BARRIER_ROUNDS
-
-
-@dataclass
 class ExperimentConfig:
     direction: str = "uplink"          # uplink | downlink
     mode: str = "both"                 # point_to_point | multiterminal | both
@@ -90,7 +81,6 @@ class ExperimentConfig:
     reuse: str = "F1_3"
     jobs: int = 1
     rate_mapping: RateMapping = field(default_factory=RateMapping)
-    solver: SolverOptions = field(default_factory=SolverOptions)
     propagation: cellgeom.PropagationParams = field(
         default_factory=cellgeom.PropagationParams)
 
@@ -290,7 +280,6 @@ def _simulate_drop(config, drop):
                              for m in modes},
                       warnings=dict.fromkeys(modes, 0),
                       mm_iterations=dict.fromkeys(modes, 0))
-    sol = config.solver
 
     for slot in range(config.slots):
         if slot not in channels:
@@ -303,18 +292,14 @@ def _simulate_drop(config, drop):
             for m in modes:
                 results[m] = uplink.optimize_ul(
                     chan, c_vec, scheduler.weights(states[m]), m, p_max,
-                    n_macro=cluster.n_macro, mm_tol=sol.mm_tol,
-                    mm_max_iter=sol.mm_max_iter)
+                    n_macro=cluster.n_macro)
         else:
             p_bs = cluster.power_limits_dl()
-            dl_opts = dict(mm_tol=sol.mm_tol, mm_max_iter=sol.mm_max_iter,
-                           inner_steps=sol.inner_steps_dl,
-                           barrier_rounds=sol.barrier_rounds)
             for m in solved:
                 init = results[MODE_P2P].design if m == MODE_MT else None
                 results[m] = downlink.optimize_dl(
                     chan, c_vec, p_bs, scheduler.weights(states[m]), m,
-                    init=init, **dl_opts)
+                    init=init)
 
         for m in solved:
             mapped = config.rate_mapping.apply(results[m].rates)
@@ -371,18 +356,20 @@ def _aggregate(config, outcomes):
 def _run(config, alphas):
     """One MetricsReport per alpha, all from a single pass over the drops.
 
-    The (drop, alpha) grid runs drop-major, in one process pool when
-    `jobs` > 1, whose workers take all alphas of a drop as one chunk, so
-    each drop's cluster is built once.  Every report's `elapsed_s` is the
-    wall time of the whole run.
+    The (drop, alpha) grid runs drop-major, in one process pool of
+    min(`jobs`, `drops`) workers when that exceeds 1, whose workers take all
+    alphas of a drop as one chunk, so each drop's cluster is built once.
+    Every report's `elapsed_s` is the wall time of the whole run.
     """
     configs = [replace(config, alpha=a) for a in alphas]
     grid = [(c, d) for d in range(config.drops) for c in configs]
+    # a forking pool starts all its workers at the first submit
+    workers = min(config.jobs, config.drops)
     start = time.perf_counter()
     _forget_drops()
     try:
-        if config.jobs > 1:
-            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 outcomes = list(pool.map(_simulate_drop, *zip(*grid),
                                          chunksize=len(configs)))
         else:

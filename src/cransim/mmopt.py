@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import DomainError, NumericalDomainError
 
-# default stop of both solvers' MM loops: a relative objective change below
-# MM_TOL converges, MM_MAX_ITER accepted steps stop it unconverged
+# both solvers' MM loops converge at a relative objective change below MM_TOL
+# and stop unconverged after MM_MAX_ITER steps (a default in the downlink)
 MM_TOL = 1e-4
 MM_MAX_ITER = 60
 # largest true-constraint violation that still counts as feasible

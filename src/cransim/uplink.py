@@ -315,19 +315,19 @@ _power_solves = {}
 _POWER_SOLVES_KEPT = 24
 
 
-def _power_solve(h, sigma2, weights, p_max, mm_tol, mm_max_iter):
+def _power_solve(h, sigma2, weights, p_max):
     """mm_solve of the power problem, reusing a recent solve whose inputs
     are equal (the two modes of a slot whose weights match, and the first
     slot of a drop at every alpha); every caller gets its own copy of the
     powers and of the trace."""
     key = (h.shape, h.tobytes(), sigma2.tobytes(), weights.tobytes(),
-           p_max.tobytes(), mm_tol, mm_max_iter)
+           p_max.tobytes())
     if key in _power_solves:
         _power_solves[key] = _power_solves.pop(key)
     else:
         _power_solves[key] = mm_solve(
             _PowerProblem(h, sigma2, weights, p_max), p_max.copy(),
-            tol=mm_tol, max_iter=mm_max_iter)
+            tol=MM_TOL, max_iter=MM_MAX_ITER)
         if len(_power_solves) > _POWER_SOLVES_KEPT:
             del _power_solves[next(iter(_power_solves))]
     p, trace = _power_solves[key]
@@ -336,16 +336,16 @@ def _power_solve(h, sigma2, weights, p_max, mm_tol, mm_max_iter):
                              warnings=list(trace.warnings))
 
 
-def optimize_ul(channel, c, weights, mode, p_max, n_macro=3,
-                mm_tol=MM_TOL, mm_max_iter=MM_MAX_ITER):
+def optimize_ul(channel, c, weights, mode, p_max, n_macro=3):
     """Two-step uplink design: ideal-backhaul powers, then closed-form noise.
 
     Returns an UplinkResult whose trace flags non-convergence instead of
-    raising.  BSs with zero capacity are dropped from all assemblies.  A
-    call whose power solve reads the same inputs as a recent one in this
-    process reuses it: the other mode of a slot with equal weights does, and
-    so does the first slot of a drop at every alpha, whose weights are all
-    equal.
+    raising.  The power solve's MM loop stops at the relative tolerance
+    MM_TOL or after MM_MAX_ITER steps of at most INNER_STEPS ascent steps.
+    BSs with zero capacity are dropped from all assemblies.  A call whose
+    power solve reads the same inputs as a recent one in this process reuses
+    it: the other mode of a slot with equal weights does, and so does the
+    first slot of a drop at every alpha, whose weights are all equal.
     """
     weights, c, p_max = solver_inputs(weights, c, p_max)
     p_max = np.broadcast_to(p_max, (channel.n_ms,)).copy()
@@ -355,7 +355,7 @@ def optimize_ul(channel, c, weights, mode, p_max, n_macro=3,
     # nor the stopping tests (relative to max(1, objective)) see their scale
     p_star, trace = _power_solve(
         channel.h_ul[active], channel.sigma2_z_ul[active],
-        weights / (np.max(weights) or 1.0), p_max, mm_tol, mm_max_iter)
+        weights / (np.max(weights) or 1.0), p_max)
     design, rates = _design_and_rates(p_star, channel, c, mode, n_macro)
     return UplinkResult(design=design, rates=rates,
                         objective=float(weights @ rates), trace=trace)

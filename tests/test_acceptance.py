@@ -82,7 +82,7 @@ def test_criterion_2_uplink_multiterminal_dominance():
 
 def test_criterion_3_downlink_multiterminal_dominance():
     rng = np.random.default_rng(103)
-    opts = dict(mm_max_iter=30, inner_steps=30, barrier_rounds=3)
+    opts = dict(mm_max_iter=30, inner_steps=30)
     worst_gap = np.inf
     worst_margin = np.inf
     for _ in range(200):

@@ -535,12 +535,12 @@ def test_inner_gradients_match_finite_differences(mode):
     n_bs, n_ms = 3, 2
     hbar = rand_channel(rng, n_bs, n_ms).h_dl
     weights, caps = rng.uniform(0.5, 1.5, n_ms), rng.uniform(1.0, 3.0, n_bs)
-    settings = (downlink.INNER_STEPS, downlink.BARRIER_ROUNDS)
     problem = downlink._PrecodingProblem(hbar, weights, caps, np.ones(n_bs),
-                                         mode, *settings)
+                                         mode, downlink.INNER_STEPS)
     # the p2p cold start; multiterminal starts from its diagonal Omega
-    start = downlink._PrecodingProblem(hbar, weights, caps, np.ones(n_bs),
-                                       "point_to_point", *settings).cold_start()
+    start = downlink._PrecodingProblem(
+        hbar, weights, caps, np.ones(n_bs), "point_to_point",
+        downlink.INNER_STEPS).cold_start()
     noise_param = "l" if mode == "multiterminal" else "u"
     x_start = np.diag(np.exp(start.noise.u / 2)).astype(complex) \
         if noise_param == "l" else start.noise.u
@@ -635,8 +635,7 @@ def test_subset_logdets_mark_undefined_blocks():
     rng = np.random.default_rng(60)
     problem = downlink._PrecodingProblem(
         rand_channel(rng, 3, 3).h_dl, np.ones(3), np.full(3, 10.0),
-        np.ones(3), "multiterminal", downlink.INNER_STEPS,
-        downlink.BARRIER_ROUNDS)
+        np.ones(3), "multiterminal", downlink.INNER_STEPS)
     a = 0.2 * cn_samples(rng, (3, 3))
 
     def point(l):
@@ -691,8 +690,7 @@ def test_solver_refuses_an_omega_some_chain_cannot_factor():
     rng = np.random.default_rng(61)
     problem = downlink._PrecodingProblem(
         rand_channel(rng, 3, 3).h_dl, np.ones(3), np.full(3, 50.0),
-        np.ones(3), "multiterminal", downlink.INNER_STEPS,
-        downlink.BARRIER_ROUNDS)
+        np.ones(3), "multiterminal", downlink.INNER_STEPS)
     for _ in range(200):
         l = np.tril(cn_samples(rng, (3, 3))) + np.eye(3)
         l[2, 2] = 1e-9

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 
@@ -14,11 +15,6 @@ from cransim import (cellgeom, channel, downlink, harness, scheduler,
 from cransim.cli import build_config, main as cli_main
 from cransim.errors import ConfigurationError, DomainError
 from helpers import max_efficiency
-
-
-def fast_solver():
-    return harness.SolverOptions(mm_max_iter=20, inner_steps_dl=25,
-                                 barrier_rounds=2)
 
 
 def test_percentile_reference_values():
@@ -54,11 +50,10 @@ def test_config_from_dict_and_yaml(tmp_path):
                 c_macro=3.0, c_pico=1.0, alpha=[0.0, 1.0], beta=0.5,
                 slots=2, drops=3, seed=9,
                 rate_mapping=dict(kind="attenuated", scale=0.5, cap=4.0),
-                solver=dict(mm_max_iter=10),
-                propagation=dict(inter_site_distance_m=400.0))
+                reuse="F1", propagation=dict(inter_site_distance_m=400.0))
     cfg = harness.ExperimentConfig.from_dict(data)
     assert cfg.rate_mapping.cap == 4.0
-    assert cfg.solver.mm_max_iter == 10
+    assert cfg.reuse == "F1"
     assert cfg.propagation.inter_site_distance_m == 400.0
 
     path = tmp_path / "cfg.yaml"
@@ -83,7 +78,6 @@ def test_config_from_dict_fuzz_raises_only_configuration_errors():
             "x", "F1", [], [1.0, "x"], [1.0, 2.0], {}, {"bogus": 1},
             {"kind": "nope"}, 7j]
     nested = {"rate_mapping": harness.RateMapping,
-              "solver": harness.SolverOptions,
               "propagation": cellgeom.PropagationParams}
 
     def names(cls):
@@ -106,13 +100,12 @@ def test_config_from_dict_fuzz_raises_only_configuration_errors():
         loaded += 1
         for key, cls in nested.items():
             assert isinstance(getattr(cfg, key), cls)
-        for sub in (cfg.solver, cfg.rate_mapping):
-            for f in dataclasses.fields(sub):
-                value = getattr(sub, f.name)
-                kinds = (int, float) if f.type is float else f.type
-                assert isinstance(value, kinds), (f.name, value)
-                assert not isinstance(value, bool), (f.name, value)
-        for sub in (cfg, cfg.solver, cfg.rate_mapping, cfg.propagation):
+        for f in dataclasses.fields(cfg.rate_mapping):
+            value = getattr(cfg.rate_mapping, f.name)
+            kinds = (int, float) if f.type is float else f.type
+            assert isinstance(value, kinds), (f.name, value)
+            assert not isinstance(value, bool), (f.name, value)
+        for sub in (cfg, cfg.rate_mapping, cfg.propagation):
             for f in dataclasses.fields(sub):
                 if f.type is float:
                     assert np.isfinite(getattr(sub, f.name)), f.name
@@ -129,7 +122,7 @@ def test_run_experiment_single_user_pipeline_identity():
     cfg = harness.ExperimentConfig(direction="uplink", mode="point_to_point",
                                    k_ms=1, n_pico=0, c_macro=40.0,
                                    c_pico=40.0, alpha=0.0, slots=1, drops=1,
-                                   seed=5, solver=fast_solver())
+                                   seed=5)
     report = harness.run_experiment(cfg)
     got = report.metrics["point_to_point"].rates[0, 0, 0]
 
@@ -140,8 +133,7 @@ def test_run_experiment_single_user_pipeline_identity():
     chan = channel.realize_channel(cluster, 0, harness._slot_rng(5, 0, 0))
     res = uplink.optimize_ul(chan, cluster.backhaul_capacities(40.0, 40.0),
                              np.ones(1), "point_to_point",
-                             cluster.power_limits_ul(),
-                             mm_max_iter=20)
+                             cluster.power_limits_ul())
     assert got == pytest.approx(res.rates[0], abs=1e-12)
     assert report.metrics["point_to_point"].p50_sum_rate == pytest.approx(
         got, abs=1e-12)
@@ -154,8 +146,7 @@ def test_run_experiment_single_user_pipeline_identity():
 
 def test_mode_both_is_aligned_with_single_mode_runs():
     base = dict(direction="uplink", k_ms=2, n_pico=1, c_macro=3.0,
-                c_pico=1.0, alpha=0.0, slots=2, drops=2, seed=11,
-                solver=fast_solver())
+                c_pico=1.0, alpha=0.0, slots=2, drops=2, seed=11)
     both = harness.run_experiment(
         harness.ExperimentConfig(mode="both", **base))
     solo = harness.run_experiment(
@@ -190,8 +181,7 @@ def test_mode_both_shares_the_power_solve_at_alpha_zero(monkeypatch):
 
     monkeypatch.setattr(uplink, "mm_solve", counting)
     base = dict(direction="uplink", k_ms=2, n_pico=1, c_macro=3.0,
-                c_pico=1.0, alpha=0.0, slots=2, drops=2, seed=11,
-                solver=fast_solver())
+                c_pico=1.0, alpha=0.0, slots=2, drops=2, seed=11)
     both = harness.run_experiment(
         harness.ExperimentConfig(mode="both", **base))
     assert len(calls) == 2 * 2
@@ -204,8 +194,7 @@ def test_mode_both_shares_the_power_solve_at_alpha_zero(monkeypatch):
 def test_paired_dominance_at_alpha_zero():
     cfg = harness.ExperimentConfig(direction="uplink", mode="both", k_ms=3,
                                    n_pico=2, c_macro=3.0, c_pico=1.0,
-                                   alpha=0.0, slots=2, drops=3, seed=13,
-                                   solver=fast_solver())
+                                   alpha=0.0, slots=2, drops=3, seed=13)
     report = harness.run_experiment(cfg)
     p2p = report.metrics["point_to_point"].rates.sum(axis=2)
     mt = report.metrics["multiterminal"].rates.sum(axis=2)
@@ -215,8 +204,7 @@ def test_paired_dominance_at_alpha_zero():
 def test_downlink_paired_objective_dominance_at_alpha_zero():
     cfg = harness.ExperimentConfig(direction="downlink", mode="both", k_ms=2,
                                    n_pico=1, c_macro=3.0, c_pico=1.0,
-                                   alpha=0.0, slots=1, drops=2, seed=29,
-                                   solver=fast_solver())
+                                   alpha=0.0, slots=1, drops=2, seed=29)
     report = harness.run_experiment(cfg)
     p2p = report.metrics["point_to_point"].rates.sum(axis=2)
     mt = report.metrics["multiterminal"].rates.sum(axis=2)
@@ -251,7 +239,7 @@ def test_config_rejects_alpha_whose_weights_overflow(tmp_path, capsys):
 def test_csv_reproducible_across_jobs(tmp_path):
     base = dict(direction="uplink", mode="both", k_ms=2, n_pico=1,
                 c_macro=3.0, c_pico=1.0, alpha=0.0, slots=1, drops=4,
-                seed=17, solver=fast_solver())
+                seed=17)
     for jobs in (1, 3):
         report = harness.run_experiment(
             harness.ExperimentConfig(jobs=jobs, **base))
@@ -267,6 +255,48 @@ def test_csv_reproducible_across_jobs(tmp_path):
     assert records.splitlines()[0] == "drop,slot,mode,ms,rate"
 
 
+def test_pool_has_no_more_workers_than_drops(monkeypatch):
+    """A forking pool starts every worker it is given at the first submit:
+    a run asks for at most one worker per drop, and runs in its own process
+    when that is one.  The pool is faked, so no process starts."""
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    base = dict(direction="uplink", mode="point_to_point", k_ms=1, n_pico=0,
+                slots=1, seed=3)
+    serial = harness.run_experiment(
+        harness.ExperimentConfig(drops=2, **base))
+    assert asked == []
+    harness.run_experiment(harness.ExperimentConfig(drops=1, jobs=64, **base))
+    assert asked == []
+    pooled = harness.run_experiment(
+        harness.ExperimentConfig(drops=2, jobs=64, **base))
+    assert asked == [2]
+    assert np.array_equal(pooled.metrics["point_to_point"].rates,
+                          serial.metrics["point_to_point"].rates)
+
+
+def test_readme_config_example_loads():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        block = re.search(r"```yaml\n(.*?)```", fh.read(), re.S).group(1)
+    cfg = harness.ExperimentConfig.from_dict(yaml.safe_load(block))
+    assert (cfg.direction, cfg.n_pico) == ("uplink", 10)
+
+
 def test_run_experiment_rejects_alpha_list():
     cfg = harness.ExperimentConfig(alpha=[0.0, 1.0])
     with pytest.raises(ConfigurationError):
@@ -277,7 +307,7 @@ def test_alpha_sweep_points_and_soft_checks():
     cfg = harness.ExperimentConfig(direction="uplink", mode="both", k_ms=2,
                                    n_pico=1, c_macro=6.0, c_pico=2.0,
                                    alpha=[0.0, 2.0], beta=0.5, slots=3,
-                                   drops=3, seed=19, solver=fast_solver())
+                                   drops=3, seed=19)
     sweep = harness.alpha_sweep(cfg)
     assert sweep.alphas == (0.0, 2.0)
     for mode in ("point_to_point", "multiterminal"):
@@ -303,12 +333,11 @@ def test_alpha_sweep_matches_single_alpha_runs(direction):
     leave every alpha's rates exactly as a run at that alpha alone."""
     alphas = SWEEP_ALPHAS[direction]
     single = [harness.run_experiment(harness.ExperimentConfig(
-        direction=direction, alpha=a, solver=fast_solver(), **SWEEP_BASE))
+        direction=direction, alpha=a, **SWEEP_BASE))
         for a in alphas]
     for jobs in (1, 2):
         sweep = harness.alpha_sweep(harness.ExperimentConfig(
-            direction=direction, alpha=alphas, jobs=jobs,
-            solver=fast_solver(), **SWEEP_BASE))
+            direction=direction, alpha=alphas, jobs=jobs, **SWEEP_BASE))
         assert len(sweep.reports) == len(alphas)
         for a, got, want in zip(alphas, sweep.reports, single):
             assert got.config.alpha == a
@@ -334,8 +363,7 @@ def test_alpha_sweep_builds_each_drop_once(monkeypatch):
     clusters = counting(monkeypatch, channel, "build_cluster")
     slots = counting(monkeypatch, channel, "realize_channel")
     cfg = harness.ExperimentConfig(direction="uplink",
-                                   alpha=SWEEP_ALPHAS["uplink"],
-                                   solver=fast_solver(), **SWEEP_BASE)
+                                   alpha=SWEEP_ALPHAS["uplink"], **SWEEP_BASE)
     harness.alpha_sweep(cfg)
     assert layouts == [harness._drop_seed(cfg.seed, d)
                        for d in range(cfg.drops)]
@@ -350,7 +378,6 @@ def test_alpha_sweep_solves_the_first_slot_once_per_drop(monkeypatch):
     calls = counting(monkeypatch, uplink, "mm_solve")
     cfg = harness.ExperimentConfig(direction="uplink",
                                    alpha=SWEEP_ALPHAS["uplink"],
-                                   solver=fast_solver(),
                                    **dict(SWEEP_BASE, slots=1))
     sweep = harness.alpha_sweep(cfg)
     assert len(calls) == cfg.drops
@@ -365,8 +392,7 @@ def test_drop_reuse_is_per_direction(monkeypatch):
     in one process build a cluster each, and the drop cache never hands one
     direction's cluster to the other."""
     clusters = counting(monkeypatch, channel, "build_cluster")
-    base = dict(k_ms=2, n_pico=1, alpha=2.0, slots=2, drops=1, seed=13,
-                solver=fast_solver())
+    base = dict(k_ms=2, n_pico=1, alpha=2.0, slots=2, drops=1, seed=13)
     up = harness.ExperimentConfig(direction="uplink", **base)
     down = harness.ExperimentConfig(direction="downlink", **base)
     harness.run_experiment(up)
@@ -387,8 +413,7 @@ def test_f1_reuse_records_identical_across_jobs(tmp_path, direction):
     assert len(cellgeom.build_layout(29, 1, 0, reuse="F1").interferer_set) \
         == 18
     base = dict(direction=direction, mode="both", k_ms=3, n_pico=1,
-                alpha=1.0, slots=2, drops=2, seed=29, reuse="F1",
-                solver=fast_solver())
+                alpha=1.0, slots=2, drops=2, seed=29, reuse="F1")
     records = []
     for jobs in (1, 2):
         report = harness.run_experiment(
@@ -402,7 +427,6 @@ def test_f1_reuse_records_identical_across_jobs(tmp_path, direction):
 
 def test_drop_reuse_never_crosses_runs(monkeypatch):
     cfg = harness.ExperimentConfig(direction="uplink", alpha=1.0,
-                                   solver=fast_solver(),
                                    **dict(SWEEP_BASE, drops=1))
     first = harness.run_experiment(cfg)
     clusters = counting(monkeypatch, channel, "build_cluster")
@@ -416,8 +440,7 @@ def test_drop_reuse_never_crosses_runs(monkeypatch):
 def test_report_files_written(tmp_path):
     cfg = harness.ExperimentConfig(direction="uplink", mode="both", k_ms=2,
                                    n_pico=0, c_macro=3.0, c_pico=1.0,
-                                   alpha=0.0, slots=1, drops=2, seed=23,
-                                   solver=fast_solver())
+                                   alpha=0.0, slots=1, drops=2, seed=23)
     report = harness.run_experiment(cfg)
     out = tmp_path / "run"
     harness.write_report(report, out)
@@ -478,10 +501,14 @@ def test_cli_sweep_and_error_exit(tmp_path, capsys):
     bad = cli_main(["uplink", "--config", str(tmp_path / "missing.yaml")])
     assert bad == 2
 
-    for bad_cfg in (dict(solver=dict(bogus=1)), dict(k_ms="x")):
+    capsys.readouterr()
+    for bad_cfg, message in (
+            (dict(solver=dict(mm_max_iter=10)), "unknown config key solver"),
+            (dict(k_ms="x"), "k_ms must be of type int")):
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(bad_cfg))
         assert cli_main(["uplink", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err, bad_cfg
 
     # unparsable alphas, alphas that share a result directory and YAML
     # syntax errors end in one error line, not a traceback
@@ -561,7 +588,7 @@ def solves(monkeypatch):
 def test_solver_statistics_are_per_mode(solves, direction, tmp_path):
     cfg = harness.ExperimentConfig(direction=direction, mode="both", k_ms=2,
                                    n_pico=1, alpha=1.0, slots=2, drops=2,
-                                   seed=17, solver=fast_solver())
+                                   seed=17)
     report = harness.run_experiment(cfg)
     harness.write_summary(report, tmp_path / "summary.txt")
     summary = (tmp_path / "summary.txt").read_text()

@@ -1,0 +1,136 @@
+"""What the solvers must not care about.
+
+Uplink: the scale of the weights, and the labels of the BSs or of the MSs
+(with their weights and power limits).  Downlink re-check: the BS order
+along which a chain of backhaul increments is taken.  Every property runs
+on fixed random instances.
+
+The tolerances come from measured spreads.  Over 2000 uplink instances of
+`ul_instance` (seed 11), in both modes, weight scales from 1e-6 to 1e6 and
+BS relabelings left every power, noise power and rate bit-identical, and
+scaled objectives differed by at most 4.4e-16 relative.  MS relabelings
+left the powers bit-identical and moved noise powers, rates and objectives
+by at most 1.8e-14 relative.  Over 8000 chains (2000 instances of
+`chain_instance`, seed 5), `feasible_dl` margins lay in [-1.8e-14, 0].
+Both tolerances below are about ten times the largest of these spreads.
+"""
+
+import numpy as np
+import pytest
+
+from cransim import downlink, uplink
+from cransim.channel import ChannelRealization
+from helpers import backhaul_mv_dl, cn_samples, rand_psd
+
+UL_RTOL = 2e-13
+MARGIN_TOL = 2e-13
+MODES = ("point_to_point", "multiterminal")
+
+
+def ul_instance(rng):
+    """(channel, capacities, weights, power limits): gains over four
+    decades and weights over six, as proportional-fair weights span."""
+    n_bs, n_ms = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+    h = cn_samples(rng, (n_bs, n_ms)) \
+        * np.sqrt(10.0 ** rng.uniform(-1.0, 3.0, (n_bs, n_ms)))
+    ch = ChannelRealization(h_ul=h, h_dl=h.conj().T.copy(),
+                            sigma2_z_ul=rng.uniform(0.5, 2.0, n_bs),
+                            sigma2_z_dl=None)
+    return (ch, rng.uniform(0.5, 4.0, n_bs), 10.0 ** rng.uniform(-3, 3, n_ms),
+            rng.uniform(0.5, 2.0, n_ms))
+
+
+def solve_ul(*args, **kwargs):
+    """optimize_ul afresh: no power solve is reused from an earlier call."""
+    uplink._power_solves.clear()
+    return uplink.optimize_ul(*args, **kwargs)
+
+
+def assert_close(got, want, rtol):
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_uplink_design_ignores_the_weight_scale(mode):
+    rng = np.random.default_rng(71)
+    for _ in range(150):
+        ch, c, w, p_max = ul_instance(rng)
+        want = solve_ul(ch, c, w, mode, p_max)
+        # scaling by a power of two is exact, down to the objective
+        for s in (2.0 ** -20, 0.25, 2.0 ** 17):
+            got = solve_ul(ch, c, s * w, mode, p_max)
+            for name in ("p", "omega", "order"):
+                assert np.array_equal(getattr(got.design, name),
+                                      getattr(want.design, name)), (s, name)
+            assert np.array_equal(got.rates, want.rates), s
+            assert got.objective == s * want.objective, s
+        for s in (1e-6, 1e-3, 0.1, 3.0, 1e3, 1e6):
+            got = solve_ul(ch, c, s * w, mode, p_max)
+            assert_close(got.design.p, want.design.p, UL_RTOL)
+            assert_close(got.design.omega, want.design.omega, UL_RTOL)
+            assert got.design.order == want.design.order, s
+            assert_close(got.rates, want.rates, UL_RTOL)
+            assert_close(got.objective / s, want.objective, UL_RTOL)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_uplink_design_ignores_labels(mode):
+    """Relabeled BSs, or MSs with their weights and power limits, give the
+    relabeled design.  With no macro antennas the decompression order
+    depends on received powers only, not on BS labels."""
+    rng = np.random.default_rng(72)
+    for _ in range(150):
+        ch, c, w, p_max = ul_instance(rng)
+        want = solve_ul(ch, c, w, mode, p_max, n_macro=0)
+
+        pb = rng.permutation(ch.n_bs)
+        got = solve_ul(ChannelRealization(
+            h_ul=ch.h_ul[pb], h_dl=ch.h_dl[:, pb],
+            sigma2_z_ul=ch.sigma2_z_ul[pb], sigma2_z_dl=None),
+            c[pb], w, mode, p_max, n_macro=0)
+        assert_close(got.design.p, want.design.p, UL_RTOL)
+        assert_close(got.design.omega, want.design.omega[pb], UL_RTOL)
+        assert tuple(pb[list(got.design.order)]) == want.design.order
+        assert_close(got.rates, want.rates, UL_RTOL)
+
+        pm = rng.permutation(ch.n_ms)
+        got = solve_ul(ChannelRealization(
+            h_ul=ch.h_ul[:, pm], h_dl=ch.h_dl[pm],
+            sigma2_z_ul=ch.sigma2_z_ul, sigma2_z_dl=None),
+            c, w[pm], mode, p_max[pm], n_macro=0)
+        assert_close(got.design.p, want.design.p[pm], UL_RTOL)
+        assert_close(got.design.omega, want.design.omega, UL_RTOL)
+        assert got.design.order == want.design.order
+        assert_close(got.rates, want.rates[pm], UL_RTOL)
+        assert_close(got.objective, want.objective, UL_RTOL)
+
+
+def chain_instance(rng):
+    """A precoder and a generic correlated Omega over 1 to 6 BSs."""
+    n_bs, n_ms = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+    a = cn_samples(rng, (n_bs, n_ms), 10.0 ** rng.uniform(-2, 1, (n_bs, 1)))
+    return a, rand_psd(rng, n_bs, 10.0 ** rng.uniform(-2, 1))
+
+
+def test_chain_increments_meet_every_subset_condition():
+    """The subset requirements g(S) form a contra-polymatroid: capacities
+    equal to g's increments along any BS order meet every subset condition,
+    with equality on the order's prefixes, so feasible_dl's margin is 0.
+    The requirements come from the one-subset oracle, not the kernel."""
+    rng = np.random.default_rng(73)
+    for _ in range(300):
+        a, omega = chain_instance(rng)
+        n_bs = omega.shape[0]
+        power = (np.abs(a) ** 2).sum(axis=1) + omega.diagonal().real
+        probe = downlink.DownlinkDesign(a=a, omega=omega, c=np.ones(n_bs),
+                                        p_bs=power, mode="multiterminal")
+        for _ in range(3):
+            order = rng.permutation(n_bs)
+            g = [backhaul_mv_dl(probe, order[:j]) for j in range(1, n_bs + 1)]
+            c = np.empty(n_bs)
+            c[order] = np.diff(g, prepend=0.0)
+            report = downlink.feasible_dl(downlink.DownlinkDesign(
+                a=a, omega=omega, c=c, p_bs=2.0 * power,
+                mode="multiterminal"))
+            assert report.feasible
+            assert abs(report.margin) <= MARGIN_TOL, (order, report)
