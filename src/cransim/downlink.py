@@ -26,15 +26,19 @@ of the subset lattice: C(n, n//2) orderings of the BSs whose leading blocks
 hold each of the 2^n - 1 subsets once.  One batched Cholesky of the reordered
 Omegas gives every subset's log-det as a cumulative sum of its chain's
 pivots, and the noise gradient's sum of scattered subset inverses comes
-from the same factors with one batched inverse.  The inner ascent evaluates
-many candidates per MM step, so each Omega (one `_Noise`) and each precoder
-(one `_Precoder`) computes its terms once, on first use; Omega's 1x1
-log-dets come first and screen out a candidate violating a singleton
-condition before any block is factored.
+from the same factors with one batched inverse.
+
+Each candidate of the inner ascent is one slotted record (`_Iterate`): A
+with its row powers and received signals, the noise parameters with Omega,
+its diagonal, 1x1 and subset log-dets, chain factors and quantization
+noise, and, once evaluated under a tangent, the slacks, the rate parts and
+the surrogate.  A trial step shares by reference every field of the block
+it does not move, and each term is formed on first use, so each Omega is
+factored at most once; its 1x1 log-dets screen a candidate first.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -50,6 +54,9 @@ SUBSET_ENUM_CAP = 16
 BARRIER_ROUNDS = 3
 INNER_STEPS = 40
 RESTART_SHRINK = 0.06   # signal power share a warm start gives up
+# one-reduction screens, NaN included: `not _minimum(x) > 0` is
+# `not (x > 0).all()`, and `_fmin(x) <= 0` (fmin skips NaN) `(x <= 0).any()`
+_minimum, _fmin, _sum = np.minimum.reduce, np.fmin.reduce, np.add.reduce
 
 
 @dataclass
@@ -93,7 +100,7 @@ class FeasibilityReport:
 
 def _row_power(a):
     """Precoded signal power of each BS: the squared norms of A's rows."""
-    return (np.abs(a) ** 2).sum(axis=1)
+    return _sum(np.abs(a) ** 2, 1)
 
 
 def rate_dl(design, channel, k):
@@ -201,11 +208,10 @@ def _subset_logdets(omega):
     tables = _chain_tables(n)
     blocks = omega.take(tables.gather)
     undefined = None
-    diag_ok = omega.diagonal().real > 0
-    if not (diag_ok.all() and np.isfinite(omega).all()):
+    if not (_minimum(omega.diagonal().real) > 0 and np.isfinite(omega).all()):
         # prefixes from the first row reaching a bad entry on: identity rows
         bad = ~np.isfinite(omega)
-        bad.flat[::n + 1] |= ~diag_ok
+        bad.flat[::n + 1] |= ~(omega.diagonal().real > 0)
         bad = bad.take(tables.gather)
         undefined = np.logical_or.accumulate(
             np.tril(bad | bad.swapaxes(1, 2)).any(axis=2), axis=1)
@@ -224,12 +230,16 @@ def _subset_logdets(omega):
                     break
                 except np.linalg.LinAlgError:
                     pass
-    if undefined is not None:
-        pivots[undefined] = 0.0
-    # a zero pivot is -inf, and so is every cumulative sum after it
-    with np.errstate(divide="ignore"):
-        return 2.0 * np.log2(pivots).cumsum(axis=1).take(tables.source), \
-            factors
+    if undefined is None and factors is not None:
+        # the pivots of a Cholesky factor are finite and > 0
+        logs = np.log2(pivots)
+    else:
+        if undefined is not None:
+            pivots[undefined] = 0.0
+        # a zero pivot is -inf, and so is every cumulative sum after it
+        with np.errstate(divide="ignore"):
+            logs = np.log2(pivots)
+    return 2.0 * logs.cumsum(axis=1).take(tables.source), factors
 
 
 def _subset_inv_scatter(factors, coeffs):
@@ -304,102 +314,141 @@ def feasible_dl(design):
 # optimizer internals
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Point:
-    """Inner parameterization: free A, plus the noise parameters of Omega.
-    Points with the same A share its terms, `pre`."""
-    a: np.ndarray                 # (n_act, n_ms) complex
-    noise: "_Noise"
-    pre: "_Precoder" = None
-
-    def __post_init__(self):
-        if self.pre is None:
-            self.pre = _Precoder(self.noise.problem.hbar, self.a)
-        # transmit power of each BS: precoded signal plus quantization noise
-        self.power = self.pre.power + self.noise.diag
-
-
-class _Precoder:
-    """A precoder A and its terms.  The noise-step candidates of a point
-    share its object, so A's row powers (made with it) and received signals
-    (on first use) are computed once."""
-
-    def __init__(self, hbar, a):
-        self.hbar, self.a = hbar, a
-        self.power = _row_power(a)
-
-    @cached_property
-    def signal(self):
-        """hbar A, and the signal power each MS receives in all and from
-        its own stream."""
-        m = self.hbar @ self.a
-        sig = np.abs(m) ** 2
-        return m, sig.sum(axis=1), sig.diagonal()
-
-
 # log-parameterization of the diagonal noise powers: strictly positive by
 # construction, and gradient steps scale multiplicatively, which matters
 # because optimal noise powers span many orders of magnitude
 _U_CLIP = (-600.0, 60.0)
 
 
-class _Noise:
-    """The noise parameters and the Omega they make: Omega = L L^H for a
-    complex lower-triangular L (multiterminal), or diag(exp(u)) for a real u
-    (point-to-point).  Every point with these parameters shares the object,
-    so Omega's log-dets, chain factors and noise form are computed once, on
-    first use."""
+def _signal(hbar, a):
+    """hbar A, and each MS's signal power in all and from its own stream."""
+    m = hbar @ a
+    sig = np.abs(m) ** 2
+    return m, _sum(sig, 1), sig.diagonal()
 
-    def __init__(self, problem, l=None, u=None):
-        self.problem, self.l, self.u = problem, l, u
-        if l is not None:
-            self.omega = l @ l.conj().T
+
+def _quant_noise(problem, l, omega):
+    """hbar_k Omega hbar_k^H at each MS k, |hbar_k L|^2 in multiterminal."""
+    if l is not None:
+        return _sum(np.abs(problem.hbar @ l) ** 2, 1)
+    return np.einsum("ki,ij,kj->k", problem.hbar, omega,
+                     problem.hbar_c).real
+
+
+class _Iterate:
+    """An inner-ascent iterate and its terms (see the module docstring):
+    A, and L with Omega = L L^H (multiterminal) or u with Omega =
+    diag(exp(u)) (point-to-point).  `coefs` caches what both blocks'
+    gradients share at one barrier weight."""
+
+    __slots__ = ("problem", "a", "a_power", "signal", "l", "u", "omega",
+                 "diag", "single", "logdets", "factors", "qn", "power",
+                 "total", "interf", "power_slack", "bh_slack", "surr",
+                 "log_slack", "coefs")
+
+    def __init__(self, problem, a=None, l=None, u=None, keep=None):
+        """A fresh iterate, or one sharing the block of `keep` not given."""
+        self.problem = problem
+        if a is None:
+            self.a, self.a_power, self.signal = keep.a, keep.a_power, \
+                keep.signal
         else:
-            self.omega = np.diag(np.exp(u)).astype(complex)
-        self.diag = self.omega.diagonal().real
+            self.a, self.a_power, self.signal = a, _row_power(a), None
+        if l is None and u is None:
+            (self.l, self.u, self.omega, self.diag, self.single, self.logdets,
+             self.factors, self.qn) = (keep.l, keep.u, keep.omega, keep.diag,
+                                       keep.single, keep.logdets,
+                                       keep.factors, keep.qn)
+        else:
+            self.l, self.u = l, u
+            if l is not None:
+                self.omega = l @ l.conj().T
+                self.diag = self.omega.diagonal().real
+            else:
+                # the diagonal Omega is made with the quantization noise
+                self.omega, self.diag = None, np.exp(u)
+            self.single = self.logdets = self.factors = self.qn = None
+        self.power = self.a_power + self.diag
+        self.total = None
 
-    @cached_property
-    def single_logdets(self):
-        """log2 det of each 1x1 block of Omega (multiterminal), -inf where
-        the diagonal entry is not finite and > 0: the values factoring
-        gives, since a 1x1 Cholesky factor is sqrt(d)."""
-        d = self.diag
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where((d > 0) & (d < np.inf),
-                            2.0 * np.log2(np.sqrt(d)), -np.inf)
+    def moved(self, block, grad, eta):
+        """The trial point eta * grad away in one block."""
+        if block == "a":
+            return _Iterate(self.problem, self.a + eta * grad, keep=self)
+        if self.l is not None:
+            # L and its gradient are lower-triangular, so the step is too
+            return _Iterate(self.problem, l=self.l + eta * grad, keep=self)
+        # np.clip, without its Python wrapper
+        return _Iterate(self.problem, u=np.minimum(np.maximum(
+            self.u + eta * grad, _U_CLIP[0]), _U_CLIP[1]), keep=self)
 
-    @cached_property
-    def logdets(self):
+    def subset_logdets(self):
         """log2 det of each constrained block of Omega; multiterminal keeps
         the chain factors for the gradient."""
-        if self.l is None:
-            return np.log2(self.diag)
-        logdets, self.chain_factors = _subset_logdets(self.omega)
-        if self.chain_factors is None:
-            # some ordering of Omega does not factor, so there is no
-            # gradient here: the solver takes the whole set as undefined
-            logdets[-1] = -np.inf
-        return logdets
+        if self.logdets is None:
+            if self.l is None:
+                self.logdets = np.log2(self.diag)
+            else:
+                self.logdets, self.factors = _subset_logdets(self.omega)
+                if self.factors is None:
+                    # some ordering of Omega does not factor, so there is no
+                    # gradient: the solver takes the whole set as undefined
+                    self.logdets[-1] = -np.inf
+        return self.logdets
 
-    @cached_property
-    def qn(self):
-        """Quantization noise power at each MS: hbar_k Omega hbar_k^H, the
-        squared norm of hbar_k L in multiterminal mode."""
-        hbar = self.problem.hbar
+    def rate_parts(self):
+        """Received power at each MS in all and less its own signal."""
+        if self.total is None:
+            if self.signal is None:
+                self.signal = _signal(self.problem.hbar, self.a)
+            if self.qn is None:
+                if self.omega is None:
+                    self.omega = np.diag(self.diag).astype(complex)
+                self.qn = _quant_noise(self.problem, self.l, self.omega)
+            self.total = 1.0 + self.signal[1] + self.qn
+            self.interf = self.total - self.signal[2]
+        return self.total, self.interf
+
+    def evaluate(self, tangent):
+        """Slacks, rate parts and surrogate objective (constants dropped)
+        under a tangent; surr is None outside the strict surrogate interior."""
+        problem = self.problem
+        b_slope, lin_const, s_coef = tangent
+        self.surr = self.bh_slack = self.coefs = None
+        self.power_slack = problem.p_lim - self.power
+        if not _minimum(self.power_slack) > 0:
+            return
+        g_lin = lin_const + problem.masks @ (b_slope * self.power)
         if self.l is not None:
-            return (np.abs(hbar @ self.l) ** 2).sum(axis=1)
-        return np.einsum("ki,ij,kj->k", hbar, self.omega,
-                         self.problem.hbar_c).real
+            # the singleton conditions need no factoring: screen them first
+            if self.single is None:
+                # 2 log2 of the 1x1 Cholesky factors sqrt(d), -inf where d is
+                # not finite and > 0; past the power screen no d is +inf
+                d = self.diag
+                if _minimum(d) > 0:
+                    self.single = 2.0 * np.log2(np.sqrt(d))
+                else:
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        self.single = np.where((d > 0) & (d < np.inf),
+                                               2.0 * np.log2(np.sqrt(d)),
+                                               -np.inf)
+            if _fmin(problem.single_caps
+                     - (g_lin[:problem.n] - self.single)) <= 0:
+                return
+        bh_slack = problem.subset_caps - (g_lin - self.subset_logdets())
+        if _fmin(bh_slack) <= 0:
+            return
+        self.bh_slack = bh_slack
+        total, interf = self.rate_parts()
+        self.surr = float(problem.w @ np.log2(total) - s_coef @ interf)
+        self.log_slack = _sum(np.log(self.power_slack)) \
+            + _sum(np.log(bh_slack))
 
-
-@dataclass
-class _Eval:
-    """One point of the inner barrier problem under a fixed tangent."""
-    point: _Point
-    power_slack: np.ndarray = None
-    bh_slack: np.ndarray = None
-    rate_parts: tuple = None      # (m, total, interf), see _rate_parts
-    surr: float = None            # None outside the strict surrogate interior
+    def value(self, mu):
+        """Surrogate plus mu times the log-barrier; -inf outside its domain."""
+        if self.surr is None:
+            return -np.inf
+        return self.surr + mu * self.log_slack
 
 
 class _PrecodingProblem:
@@ -411,9 +460,11 @@ class _PrecodingProblem:
         self.hbar_h = self.hbar_c.T
         self.w = np.asarray(weights, dtype=float)
         self.p_lim = np.asarray(p_lim, dtype=float)
-        self.mode = mode
         self.n = hbar.shape[1]
         self.inner_steps = inner_steps
+        self.lower = np.tri(self.n, dtype=bool)
+        self.off_diag = ~np.eye(hbar.shape[0], dtype=bool)
+        self.hbar_abs2 = np.abs(hbar) ** 2
 
         if mode == MODE_MT:
             self.masks = np.concatenate([np.eye(self.n)[m].sum(axis=1)
@@ -422,48 +473,39 @@ class _PrecodingProblem:
         else:
             self.masks = np.eye(self.n)
             self.subset_caps = np.asarray(caps, dtype=float)
+        self.single_caps = self.subset_caps[:self.n]
         # C-ordered: the layout fixes the BLAS summation order of masks^T @ x
         self.masks_t = np.ascontiguousarray(self.masks.T)
 
-    # -- shared quantities -------------------------------------------------
-
-    def _rate_parts(self, point):
-        m, sig_total, sig_own = point.pre.signal       # m: (n_ms, n_ms)
-        total = 1.0 + sig_total + point.noise.qn
-        interf = total - sig_own
-        return m, total, interf
-
     # -- mm_solve protocol ---------------------------------------------------
 
-    def objective(self, point):
-        _, total, interf = self._rate_parts(point)
+    def objective(self, it):
+        total, interf = it.rate_parts()
         rates = np.log2(total) - np.log2(interf)
         return float(self.w @ rates)
 
-    def violation(self, point):
-        power = point.power
-        g = self.masks @ np.log2(power) - point.noise.logdets
+    def violation(self, it):
+        power = it.power
+        g = self.masks @ np.log2(power) - it.subset_logdets()
         return float(max((power - self.p_lim).max(),
                          (g - self.subset_caps).max()))
 
     # -- surrogate construction and inner barrier ascent ---------------------
 
-    def _tangent(self, point0):
-        """Slopes and offsets of the log2(power) terms linearized at point0,
+    def _tangent(self, it0):
+        """Slopes and offsets of the log2(power) terms linearized at it0,
         and the weights of the linearized log2(interference) terms."""
-        power0 = point0.power
+        power0 = it0.power
         b_slope = 1.0 / (power0 * LN2)
         lin_const = self.masks @ (np.log2(power0) - b_slope * power0)
-        _, _, interf0 = self._rate_parts(point0)
-        return b_slope, lin_const, self.w / (interf0 * LN2)
+        return b_slope, lin_const, self.w / (it0.rate_parts()[1] * LN2)
 
-    def step(self, point0):
-        tangent = self._tangent(point0)
-        current = self._evaluate(point0, tangent)
-        if current.surr is None:
+    def step(self, it0):
+        tangent = self._tangent(it0)
+        it0.evaluate(tangent)
+        if it0.surr is None:
             raise NumericalDomainError("current iterate lost strict feasibility")
-
-        best = current
+        current = best = it0
         # cap the barrier weight by the starting slack scale so a warm start
         # sitting near its active constraints is not dragged off them
         min_slack = min(np.min(current.power_slack), np.min(current.bh_slack))
@@ -474,16 +516,15 @@ class _PrecodingProblem:
         eta = {"a": 1.0, "noise": 1.0}
         for round_idx in range(BARRIER_ROUNDS):
             mu = mu0 * (0.1 ** round_idx)
-            total_cur = self._barrier(current, mu)
+            total_cur = current.value(mu)
             for _ in range(self.inner_steps):
                 gain = 0.0
                 for block in ("a", "noise"):
                     grad = self._gradient(current, tangent, mu, block)
                     for _ in range(30):
-                        point = self._advance(current.point, grad,
-                                              eta[block], block)
-                        cand = self._evaluate(point, tangent)
-                        total_cand = self._barrier(cand, mu)
+                        cand = current.moved(block, grad, eta[block])
+                        cand.evaluate(tangent)
+                        total_cand = cand.value(mu)
                         if total_cand > total_cur:
                             gain += total_cand - total_cur
                             current, total_cur = cand, total_cand
@@ -498,78 +539,37 @@ class _PrecodingProblem:
                     best = current
                 if gain <= INNER_TOL * max(1.0, abs(total_cur)):
                     break
-        return best.point
+        return best
 
-    def _evaluate(self, point, tangent):
-        """Slacks, rate parts and surrogate objective (constants dropped)."""
-        b_slope, lin_const, s_coef = tangent
-        noise = point.noise
-        ev = _Eval(point)
-        power = point.power
-        ev.power_slack = self.p_lim - power
-        if not (ev.power_slack > 0).all():
-            return ev
-        g_lin = lin_const + self.masks @ (b_slope * power)
-        if noise.l is not None:
-            # the singleton conditions need no factoring: screen them first
-            n = self.n
-            if (self.subset_caps[:n]
-                    - (g_lin[:n] - noise.single_logdets) <= 0).any():
-                return ev
-        ev.bh_slack = self.subset_caps - (g_lin - noise.logdets)
-        if (ev.bh_slack <= 0).any():
-            return ev
-        ev.rate_parts = self._rate_parts(point)
-        _, total, interf = ev.rate_parts
-        ev.surr = float(self.w @ np.log2(total) - s_coef @ interf)
-        return ev
-
-    def _barrier(self, ev, mu):
-        """Surrogate plus mu times the log-barrier; -inf outside its domain."""
-        if ev.surr is None:
-            return -np.inf
-        return ev.surr + mu * (np.log(ev.power_slack).sum()
-                               + np.log(ev.bh_slack).sum())
-
-    def _gradient(self, ev, tangent, mu, block):
+    def _gradient(self, it, tangent, mu, block):
         """Gradient of the barrier value in one block: A, or the noise
         parameters (L for multiterminal, u for point-to-point)."""
         b_slope, _, s_coef = tangent
-        point, noise = ev.point, ev.point.noise
-        m, total, _ = ev.rate_parts
-        alpha = self.w / (total * LN2)
-
-        # coefficient on d(power_i) collecting barrier terms
-        bh_coef = mu / ev.bh_slack
-        coef_t = -mu / ev.power_slack - b_slope * (self.masks_t @ bh_coef)
+        if it.coefs is None or it.coefs[0] != mu:
+            # both blocks': alpha, and the d(power_i) barrier coefficients
+            bh_coef = mu / it.bh_slack
+            it.coefs = (mu, self.w / (it.total * LN2), bh_coef,
+                        -mu / it.power_slack
+                        - b_slope * (self.masks_t @ bh_coef))
+        _, alpha, bh_coef, coef_t = it.coefs
 
         if block == "a":
-            m_off = m.copy()
-            np.fill_diagonal(m_off, 0.0)
+            m = it.signal[0]
+            m_off = np.where(self.off_diag, m, 0.0)
             return self.hbar_h @ (alpha[:, None] * m) \
                 - self.hbar_h @ (s_coef[:, None] * m_off) \
-                + coef_t[:, None] * point.a
+                + coef_t[:, None] * it.a
 
         quad_coef = alpha - s_coef
-        if noise.l is not None:
+        if it.l is not None:
             gq = self.hbar_h @ (quad_coef[:, None] * self.hbar)
-            g_inv = _subset_inv_scatter(noise.chain_factors, bh_coef) / LN2
-            return np.tril((gq + np.diag(coef_t) + g_inv) @ noise.l)
-        qcoef = (quad_coef[:, None] * np.abs(self.hbar) ** 2).sum(axis=0)
-        domega = qcoef + coef_t + bh_coef / (noise.diag * LN2)
+            g_inv = _subset_inv_scatter(it.factors, bh_coef) / LN2
+            return np.where(self.lower,
+                            (gq + np.diag(coef_t) + g_inv) @ it.l, 0.0)
+        qcoef = _sum(quad_coef[:, None] * self.hbar_abs2, 0)
+        domega = qcoef + coef_t + bh_coef / (it.diag * LN2)
         # diag is exp(u), so this is the chain rule through omega = exp(u)
-        return domega * noise.diag
-
-    def _advance(self, point, grad, eta, block):
-        noise = point.noise
-        if block == "a":
-            return _Point(a=point.a + eta * grad, noise=noise)
-        if noise.l is not None:
-            # L and its gradient are lower-triangular, so the step is too
-            return _Point(a=point.a, pre=point.pre,
-                          noise=_Noise(self, l=noise.l + eta * grad))
-        return _Point(a=point.a, pre=point.pre, noise=_Noise(
-            self, u=np.clip(noise.u + eta * grad, *_U_CLIP)))
+        return domega * it.diag
 
     # -- starting point -------------------------------------------------------
 
@@ -601,7 +601,7 @@ class _PrecodingProblem:
             g = np.log2(sig + omega) - np.log2(omega)
             slack = caps - g
             if np.all(slack > 1e-6 * np.maximum(1.0, caps)):
-                return _Point(a=a, noise=_Noise(self, u=np.log(omega)))
+                return _Iterate(self, a, u=np.log(omega))
             gamma *= 0.5
         worst = int(np.argmin(slack))
         raise NumericalDomainError(
@@ -609,7 +609,7 @@ class _PrecodingProblem:
             f"cannot be met (capacity {caps[worst]:.3g} bps/Hz)")
 
 
-def _interior_restart(point):
+def _interior_restart(it):
     """Back a boundary point off its active constraints.
 
     A design whose per-BS description rates sit at capacity leaves every
@@ -619,7 +619,7 @@ def _interior_restart(point):
     giving the joint optimization room to trade description resolution for
     noise shaping.
     """
-    return _Point(a=point.a * np.sqrt(1.0 - RESTART_SHRINK), noise=point.noise)
+    return _Iterate(it.problem, it.a * np.sqrt(1.0 - RESTART_SHRINK), keep=it)
 
 
 def optimize_dl(channel, c, p_bs, weights, mode, init=None,
@@ -666,8 +666,9 @@ def optimize_dl(channel, c, p_bs, weights, mode, init=None,
         # a point-to-point Omega is diagonal, so its Cholesky factor is the
         # square root of the diagonal
         omega_diag = (init.omega.diagonal()[active] / (scale * scale)).real
-        incumbent = _Point(a=init.a[active] / scale[:, None], noise=_Noise(
-            problem, l=np.diag(np.sqrt(omega_diag) + 0j)))
+        incumbent = _Iterate(problem, init.a[active] / scale[:, None],
+                             l=np.diag(np.sqrt(omega_diag) + 0j))
+        incumbent.rate_parts()      # forms the noise terms its restart shares
         # it sits on its constraint boundaries: step inside before refining,
         # and keep the original as the incumbent
         start = _interior_restart(incumbent)
@@ -675,19 +676,18 @@ def optimize_dl(channel, c, p_bs, weights, mode, init=None,
         incumbent = None
         start = problem.cold_start()
 
-    point, trace = mm_solve(problem, start, tol=MM_TOL, max_iter=mm_max_iter)
+    it, trace = mm_solve(problem, start, tol=MM_TOL, max_iter=mm_max_iter)
 
     if incumbent is not None \
-            and problem.objective(incumbent) > problem.objective(point):
-        point = incumbent
+            and problem.objective(incumbent) > problem.objective(it):
+        it = incumbent
         trace.warnings.append("warm-start incumbent kept: refinement did "
                               "not improve on it")
 
     a_full = np.zeros((n_bs, n_ms), dtype=complex)
-    a_full[active] = point.a * scale[:, None]
+    a_full[active] = it.a * scale[:, None]
     omega_full = np.zeros((n_bs, n_bs), dtype=complex)
-    omega_full[np.ix_(active, active)] = \
-        point.noise.omega * np.outer(scale, scale)
+    omega_full[np.ix_(active, active)] = it.omega * np.outer(scale, scale)
     design = DownlinkDesign(a=a_full, omega=hermitize(omega_full), c=c,
                             p_bs=p_bs, mode=mode)
     rates = np.array([rate_dl(design, channel, k) for k in range(n_ms)])

@@ -93,6 +93,18 @@ class ExperimentConfig:
             raise ConfigurationError("drops and slots must be >= 1")
         if self.c_macro < 0 or self.c_pico < 0:
             raise ConfigurationError("backhaul capacities must be >= 0")
+        if self.direction == "uplink":
+            prop = self.propagation
+            for name, nf in (("c_macro", prop.nf_macro_db),
+                             ("c_pico", prop.nf_pico_db)):
+                bound = uplink.capacity_max(
+                    channel_mod.thermal_noise_w(nf, prop.bandwidth_hz))
+                if not getattr(self, name) <= bound:
+                    raise ConfigurationError(
+                        f"uplink {name} must be <= {bound:.6g} bps/Hz, "
+                        f"which the quantization noise power at the BS's "
+                        f"thermal floor can meet in floating point; got "
+                        f"{getattr(self, name)!r}")
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigurationError("beta must lie in [0, 1]")
         if self.k_ms < 1 or self.n_pico < 0:

@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import DomainError, NumericalDomainError
 from .gaussinfo import LN2, cholesky
-from .mmopt import INNER_TOL, MM_MAX_ITER, MM_TOL, mm_solve, solver_inputs
+from .mmopt import (FEASIBILITY_TOL, INNER_TOL, MM_MAX_ITER, MM_TOL, mm_solve,
+                    solver_inputs)
 
 MODE_P2P = "point_to_point"
 MODE_MT = "multiterminal"
@@ -114,6 +115,17 @@ def backhaul_wz(design, channel, position):
                             h_prev @ (p * channel.h_ul[i].conj()))
         var -= float(np.real(w.conj() @ w))
     return _backhaul_bits(var, design.omega[i])
+
+
+def capacity_max(sigma2):
+    """Largest backhaul capacity (bps/Hz) of a BS with noise power sigma2
+    (watts, or an array of them) that its quantization noise power can
+    meet.  That power, var / (2^c - 1), exceeds sigma2 / 2^c (the variance
+    var to describe is at least sigma2), which up to this bound is at least
+    2^-1074, the spacing of subnormal floats, over FEASIBILITY_TOL ln 2: so
+    rounding moves the backhaul rate log2(1 + var / omega) by at most half
+    of FEASIBILITY_TOL.  About 1007 at the default thermal floors."""
+    return np.log2(sigma2 * FEASIBILITY_TOL * LN2) + 1074.0
 
 
 def _noise_and_factor(p, order, c, channel, mode):
@@ -340,8 +352,9 @@ def optimize_ul(channel, c, weights, mode, p_max, n_macro=3):
     """Two-step uplink design: ideal-backhaul powers, then closed-form noise.
 
     Returns an UplinkResult whose trace flags non-convergence instead of
-    raising.  The power solve's MM loop stops at the relative tolerance
-    MM_TOL or after MM_MAX_ITER steps of at most INNER_STEPS ascent steps.
+    raising; a capacity above `capacity_max` of its BS raises DomainError.
+    The power solve's MM loop stops at the relative tolerance MM_TOL or
+    after MM_MAX_ITER steps of at most INNER_STEPS ascent steps.
     BSs with zero capacity are dropped from all assemblies.  A call whose
     power solve reads the same inputs as a recent one in this process reuses
     it: the other mode of a slot with equal weights does, and so does the
@@ -351,6 +364,13 @@ def optimize_ul(channel, c, weights, mode, p_max, n_macro=3):
     p_max = np.broadcast_to(p_max, (channel.n_ms,)).copy()
 
     active = np.flatnonzero(c > 0)
+    over = active[c[active] > capacity_max(channel.sigma2_z_ul[active])]
+    if over.size:
+        i = over[0]
+        raise DomainError(
+            f"backhaul capacity {c[i]:.6g} bps/Hz at BS {i} is above "
+            f"{capacity_max(channel.sigma2_z_ul[i]):.6g}, which its "
+            f"quantization noise power cannot meet in floating point")
     # weights divided by their largest, so that neither the first trial step
     # nor the stopping tests (relative to max(1, objective)) see their scale
     p_star, trace = _power_solve(

@@ -1,6 +1,5 @@
 import ast
 import math
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -504,19 +503,18 @@ def test_a_step_inverts_no_subset_block(monkeypatch):
     _subset_inv_scatter call of a multiterminal design feeds a noise-block
     line search, never an A-block one."""
     events = []
-    problem_cls = downlink._PrecodingProblem
-    scatter, advance = downlink._subset_inv_scatter, problem_cls._advance
+    scatter, moved = downlink._subset_inv_scatter, downlink._Iterate.moved
 
     def counted_scatter(factors, coeffs):
         events.append("inv")
         return scatter(factors, coeffs)
 
-    def counted_advance(self, point, grad, eta, block):
+    def counted_moved(self, block, grad, eta):
         events.append(block)
-        return advance(self, point, grad, eta, block)
+        return moved(self, block, grad, eta)
 
     monkeypatch.setattr(downlink, "_subset_inv_scatter", counted_scatter)
-    monkeypatch.setattr(problem_cls, "_advance", counted_advance)
+    monkeypatch.setattr(downlink._Iterate, "moved", counted_moved)
     rng = np.random.default_rng(54)
     ch = rand_channel(rng, 4, 3)
     solve_multiterminal(ch, rng.uniform(1.0, 4.0, 4), rng.uniform(2.0, 8.0, 4),
@@ -524,6 +522,17 @@ def test_a_step_inverts_no_subset_block(monkeypatch):
     after_inv = [b for prev, b in zip(events, events[1:]) if prev == "inv"]
     assert len(after_inv) == events.count("inv") > 0
     assert "a" not in after_inv
+
+
+def test_one_reduction_screens_match_elementwise_ones():
+    """The inner loop's screens reject exactly what the elementwise forms
+    reject, NaN included: fmin skips NaN, and minimum propagates it."""
+    rng = np.random.default_rng(62)
+    values = np.array([-1.0, -0.0, 0.0, 1e-300, 1.0, np.inf, -np.inf, np.nan])
+    for _ in range(500):
+        x = rng.choice(values, size=int(rng.integers(1, 6)))
+        assert bool(downlink._fmin(x) <= 0) == bool((x <= 0).any())
+        assert bool(downlink._minimum(x) > 0) == bool((x > 0).all())
 
 
 @pytest.mark.parametrize("mode", ["point_to_point", "multiterminal"])
@@ -542,11 +551,14 @@ def test_inner_gradients_match_finite_differences(mode):
         hbar, weights, caps, np.ones(n_bs), "point_to_point",
         downlink.INNER_STEPS).cold_start()
     noise_param = "l" if mode == "multiterminal" else "u"
-    x_start = np.diag(np.exp(start.noise.u / 2)).astype(complex) \
-        if noise_param == "l" else start.noise.u
+    x_start = np.diag(np.exp(start.u / 2)).astype(complex) \
+        if noise_param == "l" else start.u
 
-    def at(a, x):
-        return downlink._Point(a, downlink._Noise(problem, **{noise_param: x}))
+    def at(a, x, tangent=None):
+        it = downlink._Iterate(problem, a, **{noise_param: x})
+        if tangent is not None:
+            it.evaluate(tangent)
+        return it
 
     tangent = problem._tangent(at(start.a, x_start))
     # a nearby point with a generic (correlated, for multiterminal) Omega
@@ -558,10 +570,13 @@ def test_inner_gradients_match_finite_differences(mode):
     mu = 0.05
 
     def barrier(a, x):
-        return problem._barrier(problem._evaluate(at(a, x), tangent), mu)
+        return at(a, x, tangent).value(mu)
 
-    ev = problem._evaluate(at(a, x), tangent)
+    ev = at(a, x, tangent)
     assert ev.surr is not None
+    # the coefficients both blocks share are cached per mu: fill the cache
+    # at another one first
+    problem._gradient(ev, tangent, 2.0 * mu, "a")
 
     h = 1e-6
     for block, var in (("a", a), ("noise", x)):
@@ -585,7 +600,7 @@ def test_inner_gradients_match_finite_differences(mode):
 def random_omega(rng, n):
     """A generic Omega = L L^H, made as the multiterminal solver makes it."""
     l = np.tril(cn_samples(rng, (n, n))) + rng.uniform(0.05, 1.0) * np.eye(n)
-    return downlink._Noise(None, l=l).omega
+    return downlink._Iterate(None, np.zeros((n, 1)), l=l).omega
 
 
 def block_logdet(omega, s):
@@ -639,7 +654,7 @@ def test_subset_logdets_mark_undefined_blocks():
     a = 0.2 * cn_samples(rng, (3, 3))
 
     def point(l):
-        return downlink._Point(a=a, noise=downlink._Noise(problem, l=l))
+        return downlink._Iterate(problem, a, l=l)
 
     tangent = problem._tangent(point(0.5 * np.eye(3)))
     subsets = enumerate_subsets(range(3))
@@ -664,9 +679,10 @@ def test_subset_logdets_mark_undefined_blocks():
             omega = matrix
         else:
             at = point(0.5 * np.asarray(matrix))
-            omega = at.noise.omega
+            omega = at.omega
             violation = problem.violation(at)
-            surr = problem._evaluate(at, tangent).surr
+            at.evaluate(tangent)
+            surr = at.surr
             if not minus_inf:
                 assert violation <= FEASIBILITY_TOL and surr is not None
                 continue
@@ -694,20 +710,19 @@ def test_solver_refuses_an_omega_some_chain_cannot_factor():
     for _ in range(200):
         l = np.tril(cn_samples(rng, (3, 3))) + np.eye(3)
         l[2, 2] = 1e-9
-        noise = downlink._Noise(problem, l=l)
-        logdets, factors = downlink._subset_logdets(noise.omega)
+        at = downlink._Iterate(problem, 0.01 * np.ones((3, 3), dtype=complex),
+                               l=l)
+        logdets, factors = downlink._subset_logdets(at.omega)
         if factors is None and np.isfinite(logdets).all():
             break
     else:
         pytest.fail("no Omega with a chain that does not factor")
-    at = downlink._Point(a=0.01 * np.ones((3, 3), dtype=complex),
-                         noise=noise)
-    assert noise.logdets[-1] == -np.inf
-    assert np.array_equal(noise.logdets[:-1], logdets[:-1])
+    assert at.subset_logdets()[-1] == -np.inf
+    assert np.array_equal(at.logdets[:-1], logdets[:-1])
     assert problem.violation(at) == np.inf
-    tangent = problem._tangent(downlink._Point(
-        a=at.a, noise=downlink._Noise(problem, l=0.5 * np.eye(3))))
-    assert problem._evaluate(at, tangent).surr is None
+    at.evaluate(problem._tangent(
+        downlink._Iterate(problem, at.a, l=0.5 * np.eye(3))))
+    assert at.surr is None
 
 
 def test_subset_inv_scatter_matches_add_at():
@@ -735,12 +750,12 @@ def test_inner_step_forms_each_noise_term_once(monkeypatch):
     """Within one inner solve, the quantization-noise form of each Omega is
     computed at most once: A-steps reuse it from the point they step from."""
     steps, active = [], []
-    qn, step = downlink._Noise.qn.func, downlink._PrecodingProblem.step
+    qn, step = downlink._quant_noise, downlink._PrecodingProblem.step
 
-    def counted_qn(self):
+    def counted_qn(problem, l, omega):
         if active:
-            active[-1].append(self.omega.tobytes())
-        return qn(self)
+            active[-1].append(omega.tobytes())
+        return qn(problem, l, omega)
 
     def counted_step(self, point):
         active.append([])
@@ -749,9 +764,7 @@ def test_inner_step_forms_each_noise_term_once(monkeypatch):
         finally:
             steps.append(active.pop())
 
-    counted = cached_property(counted_qn)
-    counted.__set_name__(downlink._Noise, "qn")
-    monkeypatch.setattr(downlink._Noise, "qn", counted)
+    monkeypatch.setattr(downlink, "_quant_noise", counted_qn)
     monkeypatch.setattr(downlink._PrecodingProblem, "step", counted_step)
     rng = np.random.default_rng(54)
     ch = rand_channel(rng, 4, 3)
@@ -768,17 +781,17 @@ def test_inner_step_forms_each_precoder_term_once(monkeypatch):
     them with the point they step from."""
     steps, active = [], []
     step = downlink._PrecodingProblem.step
-    init, signal = downlink._Precoder.__init__, downlink._Precoder.signal.func
+    row_power, signal = downlink._row_power, downlink._signal
 
-    def counted_init(self, hbar, a):
+    def counted_power(a):
         if active:
             active[-1].append(("power", a.tobytes()))
-        init(self, hbar, a)
+        return row_power(a)
 
-    def counted_signal(self):
+    def counted_signal(hbar, a):
         if active:
-            active[-1].append(("signal", self.a.tobytes()))
-        return signal(self)
+            active[-1].append(("signal", a.tobytes()))
+        return signal(hbar, a)
 
     def counted_step(self, point):
         active.append([])
@@ -787,10 +800,8 @@ def test_inner_step_forms_each_precoder_term_once(monkeypatch):
         finally:
             steps.append(active.pop())
 
-    counted = cached_property(counted_signal)
-    counted.__set_name__(downlink._Precoder, "signal")
-    monkeypatch.setattr(downlink._Precoder, "__init__", counted_init)
-    monkeypatch.setattr(downlink._Precoder, "signal", counted)
+    monkeypatch.setattr(downlink, "_row_power", counted_power)
+    monkeypatch.setattr(downlink, "_signal", counted_signal)
     monkeypatch.setattr(downlink._PrecodingProblem, "step", counted_step)
     rng = np.random.default_rng(54)
     ch = rand_channel(rng, 4, 3)

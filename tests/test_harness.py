@@ -218,6 +218,33 @@ def test_config_rejects_negative_alpha():
         harness.ExperimentConfig(alpha=[0.0, -1.0]).validate()
 
 
+def test_config_rejects_uplink_capacity_above_the_bound(tmp_path, capsys):
+    """An uplink capacity is bounded by capacity_max at its BS type's
+    thermal floor, which every uplink noise power reaches; the downlink
+    has no such bound."""
+    prop = cellgeom.PropagationParams()
+    bounds = {name: float(uplink.capacity_max(channel.thermal_noise_w(
+        nf, prop.bandwidth_hz))) for name, nf in
+        (("c_macro", prop.nf_macro_db), ("c_pico", prop.nf_pico_db))}
+    assert 1007.0 < bounds["c_macro"] < bounds["c_pico"] < 1008.0
+    for name, bound in bounds.items():
+        assert harness.ExperimentConfig.from_dict({name: bound})
+        with pytest.raises(ConfigurationError, match=f"uplink {name} must"):
+            harness.ExperimentConfig.from_dict(
+                {name: float(np.nextafter(bound, np.inf))})
+        assert harness.ExperimentConfig.from_dict(
+            {name: 1e4, "direction": "downlink"})
+    out = tmp_path / "never"
+    capsys.readouterr()
+    assert cli_main(["uplink", "--preset", "ul-sweep", "--alpha", "1",
+                     "--slots", "2", "--drops", "2", "--c-macro", "1e4",
+                     "--c-pico", "1e4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: uplink c_macro must") \
+        and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_config_rejects_alpha_whose_weights_overflow(tmp_path, capsys):
     # at the r_bar floor the weight is R_BAR_FLOOR**-alpha, finite up to
     # ALPHA_MAX and inf above it

@@ -1,9 +1,11 @@
 """What the solvers must not care about.
 
 Uplink: the scale of the weights, and the labels of the BSs or of the MSs
-(with their weights and power limits).  Downlink re-check: the BS order
-along which a chain of backhaul increments is taken.  Every property runs
-on fixed random instances.
+(with their weights and power limits).  Downlink: the labels of the BSs
+(with their capacities and power limits) or of the MSs (with their
+weights).  Both: one scale on every power limit and noise power.  Downlink
+re-check: the BS order along which a chain of backhaul increments is
+taken.  Every property runs on fixed random instances.
 
 The tolerances come from measured spreads.  Over 2000 uplink instances of
 `ul_instance` (seed 11), in both modes, weight scales from 1e-6 to 1e6 and
@@ -13,6 +15,13 @@ left the powers bit-identical and moved noise powers, rates and objectives
 by at most 1.8e-14 relative.  Over 8000 chains (2000 instances of
 `chain_instance`, seed 5), `feasible_dl` margins lay in [-1.8e-14, 0].
 Both tolerances below are about ten times the largest of these spreads.
+
+Over 200 downlink instances of `dl_instance` (seed 81), one BS and one MS
+relabeling each moved the point-to-point objective by at most 2.0e-2
+relative (median 2e-5) and the multiterminal one by at most 3.2e-2 (median
+1e-4); DL_RELABEL_RTOL is about twice these.  Over 100 instances (seed 5)
+at three power-of-4 scales, the downlink rates moved by at most 1.8e-15;
+DL_SCALE_ATOL is about ten times that.
 """
 
 import numpy as np
@@ -20,10 +29,13 @@ import pytest
 
 from cransim import downlink, uplink
 from cransim.channel import ChannelRealization
-from helpers import backhaul_mv_dl, cn_samples, rand_psd
+from helpers import (backhaul_mv_dl, cn_samples, rand_channel, rand_psd,
+                     solve_multiterminal)
 
 UL_RTOL = 2e-13
 MARGIN_TOL = 2e-13
+DL_SCALE_ATOL = 2e-14
+DL_RELABEL_RTOL = {"point_to_point": 4e-2, "multiterminal": 6.5e-2}
 MODES = ("point_to_point", "multiterminal")
 
 
@@ -103,6 +115,95 @@ def test_uplink_design_ignores_labels(mode):
         assert got.design.order == want.design.order
         assert_close(got.rates, want.rates[pm], UL_RTOL)
         assert_close(got.objective, want.objective, UL_RTOL)
+
+
+def dl_instance(rng):
+    """(channel, capacities, power limits, weights) of 2 to 4 BSs and 2 or
+    3 MSs at unit scale."""
+    n_bs, n_ms = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+    return (rand_channel(rng, n_bs, n_ms), rng.uniform(1.0, 4.0, n_bs),
+            rng.uniform(0.5, 2.0, n_bs), rng.uniform(0.5, 2.0, n_ms))
+
+
+def solve_dl(ch, c, p_bs, w, mode, **opts):
+    """optimize_dl in `mode`; multiterminal refines the point-to-point
+    design of the same instance."""
+    if mode == "multiterminal":
+        return solve_multiterminal(ch, c, p_bs, w, **opts)
+    return downlink.optimize_dl(ch, c, p_bs, w, mode, **opts)
+
+
+def scaled_noise(ch, s):
+    return ChannelRealization(
+        h_ul=ch.h_ul, h_dl=ch.h_dl, sigma2_z_ul=s * ch.sigma2_z_ul,
+        sigma2_z_dl=None if ch.sigma2_z_dl is None else s * ch.sigma2_z_dl)
+
+
+def test_downlink_objective_ignores_labels():
+    """Relabeled BSs with their capacities and power limits, or MSs with
+    their weights, leave the downlink objective within DL_RELABEL_RTOL of
+    the original's in both modes.  The solver is not exactly equivariant:
+    a relabeling reorders its sums, and the ascent then takes another
+    path."""
+    rng = np.random.default_rng(77)
+    for _ in range(4):
+        ch, c, p_bs, w = dl_instance(rng)
+        pb, pm = rng.permutation(ch.n_bs), rng.permutation(ch.n_ms)
+        relabeled = (
+            (ChannelRealization(h_ul=ch.h_ul[pb], h_dl=ch.h_dl[:, pb],
+                                sigma2_z_ul=ch.sigma2_z_ul[pb],
+                                sigma2_z_dl=ch.sigma2_z_dl),
+             c[pb], p_bs[pb], w),
+            (ChannelRealization(h_ul=ch.h_ul[:, pm], h_dl=ch.h_dl[pm],
+                                sigma2_z_ul=ch.sigma2_z_ul,
+                                sigma2_z_dl=ch.sigma2_z_dl[pm]),
+             c, p_bs, w[pm]))
+        want = [downlink.optimize_dl(ch, c, p_bs, w, "point_to_point")]
+        want.append(solve_dl(ch, c, p_bs, w, "multiterminal"))
+        for instance in relabeled:
+            got = [downlink.optimize_dl(*instance, "point_to_point")]
+            got.append(solve_dl(*instance, "multiterminal"))
+            for mode, g, r in zip(MODES, got, want):
+                assert g.objective == pytest.approx(
+                    r.objective, rel=DL_RELABEL_RTOL[mode]), mode
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_downlink_design_scales_with_power_limits_and_noise(mode):
+    """One power-of-4 scale s on every BS power limit and MS noise power
+    scales A by sqrt(s) and Omega by s, bit for bit: the solver works on
+    the channel normalized by both, so a short solve shows it as well as
+    a whole one.  The rates move only in the last bits, since rate_dl
+    takes log2 of the powers before normalization."""
+    rng = np.random.default_rng(75)
+    short = dict(mm_max_iter=2, inner_steps=10)
+    for _ in range(8):
+        ch, c, p_bs, w = dl_instance(rng)
+        want = solve_dl(ch, c, p_bs, w, mode, **short)
+        for s in (4.0 ** -3, 4.0 ** 5):
+            got = solve_dl(scaled_noise(ch, s), c, s * p_bs, w, mode, **short)
+            assert np.array_equal(got.design.a, np.sqrt(s) * want.design.a)
+            assert np.array_equal(got.design.omega, s * want.design.omega)
+            np.testing.assert_allclose(got.rates, want.rates, rtol=0.0,
+                                       atol=DL_SCALE_ATOL)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_uplink_design_scales_with_power_limits_and_noise(mode):
+    """One power-of-4 scale s on every MS power limit and BS noise power
+    scales the powers and noise powers by s and leaves the order and the
+    rates bit-identical."""
+    rng = np.random.default_rng(76)
+    for _ in range(100):
+        ch, c, w, p_max = ul_instance(rng)
+        want = solve_ul(ch, c, w, mode, p_max)
+        for s in (4.0 ** -3, 4.0 ** 5):
+            got = solve_ul(scaled_noise(ch, s), c, w, mode, s * p_max)
+            assert np.array_equal(got.design.p, s * want.design.p)
+            assert np.array_equal(got.design.omega, s * want.design.omega)
+            assert got.design.order == want.design.order
+            assert np.array_equal(got.rates, want.rates)
+            assert got.objective == want.objective
 
 
 def chain_instance(rng):

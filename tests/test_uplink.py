@@ -4,6 +4,7 @@ import pytest
 from cransim import uplink
 from cransim.channel import ChannelRealization
 from cransim.errors import DomainError, NumericalDomainError
+from cransim.mmopt import FEASIBILITY_TOL
 from helpers import (cn_samples, mi_from_samples, rand_channel,
                      ul_objective_oracle, ul_omega_prefix_oracle,
                      ul_rates_oracle, ul_slopes_oracle)
@@ -288,6 +289,30 @@ def test_optimize_validates_inputs():
     with pytest.raises(DomainError):
         uplink.optimize_ul(ch, np.array([-0.5, 1.0]), np.ones(2),
                            "point_to_point", p_max=1.0)
+
+
+@pytest.mark.parametrize("mode", ["point_to_point", "multiterminal"])
+def test_optimize_capacity_bound(mode):
+    """At capacity_max of each BS the design meets its backhaul, although
+    its quantization noise powers are subnormal floats; just above it
+    optimize_ul refuses.  The channel has thermal-noise scale, in watts."""
+    rng = np.random.default_rng(36)
+    ch = rand_channel(rng, 3, 2, sigma_lo=1e-13, sigma_hi=1e-11)
+    ch = ChannelRealization(h_ul=ch.h_ul * 1e-6, h_dl=ch.h_dl,
+                            sigma2_z_ul=ch.sigma2_z_ul, sigma2_z_dl=None)
+    c = uplink.capacity_max(ch.sigma2_z_ul)
+    res = uplink.optimize_ul(ch, c, np.ones(2), mode, p_max=0.2, n_macro=3)
+    d = res.design
+    assert np.all((0.0 < d.omega) & (d.omega < np.finfo(float).tiny))
+    for pos, i in enumerate(d.order):
+        rate = uplink.backhaul_wz(d, ch, pos) if mode == "multiterminal" \
+            else uplink.backhaul_p2p(d, ch, i)
+        assert rate <= c[i] + FEASIBILITY_TOL
+    for i in range(3):
+        above = c.copy()
+        above[i] = np.nextafter(c[i], np.inf)
+        with pytest.raises(DomainError, match=f"at BS {i} is above"):
+            uplink.optimize_ul(ch, above, np.ones(2), mode, p_max=0.2)
 
 
 def _close(got, want, tol=1e-12):
