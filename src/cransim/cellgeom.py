@@ -398,6 +398,7 @@ def _node_code(node):
 def node_position(topology, node):
     """Coordinates of a node; macro sectors share the site position."""
     kind, cell, idx = node
+    _node_code(node)    # refuses an unknown kind or a cell off the grid
     if kind == "macro":
         if not 0 <= idx < 3:
             raise DomainError(f"invalid sector index in {node!r}")
@@ -406,11 +407,9 @@ def node_position(topology, node):
         if not 0 <= idx < topology.n_pico:
             raise DomainError(f"invalid pico index in {node!r}")
         return topology.pico_positions[cell - 1, idx]
-    if kind == "ms":
-        if not 0 <= idx < topology.k_ms:
-            raise DomainError(f"invalid MS index in {node!r}")
-        return topology.ms_positions[cell - 1, idx]
-    raise DomainError(f"unknown node kind {kind!r}")
+    if not 0 <= idx < topology.k_ms:
+        raise DomainError(f"invalid MS index in {node!r}")
+    return topology.ms_positions[cell - 1, idx]
 
 
 # np.random.SeedSequence's constants: entropy mixing into a pool of four

@@ -85,7 +85,10 @@ class Cluster:
     thermal_ul: np.ndarray      # (n_bs,) watts
     sigma2_dl: np.ndarray       # downlink: (n_ms,) watts, thermal + interference
     ul_interference: np.ndarray  # uplink: (n_cells, k_ms, n_bs) rx power if that MS is active
-    n_macro: int = 3
+
+    @property
+    def n_macro(self):
+        return sum(node[0] == "macro" for node in self.bs_nodes)
 
     @property
     def n_bs(self):

@@ -45,12 +45,12 @@ import numpy as np
 
 from .errors import DomainError, NumericalDomainError
 from .gaussinfo import LN2, hermitize
-from .mmopt import (FEASIBILITY_TOL, INNER_TOL, MM_MAX_ITER, MM_TOL, MMTrace,
-                    mm_solve, solver_inputs)
+from .mmopt import (FEASIBILITY_TOL, INNER_TOL, MMTrace, mm_solve,
+                    solver_inputs)
 from .uplink import MODE_MT, MODE_P2P
 
 SUBSET_ENUM_CAP = 16
-# inner solve per MM step: barrier rounds, and default ascent steps per round
+# inner solve per MM step: barrier rounds, and ascent steps per round
 BARRIER_ROUNDS = 3
 INNER_STEPS = 40
 RESTART_SHRINK = 0.06   # signal power share a warm start gives up
@@ -338,13 +338,12 @@ def _quant_noise(problem, l, omega):
 class _Iterate:
     """An inner-ascent iterate and its terms (see the module docstring):
     A, and L with Omega = L L^H (multiterminal) or u with Omega =
-    diag(exp(u)) (point-to-point).  `coefs` caches what both blocks'
-    gradients share at one barrier weight."""
+    diag(exp(u)) (point-to-point)."""
 
     __slots__ = ("problem", "a", "a_power", "signal", "l", "u", "omega",
                  "diag", "single", "logdets", "factors", "qn", "power",
                  "total", "interf", "power_slack", "bh_slack", "surr",
-                 "log_slack", "coefs")
+                 "log_slack")
 
     def __init__(self, problem, a=None, l=None, u=None, keep=None):
         """A fresh iterate, or one sharing the block of `keep` not given."""
@@ -414,8 +413,8 @@ class _Iterate:
         under a tangent; surr is None outside the strict surrogate interior."""
         problem = self.problem
         b_slope, lin_const, s_coef = tangent
-        self.surr = self.bh_slack = self.coefs = None
-        self.power_slack = problem.p_lim - self.power
+        self.surr = self.bh_slack = None
+        self.power_slack = 1.0 - self.power
         if not _minimum(self.power_slack) > 0:
             return
         g_lin = lin_const + problem.masks @ (b_slope * self.power)
@@ -452,16 +451,15 @@ class _Iterate:
 
 
 class _PrecodingProblem:
-    """MM adapter for the joint precoder / quantization-covariance design."""
+    """MM adapter for the joint precoder / quantization-covariance design,
+    normalized so that each MS has unit noise and each BS unit budget."""
 
-    def __init__(self, hbar, weights, caps, p_lim, mode, inner_steps):
-        self.hbar = hbar                      # (n_ms, n_act) noise-normalized
+    def __init__(self, hbar, weights, caps, mode):
+        self.hbar = hbar                      # (n_ms, n_act)
         self.hbar_c = hbar.conj()
         self.hbar_h = self.hbar_c.T
         self.w = np.asarray(weights, dtype=float)
-        self.p_lim = np.asarray(p_lim, dtype=float)
         self.n = hbar.shape[1]
-        self.inner_steps = inner_steps
         self.lower = np.tri(self.n, dtype=bool)
         self.off_diag = ~np.eye(hbar.shape[0], dtype=bool)
         self.hbar_abs2 = np.abs(hbar) ** 2
@@ -487,7 +485,7 @@ class _PrecodingProblem:
     def violation(self, it):
         power = it.power
         g = self.masks @ np.log2(power) - it.subset_logdets()
-        return float(max((power - self.p_lim).max(),
+        return float(max((power - 1.0).max(),
                          (g - self.subset_caps).max()))
 
     # -- surrogate construction and inner barrier ascent ---------------------
@@ -517,7 +515,7 @@ class _PrecodingProblem:
         for round_idx in range(BARRIER_ROUNDS):
             mu = mu0 * (0.1 ** round_idx)
             total_cur = current.value(mu)
-            for _ in range(self.inner_steps):
+            for _ in range(INNER_STEPS):
                 gain = 0.0
                 for block in ("a", "noise"):
                     grad = self._gradient(current, tangent, mu, block)
@@ -545,13 +543,10 @@ class _PrecodingProblem:
         """Gradient of the barrier value in one block: A, or the noise
         parameters (L for multiterminal, u for point-to-point)."""
         b_slope, _, s_coef = tangent
-        if it.coefs is None or it.coefs[0] != mu:
-            # both blocks': alpha, and the d(power_i) barrier coefficients
-            bh_coef = mu / it.bh_slack
-            it.coefs = (mu, self.w / (it.total * LN2), bh_coef,
-                        -mu / it.power_slack
-                        - b_slope * (self.masks_t @ bh_coef))
-        _, alpha, bh_coef, coef_t = it.coefs
+        # both blocks': alpha, and the d(power_i) barrier coefficients
+        alpha = self.w / (it.total * LN2)
+        bh_coef = mu / it.bh_slack
+        coef_t = -mu / it.power_slack - b_slope * (self.masks_t @ bh_coef)
 
         if block == "a":
             m = it.signal[0]
@@ -587,7 +582,7 @@ class _PrecodingProblem:
         rho = np.sum(np.abs(a_unit) ** 2, axis=1)
         with np.errstate(divide="ignore"):
             scale = np.sqrt(np.min(np.where(rho > 0,
-                                            0.8 * self.p_lim / np.maximum(rho, 1e-300),
+                                            0.8 / np.maximum(rho, 1e-300),
                                             np.inf)))
         if not np.isfinite(scale):
             scale = 0.0
@@ -597,7 +592,7 @@ class _PrecodingProblem:
         for _ in range(80):
             a = a_unit * (scale * np.sqrt(gamma))
             sig = np.sum(np.abs(a) ** 2, axis=1)
-            omega = 0.95 * (self.p_lim - sig)
+            omega = 0.95 * (1.0 - sig)
             g = np.log2(sig + omega) - np.log2(omega)
             slack = caps - g
             if np.all(slack > 1e-6 * np.maximum(1.0, caps)):
@@ -622,8 +617,7 @@ def _interior_restart(it):
     return _Iterate(it.problem, it.a * np.sqrt(1.0 - RESTART_SHRINK), keep=it)
 
 
-def optimize_dl(channel, c, p_bs, weights, mode, init=None,
-                mm_max_iter=MM_MAX_ITER, inner_steps=INNER_STEPS):
+def optimize_dl(channel, c, p_bs, weights, mode, init=None):
     """Weighted-sum-rate design of (A, Omega) under backhaul and power limits.
 
     Point-to-point mode starts cold and takes no `init`.  Multiterminal mode
@@ -631,8 +625,8 @@ def optimize_dl(channel, c, p_bs, weights, mode, init=None,
     and power limits, and raises DomainError without one; when refining does
     not improve on init under `weights`, init is returned.  Zero-capacity BSs
     are silenced and dropped from all constraint sets.  The MM loop stops at
-    the relative tolerance MM_TOL or after `mm_max_iter` steps; each step
-    runs BARRIER_ROUNDS barrier rounds of `inner_steps` ascent steps.
+    mmopt.MM_TOL or after mmopt.MM_MAX_ITER steps; each step runs
+    BARRIER_ROUNDS barrier rounds of INNER_STEPS ascent steps.
     """
     weights, c, p_bs = solver_inputs(weights, c, p_bs)
     if mode == MODE_MT:
@@ -659,8 +653,7 @@ def optimize_dl(channel, c, p_bs, weights, mode, init=None,
     scale = np.sqrt(p_bs[active])
     hbar = channel.h_dl[:, active] * scale[None, :] \
         / np.sqrt(channel.sigma2_z_dl)[:, None]
-    problem = _PrecodingProblem(hbar, weights, c[active],
-                                np.ones(active.size), mode, inner_steps)
+    problem = _PrecodingProblem(hbar, weights, c[active], mode)
 
     if mode == MODE_MT:
         # a point-to-point Omega is diagonal, so its Cholesky factor is the
@@ -676,7 +669,7 @@ def optimize_dl(channel, c, p_bs, weights, mode, init=None,
         incumbent = None
         start = problem.cold_start()
 
-    it, trace = mm_solve(problem, start, tol=MM_TOL, max_iter=mm_max_iter)
+    it, trace = mm_solve(problem, start)
 
     if incumbent is not None \
             and problem.objective(incumbent) > problem.objective(it):

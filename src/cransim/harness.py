@@ -24,8 +24,8 @@ both modes.
 """
 
 import json
-import math
 import os
+import sys
 import time
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
@@ -152,9 +152,8 @@ def _is_real(value):
 
 
 def _is_number(value):
-    """A finite real number that is not a bool."""
-    return _is_real(value) and (isinstance(value, Integral)
-                                or math.isfinite(value))
+    """A real number in the finite float range that is not a bool."""
+    return _is_real(value) and abs(value) <= sys.float_info.max
 
 
 def _non_finite(kind, value):
@@ -178,7 +177,7 @@ _FITS = {
 def _from_mapping(cls, data, prefix=""):
     """cls(**data) for a config dataclass, once every key names a field of
     cls and every value fits the field's type; nested config dataclasses
-    may be given as mappings."""
+    may be given as mappings.  Float fields store floats, as flags do."""
     if not isinstance(data, Mapping):
         raise ConfigurationError(f"{prefix.rstrip('.') or 'config'} must be "
                                  f"a mapping, got {data!r}")
@@ -195,6 +194,8 @@ def _from_mapping(cls, data, prefix=""):
                      else f"be of type {kind.__name__}")
             raise ConfigurationError(f"{prefix}{key} must {fault}, "
                                      f"got {value!r}")
+        elif kind is float:
+            values[key] = float(value)
     return cls(**values)
 
 
@@ -373,7 +374,7 @@ def _run(config, alphas):
     alphas of a drop as one chunk, so each drop's cluster is built once.
     Every report's `elapsed_s` is the wall time of the whole run.
     """
-    configs = [replace(config, alpha=a) for a in alphas]
+    configs = [replace(config, alpha=float(a)) for a in alphas]
     grid = [(c, d) for d in range(config.drops) for c in configs]
     # a forking pool starts all its workers at the first submit
     workers = min(config.jobs, config.drops)

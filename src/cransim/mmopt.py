@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import DomainError, NumericalDomainError
 
-# both solvers' MM loops converge at a relative objective change below MM_TOL
-# and stop unconverged after MM_MAX_ITER steps (a default in the downlink)
+# mm_solve converges at a relative objective change below MM_TOL and stops
+# unconverged after MM_MAX_ITER steps, in both solvers
 MM_TOL = 1e-4
 MM_MAX_ITER = 60
 # largest true-constraint violation that still counts as feasible
@@ -63,13 +63,13 @@ def solver_inputs(weights, caps, power_limits):
     return weights, caps, power_limits
 
 
-def mm_solve(problem, init, tol, max_iter):
+def mm_solve(problem, init):
     """Run the MM loop from a feasible starting point.
 
     Returns (solution, MMTrace).  Converged means the relative objective
-    change dropped below `tol`.  A step that fails, leaves the feasible set
+    change dropped below MM_TOL.  A step that fails, leaves the feasible set
     or decreases the objective stops the loop unconverged at the previous
-    iterate, as do `max_iter` accepted steps; none of these raises.
+    iterate, as do MM_MAX_ITER accepted steps; none of these raises.
     """
     trace = MMTrace()
     v0 = problem.violation(init)
@@ -83,7 +83,7 @@ def mm_solve(problem, init, tol, max_iter):
     trace.objective.append(obj)
     trace.violation.append(v0)
 
-    for _ in range(max_iter):
+    for _ in range(MM_MAX_ITER):
         try:
             candidate = problem.step(x)
         except NumericalDomainError as exc:
@@ -107,10 +107,10 @@ def mm_solve(problem, init, tol, max_iter):
         trace.objective.append(obj)
         trace.violation.append(viol)
         trace.iterations += 1
-        if rel_change < tol:
+        if rel_change < MM_TOL:
             trace.converged = True
             break
     else:
-        trace.warnings.append(f"no convergence within {max_iter} iterations")
+        trace.warnings.append(f"no convergence within {MM_MAX_ITER} iterations")
 
     return x, trace

@@ -31,8 +31,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalDomainError
 from .gaussinfo import LN2, cholesky
-from .mmopt import (FEASIBILITY_TOL, INNER_TOL, MM_MAX_ITER, MM_TOL, mm_solve,
-                    solver_inputs)
+from .mmopt import FEASIBILITY_TOL, INNER_TOL, mm_solve, solver_inputs
 
 MODE_P2P = "point_to_point"
 MODE_MT = "multiterminal"
@@ -338,8 +337,7 @@ def _power_solve(h, sigma2, weights, p_max):
         _power_solves[key] = _power_solves.pop(key)
     else:
         _power_solves[key] = mm_solve(
-            _PowerProblem(h, sigma2, weights, p_max), p_max.copy(),
-            tol=MM_TOL, max_iter=MM_MAX_ITER)
+            _PowerProblem(h, sigma2, weights, p_max), p_max.copy())
         if len(_power_solves) > _POWER_SOLVES_KEPT:
             del _power_solves[next(iter(_power_solves))]
     p, trace = _power_solves[key]
@@ -353,8 +351,8 @@ def optimize_ul(channel, c, weights, mode, p_max, n_macro=3):
 
     Returns an UplinkResult whose trace flags non-convergence instead of
     raising; a capacity above `capacity_max` of its BS raises DomainError.
-    The power solve's MM loop stops at the relative tolerance MM_TOL or
-    after MM_MAX_ITER steps of at most INNER_STEPS ascent steps.
+    The power solve's MM loop stops at the relative tolerance mmopt.MM_TOL
+    or after mmopt.MM_MAX_ITER steps of at most INNER_STEPS ascent steps.
     BSs with zero capacity are dropped from all assemblies.  A call whose
     power solve reads the same inputs as a recent one in this process reuses
     it: the other mode of a slot with equal weights does, and so does the

@@ -92,12 +92,12 @@ def backhaul_mv_dl(design, subset):
     return total - logdet2(sub)
 
 
-def solve_multiterminal(ch, c, p_bs, w, **opts):
+def solve_multiterminal(ch, c, p_bs, w):
     """Multiterminal downlink design refining the point-to-point design
-    solved under the same weights and solver options."""
-    p2p = downlink.optimize_dl(ch, c, p_bs, w, "point_to_point", **opts)
+    solved under the same weights."""
+    p2p = downlink.optimize_dl(ch, c, p_bs, w, "point_to_point")
     return downlink.optimize_dl(ch, c, p_bs, w, "multiterminal",
-                                init=p2p.design, **opts)
+                                init=p2p.design)
 
 
 # criterion 9's sweeps: each preset as is, at the seed under test

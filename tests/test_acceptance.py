@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from cransim import downlink, harness, uplink
+from cransim import downlink, harness, mmopt, uplink
 from helpers import (DOMINANCE_PRESETS, backhaul_mv_dl, backhaul_p2p_dl,
                      cn_samples, colored_noise, dominance_sweep,
                      enumerate_subsets, mi_from_samples, rand_channel,
@@ -80,9 +80,11 @@ def test_criterion_2_uplink_multiterminal_dominance():
                 "0 sum-rate violations (0 tolerated)")
 
 
-def test_criterion_3_downlink_multiterminal_dominance():
+def test_criterion_3_downlink_multiterminal_dominance(monkeypatch):
     rng = np.random.default_rng(103)
-    opts = dict(mm_max_iter=30, inner_steps=30)
+    # 30 MM steps of 30 ascent steps per barrier round
+    monkeypatch.setattr(mmopt, "MM_MAX_ITER", 30)
+    monkeypatch.setattr(downlink, "INNER_STEPS", 30)
     worst_gap = np.inf
     worst_margin = np.inf
     for _ in range(200):
@@ -92,8 +94,8 @@ def test_criterion_3_downlink_multiterminal_dominance():
         c = rng.uniform(0.8, 5.0, n_bs)
         p_bs = rng.uniform(1.0, 8.0, n_bs)
         w = rng.uniform(0.2, 1.5, n_ms)
-        p2p = downlink.optimize_dl(ch, c, p_bs, w, P2P, **opts)
-        mt = downlink.optimize_dl(ch, c, p_bs, w, MT, init=p2p.design, **opts)
+        p2p = downlink.optimize_dl(ch, c, p_bs, w, P2P)
+        mt = downlink.optimize_dl(ch, c, p_bs, w, MT, init=p2p.design)
         worst_gap = min(worst_gap, mt.objective - p2p.objective)
         worst_margin = min(worst_margin,
                            downlink.feasible_dl(mt.design).margin,
@@ -191,7 +193,7 @@ def _ul_power_problem(rng):
     return problem, p0, problem.tangent_slopes(p0, x0)
 
 
-def test_criterion_6_mm_soundness():
+def test_criterion_6_mm_soundness(monkeypatch):
     rng = np.random.default_rng(106)
     # the uplink MM surrogate built at p0 lower-bounds the true weighted
     # objective over the power box and touches it at p0
@@ -238,13 +240,17 @@ def test_criterion_6_mm_soundness():
         res = uplink.optimize_ul(ch, c, rng.uniform(0.1, 1.0, ch.n_ms), MT,
                                  p_max=rng.uniform(0.5, 2.0))
         traces.append(res.trace)
-    for _ in range(6):
-        ch = rand_channel(rng, int(rng.integers(2, 4)), 2)
-        c = rng.uniform(1.0, 4.0, ch.n_bs)
-        p_bs = rng.uniform(2.0, 6.0, ch.n_bs)
-        res = solve_multiterminal(ch, c, p_bs, np.ones(2), mm_max_iter=25,
-                                  inner_steps=25)
-        traces.append(res.trace)
+    # 25 MM steps of 25 ascent steps per barrier round, for the downlink
+    # solves alone: the uplink's kept power solves do not record the effort
+    with monkeypatch.context() as effort:
+        effort.setattr(mmopt, "MM_MAX_ITER", 25)
+        effort.setattr(downlink, "INNER_STEPS", 25)
+        for _ in range(6):
+            ch = rand_channel(rng, int(rng.integers(2, 4)), 2)
+            c = rng.uniform(1.0, 4.0, ch.n_bs)
+            p_bs = rng.uniform(2.0, 6.0, ch.n_bs)
+            res = solve_multiterminal(ch, c, p_bs, np.ones(2))
+            traces.append(res.trace)
     for tr in traces:
         diffs = np.diff(tr.objective)
         if diffs.size:

@@ -115,6 +115,17 @@ def test_node_codes_distinct_and_32_bit():
             cellgeom._node_code(node)
 
 
+def test_node_position_rejects_cells_outside_the_grid():
+    # cell 0 would wrap to cell 19's row, and cell 20 index past the grid
+    topo = cellgeom.build_layout(7, 2, 1)
+    for node in (("macro", 0, 0), ("macro", 20, 0), ("pico", 0, 0),
+                 ("pico", 20, 0), ("ms", 0, 1), ("ms", 20, 1)):
+        with pytest.raises(DomainError):
+            cellgeom.node_position(topo, node)
+    with pytest.raises(DomainError):
+        cellgeom.link_gain_linear([("pico", 20, 0)], [("ms", 1, 0)], topo)
+
+
 def test_build_layout_deterministic_counts():
     t1 = cellgeom.build_layout(7, 2, 1)
     t2 = cellgeom.build_layout(7, 2, 1)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cransim import downlink, harness
+from cransim import downlink, harness, mmopt
 from cransim.channel import ChannelRealization
 from cransim.errors import DomainError, NumericalDomainError
 from cransim.mmopt import FEASIBILITY_TOL
@@ -473,10 +473,11 @@ def test_inner_step_factors_each_omega_once(monkeypatch):
 
     count_factorings(monkeypatch, record)
     monkeypatch.setattr(downlink._PrecodingProblem, "step", counted_step)
+    monkeypatch.setattr(mmopt, "MM_MAX_ITER", 3)
     rng = np.random.default_rng(54)
     ch = rand_channel(rng, 4, 3)
     solve_multiterminal(ch, rng.uniform(1.0, 4.0, 4), rng.uniform(2.0, 8.0, 4),
-                        np.ones(3), mm_max_iter=3)
+                        np.ones(3))
     steps = [k for k in steps if k]     # the point-to-point start has none
     assert sum(map(len, steps)) > len(steps) > 0
     for calls in steps:
@@ -515,10 +516,11 @@ def test_a_step_inverts_no_subset_block(monkeypatch):
 
     monkeypatch.setattr(downlink, "_subset_inv_scatter", counted_scatter)
     monkeypatch.setattr(downlink._Iterate, "moved", counted_moved)
+    monkeypatch.setattr(mmopt, "MM_MAX_ITER", 3)
     rng = np.random.default_rng(54)
     ch = rand_channel(rng, 4, 3)
     solve_multiterminal(ch, rng.uniform(1.0, 4.0, 4), rng.uniform(2.0, 8.0, 4),
-                        np.ones(3), mm_max_iter=3)
+                        np.ones(3))
     after_inv = [b for prev, b in zip(events, events[1:]) if prev == "inv"]
     assert len(after_inv) == events.count("inv") > 0
     assert "a" not in after_inv
@@ -544,12 +546,10 @@ def test_inner_gradients_match_finite_differences(mode):
     n_bs, n_ms = 3, 2
     hbar = rand_channel(rng, n_bs, n_ms).h_dl
     weights, caps = rng.uniform(0.5, 1.5, n_ms), rng.uniform(1.0, 3.0, n_bs)
-    problem = downlink._PrecodingProblem(hbar, weights, caps, np.ones(n_bs),
-                                         mode, downlink.INNER_STEPS)
+    problem = downlink._PrecodingProblem(hbar, weights, caps, mode)
     # the p2p cold start; multiterminal starts from its diagonal Omega
     start = downlink._PrecodingProblem(
-        hbar, weights, caps, np.ones(n_bs), "point_to_point",
-        downlink.INNER_STEPS).cold_start()
+        hbar, weights, caps, "point_to_point").cold_start()
     noise_param = "l" if mode == "multiterminal" else "u"
     x_start = np.diag(np.exp(start.u / 2)).astype(complex) \
         if noise_param == "l" else start.u
@@ -574,9 +574,6 @@ def test_inner_gradients_match_finite_differences(mode):
 
     ev = at(a, x, tangent)
     assert ev.surr is not None
-    # the coefficients both blocks share are cached per mu: fill the cache
-    # at another one first
-    problem._gradient(ev, tangent, 2.0 * mu, "a")
 
     h = 1e-6
     for block, var in (("a", a), ("noise", x)):
@@ -650,7 +647,7 @@ def test_subset_logdets_mark_undefined_blocks():
     rng = np.random.default_rng(60)
     problem = downlink._PrecodingProblem(
         rand_channel(rng, 3, 3).h_dl, np.ones(3), np.full(3, 10.0),
-        np.ones(3), "multiterminal", downlink.INNER_STEPS)
+        "multiterminal")
     a = 0.2 * cn_samples(rng, (3, 3))
 
     def point(l):
@@ -706,7 +703,7 @@ def test_solver_refuses_an_omega_some_chain_cannot_factor():
     rng = np.random.default_rng(61)
     problem = downlink._PrecodingProblem(
         rand_channel(rng, 3, 3).h_dl, np.ones(3), np.full(3, 50.0),
-        np.ones(3), "multiterminal", downlink.INNER_STEPS)
+        "multiterminal")
     for _ in range(200):
         l = np.tril(cn_samples(rng, (3, 3))) + np.eye(3)
         l[2, 2] = 1e-9
@@ -766,10 +763,11 @@ def test_inner_step_forms_each_noise_term_once(monkeypatch):
 
     monkeypatch.setattr(downlink, "_quant_noise", counted_qn)
     monkeypatch.setattr(downlink._PrecodingProblem, "step", counted_step)
+    monkeypatch.setattr(mmopt, "MM_MAX_ITER", 3)
     rng = np.random.default_rng(54)
     ch = rand_channel(rng, 4, 3)
     solve_multiterminal(ch, rng.uniform(1.0, 4.0, 4), rng.uniform(2.0, 8.0, 4),
-                        np.ones(3), mm_max_iter=3)
+                        np.ones(3))
     assert sum(map(len, steps)) > len(steps) > 0
     for calls in steps:
         assert len(set(calls)) == len(calls)
@@ -803,18 +801,17 @@ def test_inner_step_forms_each_precoder_term_once(monkeypatch):
     monkeypatch.setattr(downlink, "_row_power", counted_power)
     monkeypatch.setattr(downlink, "_signal", counted_signal)
     monkeypatch.setattr(downlink._PrecodingProblem, "step", counted_step)
+    monkeypatch.setattr(mmopt, "MM_MAX_ITER", 3)
     rng = np.random.default_rng(54)
     ch = rand_channel(rng, 4, 3)
     for mode in ("point_to_point", "multiterminal"):
         steps.clear()
         if mode == "point_to_point":
             downlink.optimize_dl(ch, rng.uniform(1.0, 4.0, 4),
-                                 rng.uniform(2.0, 8.0, 4), np.ones(3), mode,
-                                 mm_max_iter=3)
+                                 rng.uniform(2.0, 8.0, 4), np.ones(3), mode)
         else:
             solve_multiterminal(ch, rng.uniform(1.0, 4.0, 4),
-                                rng.uniform(2.0, 8.0, 4), np.ones(3),
-                                mm_max_iter=3)
+                                rng.uniform(2.0, 8.0, 4), np.ones(3))
         assert sum(map(len, steps)) > len(steps) > 0, mode
         for calls in steps:
             assert len(set(calls)) == len(calls), mode

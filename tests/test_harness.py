@@ -1,6 +1,8 @@
 import argparse
 import dataclasses
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -316,12 +318,37 @@ def test_pool_has_no_more_workers_than_drops(monkeypatch):
                           serial.metrics["point_to_point"].rates)
 
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
 def test_readme_config_example_loads():
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme) as fh:
+    with open(README) as fh:
         block = re.search(r"```yaml\n(.*?)```", fh.read(), re.S).group(1)
     cfg = harness.ExperimentConfig.from_dict(yaml.safe_load(block))
     assert (cfg.direction, cfg.n_pico) == ("uplink", 10)
+
+
+def test_readme_names_exist():
+    """Every backticked `module.NAME` of README.md whose module is one of
+    cransim's, `cransim.module` included, names an attribute that exists."""
+    modules = {m.name for m in pkgutil.iter_modules(cransim.__path__)}
+    for module in modules:
+        importlib.import_module(f"cransim.{module}")
+    with open(README) as fh:
+        names = re.findall(r"`(\w+(?:\.\w+)+)`", fh.read())
+    checked = 0
+    for name in names:
+        parts = name.split(".")
+        if parts[0] in modules:
+            parts.insert(0, "cransim")
+        if parts[0] != "cransim":
+            continue
+        obj = cransim
+        for attr in parts[1:]:
+            assert hasattr(obj, attr), name
+            obj = getattr(obj, attr)
+        checked += 1
+    assert checked >= 10
 
 
 def test_run_experiment_rejects_alpha_list():
@@ -577,6 +604,32 @@ def test_sweep_rejects_alphas_that_share_a_label():
         with pytest.raises(ConfigurationError, match="label"):
             harness.ExperimentConfig(alpha=alphas).validate()
     harness.ExperimentConfig(alpha=[1.0, 1.00001]).validate()
+
+
+def test_config_file_integers_write_the_files_of_flags(tmp_path):
+    """A config file's integers for float settings are stored as floats,
+    so its run writes the files of the same numbers given as flags, and of
+    a sweep's directory for that alpha."""
+    numbers = dict(c_macro=9, c_pico=3, beta=1, alpha=1)
+    cfg_path = tmp_path / "ints.yaml"
+    cfg_path.write_text(yaml.safe_dump(numbers))
+    common = ["--k-ms", "2", "--n-pico", "1", "--drops", "1", "--slots",
+              "2", "--seed", "3"]
+    flags = [f"--{key.replace('_', '-')}={value}"
+             for key, value in numbers.items()]
+    runs = {"file": ["uplink", "--config", str(cfg_path)] + common,
+            "flags": ["uplink"] + flags + common,
+            "sweep": ["sweep", "--direction", "uplink"] + flags + common}
+    for name, argv in runs.items():
+        assert cli_main(argv + ["--out", str(tmp_path / name)]) == 0, name
+    cfg = build_config(argparse.Namespace(preset=None, config=str(cfg_path)))
+    assert all(type(getattr(cfg, key)) is float for key in numbers
+               if key != "alpha")
+    for name in ("records.csv", "summary.txt"):
+        want = (tmp_path / "flags" / name).read_text()
+        assert (tmp_path / "file" / name).read_text() == want, name
+        assert (tmp_path / "sweep" / "alpha_1" / name).read_text() == want
+    assert "C=(9.0,3.0) alpha=1.0 beta=1.0" in want
 
 
 def test_cli_config_file_with_flag_override(tmp_path):

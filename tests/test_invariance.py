@@ -27,7 +27,7 @@ DL_SCALE_ATOL is about ten times that.
 import numpy as np
 import pytest
 
-from cransim import downlink, uplink
+from cransim import downlink, mmopt, uplink
 from cransim.channel import ChannelRealization
 from helpers import (backhaul_mv_dl, cn_samples, rand_channel, rand_psd,
                      solve_multiterminal)
@@ -125,12 +125,12 @@ def dl_instance(rng):
             rng.uniform(0.5, 2.0, n_bs), rng.uniform(0.5, 2.0, n_ms))
 
 
-def solve_dl(ch, c, p_bs, w, mode, **opts):
+def solve_dl(ch, c, p_bs, w, mode):
     """optimize_dl in `mode`; multiterminal refines the point-to-point
     design of the same instance."""
     if mode == "multiterminal":
-        return solve_multiterminal(ch, c, p_bs, w, **opts)
-    return downlink.optimize_dl(ch, c, p_bs, w, mode, **opts)
+        return solve_multiterminal(ch, c, p_bs, w)
+    return downlink.optimize_dl(ch, c, p_bs, w, mode)
 
 
 def scaled_noise(ch, s):
@@ -169,19 +169,22 @@ def test_downlink_objective_ignores_labels():
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_downlink_design_scales_with_power_limits_and_noise(mode):
+def test_downlink_design_scales_with_power_limits_and_noise(mode,
+                                                            monkeypatch):
     """One power-of-4 scale s on every BS power limit and MS noise power
     scales A by sqrt(s) and Omega by s, bit for bit: the solver works on
     the channel normalized by both, so a short solve shows it as well as
     a whole one.  The rates move only in the last bits, since rate_dl
     takes log2 of the powers before normalization."""
     rng = np.random.default_rng(75)
-    short = dict(mm_max_iter=2, inner_steps=10)
+    # a short solve: 2 MM steps of 10 ascent steps per barrier round
+    monkeypatch.setattr(mmopt, "MM_MAX_ITER", 2)
+    monkeypatch.setattr(downlink, "INNER_STEPS", 10)
     for _ in range(8):
         ch, c, p_bs, w = dl_instance(rng)
-        want = solve_dl(ch, c, p_bs, w, mode, **short)
+        want = solve_dl(ch, c, p_bs, w, mode)
         for s in (4.0 ** -3, 4.0 ** 5):
-            got = solve_dl(scaled_noise(ch, s), c, s * p_bs, w, mode, **short)
+            got = solve_dl(scaled_noise(ch, s), c, s * p_bs, w, mode)
             assert np.array_equal(got.design.a, np.sqrt(s) * want.design.a)
             assert np.array_equal(got.design.omega, s * want.design.omega)
             np.testing.assert_allclose(got.rates, want.rates, rtol=0.0,

@@ -70,17 +70,19 @@ class _ScalarDC:
         return float(np.clip(x, self.lo, self.hi))
 
 
-def test_mm_solve_scalar_dc_toy():
-    x, trace = mmopt.mm_solve(_ScalarDC(), 0.0, tol=1e-14, max_iter=200)
+def test_mm_solve_scalar_dc_toy(monkeypatch):
+    monkeypatch.setattr(mmopt, "MM_TOL", 1e-14)
+    monkeypatch.setattr(mmopt, "MM_MAX_ITER", 200)
+    x, trace = mmopt.mm_solve(_ScalarDC(), 0.0)
     assert x == pytest.approx(3.5, abs=1e-4)
     assert trace.converged
     diffs = np.diff(trace.objective)
     assert np.all(diffs >= -1e-9)
 
 
-def test_mm_solve_stationary_point_converges_immediately():
-    x, trace = mmopt.mm_solve(_ScalarDC(), 3.5, tol=1e-8,
-                              max_iter=mmopt.MM_MAX_ITER)
+def test_mm_solve_stationary_point_converges_immediately(monkeypatch):
+    monkeypatch.setattr(mmopt, "MM_TOL", 1e-8)
+    x, trace = mmopt.mm_solve(_ScalarDC(), 3.5)
     assert trace.converged
     assert trace.iterations == 1
     assert x == pytest.approx(3.5, abs=1e-9)
@@ -90,12 +92,13 @@ def test_mm_solve_rejects_infeasible_start():
     # a NaN start has a NaN violation, and NaN > tol is False
     for start in (11.0, np.nan):
         with pytest.raises(NumericalDomainError):
-            mmopt.mm_solve(_ScalarDC(), start, tol=mmopt.MM_TOL,
-                           max_iter=mmopt.MM_MAX_ITER)
+            mmopt.mm_solve(_ScalarDC(), start)
 
 
-def test_mm_solve_reports_non_convergence():
-    x, trace = mmopt.mm_solve(_ScalarDC(), 0.0, tol=0.0, max_iter=3)
+def test_mm_solve_reports_non_convergence(monkeypatch):
+    monkeypatch.setattr(mmopt, "MM_TOL", 0.0)
+    monkeypatch.setattr(mmopt, "MM_MAX_ITER", 3)
+    x, trace = mmopt.mm_solve(_ScalarDC(), 0.0)
     assert not trace.converged
     assert any("no convergence" in w for w in trace.warnings)
     assert trace.iterations == 3
@@ -109,11 +112,11 @@ class _BadStepProblem(_ScalarDC):
         return self.bad
 
 
-def test_mm_solve_feasibility_backtracking():
+def test_mm_solve_feasibility_backtracking(monkeypatch):
     # a step far outside the box, and one whose violation is NaN
+    monkeypatch.setattr(mmopt, "MM_MAX_ITER", 4)
     for bad in (50.0, np.nan):
-        x, trace = mmopt.mm_solve(_BadStepProblem(bad), 5.0,
-                                  tol=mmopt.MM_TOL, max_iter=4)
+        x, trace = mmopt.mm_solve(_BadStepProblem(bad), 5.0)
         assert x == 5.0
         assert trace.warnings == [
             "step left the feasible set; keeping previous iterate"]
@@ -128,8 +131,7 @@ class _DownhillStepProblem(_ScalarDC):
 
 
 def test_mm_solve_objective_decrease_stops_unconverged():
-    x, trace = mmopt.mm_solve(_DownhillStepProblem(), 3.0, tol=mmopt.MM_TOL,
-                              max_iter=mmopt.MM_MAX_ITER)
+    x, trace = mmopt.mm_solve(_DownhillStepProblem(), 3.0)
     assert x == 3.0
     assert trace.warnings == [
         "surrogate step decreased the objective; stopping at previous iterate"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cransim import uplink
+from cransim import mmopt, uplink
 from cransim.channel import ChannelRealization
 from cransim.errors import DomainError, NumericalDomainError
 from cransim.mmopt import FEASIBILITY_TOL
@@ -269,8 +269,8 @@ def test_optimize_flags_non_convergence(monkeypatch):
     # one MM step and no tolerance, with a store of power solves of its own:
     # the store's key leaves out the solver effort, so no solve is reused
     # from another test and this unconverged one is left for none
-    monkeypatch.setattr(uplink, "MM_MAX_ITER", 1)
-    monkeypatch.setattr(uplink, "MM_TOL", 0.0)
+    monkeypatch.setattr(mmopt, "MM_MAX_ITER", 1)
+    monkeypatch.setattr(mmopt, "MM_TOL", 0.0)
     monkeypatch.setattr(uplink, "_power_solves", {})
     rng = np.random.default_rng(34)
     ch = rand_channel(rng, 2, 2)
