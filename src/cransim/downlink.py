@@ -45,14 +45,15 @@ import numpy as np
 
 from .errors import DomainError, NumericalDomainError
 from .gaussinfo import LN2, hermitize
-from .mmopt import (FEASIBILITY_TOL, INNER_TOL, MMTrace, mm_solve,
-                    solver_inputs)
+from .mmopt import FEASIBILITY_TOL, MMTrace, mm_solve, solver_inputs
 from .uplink import MODE_MT, MODE_P2P
 
 SUBSET_ENUM_CAP = 16
 # inner solve per MM step: barrier rounds, and ascent steps per round
 BARRIER_ROUNDS = 3
 INNER_STEPS = 40
+# relative gain below which the inner ascent stops
+INNER_TOL = 1e-6
 RESTART_SHRINK = 0.06   # signal power share a warm start gives up
 # one-reduction screens, NaN included: `not _minimum(x) > 0` is
 # `not (x > 0).all()`, and `_fmin(x) <= 0` (fmin skips NaN) `(x <= 0).any()`

@@ -15,8 +15,7 @@ are byte-identical no matter how many workers are used.  A drop's geometry
 realizations depend on neither alpha nor the mode, so an alpha sweep builds
 each drop and realizes each of its slots once, and every alpha reuses them;
 a run opens at most one process pool, in which one worker takes all alphas
-of a drop.  The first slot's weights are equal at every alpha, so the
-uplink solves that slot once per drop (``uplink.optimize_ul``).
+of a drop.
 
 A downlink multiterminal run also solves and schedules point-to-point each
 slot, as its start, so its files equal the multiterminal half of a run with
@@ -109,6 +108,11 @@ class ExperimentConfig:
             raise ConfigurationError("beta must lie in [0, 1]")
         if self.k_ms < 1 or self.n_pico < 0:
             raise ConfigurationError("k_ms must be >= 1 and n_pico >= 0")
+        if self.direction == "uplink" and self.k_ms > uplink.K_MS_MAX:
+            raise ConfigurationError(
+                f"uplink k_ms must be <= {uplink.K_MS_MAX}, the most MSs "
+                f"whose power-box vertices the power solve scores; got "
+                f"{self.k_ms}")
         if self.jobs < 1 or self.seed < 0:
             raise ConfigurationError("jobs must be >= 1 and seed >= 0")
         if self.reuse not in cellgeom.REUSE_MODES:
@@ -251,14 +255,8 @@ class DropOutcome:
 
 
 # (geometry key, Cluster, {slot: ChannelRealization}) of the last drop
-# built in this process; a run empties it, and the uplink's kept power
-# solves, when it starts and when it ends
+# built in this process; a run empties it when it starts and when it ends
 _last_drop = []
-
-
-def _forget_drops():
-    _last_drop.clear()
-    uplink._power_solves.clear()
 
 
 def _drop_channels(config, drop):
@@ -379,7 +377,7 @@ def _run(config, alphas):
     # a forking pool starts all its workers at the first submit
     workers = min(config.jobs, config.drops)
     start = time.perf_counter()
-    _forget_drops()
+    _last_drop.clear()
     try:
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -388,7 +386,7 @@ def _run(config, alphas):
         else:
             outcomes = [_simulate_drop(c, d) for c, d in grid]
     finally:
-        _forget_drops()
+        _last_drop.clear()
     metrics = [_aggregate(c, sorted(outcomes[i::len(configs)],
                                     key=lambda o: o.drop))
                for i, c in enumerate(configs)]

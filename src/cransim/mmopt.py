@@ -5,10 +5,11 @@ expressions are concave in their matrix (scalar) argument, so their
 first-order expansion is a global upper bound that touches at the expansion
 point.  Swapping those terms for their tangents yields an inner problem
 whose solution can only improve the true objective, which gives the usual
-monotone-ascent guarantee of MM/DC schemes.  The joint precoding problem in
-``downlink`` builds its own tangents; the uplink power problem in ``uplink``
-has a box as its only constraint and ascends its true objective directly.
-This module only drives the outer loop.
+monotone-ascent guarantee of MM/DC schemes.  :func:`mm_solve` drives the MM
+loop of the joint precoding problem in ``downlink``, which builds its own
+tangents; the uplink power solve scores the vertices of its power box and
+needs no MM loop, but reports in an :class:`MMTrace` too.  This module only
+drives the outer loop.
 
 A problem object plugged into :func:`mm_solve` provides:
 
@@ -29,18 +30,16 @@ import numpy as np
 from .errors import DomainError, NumericalDomainError
 
 # mm_solve converges at a relative objective change below MM_TOL and stops
-# unconverged after MM_MAX_ITER steps, in both solvers
+# unconverged after MM_MAX_ITER steps
 MM_TOL = 1e-4
 MM_MAX_ITER = 60
 # largest true-constraint violation that still counts as feasible
 FEASIBILITY_TOL = 1e-7
-# relative gain below which the solvers' inner ascent stops
-INNER_TOL = 1e-6
 
 
 @dataclass
 class MMTrace:
-    """Per-iteration bookkeeping of one mm_solve run."""
+    """Per-iteration bookkeeping of one mm_solve run or uplink power solve."""
     objective: list = field(default_factory=list)
     violation: list = field(default_factory=list)
     converged: bool = False

@@ -8,33 +8,39 @@ order so that already-recovered signals act as decoder side information,
 shrinking the variance that must be described and hence the noise power an
 identical backhaul capacity can afford.
 
-The per-slot design runs in two steps: MS transmit powers are optimized for
-ideal backhaul by projected-gradient ascent of the weighted sum rate over
-the power box, then the quantization noise powers follow in closed form from
-the backhaul capacities held at equality.  The power solve sees only the
-channel, the weights divided by their largest and the power limits, so the
-two modes of a slot share one solve whenever their weights match, and so
-does the first slot of a drop across an alpha sweep (equal weights).
+The per-slot design runs in two steps: MS transmit powers are chosen for
+ideal backhaul as the nonzero vertex of the power box with the highest
+weighted sum rate, then the quantization noise powers follow in closed
+form from the backhaul capacities held at equality.  On/off power control
+is a known structure of this problem (Gjendemsjo, Gesbert, Oien and Kiani,
+"Binary power control for sum rate maximization over multiple interfering
+links", IEEE TWC 2008); the chosen vertex is checked against the box KKT
+signs.  The 2^K vertices limit the MSs per solve to K_MS_MAX.
 
-Rates treat interference as noise.  One Cholesky factor of the received
-covariance M gives G = H^H M^-1 H, and from G every rate
-r_k = -log2(1 - p_k G_kk) and the gradient of the weighted sum rate.  After
-the power solve, one left-looking Cholesky of M in decompression order gives
-the noise powers, each fixed just before its column, and the factor that
+Rates treat interference as noise.  With A = H^H D^-1 H, formed once per
+power solve, G = H^H M^-1 H = (I + A diag(p))^-1 A at powers p is one K x K
+solve, and from G come every rate r_k = -log2(1 - p_k G_kk) and the
+gradient of the weighted sum rate.  After the power solve, one left-looking
+Cholesky of the received covariance M in decompression order gives the
+noise powers, each fixed just before its column, and the factor that
 yields the rates; the order itself comes from the diagonal of M.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericalDomainError
 from .gaussinfo import LN2, cholesky
-from .mmopt import FEASIBILITY_TOL, INNER_TOL, mm_solve, solver_inputs
+from .mmopt import FEASIBILITY_TOL, MMTrace, solver_inputs
 
 MODE_P2P = "point_to_point"
 MODE_MT = "multiterminal"
+# most MSs an uplink solve takes: the power solve scores all 2^K - 1
+# nonzero vertices of the power box, which took 7.6 ms at K = 10 and 43 ms
+# at K = 12, with 23 BSs (2-core host, one BLAS thread)
+K_MS_MAX = 10
 
 
 @dataclass
@@ -178,31 +184,38 @@ def omega_closed_form(p, order, c, channel, mode):
                              mode)[0]
 
 
-def _factor(h, d, p):
-    """X = L^-1 H, with L L^H = M = diag(d) + H diag(p) H^H (lower Cholesky).
-
-    G = H^H M^-1 H = X^H X yields every uplink rate and the objective's
-    gradient.
-    """
-    chol = cholesky((h * p) @ h.conj().T + np.diag(d))
-    return np.linalg.solve(chol, h)
-
-
-def _rates_from(x, p):
-    """Per-MS rates -log2(1 - p_k G_kk) from X = L^-1 H (bps/Hz).
+def _rates(p, g_diag):
+    """Per-MS rates -log2(1 - p_k G_kk) (bps/Hz) from the diagonal of
+    G = H^H M^-1 H at powers p, for one or a stack of power vectors.
 
     By the matrix determinant lemma this is log2 det M minus log2 det of M
     without MS k.  An MS at zero power gets +0.0, not -0.0.
     """
-    g_diag = np.sum(np.abs(x) ** 2, axis=0)
     return 0.0 - np.log2(1.0 - p * g_diag)
+
+
+def _g_matrix(h, d, p):
+    """G = H^H M^-1 H at powers p, or one G per row of a stack of powers,
+    for M = diag(d) + H diag(p) H^H.
+
+    With A = H^H diag(d)^-1 H, formed once per call, G = (I + A diag(p))^-1
+    A (push-through identity): a K x K solve per power vector, whatever the
+    number of BSs.
+    """
+    a = (h.conj().T / d) @ h
+    return np.linalg.solve(np.eye(a.shape[0]) + a * p[..., None, :], a)
+
+
+def _weighted_rate(g, p, w):
+    """sum_k w_k r_k given G at powers p, or over a stack of both."""
+    return _rates(p, np.diagonal(g, axis1=-2, axis2=-1).real) @ w
 
 
 def rates_ul(design, channel):
     """Achievable rates of all MSs (bps/Hz), interference treated as noise.
 
-    All K rates come from one Cholesky factor of the received covariance
-    plus quantization noise at the active BSs.
+    All K rates come from one K x K solve (`_g_matrix`), with the
+    quantization noise at the active BSs added to their noise powers.
     """
     active = design.active
     if active.size == 0:
@@ -212,9 +225,9 @@ def rates_ul(design, channel):
         raise DomainError("active BSs need finite nonnegative noise powers")
     if np.any(design.p < 0):
         raise DomainError("transmit powers must be nonnegative")
-    x = _factor(channel.h_ul[active], channel.sigma2_z_ul[active] + omega,
-                design.p)
-    return _rates_from(x, design.p)
+    g = _g_matrix(channel.h_ul[active], channel.sigma2_z_ul[active] + omega,
+                  design.p)
+    return _rates(design.p, g.diagonal().real)
 
 
 def _design_and_rates(p, channel, c, mode, n_macro):
@@ -232,132 +245,67 @@ def _design_and_rates(p, channel, c, mode, n_macro):
     omega, chol = _noise_and_factor(p, order, c, channel, mode)
     design = UplinkDesign(p=p, omega=omega, order=tuple(order.tolist()), c=c,
                           mode=mode)
-    return design, _rates_from(np.linalg.solve(chol, channel.h_ul[order]), p)
+    x = np.linalg.solve(chol, channel.h_ul[order])
+    return design, _rates(p, np.sum(np.abs(x) ** 2, axis=0))
 
 
-# accepted ascent steps per call of _PowerProblem.step
-INNER_STEPS = 200
+def _tangent_slopes(g, p, w):
+    """Gradient of sum_k w_k psi_k at p, given G at p, where psi_k is
+    log2 det M without MS k.
 
-
-class _PowerProblem:
-    """MM adapter for the ideal-backhaul power optimization.
-
-    Objective: sum_k w_k r_k = sum_k w_k [phi(p) - psi_k(p)] with
-    phi(p)  = log2 det M(p),  M(p) = D + sum_j p_j h_j h_j^H
-    psi_k(p) = same with MS k excluded.
-    Each step ascends this objective over the power box by projected
-    gradient with Armijo backtracking, in units q = p / p_max.  The value at
-    a point and its gradient, w_tot G_jj / ln 2 minus the gradient of
-    sum_k w_k psi_k, come from one Cholesky factor of M at that point.
-    Every point is factored once: mm_solve scores the point `step` has just
-    returned, each step starts from it, and a trial step may land on a box
-    vertex it has tried before.
+    d psi_k / d p_j = (G_jj + p_k |G_jk|^2 / (1 - p_k G_kk)) / ln 2 for
+    j != k (Sherman-Morrison on M without MS k), and 0 for j == k.
     """
-
-    def __init__(self, h, sigma2, weights, p_max):
-        self.h = h                      # (n_bs_active, n_ms)
-        self.sigma2 = sigma2
-        self.weights = np.asarray(weights, dtype=float)
-        self.p_max = np.asarray(p_max, dtype=float)
-        self._evaluated = {}            # p bytes -> (X, objective)
-
-    def _evaluate(self, p):
-        """X = L^-1 H and the objective at p."""
-        key = p.tobytes()
-        if key not in self._evaluated:
-            x = _factor(self.h, self.sigma2, p)
-            self._evaluated[key] = x, float(self.weights @ _rates_from(x, p))
-        return self._evaluated[key]
-
-    def objective(self, p):
-        return self._evaluate(p)[1]
-
-    def violation(self, p):
-        return float(max(np.max(p - self.p_max, initial=-np.inf),
-                         np.max(-p, initial=-np.inf)))
-
-    def tangent_slopes(self, p0, x0):
-        """Gradient of sum_k w_k psi_k at p0, given X = L^-1 H at p0.
-
-        d psi_k / d p_j = (G_jj + p_k |G_jk|^2 / (1 - p_k G_kk)) / ln 2 for
-        j != k (Sherman-Morrison on M without MS k), and 0 for j == k.
-        """
-        g = x0.conj().T @ x0
-        g_diag = np.sum(np.abs(x0) ** 2, axis=0)
-        slopes = g_diag[None, :] + p0[:, None] * np.abs(g) ** 2 \
-            / (1.0 - p0 * g_diag)[:, None]
-        np.fill_diagonal(slopes, 0.0)
-        return self.weights @ slopes / LN2
-
-    def step(self, p0):
-        p, q = p0, p0 / self.p_max
-        x, f = self._evaluate(p)
-        # a first trial step that puts every coordinate on a face of the box,
-        # where most optima lie; Armijo halving brings it down to scale
-        step = 1e6
-        for _ in range(INNER_STEPS):
-            grad = np.sum(self.weights) * np.sum(np.abs(x) ** 2, axis=0) / LN2
-            grad = self.p_max * (grad - self.tangent_slopes(p, x))
-            improved = False
-            for _ in range(40):
-                cand = np.clip(q + step * grad, 0.0, 1.0)
-                move = cand - q
-                if not np.any(move):
-                    break
-                p_cand = cand * self.p_max
-                x_cand, f_cand = self._evaluate(p_cand)
-                if f_cand >= f + 1e-4 * float(grad @ move):
-                    p, q, x, f_prev, f = p_cand, cand, x_cand, f, f_cand
-                    step *= 1.3
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                break
-            if abs(f - f_prev) <= INNER_TOL * max(1.0, abs(f_prev)):
-                break
-        return p
+    g_diag = g.diagonal().real
+    slopes = g_diag[None, :] + p[:, None] * np.abs(g) ** 2 \
+        / (1.0 - p * g_diag)[:, None]
+    np.fill_diagonal(slopes, 0.0)
+    return w @ slopes / LN2
 
 
-# power solves kept in this process, keyed by the content of everything the
-# solve reads, least recently used first; room for every solve of one alpha
-# of a 10-slot drop in both modes, so the first slot's solve outlives them
-_power_solves = {}
-_POWER_SOLVES_KEPT = 24
+def _power_solve(h, d, weights, p_max):
+    """The best nonzero vertex of the power box for the ideal-backhaul
+    weighted sum rate, and its trace.
 
-
-def _power_solve(h, sigma2, weights, p_max):
-    """mm_solve of the power problem, reusing a recent solve whose inputs
-    are equal (the two modes of a slot whose weights match, and the first
-    slot of a drop at every alpha); every caller gets its own copy of the
-    powers and of the trace."""
-    key = (h.shape, h.tobytes(), sigma2.tobytes(), weights.tobytes(),
-           p_max.tobytes())
-    if key in _power_solves:
-        _power_solves[key] = _power_solves.pop(key)
-    else:
-        _power_solves[key] = mm_solve(
-            _PowerProblem(h, sigma2, weights, p_max), p_max.copy())
-        if len(_power_solves) > _POWER_SOLVES_KEPT:
-            del _power_solves[next(iter(_power_solves))]
-    p, trace = _power_solves[key]
-    return p.copy(), replace(trace, objective=list(trace.objective),
-                             violation=list(trace.violation),
-                             warnings=list(trace.warnings))
+    All 2^K - 1 vertices are scored in one stacked K x K solve, full power
+    first, so that a tie (all weights zero, say) goes to full power.  The
+    chosen vertex is checked against the box KKT signs: the gradient must
+    be >= 0 where an MS is at p_max and <= 0 where it is off, up to
+    rounding of its two terms.  Along one MS's power the slope changes sign
+    at most once, from - to +, so the best vertex passes in exact
+    arithmetic, and the check guards the floating-point scores.  A failed
+    check is a trace warning, and the vertex is kept.
+    """
+    k = p_max.size
+    on = (np.arange(2 ** k - 1, 0, -1)[:, None] >> np.arange(k)) & 1
+    p = on * p_max
+    g = _g_matrix(h, d, p)
+    scores = _weighted_rate(g, p, weights)
+    best = int(np.argmax(scores))
+    trace = MMTrace(objective=[float(scores[0]), float(scores[best])],
+                    violation=[0.0, 0.0], converged=True, iterations=1)
+    # gradient of sum_k w_k (log2 det M - psi_k) at the vertex
+    phi_slopes = np.sum(weights) * g[best].diagonal().real / LN2
+    grad = phi_slopes - _tangent_slopes(g[best], p[best], weights)
+    if np.any(np.where(on[best], grad, -grad) < -1e-9 * phi_slopes):
+        trace.warnings.append(
+            "best vertex of the power box fails the KKT sign test")
+    return p[best], trace
 
 
 def optimize_ul(channel, c, weights, mode, p_max, n_macro=3):
     """Two-step uplink design: ideal-backhaul powers, then closed-form noise.
 
-    Returns an UplinkResult whose trace flags non-convergence instead of
-    raising; a capacity above `capacity_max` of its BS raises DomainError.
-    The power solve's MM loop stops at the relative tolerance mmopt.MM_TOL
-    or after mmopt.MM_MAX_ITER steps of at most INNER_STEPS ascent steps.
-    BSs with zero capacity are dropped from all assemblies.  A call whose
-    power solve reads the same inputs as a recent one in this process reuses
-    it: the other mode of a slot with equal weights does, and so does the
-    first slot of a drop at every alpha, whose weights are all equal.
+    The powers are the best vertex of the power box (`_power_solve`), whose
+    trace warns instead of raising when that vertex fails the KKT sign
+    test.  BSs with zero capacity are dropped from all assemblies.  More
+    than K_MS_MAX MSs, or a capacity above `capacity_max` of its BS, raises
+    DomainError.
     """
+    if channel.n_ms > K_MS_MAX:
+        raise DomainError(
+            f"{channel.n_ms} MSs are more than the {K_MS_MAX} whose "
+            f"2^K power-box vertices the uplink power solve scores")
     weights, c, p_max = solver_inputs(weights, c, p_max)
     p_max = np.broadcast_to(p_max, (channel.n_ms,)).copy()
 
@@ -369,8 +317,8 @@ def optimize_ul(channel, c, weights, mode, p_max, n_macro=3):
             f"backhaul capacity {c[i]:.6g} bps/Hz at BS {i} is above "
             f"{capacity_max(channel.sigma2_z_ul[i]):.6g}, which its "
             f"quantization noise power cannot meet in floating point")
-    # weights divided by their largest, so that neither the first trial step
-    # nor the stopping tests (relative to max(1, objective)) see their scale
+    # weights divided by their largest, so that neither the scores nor the
+    # KKT test see their scale
     p_star, trace = _power_solve(
         channel.h_ul[active], channel.sigma2_z_ul[active],
         weights / (np.max(weights) or 1.0), p_max)

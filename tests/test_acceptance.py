@@ -183,14 +183,21 @@ def test_criterion_5_monte_carlo_mi_equivalence():
 
 
 def _ul_power_problem(rng):
-    """A random uplink power problem and an interior anchor point p0."""
+    """A random uplink power problem (h, d, w, p_max), an interior anchor
+    point p0 and the tangent slopes of sum_k w_k psi_k there."""
     ch, _, _ = rand_ul_instance(rng)
     w = rng.uniform(0.1, 1.0, ch.n_ms)
     p_max = rng.uniform(0.5, 2.0, ch.n_ms)
-    problem = uplink._PowerProblem(ch.h_ul, ch.sigma2_z_ul, w, p_max)
+    h, d = ch.h_ul, ch.sigma2_z_ul
     p0 = rng.uniform(0.1, 1.0, ch.n_ms) * p_max
-    x0 = uplink._factor(ch.h_ul, ch.sigma2_z_ul, p0)
-    return problem, p0, problem.tangent_slopes(p0, x0)
+    slopes = uplink._tangent_slopes(uplink._g_matrix(h, d, p0), p0, w)
+    return (h, d, w, p_max), p0, slopes
+
+
+def _ul_objective(problem, p):
+    """The weighted sum rate at powers p, as the power solve scores it."""
+    h, d, w, _ = problem
+    return float(uplink._weighted_rate(uplink._g_matrix(h, d, p), p, w))
 
 
 def test_criterion_6_mm_soundness(monkeypatch):
@@ -201,7 +208,7 @@ def test_criterion_6_mm_soundness(monkeypatch):
     worst_touch = 0.0
     for _ in range(100):
         problem, p0, slopes = _ul_power_problem(rng)
-        h, d, w = problem.h, problem.sigma2, problem.weights
+        h, d, w, p_max = problem
         psi0 = ul_weighted_psi_oracle(h, d, p0, w)
 
         def surrogate(p):
@@ -209,12 +216,13 @@ def test_criterion_6_mm_soundness(monkeypatch):
                 - (psi0 + float(slopes @ (p - p0)))
 
         worst_touch = max(worst_touch,
-                          abs(problem.objective(p0) - surrogate(p0)))
-        points = [np.zeros_like(p0), problem.p_max.copy()]
-        points += [rng.uniform(0.0, 1.0, p0.size) * problem.p_max
+                          abs(_ul_objective(problem, p0) - surrogate(p0)))
+        points = [np.zeros_like(p0), p_max.copy()]
+        points += [rng.uniform(0.0, 1.0, p0.size) * p_max
                    for _ in range(10)]
         for p in points:
-            worst_dom = min(worst_dom, problem.objective(p) - surrogate(p))
+            worst_dom = min(worst_dom,
+                            _ul_objective(problem, p) - surrogate(p))
     assert worst_dom >= -1e-9
     assert worst_touch <= 1e-9
 
@@ -224,8 +232,7 @@ def test_criterion_6_mm_soundness(monkeypatch):
         problem, p0, slopes = _ul_power_problem(rng)
         direction = rng.standard_normal(p0.size)
         h = 1e-6 * np.linalg.norm(p0) / np.linalg.norm(direction)
-        psi = lambda p: ul_weighted_psi_oracle(problem.h, problem.sigma2, p,
-                                               problem.weights)
+        psi = lambda p: ul_weighted_psi_oracle(*problem[:2], p, problem[2])
         numeric = (psi(p0 + h * direction) - psi(p0 - h * direction)) / (2 * h)
         analytic = float(slopes @ direction)
         worst_grad = max(worst_grad,
@@ -241,7 +248,7 @@ def test_criterion_6_mm_soundness(monkeypatch):
                                  p_max=rng.uniform(0.5, 2.0))
         traces.append(res.trace)
     # 25 MM steps of 25 ascent steps per barrier round, for the downlink
-    # solves alone: the uplink's kept power solves do not record the effort
+    # solves alone
     with monkeypatch.context() as effort:
         effort.setattr(mmopt, "MM_MAX_ITER", 25)
         effort.setattr(downlink, "INNER_STEPS", 25)

