@@ -11,11 +11,11 @@ gains paired comparisons.
 Drops execute independently (optionally in a process pool); every drop
 derives its rng streams from the master seed and its own index, so results
 are byte-identical no matter how many workers are used.  A drop's geometry
-(layout, and the cluster for the run's direction) and its slots' channel
-realizations depend on neither alpha nor the mode, so an alpha sweep builds
-each drop and realizes each of its slots once, and every alpha reuses them;
-a run opens at most one process pool, in which one worker takes all alphas
-of a drop.
+(layout, and the cluster for the run's direction), its slots' channel
+realizations and, in the uplink, their `uplink.VertexTable`s depend on
+neither alpha nor the mode, so an alpha sweep builds each drop and realizes
+each of its slots once, and every alpha and mode reuses them; a run opens
+at most one process pool, in which one worker takes all alphas of a drop.
 
 A downlink multiterminal run also solves and schedules point-to-point each
 slot, as its start, so its files equal the multiterminal half of a run with
@@ -254,18 +254,18 @@ class DropOutcome:
     mm_iterations: dict      # mode -> MM iterations over the drop's slots
 
 
-# (geometry key, Cluster, {slot: ChannelRealization}) of the last drop
-# built in this process; a run empties it when it starts and when it ends
+# (key, Cluster, {slot: (ChannelRealization, VertexTable or None)}) of the
+# last drop built in this process; a run empties it when it starts and ends
 _last_drop = []
 
 
 def _drop_channels(config, drop):
     """The drop's Cluster and its realized slots, built once for consecutive
-    calls that share everything the geometry reads (every alpha of a sweep
-    does).  A slot is realized on first use, and depends only on the
-    cluster and its own rng stream."""
+    calls that share everything the geometry and the slots' vertex tables
+    read (every alpha of a sweep does).  A slot is realized on first use,
+    and depends only on the cluster and its own rng stream."""
     key = (config.seed, drop, config.direction, config.k_ms, config.n_pico,
-           config.reuse, config.propagation)
+           config.reuse, config.propagation, config.c_macro, config.c_pico)
     if not _last_drop or _last_drop[0][0] != key:
         topo = cellgeom.build_layout(_drop_seed(config.seed, drop),
                                      config.k_ms, config.n_pico,
@@ -294,16 +294,19 @@ def _simulate_drop(config, drop):
 
     for slot in range(config.slots):
         if slot not in channels:
-            channels[slot] = channel_mod.realize_channel(
+            chan = channel_mod.realize_channel(
                 cluster, slot, _slot_rng(config.seed, drop, slot))
-        chan = channels[slot]
+            channels[slot] = chan, (uplink.VertexTable(
+                chan, c_vec, cluster.power_limits_ul(), cluster.n_macro)
+                if config.direction == "uplink" else None)
+        chan, table = channels[slot]
         results = {}
         if config.direction == "uplink":
             p_max = cluster.power_limits_ul()
             for m in modes:
                 results[m] = uplink.optimize_ul(
                     chan, c_vec, scheduler.weights(states[m]), m, p_max,
-                    n_macro=cluster.n_macro)
+                    n_macro=cluster.n_macro, table=table)
         else:
             p_bs = cluster.power_limits_dl()
             for m in solved:

@@ -15,10 +15,12 @@ form from the backhaul capacities held at equality.  On/off power control
 is a known structure of this problem (Gjendemsjo, Gesbert, Oien and Kiani,
 "Binary power control for sum rate maximization over multiple interfering
 links", IEEE TWC 2008); the chosen vertex is checked against the box KKT
-signs.  The 2^K vertices limit the MSs per solve to K_MS_MAX.
+signs.  The 2^K vertices limit the MSs per solve to K_MS_MAX.  All of it
+but the weighting depends only on the slot and its capacities and power
+limits, so a `VertexTable` holds that for every weighting and mode.
 
 Rates treat interference as noise.  With A = H^H D^-1 H, formed once per
-power solve, G = H^H M^-1 H = (I + A diag(p))^-1 A at powers p is one K x K
+vertex table, G = H^H M^-1 H = (I + A diag(p))^-1 A at powers p is one K x K
 solve, and from G come every rate r_k = -log2(1 - p_k G_kk) and the
 gradient of the weighted sum rate.  After the power solve, one left-looking
 Cholesky of the received covariance M in decompression order gives the
@@ -206,11 +208,6 @@ def _g_matrix(h, d, p):
     return np.linalg.solve(np.eye(a.shape[0]) + a * p[..., None, :], a)
 
 
-def _weighted_rate(g, p, w):
-    """sum_k w_k r_k given G at powers p, or over a stack of both."""
-    return _rates(p, np.diagonal(g, axis1=-2, axis2=-1).real) @ w
-
-
 def rates_ul(design, channel):
     """Achievable rates of all MSs (bps/Hz), interference treated as noise.
 
@@ -249,79 +246,118 @@ def _design_and_rates(p, channel, c, mode, n_macro):
     return design, _rates(p, np.sum(np.abs(x) ** 2, axis=0))
 
 
-def _tangent_slopes(g, p, w):
-    """Gradient of sum_k w_k psi_k at p, given G at p, where psi_k is
-    log2 det M without MS k.
+def _tangent_slopes(g, p):
+    """ln 2 times the slopes of every psi_k at p, given G at p, where psi_k
+    is log2 det M without MS k: row k holds ln 2 d psi_k / d p_j.
 
-    d psi_k / d p_j = (G_jj + p_k |G_jk|^2 / (1 - p_k G_kk)) / ln 2 for
+    ln 2 d psi_k / d p_j = G_jj + p_k |G_jk|^2 / (1 - p_k G_kk) for
     j != k (Sherman-Morrison on M without MS k), and 0 for j == k.
     """
     g_diag = g.diagonal().real
     slopes = g_diag[None, :] + p[:, None] * np.abs(g) ** 2 \
         / (1.0 - p * g_diag)[:, None]
     np.fill_diagonal(slopes, 0.0)
-    return w @ slopes / LN2
+    return slopes
 
 
-def _power_solve(h, d, weights, p_max):
-    """The best nonzero vertex of the power box for the ideal-backhaul
-    weighted sum rate, and its trace.
+class VertexTable:
+    """What the uplink solves of one slot share, whatever their weights and
+    mode: the 2^K - 1 nonzero vertices of the power box, full power first,
+    with G and the ideal-backhaul rates at each.  A vertex's slope matrix
+    and a (vertex, mode)'s design and rates are computed on first use and
+    kept.  Results share the kept rates and designs, so their arrays are
+    read-only.  More than K_MS_MAX MSs, or a capacity above `capacity_max`
+    of its BS, raises DomainError.
+    """
 
-    All 2^K - 1 vertices are scored in one stacked K x K solve, full power
-    first, so that a tie (all weights zero, say) goes to full power.  The
-    chosen vertex is checked against the box KKT signs: the gradient must
-    be >= 0 where an MS is at p_max and <= 0 where it is off, up to
+    def __init__(self, channel, c, p_max, n_macro):
+        if channel.n_ms > K_MS_MAX:
+            raise DomainError(
+                f"{channel.n_ms} MSs are more than the {K_MS_MAX} whose "
+                f"2^K power-box vertices the uplink power solve scores")
+        _, c, p_max = solver_inputs((), c, p_max)
+        active = np.flatnonzero(c > 0)
+        over = active[c[active] > capacity_max(channel.sigma2_z_ul[active])]
+        if over.size:
+            i = over[0]
+            raise DomainError(
+                f"backhaul capacity {c[i]:.6g} bps/Hz at BS {i} is above "
+                f"{capacity_max(channel.sigma2_z_ul[i]):.6g}, which its "
+                f"quantization noise power cannot meet in floating point")
+        k = channel.n_ms
+        self.channel, self.c, self.n_macro = channel, c.copy(), n_macro
+        self.p_max = np.broadcast_to(p_max, (k,)).copy()
+        self.on = (np.arange(2 ** k - 1, 0, -1)[:, None] >> np.arange(k)) & 1
+        self.p = self.on * self.p_max
+        self.g = _g_matrix(channel.h_ul[active], channel.sigma2_z_ul[active],
+                           self.p)
+        self.g_diag = np.diagonal(self.g, axis1=-2, axis2=-1).real
+        self.rates = _rates(self.p, self.g_diag)
+        self._slopes, self._designs = {}, {}
+
+    def slopes(self, v):
+        """`_tangent_slopes` at vertex v."""
+        if v not in self._slopes:
+            self._slopes[v] = _tangent_slopes(self.g[v], self.p[v])
+        return self._slopes[v]
+
+    def design(self, v, mode):
+        """`_design_and_rates` at vertex v in `mode`, arrays read-only."""
+        if (v, mode) not in self._designs:
+            design, rates = _design_and_rates(self.p[v], self.channel, self.c,
+                                              mode, self.n_macro)
+            for a in (design.p, design.omega, design.c, rates):
+                a.flags.writeable = False
+            self._designs[v, mode] = design, rates
+        return self._designs[v, mode]
+
+
+def _power_solve(table, weights):
+    """The best vertex of the power box (an index into `table`) for the
+    ideal-backhaul weighted sum rate, and its trace.
+
+    The first best vertex wins, so that a tie (all weights zero, say) goes
+    to full power.  It is checked against the box KKT signs: the gradient
+    must be >= 0 where an MS is at p_max and <= 0 where it is off, up to
     rounding of its two terms.  Along one MS's power the slope changes sign
     at most once, from - to +, so the best vertex passes in exact
     arithmetic, and the check guards the floating-point scores.  A failed
     check is a trace warning, and the vertex is kept.
     """
-    k = p_max.size
-    on = (np.arange(2 ** k - 1, 0, -1)[:, None] >> np.arange(k)) & 1
-    p = on * p_max
-    g = _g_matrix(h, d, p)
-    scores = _weighted_rate(g, p, weights)
+    scores = table.rates @ weights
     best = int(np.argmax(scores))
     trace = MMTrace(objective=[float(scores[0]), float(scores[best])],
                     violation=[0.0, 0.0], converged=True, iterations=1)
     # gradient of sum_k w_k (log2 det M - psi_k) at the vertex
-    phi_slopes = np.sum(weights) * g[best].diagonal().real / LN2
-    grad = phi_slopes - _tangent_slopes(g[best], p[best], weights)
-    if np.any(np.where(on[best], grad, -grad) < -1e-9 * phi_slopes):
+    phi_slopes = np.sum(weights) * table.g_diag[best] / LN2
+    grad = phi_slopes - weights @ table.slopes(best) / LN2
+    if np.any(np.where(table.on[best], grad, -grad) < -1e-9 * phi_slopes):
         trace.warnings.append(
             "best vertex of the power box fails the KKT sign test")
-    return p[best], trace
+    return best, trace
 
 
-def optimize_ul(channel, c, weights, mode, p_max, n_macro=3):
+def optimize_ul(channel, c, weights, mode, p_max, n_macro=3, table=None):
     """Two-step uplink design: ideal-backhaul powers, then closed-form noise.
 
     The powers are the best vertex of the power box (`_power_solve`), whose
     trace warns instead of raising when that vertex fails the KKT sign
-    test.  BSs with zero capacity are dropped from all assemblies.  More
-    than K_MS_MAX MSs, or a capacity above `capacity_max` of its BS, raises
-    DomainError.
+    test.  BSs with zero capacity are dropped from all assemblies.  `table`
+    is the slot's `VertexTable`, which calls with other weights or mode
+    may share; without one, the call builds its own.  A table built for
+    another channel object, or for other c, p_max or n_macro values, raises
+    DomainError, as does any input `VertexTable` refuses.
     """
-    if channel.n_ms > K_MS_MAX:
-        raise DomainError(
-            f"{channel.n_ms} MSs are more than the {K_MS_MAX} whose "
-            f"2^K power-box vertices the uplink power solve scores")
     weights, c, p_max = solver_inputs(weights, c, p_max)
-    p_max = np.broadcast_to(p_max, (channel.n_ms,)).copy()
-
-    active = np.flatnonzero(c > 0)
-    over = active[c[active] > capacity_max(channel.sigma2_z_ul[active])]
-    if over.size:
-        i = over[0]
-        raise DomainError(
-            f"backhaul capacity {c[i]:.6g} bps/Hz at BS {i} is above "
-            f"{capacity_max(channel.sigma2_z_ul[i]):.6g}, which its "
-            f"quantization noise power cannot meet in floating point")
+    if table is None:
+        table = VertexTable(channel, c, p_max, n_macro)
+    elif not (table.channel is channel and table.n_macro == n_macro
+              and np.array_equal(table.c, c) and np.all(table.p_max == p_max)):
+        raise DomainError("the vertex table was built for another channel, "
+                          "c, p_max or n_macro")
     # weights divided by their largest, so that neither the scores nor the
     # KKT test see their scale
-    p_star, trace = _power_solve(
-        channel.h_ul[active], channel.sigma2_z_ul[active],
-        weights / (np.max(weights) or 1.0), p_max)
-    design, rates = _design_and_rates(p_star, channel, c, mode, n_macro)
+    best, trace = _power_solve(table, weights / (np.max(weights) or 1.0))
+    design, rates = table.design(best, mode)
     return UplinkResult(design=design, rates=rates,
                         objective=float(weights @ rates), trace=trace)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from cransim import downlink, harness, mmopt, uplink
+from cransim.gaussinfo import LN2
 from helpers import (DOMINANCE_PRESETS, backhaul_mv_dl, backhaul_p2p_dl,
                      cn_samples, colored_noise, dominance_sweep,
                      enumerate_subsets, mi_from_samples, rand_channel,
@@ -190,14 +191,15 @@ def _ul_power_problem(rng):
     p_max = rng.uniform(0.5, 2.0, ch.n_ms)
     h, d = ch.h_ul, ch.sigma2_z_ul
     p0 = rng.uniform(0.1, 1.0, ch.n_ms) * p_max
-    slopes = uplink._tangent_slopes(uplink._g_matrix(h, d, p0), p0, w)
+    slopes = w @ uplink._tangent_slopes(uplink._g_matrix(h, d, p0), p0) / LN2
     return (h, d, w, p_max), p0, slopes
 
 
 def _ul_objective(problem, p):
     """The weighted sum rate at powers p, as the power solve scores it."""
     h, d, w, _ = problem
-    return float(uplink._weighted_rate(uplink._g_matrix(h, d, p), p, w))
+    g = uplink._g_matrix(h, d, p)
+    return float(uplink._rates(p, g.diagonal().real) @ w)
 
 
 def test_criterion_6_mm_soundness(monkeypatch):

@@ -171,13 +171,16 @@ def test_mode_both_is_aligned_with_single_mode_runs():
             == solo.metrics[mode].mm_iterations
 
 
-def test_mode_both_shares_the_power_solve_at_alpha_zero():
-    # at alpha = 0 both modes weigh every MS alike; the multiterminal rates
-    # are those of a run without p2p
+def test_mode_both_builds_one_vertex_table_per_slot(monkeypatch):
+    # both modes of a slot share its vertex table; at alpha = 0 both weigh
+    # every MS alike, and the multiterminal rates are those of a run
+    # without p2p
+    tables = counting(monkeypatch, uplink, "VertexTable")
     base = dict(direction="uplink", k_ms=2, n_pico=1, c_macro=3.0,
                 c_pico=1.0, alpha=0.0, slots=2, drops=2, seed=11)
     both = harness.run_experiment(
         harness.ExperimentConfig(mode="both", **base))
+    assert len(tables) == base["drops"] * base["slots"]
     solo = harness.run_experiment(
         harness.ExperimentConfig(mode="multiterminal", **base))
     assert np.array_equal(both.metrics["multiterminal"].rates,
@@ -436,13 +439,16 @@ def test_alpha_sweep_builds_each_drop_once(monkeypatch):
     assert len(slots) == cfg.drops * cfg.slots
 
 
-def test_alpha_sweep_solves_the_first_slot_once_per_drop():
-    # the first slot's weights are equal at every alpha; with one slot per
-    # drop, an uplink sweep's last alpha equals a run at that alpha alone
+def test_alpha_sweep_builds_one_vertex_table_per_slot(monkeypatch):
+    # every alpha and mode of a sweep shares a slot's vertex table; the
+    # first slot's weights are equal at every alpha, so with one slot per
+    # drop an uplink sweep's last alpha equals a run at that alpha alone
+    tables = counting(monkeypatch, uplink, "VertexTable")
     cfg = harness.ExperimentConfig(direction="uplink",
                                    alpha=SWEEP_ALPHAS["uplink"],
                                    **dict(SWEEP_BASE, slots=1))
     sweep = harness.alpha_sweep(cfg)
+    assert len(tables) == cfg.drops * cfg.slots
     single = harness.run_experiment(dataclasses.replace(cfg, alpha=3.0))
     for mode in cfg.modes:
         assert np.array_equal(sweep.reports[-1].metrics[mode].rates,
@@ -467,6 +473,23 @@ def test_drop_reuse_is_per_direction(monkeypatch):
     assert [c.direction for c in built] == ["uplink", "downlink"]
     assert built[0].sigma2_dl is None and built[1].ul_interference is None
     assert len(clusters) == 4
+
+
+def test_drop_reuse_is_per_backhaul_capacity():
+    """Consecutive uplink drops that differ only in their capacities get
+    vertex tables of their own capacities from the drop cache."""
+    base = dict(direction="uplink", k_ms=2, n_pico=1, alpha=1.0, slots=2,
+                drops=1, seed=13)
+    configs = [harness.ExperimentConfig(c_macro=c, **base) for c in (3, 9)]
+    try:
+        drops = [harness._simulate_drop(cfg, 0) for cfg in configs]
+    finally:
+        harness._last_drop.clear()
+    for cfg, drop in zip(configs, drops):
+        report = harness.run_experiment(cfg)
+        for mode in cfg.modes:
+            assert np.array_equal(drop.rates[mode],
+                                  report.metrics[mode].rates[0])
 
 
 @pytest.mark.parametrize("direction", ["uplink", "downlink"])

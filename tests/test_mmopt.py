@@ -16,7 +16,7 @@ def _single_ms_tangent(rng, n_bs, n_ms):
     p_max = rng.uniform(0.5, 2.0, n_ms)
     p0 = rng.uniform(0.1, 1.0, n_ms) * p_max
     g0 = uplink._g_matrix(ch.h_ul, ch.sigma2_z_ul, p0)
-    return ch, k, p0, uplink._tangent_slopes(g0, p0, weights)
+    return ch, k, p0, weights @ uplink._tangent_slopes(g0, p0) / LN2
 
 
 def test_tangent_dominates_logdet_everywhere():

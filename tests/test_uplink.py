@@ -4,6 +4,7 @@ import pytest
 from cransim import uplink
 from cransim.channel import ChannelRealization
 from cransim.errors import DomainError, NumericalDomainError
+from cransim.gaussinfo import LN2
 from cransim.mmopt import FEASIBILITY_TOL
 from helpers import (cn_samples, mi_from_samples, rand_channel,
                      ul_objective_oracle, ul_omega_prefix_oracle,
@@ -327,9 +328,9 @@ def test_one_factor_matches_logdet_oracle():
             zero_power_seen += 1
 
         g = uplink._g_matrix(ch.h_ul, ch.sigma2_z_ul, p)
-        assert _close(uplink._weighted_rate(g, p, w),
+        assert _close(uplink._rates(p, g.diagonal().real) @ w,
                       ul_objective_oracle(ch.h_ul, ch.sigma2_z_ul, p, w))
-        assert _close(uplink._tangent_slopes(g, p, w),
+        assert _close(w @ uplink._tangent_slopes(g, p) / LN2,
                       ul_slopes_oracle(ch.h_ul, ch.sigma2_z_ul, p, w))
     assert zero_power_seen > 0
 
@@ -507,3 +508,93 @@ def test_optimize_refuses_more_ms_than_the_vertex_cap():
     with pytest.raises(DomainError, match=f"more than the {k}"):
         uplink.optimize_ul(rand_channel(rng, 4, k + 1), np.ones(4),
                            np.ones(k + 1), "multiterminal", p_max=1.0)
+
+
+def _outputs(res):
+    """Every output of one optimize_ul call, floats by their bits."""
+    d, t = res.design, res.trace
+    return (d.p.tobytes(), d.omega.tobytes(), d.order, d.c.tobytes(), d.mode,
+            res.rates.tobytes(), res.objective.hex(),
+            [x.hex() for x in t.objective], t.violation, t.converged,
+            t.iterations, t.warnings)
+
+
+def _table_instances(rng):
+    """(channel, c, p_max, n_macro): random instances, some BSs without
+    backhaul but at least one with, then the corners K = 1, one BS without
+    backhaul, and no picos (every BS a macro antenna)."""
+    for _ in range(30):
+        ch, _, p_max = _power_instance(rng, int(rng.integers(1, 6)), 6)
+        c = rng.uniform(0.5, 8.0, ch.n_bs)
+        c[rng.random(ch.n_bs) < 0.25] = 0.0
+        c[rng.integers(ch.n_bs)] = 2.0
+        yield ch, c, p_max, int(rng.integers(0, ch.n_bs + 1))
+    for k, c, n_macro in ((1, [2.0] * 4, 3), (4, [3.0, 0.0], 1),
+                          (5, [9.0, 3.0, 1.0], 3)):
+        h = cn_samples(rng, (len(c), k)) \
+            * np.sqrt(10.0 ** rng.uniform(-1.0, 3.0, (len(c), k)))
+        yield (unit_channel(h, rng.uniform(0.5, 2.0, len(c))), np.array(c),
+               rng.uniform(0.5, 2.0, k), n_macro)
+
+
+def test_vertex_table_serves_every_weighting_and_mode_bit_for_bit():
+    # one table per instance serves weightings from all-zero to spread over
+    # 60 decades, in both modes, interleaved; each result equals a call
+    # without a table bit for bit, and its trace is its own
+    rng = np.random.default_rng(46)
+    shared = 0
+    for ch, c, p_max, n_macro in _table_instances(rng):
+        k = ch.n_ms
+        table = uplink.VertexTable(ch, c, p_max, n_macro)
+        weightings = [np.ones(k), np.zeros(k), np.eye(k)[-1],
+                      rng.uniform(0.1, 1.0, k),
+                      10.0 ** rng.uniform(-30.0, 30.0, k), np.ones(k)]
+        seen = {}
+        for w in weightings:
+            for mode in ("multiterminal", "point_to_point"):
+                got = uplink.optimize_ul(ch, c.copy(), w, mode, p_max,
+                                         n_macro=n_macro, table=table)
+                want = uplink.optimize_ul(ch, c, w, mode, p_max,
+                                          n_macro=n_macro)
+                assert _outputs(got) == _outputs(want)
+                first = seen.setdefault(id(got.design), got)
+                if first is not got:
+                    shared += 1
+                    assert first.rates is got.rates
+                    assert first.trace.warnings is not got.trace.warnings
+    assert shared > 0
+
+
+def test_vertex_table_refuses_other_inputs():
+    rng = np.random.default_rng(47)
+    ch, w, p_max = _power_instance(rng, 3, 4)
+    c = np.full(ch.n_bs, 2.0)
+    table = uplink.VertexTable(ch, c, p_max, n_macro=1)
+    # c and p_max are compared by value
+    uplink.optimize_ul(ch, c.copy(), w, "multiterminal", list(p_max),
+                       n_macro=1, table=table)
+    other_c = c.copy()
+    other_c[-1] = 1.0
+    for args in ((ChannelRealization(**vars(ch)), c, p_max, 1),
+                 (ch, other_c, p_max, 1), (ch, c, 1.5 * p_max, 1),
+                 (ch, c, p_max, 0)):
+        chan, cap, power, n_macro = args
+        with pytest.raises(DomainError, match="vertex table was built"):
+            uplink.optimize_ul(chan, cap, w, "multiterminal", power,
+                               n_macro=n_macro, table=table)
+
+
+def test_shared_results_are_read_only():
+    # results of one table share their rates and designs across weightings
+    # and modes, so an in-place write raises; the caller's c stays writable
+    # and apart from the design's
+    rng = np.random.default_rng(48)
+    ch, w, p_max = _power_instance(rng, 3, 4)
+    c = np.full(ch.n_bs, 2.0)
+    res = uplink.optimize_ul(ch, c, w, "multiterminal", p_max)
+    for a in (res.rates, res.design.p, res.design.omega, res.design.c):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    assert c.flags.writeable
+    c[0] = 3.0
+    assert res.design.c[0] == 2.0
