@@ -8,14 +8,13 @@ from .cellgeom import (PropagationParams, Topology, build_layout,
                        sector_gain_db)
 from .channel import (ChannelRealization, Cluster, build_cluster,
                       realize_channel, thermal_noise_w)
-from .downlink import (DownlinkDesign, DownlinkResult, feasible_dl,
-                       optimize_dl, rate_dl)
+from .downlink import DownlinkDesign, feasible_dl, optimize_dl, rate_dl
 from .errors import ConfigurationError, DomainError, NumericalDomainError
 from .harness import (ExperimentConfig, MetricsReport, PRESETS, RateMapping,
                       SweepResult, alpha_sweep, percentile, run_experiment)
-from .mmopt import MMTrace, mm_solve
+from .mmopt import MMTrace, SolveResult, mm_solve
 from .scheduler import FairnessState, initial_state, update, weights
-from .uplink import (UplinkDesign, UplinkResult, backhaul_p2p, backhaul_wz,
+from .uplink import (UplinkDesign, backhaul_p2p, backhaul_wz,
                      omega_closed_form, optimize_ul, rates_ul)
 
 __version__ = "0.1.0"

@@ -42,6 +42,8 @@ def _parse_alpha(text):
 
 
 def build_config(args, direction=None):
+    """The validated config of parsed options: a preset, then a config file,
+    then every option named after an ExperimentConfig field, then direction."""
     data = {}
     if args.preset:
         data.update(PRESETS[args.preset])
@@ -61,13 +63,9 @@ def build_config(args, direction=None):
         if not isinstance(file_data, dict):
             raise ConfigurationError("config file must contain a mapping")
         data.update(file_data)
-    for key in ("seed", "drops", "slots", "mode", "jobs", "k_ms", "n_pico",
-                "c_macro", "c_pico", "beta"):
-        value = getattr(args, key, None)
-        if value is not None:
-            data[key] = value
-    if getattr(args, "alpha", None) is not None:
-        data["alpha"] = _parse_alpha(args.alpha)
+    for key, value in vars(args).items():
+        if key in ExperimentConfig.__dataclass_fields__ and value is not None:
+            data[key] = _parse_alpha(value) if key == "alpha" else value
     if direction is not None:
         data["direction"] = direction
     return ExperimentConfig.from_dict(data)
@@ -91,8 +89,7 @@ def main(argv=None):
 
     try:
         if args.command == "sweep":
-            config = build_config(args, direction=getattr(args, "direction",
-                                                          None))
+            config = build_config(args)
             out_dir = args.out or default_out_dir()
             if not isinstance(config.alpha, (list, tuple)):
                 config.alpha = [config.alpha]

@@ -44,9 +44,9 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DomainError, NumericalDomainError
-from .gaussinfo import LN2, hermitize
-from .mmopt import FEASIBILITY_TOL, MMTrace, mm_solve, solver_inputs
-from .uplink import MODE_MT, MODE_P2P
+from .mmopt import (FEASIBILITY_TOL, LN2, MODE_MT, MODE_P2P, MMTrace,
+                    SolveResult, check_mode, hermitize, mm_solve,
+                    solver_inputs)
 
 SUBSET_ENUM_CAP = 16
 # inner solve per MM step: barrier rounds, and ascent steps per round
@@ -75,20 +75,11 @@ class DownlinkDesign:
         self.omega = np.asarray(self.omega, dtype=complex)
         self.c = np.asarray(self.c, dtype=float)
         self.p_bs = np.asarray(self.p_bs, dtype=float)
-        if self.mode not in (MODE_P2P, MODE_MT):
-            raise DomainError(f"unknown mode {self.mode!r}")
+        check_mode(self.mode)
 
     @property
     def active(self):
         return np.flatnonzero(self.c > 0)
-
-
-@dataclass
-class DownlinkResult:
-    design: DownlinkDesign
-    rates: np.ndarray
-    objective: float
-    trace: object
 
 
 @dataclass
@@ -623,12 +614,14 @@ def optimize_dl(channel, c, p_bs, weights, mode, init=None):
 
     Point-to-point mode starts cold and takes no `init`.  Multiterminal mode
     refines `init`, a point-to-point design for the same channel, capacities
-    and power limits, and raises DomainError without one; when refining does
-    not improve on init under `weights`, init is returned.  Zero-capacity BSs
-    are silenced and dropped from all constraint sets.  The MM loop stops at
-    mmopt.MM_TOL or after mmopt.MM_MAX_ITER steps; each step runs
-    BARRIER_ROUNDS barrier rounds of INNER_STEPS ascent steps.
+    and power limits, and raises DomainError without one, as does any other
+    mode; when refining does not improve on init under `weights`, init is
+    returned.  Zero-capacity BSs are silenced and dropped from all
+    constraint sets.  The MM loop stops at mmopt.MM_TOL or after
+    mmopt.MM_MAX_ITER steps; each step runs BARRIER_ROUNDS barrier rounds
+    of INNER_STEPS ascent steps.
     """
+    check_mode(mode)
     weights, c, p_bs = solver_inputs(weights, c, p_bs)
     if mode == MODE_MT:
         if not isinstance(init, DownlinkDesign) or init.mode != MODE_P2P:
@@ -645,8 +638,8 @@ def optimize_dl(channel, c, p_bs, weights, mode, init=None):
         design = DownlinkDesign(a=np.zeros((n_bs, n_ms), dtype=complex),
                                 omega=np.zeros((n_bs, n_bs), dtype=complex),
                                 c=c, p_bs=p_bs, mode=mode)
-        return DownlinkResult(design=design, rates=np.zeros(n_ms),
-                              objective=0.0, trace=MMTrace(converged=True))
+        return SolveResult(design=design, rates=np.zeros(n_ms),
+                           objective=0.0, trace=MMTrace(converged=True))
 
     # normalize so each BS has unit power budget and each MS unit noise:
     # the scale factors cancel in every backhaul expression, and the inner
@@ -690,5 +683,5 @@ def optimize_dl(channel, c, p_bs, weights, mode, init=None):
         trace.warnings.append(
             f"returned design violates {report.worst_constraint} "
             f"by {-report.margin:.3e}")
-    return DownlinkResult(design=design, rates=rates,
-                          objective=float(weights @ rates), trace=trace)
+    return SolveResult(design=design, rates=rates,
+                       objective=float(weights @ rates), trace=trace)

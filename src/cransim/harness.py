@@ -13,9 +13,10 @@ derives its rng streams from the master seed and its own index, so results
 are byte-identical no matter how many workers are used.  A drop's geometry
 (layout, and the cluster for the run's direction), its slots' channel
 realizations and, in the uplink, their `uplink.VertexTable`s depend on
-neither alpha nor the mode, so an alpha sweep builds each drop and realizes
-each of its slots once, and every alpha and mode reuses them; a run opens
-at most one process pool, in which one worker takes all alphas of a drop.
+neither alpha nor the mode, and are kept for the next drop whose index and
+config, alpha aside, are equal: an alpha sweep builds each drop and
+realizes each of its slots once for every alpha and mode.  A run opens at
+most one process pool, in which one worker takes all alphas of a drop.
 
 A downlink multiterminal run also solves and schedules point-to-point each
 slot, as its start, so its files equal the multiterminal half of a run with
@@ -254,30 +255,24 @@ class DropOutcome:
     mm_iterations: dict      # mode -> MM iterations over the drop's slots
 
 
-# (key, Cluster, {slot: (ChannelRealization, VertexTable or None)}) of the
-# last drop built in this process; a run empties it when it starts and ends
+# [(drop, config with alpha None), Cluster, {slot: (ChannelRealization,
+# VertexTable or None)}] of this process's last drop; a run starts and ends
+# with it empty
 _last_drop = []
 
 
-def _drop_channels(config, drop):
-    """The drop's Cluster and its realized slots, built once for consecutive
-    calls that share everything the geometry and the slots' vertex tables
-    read (every alpha of a sweep does).  A slot is realized on first use,
-    and depends only on the cluster and its own rng stream."""
-    key = (config.seed, drop, config.direction, config.k_ms, config.n_pico,
-           config.reuse, config.propagation, config.c_macro, config.c_pico)
-    if not _last_drop or _last_drop[0][0] != key:
+def _simulate_drop(config, drop):
+    """Run all slots of one drop; deterministic given (config.seed, drop).
+    Consecutive calls for one drop whose configs differ at most in alpha
+    share its Cluster and its slots, each realized on first use."""
+    key = drop, replace(config, alpha=None)
+    if not _last_drop or _last_drop[0] != key:
         topo = cellgeom.build_layout(_drop_seed(config.seed, drop),
                                      config.k_ms, config.n_pico,
                                      config.propagation, reuse=config.reuse)
-        _last_drop[:] = [(key, channel_mod.build_cluster(
-            topo, config.propagation, direction=config.direction), {})]
-    return _last_drop[0][1:]
-
-
-def _simulate_drop(config, drop):
-    """Run all slots of one drop; deterministic given (config.seed, drop)."""
-    cluster, channels = _drop_channels(config, drop)
+        _last_drop[:] = [key, channel_mod.build_cluster(
+            topo, config.propagation, direction=config.direction), {}]
+    _, cluster, channels = _last_drop
     c_vec = cluster.backhaul_capacities(config.c_macro, config.c_pico)
     modes = config.modes
     # a downlink multiterminal design refines the slot's point-to-point one,

@@ -1,15 +1,20 @@
-"""Generic majorization-minimization engine for difference-of-convex designs.
+"""What both solvers share: mode names, covariance kernels, the result type
+and the majorization-minimization (MM) engine of the downlink design.
+
+`check_mode` admits only `MODE_P2P` and `MODE_MT`, and every solve returns
+a `SolveResult`.  `hermitize` symmetrizes a Hermitian PSD covariance and
+`cholesky` factors it, rejecting non-finite or indefinite input; `LN2`
+converts natural logs to bits.
 
 The non-convex log-det (and scalar log) terms of the rate and backhaul
 expressions are concave in their matrix (scalar) argument, so their
 first-order expansion is a global upper bound that touches at the expansion
 point.  Swapping those terms for their tangents yields an inner problem
 whose solution can only improve the true objective, which gives the usual
-monotone-ascent guarantee of MM/DC schemes.  :func:`mm_solve` drives the MM
-loop of the joint precoding problem in ``downlink``, which builds its own
-tangents; the uplink power solve scores the vertices of its power box and
-needs no MM loop, but reports in an :class:`MMTrace` too.  This module only
-drives the outer loop.
+monotone-ascent guarantee of MM/DC schemes.  :func:`mm_solve` drives the
+outer MM loop of the joint precoding problem in ``downlink``, which builds
+its own tangents; the uplink power solve scores the vertices of its power
+box and needs no MM loop, but reports in an :class:`MMTrace` too.
 
 A problem object plugged into :func:`mm_solve` provides:
 
@@ -29,12 +34,45 @@ import numpy as np
 
 from .errors import DomainError, NumericalDomainError
 
+MODE_P2P = "point_to_point"
+MODE_MT = "multiterminal"
+LN2 = np.log(2.0)
 # mm_solve converges at a relative objective change below MM_TOL and stops
 # unconverged after MM_MAX_ITER steps
 MM_TOL = 1e-4
 MM_MAX_ITER = 60
 # largest true-constraint violation that still counts as feasible
 FEASIBILITY_TOL = 1e-7
+
+
+def check_mode(mode):
+    """Raise DomainError unless mode names a compression mode."""
+    if mode not in (MODE_P2P, MODE_MT):
+        raise DomainError(f"unknown mode {mode!r}")
+
+
+def hermitize(m):
+    """Symmetrize to (M + M^H)/2."""
+    m = np.asarray(m, dtype=complex)
+    return 0.5 * (m + m.conj().T)
+
+
+def cholesky(m):
+    """Lower Cholesky factor of a positive definite Hermitian matrix.
+
+    A non-finite entry raises: LAPACK passes NaN through into the factor
+    instead of failing.  A finite positive definite matrix has a finite
+    factor, since |L_ij| <= sqrt(m_ii).
+    """
+    if not np.isfinite(m).all():
+        raise NumericalDomainError("matrix has non-finite entries")
+    m = hermitize(m)
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        w = np.linalg.eigvalsh(m)
+        raise NumericalDomainError(
+            f"matrix is not positive definite (min eigenvalue {w.min():.6e})")
 
 
 @dataclass
@@ -45,6 +83,16 @@ class MMTrace:
     converged: bool = False
     iterations: int = 0
     warnings: list = field(default_factory=list)
+
+
+@dataclass
+class SolveResult:
+    """A solver's design, the rates it achieves, their weighted sum and the
+    solve's MMTrace."""
+    design: object
+    rates: np.ndarray
+    objective: float
+    trace: MMTrace
 
 
 def solver_inputs(weights, caps, power_limits):

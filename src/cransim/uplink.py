@@ -34,11 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalDomainError
-from .gaussinfo import LN2, cholesky
-from .mmopt import FEASIBILITY_TOL, MMTrace, solver_inputs
+from .mmopt import (FEASIBILITY_TOL, LN2, MODE_MT, MODE_P2P, MMTrace,
+                    SolveResult, check_mode, cholesky, solver_inputs)
 
-MODE_P2P = "point_to_point"
-MODE_MT = "multiterminal"
 # most MSs an uplink solve takes: the power solve scores all 2^K - 1
 # nonzero vertices of the power box, which took 7.6 ms at K = 10 and 43 ms
 # at K = 12, with 23 BSs (2-core host, one BLAS thread)
@@ -63,22 +61,13 @@ class UplinkDesign:
         self.p = np.asarray(self.p, dtype=float)
         self.omega = np.asarray(self.omega, dtype=float)
         self.c = np.asarray(self.c, dtype=float)
-        if self.mode not in (MODE_P2P, MODE_MT):
-            raise DomainError(f"unknown mode {self.mode!r}")
+        check_mode(self.mode)
         if sorted(self.order) != sorted(set(self.order)):
             raise DomainError("decompression order must not repeat BSs")
 
     @property
     def active(self):
         return np.flatnonzero(self.c > 0)
-
-
-@dataclass
-class UplinkResult:
-    design: UplinkDesign
-    rates: np.ndarray
-    objective: float
-    trace: object
 
 
 def bs_signal_variance(p, channel, i):
@@ -174,8 +163,7 @@ def omega_closed_form(p, order, c, channel, mode):
     recovered with their already-fixed noise powers; point-to-point mode
     uses the marginal variances.  BSs outside `order` get np.inf.
     """
-    if mode not in (MODE_P2P, MODE_MT):
-        raise DomainError(f"unknown mode {mode!r}")
+    check_mode(mode)
     c = np.asarray(c, dtype=float)
     order = np.asarray(order, dtype=int)
     unserved = order[c[order] <= 0]
@@ -346,8 +334,9 @@ def optimize_ul(channel, c, weights, mode, p_max, n_macro=3, table=None):
     is the slot's `VertexTable`, which calls with other weights or mode
     may share; without one, the call builds its own.  A table built for
     another channel object, or for other c, p_max or n_macro values, raises
-    DomainError, as does any input `VertexTable` refuses.
+    DomainError, as does an unknown mode or any input `VertexTable` refuses.
     """
+    check_mode(mode)
     weights, c, p_max = solver_inputs(weights, c, p_max)
     if table is None:
         table = VertexTable(channel, c, p_max, n_macro)
@@ -359,5 +348,5 @@ def optimize_ul(channel, c, weights, mode, p_max, n_macro=3, table=None):
     # KKT test see their scale
     best, trace = _power_solve(table, weights / (np.max(weights) or 1.0))
     design, rates = table.design(best, mode)
-    return UplinkResult(design=design, rates=rates,
-                        objective=float(weights @ rates), trace=trace)
+    return SolveResult(design=design, rates=rates,
+                       objective=float(weights @ rates), trace=trace)

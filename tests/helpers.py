@@ -16,7 +16,7 @@ import numpy as np
 from cransim import cellgeom, downlink, harness
 from cransim.channel import ChannelRealization
 from cransim.errors import ConfigurationError, DomainError
-from cransim.gaussinfo import cholesky
+from cransim.mmopt import cholesky
 
 
 def cn_samples(rng, shape, var=1.0):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cransim import downlink, harness, mmopt, uplink
-from cransim.gaussinfo import LN2
+from cransim.mmopt import LN2
 from helpers import (DOMINANCE_PRESETS, backhaul_mv_dl, backhaul_p2p_dl,
                      cn_samples, colored_noise, dominance_sweep,
                      enumerate_subsets, mi_from_samples, rand_channel,

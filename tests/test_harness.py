@@ -466,8 +466,11 @@ def test_drop_reuse_is_per_direction(monkeypatch):
     harness.run_experiment(up)
     harness.run_experiment(down)
     assert len(clusters) == 2
+    built = []
     try:
-        built = [harness._drop_channels(cfg, 0)[0] for cfg in (up, down)]
+        for cfg in (up, down):
+            harness._simulate_drop(cfg, 0)
+            built.append(harness._last_drop[1])
     finally:
         harness._last_drop.clear()
     assert [c.direction for c in built] == ["uplink", "downlink"]
@@ -490,6 +493,48 @@ def test_drop_reuse_is_per_backhaul_capacity():
         for mode in cfg.modes:
             assert np.array_equal(drop.rates[mode],
                                   report.metrics[mode].rates[0])
+
+
+# one small uplink drop, and a value other than its own for every config
+# field but alpha
+DROP_BASE = harness.ExperimentConfig(mode="point_to_point", k_ms=1, n_pico=0,
+                                     slots=1, drops=1, alpha=1.0)
+OTHER_VALUES = dict(
+    direction="downlink", mode="multiterminal", k_ms=2, n_pico=1,
+    c_macro=4.0, c_pico=2.0, beta=0.25, slots=2, drops=2, seed=2,
+    reuse="F1", jobs=2, rate_mapping=harness.RateMapping(kind="attenuated"),
+    propagation=cellgeom.PropagationParams(inter_site_distance_m=400.0))
+
+
+def clusters_built(monkeypatch, calls):
+    """How many clusters consecutive `_simulate_drop(config, drop)` calls
+    build, from an empty drop cache."""
+    clusters = counting(monkeypatch, channel, "build_cluster")
+    try:
+        for cfg, drop in calls:
+            harness._simulate_drop(cfg, drop)
+    finally:
+        harness._last_drop.clear()
+    return len(clusters)
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_VALUES))
+def test_drop_reuse_is_per_config_field(monkeypatch, name):
+    """Configs of one drop that differ in any field but alpha get a
+    cluster each from the drop cache."""
+    other = dataclasses.replace(DROP_BASE, **{name: OTHER_VALUES[name]})
+    assert getattr(other, name) != getattr(DROP_BASE, name)
+    assert clusters_built(monkeypatch, [(DROP_BASE, 0), (other, 0)]) == 2
+
+
+def test_drop_reuse_spans_alphas_of_one_drop(monkeypatch):
+    """Configs that differ only in alpha share the drop's cluster, and
+    another drop gets its own; OTHER_VALUES covers every other field."""
+    assert set(OTHER_VALUES) == {f.name for f in dataclasses.fields(
+        harness.ExperimentConfig)} - {"alpha"}
+    alpha3 = dataclasses.replace(DROP_BASE, alpha=3.0)
+    assert clusters_built(monkeypatch, [(DROP_BASE, 0), (alpha3, 0)]) == 1
+    assert clusters_built(monkeypatch, [(DROP_BASE, 0), (alpha3, 1)]) == 2
 
 
 @pytest.mark.parametrize("direction", ["uplink", "downlink"])
@@ -674,6 +719,46 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert code == 0
     text = (out / "records.csv").read_text()
     assert len(text.splitlines()) == 2  # header + one drop/slot/ms record
+
+
+def test_build_config_takes_every_config_flag(monkeypatch, capsys):
+    """Every option of every subcommand that names an ExperimentConfig
+    field reaches the config when set to a value other than its default,
+    --alpha as a number or a list."""
+    subs, add_common = {}, cransim.cli._add_common
+
+    def recording(sub):
+        subs[sub.prog.split()[-1]] = sub
+        add_common(sub)
+
+    monkeypatch.setattr(cransim.cli, "_add_common", recording)
+    with pytest.raises(SystemExit):
+        cli_main([])            # builds the parser, then refuses no command
+    capsys.readouterr()
+    assert sorted(subs) == ["downlink", "sweep", "uplink"]
+    default = harness.ExperimentConfig()
+    names = {f.name for f in dataclasses.fields(default)}
+    for command, sub in subs.items():
+        options = [a for a in sub._actions if a.dest in names]
+        assert {a.dest for a in options} >= {"seed", "mode", "alpha"}
+        for alpha, want_alpha in (("2.5", 2.5), ("0.5,1.5", [0.5, 1.5])):
+            argv, want = [], {"alpha": want_alpha}
+            for action in options:
+                now = getattr(default, action.dest)
+                if action.dest == "alpha":
+                    value = alpha
+                elif action.choices:
+                    value = next(c for c in action.choices if c != now)
+                elif action.type is int:
+                    value = now + 1
+                else:
+                    value = now / 2 + 0.125
+                want.setdefault(action.dest, value)
+                argv += [action.option_strings[0], str(value)]
+            cfg = build_config(sub.parse_args(argv))
+            for key, value in want.items():
+                assert value != getattr(default, key), (command, key)
+                assert getattr(cfg, key) == value, (command, key)
 
 
 @pytest.fixture

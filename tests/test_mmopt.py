@@ -3,8 +3,9 @@ import pytest
 
 from cransim import downlink, mmopt, uplink
 from cransim.errors import DomainError, NumericalDomainError
-from cransim.gaussinfo import LN2
-from helpers import rand_channel, ul_psi_oracle
+from cransim.mmopt import LN2
+from helpers import (logdet2, logdet2_oracle, rand_channel, rand_psd,
+                     ul_psi_oracle)
 
 
 def _single_ms_tangent(rng, n_bs, n_ms):
@@ -165,3 +166,71 @@ def test_solvers_reject_non_finite_or_out_of_range_inputs(solve):
             args = {**good, name: np.array([1.0, value])}
             with pytest.raises(DomainError):
                 solve(ch, **args)
+
+
+def test_solvers_refuse_an_unknown_mode_before_any_work(monkeypatch):
+    """A bogus mode raises before the uplink builds its vertex table and
+    before the downlink runs an MM loop."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("reached past the mode check")
+
+    monkeypatch.setattr(uplink, "VertexTable", spy)
+    monkeypatch.setattr(downlink, "mm_solve", spy)
+    ch = rand_channel(np.random.default_rng(62), 2, 2)
+    ones = np.ones(2)
+    for mode in ("bogus", None, "both"):
+        with pytest.raises(DomainError, match="unknown mode"):
+            uplink.optimize_ul(ch, ones, ones, mode, ones)
+        with pytest.raises(DomainError, match="unknown mode"):
+            downlink.optimize_dl(ch, ones, ones, ones, mode)
+    for design in (lambda: uplink.UplinkDesign(ones, ones, (0, 1), ones,
+                                               "bogus"),
+                   lambda: downlink.DownlinkDesign(np.eye(2), np.eye(2), ones,
+                                                   ones, "bogus"),
+                   lambda: uplink.omega_closed_form(ones, [0, 1], ones, ch,
+                                                    "bogus")):
+        with pytest.raises(DomainError, match="unknown mode"):
+            design()
+    assert calls == []
+
+
+def test_logdet2_reference_values():
+    assert logdet2(np.eye(3)) == pytest.approx(0.0, abs=1e-12)
+    assert logdet2(np.diag([2.0, 2.0])) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_logdet2_matches_eigenvalue_oracle():
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        m = rand_psd(rng, 4)
+        assert logdet2(m) == pytest.approx(logdet2_oracle(m), abs=1e-9)
+
+
+def test_cholesky_rejects_indefinite_naming_eigenvalue():
+    m = np.diag([1.0, -0.5])
+    with pytest.raises(NumericalDomainError, match="eigenvalue"):
+        mmopt.cholesky(m)
+    with pytest.raises(NumericalDomainError):
+        mmopt.cholesky(np.zeros((2, 2)))
+
+
+def test_logdet2_monotone_under_psd_order():
+    rng = np.random.default_rng(5)
+    for _ in range(25):
+        m1 = rand_psd(rng, 4)
+        m2 = m1 + rand_psd(rng, 4, scale=0.5)
+        assert logdet2(m1) <= logdet2(m2) + 1e-12
+
+
+def test_cholesky_rejects_non_finite_input():
+    # LAPACK factors [[1, nan], [nan, 1]] into [[1, 0], [nan, nan]] without
+    # an error; the kernel raises instead
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.array([[1.0, bad], [bad, 1.0]])
+        with pytest.raises(NumericalDomainError, match="non-finite"):
+            mmopt.cholesky(m)
+        with pytest.raises(NumericalDomainError):
+            mmopt.cholesky(np.diag([1.0, bad]))

@@ -4,8 +4,7 @@ import pytest
 from cransim import uplink
 from cransim.channel import ChannelRealization
 from cransim.errors import DomainError, NumericalDomainError
-from cransim.gaussinfo import LN2
-from cransim.mmopt import FEASIBILITY_TOL
+from cransim.mmopt import FEASIBILITY_TOL, LN2
 from helpers import (cn_samples, mi_from_samples, rand_channel,
                      ul_objective_oracle, ul_omega_prefix_oracle,
                      ul_rates_oracle, ul_slopes_oracle)
