@@ -97,14 +97,21 @@ class ExperimentConfig:
             prop = self.propagation
             for name, nf in (("c_macro", prop.nf_macro_db),
                              ("c_pico", prop.nf_pico_db)):
+                value = getattr(self, name)
                 bound = uplink.capacity_max(
                     channel_mod.thermal_noise_w(nf, prop.bandwidth_hz))
-                if not getattr(self, name) <= bound:
+                if not value <= bound:
                     raise ConfigurationError(
                         f"uplink {name} must be <= {bound:.6g} bps/Hz, "
                         f"which the quantization noise power at the BS's "
                         f"thermal floor can meet in floating point; got "
-                        f"{getattr(self, name)!r}")
+                        f"{value!r}")
+                if 0 < value < uplink.CAPACITY_MIN:
+                    raise ConfigurationError(
+                        f"uplink {name} must be 0 or >= "
+                        f"{uplink.CAPACITY_MIN:.6g} bps/Hz, below which "
+                        f"2^c - 1 and the quantization noise power it "
+                        f"divides reach 0 and inf; got {value!r}")
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigurationError("beta must lie in [0, 1]")
         if self.k_ms < 1 or self.n_pico < 0:
@@ -446,7 +453,7 @@ def alpha_sweep(config):
         ce = [p.cell_edge_throughput for p in points[m]]
         if any(b < a - 1e-12 for a, b in zip(ce, ce[1:])):
             notes.append(f"cell-edge throughput not monotone in alpha for "
-                         f"{m}: {ce}")
+                         f"{m}: [{', '.join(FLOAT_FMT % x for x in ce)}]")
     return SweepResult(config=config, alphas=alphas, points=points,
                        reports=reports, notes=notes)
 

@@ -1,6 +1,7 @@
 """Proportional-fair weight computation and long-term rate tracking."""
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -23,12 +24,13 @@ class FairnessState:
 
     def __post_init__(self):
         self.r_bar = np.asarray(self.r_bar, dtype=float)
-        if self.alpha < 0:
-            raise DomainError("alpha must be >= 0")
+        # each check is written so that NaN fails it
+        if not (isinstance(self.alpha, Real) and self.alpha >= 0):
+            raise DomainError("alpha must be a number >= 0")
         if not 0.0 <= self.beta <= 1.0:
             raise DomainError("beta must lie in [0, 1]")
-        if np.any(self.r_bar <= 0):
-            raise DomainError("average rates must be strictly positive")
+        if not np.all(np.isfinite(self.r_bar) & (self.r_bar > 0)):
+            raise DomainError("average rates must be finite and > 0")
 
 
 def initial_state(n_ms, alpha, beta):
@@ -44,8 +46,8 @@ def weights(state):
 def update(state, achieved_rates):
     """Fold one slot of achieved rates into the averages (new state)."""
     achieved = np.asarray(achieved_rates, dtype=float)
-    if np.any(achieved < 0):
-        raise DomainError("achieved rates must be nonnegative")
+    if not np.all(np.isfinite(achieved) & (achieved >= 0)):
+        raise DomainError("achieved rates must be finite and nonnegative")
     r_new = state.beta * state.r_bar + (1.0 - state.beta) * achieved
     r_new = np.maximum(r_new, R_BAR_FLOOR)
     return FairnessState(r_bar=r_new, alpha=state.alpha, beta=state.beta)

@@ -22,10 +22,8 @@ limits, so a `VertexTable` holds that for every weighting and mode.
 Rates treat interference as noise.  With A = H^H D^-1 H, formed once per
 vertex table, G = H^H M^-1 H = (I + A diag(p))^-1 A at powers p is one K x K
 solve, and from G come every rate r_k = -log2(1 - p_k G_kk) and the
-gradient of the weighted sum rate.  After the power solve, one left-looking
-Cholesky of the received covariance M in decompression order gives the
-noise powers, each fixed just before its column, and the factor that
-yields the rates; the order itself comes from the diagonal of M.
+gradient of the weighted sum rate.  The design at the chosen vertex takes
+its noise powers from `omega_closed_form` and its rates from `rates_ul`.
 """
 
 import math
@@ -71,10 +69,10 @@ class UplinkDesign:
 
 
 def bs_signal_variance(p, channel, i):
-    """Received signal power at BS i: h_i^H Sigma_x h_i + sigma_z^2."""
-    h_i = channel.h_ul[i]
-    return float(np.sum(np.asarray(p) * np.abs(h_i) ** 2)
-                 + channel.sigma2_z_ul[i])
+    """Received signal power at BS i, h_i^H Sigma_x h_i + sigma_z^2, or at
+    each BS of an index array i."""
+    return np.sum(np.asarray(p) * np.abs(channel.h_ul[i]) ** 2, axis=-1) \
+        + channel.sigma2_z_ul[i]
 
 
 def _backhaul_bits(signal_var, omega):
@@ -124,54 +122,58 @@ def capacity_max(sigma2):
     return np.log2(sigma2 * FEASIBILITY_TOL * LN2) + 1074.0
 
 
-def _noise_and_factor(p, order, c, channel, mode):
-    """Noise powers at backhaul equality and the factor of M they give.
-
-    One left-looking Cholesky of M = H diag(p) H^H + diag(sigma2 + omega)
-    runs over the BSs in `order` (an index array), in that order.  Just
-    before column j, ||L[j,:j]||^2 is the part of y_j's variance
-    a_jj = M_jj - omega_j that the signals decompressed before it explain,
-    so multiterminal mode sets omega_j = (a_jj - ||L[j,:j]||^2)/(2^c_j - 1);
-    point-to-point mode uses a_jj alone.  Returns (omega, L): omega over all
-    BSs, np.inf outside `order`, and L in decompression order.
-    """
-    h = channel.h_ul[order]
-    s = (h * p) @ h.conj().T
-    a = (s.diagonal().real + channel.sigma2_z_ul[order]).tolist()
-    omega = np.full(channel.n_bs, np.inf)
-    chol = np.zeros(s.shape, dtype=complex)
-    for j, i in enumerate(order.tolist()):
-        row = chol[j, :j]
-        explained = float(np.vdot(row, row).real)
-        var = a[j] - explained if mode == MODE_MT else a[j]
-        omega[i] = var / (2.0 ** c[i] - 1.0)
-        pivot = a[j] + omega[i] - explained
-        if not pivot > 0:
-            raise NumericalDomainError(
-                f"received covariance is not positive definite "
-                f"(pivot {pivot:.6e} at decompression position {j})")
-        chol[j, j] = d = math.sqrt(pivot)
-        chol[j + 1:, j] = (s[j + 1:, j] - chol[j + 1:, :j] @ row.conj()) / d
-    return omega, chol
+# smallest positive backhaul capacity (bps/Hz): below about 2^-53 / ln 2 =
+# 1.6e-16, 2^c - 1 rounds to 0 and the quantization noise power to inf; at
+# 2^-50 it is 3 spacings of the floats at 1, which no rounding of 2^c zeroes
+CAPACITY_MIN = 2.0 ** -50
 
 
 def omega_closed_form(p, order, c, channel, mode):
     """Quantization noise powers with every backhaul constraint at equality.
 
-    In multiterminal mode the noise powers are fixed sequentially along the
-    decompression order, each step conditioning on the signals already
-    recovered with their already-fixed noise powers; point-to-point mode
-    uses the marginal variances.  BSs outside `order` get np.inf.
+    omega_j = var_j / (2^c_j - 1), for the received covariance
+    M = H diag(p) H^H + diag(sigma2 + omega) in `order`: point-to-point
+    mode describes the marginal variance a_jj = M_jj - omega_j,
+    multiterminal mode what the BSs before j leave of it,
+    a_jj - ||L[j,:j]||^2, with L the left-looking Cholesky factor of M, so
+    omega_j is fixed just before its column.  Both modes divide by one
+    array of 2^c - 1: where nothing is explained, as at position 0, they
+    agree bit for bit.  A pivot var_j + omega_j that is not > 0, NaN
+    included, raises NumericalDomainError.  BSs outside `order` get np.inf.
     """
     check_mode(mode)
-    c = np.asarray(c, dtype=float)
     order = np.asarray(order, dtype=int)
-    unserved = order[c[order] <= 0]
+    c = np.asarray(c, dtype=float)[order]
+    unserved = order[c <= 0]
     if unserved.size:
         raise DomainError(f"BS {unserved[0]} has no backhaul capacity; "
                           f"drop it from the order")
-    return _noise_and_factor(np.asarray(p, dtype=float), order, c, channel,
-                             mode)[0]
+    gain = 2.0 ** c - 1.0
+    h = channel.h_ul[order]
+    s = (h * p) @ h.conj().T
+    var = s.diagonal().real + channel.sigma2_z_ul[order]
+    if mode == MODE_MT:
+        chol = np.zeros(s.shape, dtype=complex)
+        var = var.tolist()
+        for j, gain_j in enumerate(gain.tolist()):
+            row = chol[j, :j]
+            var[j] -= float(np.vdot(row, row).real)
+            pivot = var[j] + var[j] / gain_j
+            if not pivot > 0:
+                break   # for the check below to report
+            chol[j, j] = d = math.sqrt(pivot)
+            chol[j + 1:, j] = (s[j + 1:, j]
+                               - chol[j + 1:, :j] @ row.conj()) / d
+        var = np.array(var)
+    omega = np.full(channel.n_bs, np.inf)
+    omega[order] = var / gain
+    pivot = var + omega[order]
+    if not (pivot > 0).all():
+        j = np.flatnonzero(~(pivot > 0))[0]
+        raise NumericalDomainError(
+            f"received covariance is not positive definite "
+            f"(pivot {pivot[j]:.6e} at decompression position {j})")
+    return omega
 
 
 def _rates(p, g_diag):
@@ -203,12 +205,10 @@ def rates_ul(design, channel):
     quantization noise at the active BSs added to their noise powers.
     """
     active = design.active
-    if active.size == 0:
-        return np.zeros(channel.n_ms)
     omega = design.omega[active]
-    if np.any(~np.isfinite(omega)) or np.any(omega < 0):
+    if not (np.isfinite(omega) & (omega >= 0)).all():
         raise DomainError("active BSs need finite nonnegative noise powers")
-    if np.any(design.p < 0):
+    if (design.p < 0).any():
         raise DomainError("transmit powers must be nonnegative")
     g = _g_matrix(channel.h_ul[active], channel.sigma2_z_ul[active] + omega,
                   design.p)
@@ -219,19 +219,16 @@ def _design_and_rates(p, channel, c, mode, n_macro):
     """The closed-form step of the design at powers p: (UplinkDesign, rates).
 
     The active BSs are decompressed macro antennas first, then picos, each
-    group by descending received signal power a_ii (stable), which is the
-    diagonal of M without quantization noise.  One factor of M in that
-    order gives the noise powers and all K rates.
+    group by descending received signal power a_ii (stable).  The noise
+    powers in that order come from `omega_closed_form`, and all K rates
+    from `rates_ul`.
     """
     active = np.flatnonzero(c > 0)
-    power = np.sum(p * np.abs(channel.h_ul[active]) ** 2, axis=1) \
-        + channel.sigma2_z_ul[active]
+    power = bs_signal_variance(p, channel, active)
     order = active[np.lexsort((-power, active >= n_macro))]
-    omega, chol = _noise_and_factor(p, order, c, channel, mode)
-    design = UplinkDesign(p=p, omega=omega, order=tuple(order.tolist()), c=c,
-                          mode=mode)
-    x = np.linalg.solve(chol, channel.h_ul[order])
-    return design, _rates(p, np.sum(np.abs(x) ** 2, axis=0))
+    design = UplinkDesign(p, omega_closed_form(p, order, c, channel, mode),
+                          tuple(order.tolist()), c, mode)
+    return design, rates_ul(design, channel)
 
 
 def _tangent_slopes(g, p):
@@ -254,8 +251,8 @@ class VertexTable:
     with G and the ideal-backhaul rates at each.  A vertex's slope matrix
     and a (vertex, mode)'s design and rates are computed on first use and
     kept.  Results share the kept rates and designs, so their arrays are
-    read-only.  More than K_MS_MAX MSs, or a capacity above `capacity_max`
-    of its BS, raises DomainError.
+    read-only.  More than K_MS_MAX MSs, or a positive capacity below
+    CAPACITY_MIN or above `capacity_max` of its BS, raises DomainError.
     """
 
     def __init__(self, channel, c, p_max, n_macro):
@@ -265,13 +262,14 @@ class VertexTable:
                 f"2^K power-box vertices the uplink power solve scores")
         _, c, p_max = solver_inputs((), c, p_max)
         active = np.flatnonzero(c > 0)
-        over = active[c[active] > capacity_max(channel.sigma2_z_ul[active])]
-        if over.size:
-            i = over[0]
-            raise DomainError(
-                f"backhaul capacity {c[i]:.6g} bps/Hz at BS {i} is above "
-                f"{capacity_max(channel.sigma2_z_ul[i]):.6g}, which its "
-                f"quantization noise power cannot meet in floating point")
+        for i, high in zip(active, capacity_max(channel.sigma2_z_ul[active])):
+            if not CAPACITY_MIN <= c[i] <= high:
+                side, bound = ("above", high) if c[i] > high \
+                    else ("below", CAPACITY_MIN)
+                raise DomainError(
+                    f"backhaul capacity {c[i]:.6g} bps/Hz at BS {i} is {side} "
+                    f"{bound:.6g}, past which its quantization noise power "
+                    f"cannot meet it in floating point")
         k = channel.n_ms
         self.channel, self.c, self.n_macro = channel, c.copy(), n_macro
         self.p_max = np.broadcast_to(p_max, (k,)).copy()

@@ -241,6 +241,30 @@ def test_config_rejects_uplink_capacity_above_the_bound(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_rejects_vanishing_uplink_capacity(tmp_path, capsys):
+    """A positive uplink capacity below uplink.CAPACITY_MIN, whose 2^c - 1
+    rounds toward 0, is refused before any drop; 0 switches the backhaul
+    off, and the downlink has no such bound."""
+    low = uplink.CAPACITY_MIN
+    for name in ("c_macro", "c_pico"):
+        for ok in (0.0, low):
+            assert harness.ExperimentConfig.from_dict({name: ok})
+        with pytest.raises(ConfigurationError, match=f"uplink {name} must"):
+            harness.ExperimentConfig.from_dict(
+                {name: float(np.nextafter(low, 0.0))})
+        assert harness.ExperimentConfig.from_dict(
+            {name: 1e-16, "direction": "downlink"})
+    out = tmp_path / "never"
+    capsys.readouterr()
+    assert cli_main(["uplink", "--preset", "ul-sweep", "--alpha", "1",
+                     "--slots", "2", "--drops", "2", "--c-pico", "1e-16",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: uplink c_pico must be 0 or >=") \
+        and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_config_rejects_uplink_k_ms_above_the_vertex_cap(tmp_path, capsys):
     """The uplink power solve scores 2^K power-box vertices, so an uplink
     config takes at most uplink.K_MS_MAX MSs; the downlink has no cap."""
@@ -387,6 +411,24 @@ def test_alpha_sweep_points_and_soft_checks():
     samples = sweep.reports[0].metrics["multiterminal"].sum_rate_samples
     assert np.all(np.diff(samples) >= 0)
     assert np.all(samples >= 0)
+
+
+def test_alpha_sweep_notes_print_nine_digits():
+    """The soft check's note prints each cell-edge throughput as FLOAT_FMT,
+    as every other number of a result file is printed.  At this seed the
+    cell edge falls from alpha 1 to 3 in both modes."""
+    cfg = harness.ExperimentConfig(direction="uplink", mode="both", k_ms=3,
+                                   n_pico=1, alpha=[0.0, 1.0, 3.0], slots=3,
+                                   drops=2, seed=2)
+    sweep = harness.alpha_sweep(cfg)
+    assert len(sweep.notes) == 2
+    for note, mode in zip(sweep.notes, cfg.modes):
+        head, numbers = note.split(": ")
+        assert head.endswith(f"for {mode}")
+        numbers = numbers.strip("[]").split(", ")
+        assert numbers == [harness.FLOAT_FMT % p.cell_edge_throughput
+                           for p in sweep.points[mode]]
+        assert all(harness.FLOAT_FMT % float(x) == x for x in numbers)
 
 
 SWEEP_BASE = dict(mode="both", k_ms=2, n_pico=1, c_macro=6.0, c_pico=2.0,

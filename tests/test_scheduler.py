@@ -56,6 +56,25 @@ def test_state_validation():
         scheduler.FairnessState(r_bar=np.array([0.0]), alpha=0.0, beta=0.5)
 
 
+def test_nan_and_inf_refused():
+    # each check fails for NaN, which compares False both ways; a NaN rate
+    # would otherwise become a NaN average and NaN weights
+    state = scheduler.initial_state(3, alpha=1.0, beta=0.5)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="achieved rates"):
+            scheduler.update(state, [bad, 1.0, 1.0])
+        with pytest.raises(DomainError, match="average rates"):
+            scheduler.FairnessState(r_bar=np.array([1.0, bad]), alpha=1.0,
+                                    beta=0.5)
+    for alpha in (np.nan, "1"):
+        with pytest.raises(DomainError, match="alpha"):
+            scheduler.FairnessState(r_bar=np.ones(2), alpha=alpha, beta=0.5)
+    with pytest.raises(DomainError, match="beta"):
+        scheduler.FairnessState(r_bar=np.ones(2), alpha=1.0, beta=np.nan)
+    assert np.array_equal(scheduler.update(state, [0.0, 1.0, 2.0]).r_bar,
+                          [5e-4, 0.5005, 1.0005])
+
+
 def test_weights_scale_covariance():
     rng = np.random.default_rng(3)
     r = rng.uniform(0.5, 3.0, 5)

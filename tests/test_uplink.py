@@ -128,6 +128,11 @@ def test_rate_reference_values():
                                                           abs=1e-12)
     ideal = make_design([1.0], [0.0])
     assert uplink.rates_ul(ideal, ch)[0] == pytest.approx(1.0, abs=1e-12)
+    # without backhaul at any BS nothing is received: rate +0.0
+    rates = uplink.rates_ul(make_design([1.0, 2.0], [np.inf, np.inf],
+                                        c=[0.0, 0.0]),
+                            unit_channel([[1.0, 0.5], [0.3, 2.0]], [1.0, 1.0]))
+    assert np.array_equal(rates, [0.0, 0.0]) and not np.any(np.signbit(rates))
 
 
 def test_rate_matches_monte_carlo_mi():
@@ -391,10 +396,11 @@ def _decompression_order_oracle(p, ch, c, n_macro):
     return tuple(order)
 
 
-def test_one_factor_noise_order_and_rates_match_oracles():
-    # one left-looking factor gives the order, every noise power and all K
-    # rates; each against its own oracle, in both modes, with MSs at zero
-    # power and BSs without backhaul
+def test_design_noise_order_and_rates_match_oracles():
+    # the design's order, every noise power and all K rates, each against
+    # its own oracle, in both modes, with MSs at zero power and BSs without
+    # backhaul; the noise powers are omega_closed_form's and the rates
+    # rates_ul's, bit for bit
     rng = np.random.default_rng(39)
     for trial in range(1000):
         n_bs, n_ms = int(rng.integers(1, 8)), int(rng.integers(1, 6))
@@ -417,7 +423,9 @@ def test_one_factor_noise_order_and_rates_match_oracles():
                       <= 1e-12 * want[served])
         assert np.array_equal(
             uplink.omega_closed_form(p, order, c, ch, mode), design.omega)
-        assert _close(rates, uplink.rates_ul(design, ch))
+        assert np.array_equal(rates, uplink.rates_ul(design, ch))
+        assert _close(rates, ul_rates_oracle(
+            ch.h_ul[served], ch.sigma2_z_ul[served] + design.omega[served], p))
 
 
 def test_one_factor_rejects_nan_pivot():
@@ -431,6 +439,54 @@ def test_one_factor_rejects_nan_pivot():
             with pytest.raises(NumericalDomainError):
                 uplink.omega_closed_form(np.array([1.0]), (0, 1),
                                          np.ones(2), ch, mode)
+
+
+def test_modes_agree_bitwise_where_nothing_is_explained():
+    # both modes divide by one array of 2^c - 1, so a BS whose earlier BSs
+    # explain nothing of its signal gets the same noise power in each, bit
+    # for bit: the first BS of every order, and every BS of orthogonal
+    # channels
+    rng = np.random.default_rng(40)
+    for _ in range(200):
+        n_bs, n_ms = int(rng.integers(1, 8)), int(rng.integers(1, 6))
+        ch = rand_channel(rng, n_bs, n_ms)
+        p = rng.uniform(0.0, 2.0, n_ms)
+        c = rng.uniform(0.5, 8.0, n_bs)
+        order = rng.permutation(n_bs)
+        om_mt, om_pp = (uplink.omega_closed_form(p, order, c, ch, mode)
+                        for mode in ("multiterminal", "point_to_point"))
+        assert om_mt[order[0]] == om_pp[order[0]]
+        assert np.all(om_mt <= om_pp)
+    ch = unit_channel(np.diag(rng.uniform(0.5, 2.0, 4)),
+                      rng.uniform(0.5, 2.0, 4))
+    c = rng.uniform(0.5, 8.0, 4)
+    om_mt, om_pp = (uplink.omega_closed_form(np.ones(4), (2, 0, 3, 1), c, ch,
+                                             mode)
+                    for mode in ("multiterminal", "point_to_point"))
+    assert np.array_equal(om_mt, om_pp)
+
+
+@pytest.mark.parametrize("mode", ["point_to_point", "multiterminal"])
+def test_smallest_capacity_meets_backhaul(mode):
+    """At CAPACITY_MIN, 2^c - 1 is a few float spacings above 0: the noise
+    powers are finite and the design meets its backhaul.  Just below it,
+    where 2^c - 1 nears 0 and the noise power inf, the vertex table
+    refuses the BS."""
+    rng = np.random.default_rng(41)
+    ch = rand_channel(rng, 3, 2)
+    c = np.array([2.0, uplink.CAPACITY_MIN, uplink.CAPACITY_MIN])
+    res = uplink.optimize_ul(ch, c, np.ones(2), mode, p_max=1.0, n_macro=1)
+    d = res.design
+    assert np.all(np.isfinite(d.omega)) and np.all(np.isfinite(res.rates))
+    for pos, i in enumerate(d.order):
+        rate = uplink.backhaul_wz(d, ch, pos) if mode == "multiterminal" \
+            else uplink.backhaul_p2p(d, ch, i)
+        assert abs(rate - c[i]) <= FEASIBILITY_TOL
+    for i in (1, 2):
+        below = c.copy()
+        below[i] = np.nextafter(uplink.CAPACITY_MIN, 0.0)
+        with pytest.raises(DomainError, match=f"at BS {i} is below"):
+            uplink.VertexTable(ch, below, 1.0, 1)
 
 
 def _power_instance(rng, n_ms, max_bs):
