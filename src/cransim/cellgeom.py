@@ -28,7 +28,7 @@ with 1-based cell ids matching the ring numbering above.
 """
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -102,7 +102,6 @@ class Topology:
     """One random placement (drop) on the 19-cell grid."""
 
     macro_sites: np.ndarray        # (19, 2) meters
-    sector_boresights: np.ndarray  # (19, 3) degrees
     pico_positions: np.ndarray     # (19, N, 2) meters
     ms_positions: np.ndarray       # (19, K, 2) meters
     inter_site_distance: float
@@ -110,23 +109,26 @@ class Topology:
     interferer_set: tuple          # co-band cell ids interfering with cell 1
     reuse: str                     # "F1" or "F1_3"
     seed: int
-    k_ms: int = field(default=0)
-    n_pico: int = field(default=0)
 
-    def __post_init__(self):
-        self.k_ms = int(self.ms_positions.shape[1])
-        self.n_pico = int(self.pico_positions.shape[1])
+    @property
+    def k_ms(self):
+        return self.ms_positions.shape[1]
+
+    @property
+    def n_pico(self):
+        return self.pico_positions.shape[1]
 
 
 def hexagon_contains(center, radius, points):
     """Membership test for a flat-topped hexagon of given circumradius;
-    ``points`` and ``center`` broadcast over all but the last axis."""
-    d = np.atleast_2d(points) - center
+    ``points`` and ``center`` broadcast over all but the last axis.  The
+    result has the broadcast shape: a bool for one 1-D point and center."""
+    d = np.asarray(points) - center
     x, y = np.abs(d[..., 0]), np.abs(d[..., 1])
     eps = 1e-9 * radius
     inside = (y <= np.sqrt(3.0) / 2.0 * radius + eps) & \
              (np.sqrt(3.0) * x + y <= np.sqrt(3.0) * radius + eps)
-    return inside if inside.size > 1 else bool(inside[0])
+    return bool(inside) if inside.ndim == 0 else inside
 
 
 class _Candidates:
@@ -332,10 +334,8 @@ def build_layout(seed, k_ms, n_pico, params=None, reuse="F1_3"):
     ms_positions, _ = _place(candidates, start, k_ms,
                              lambda p: near_macro(p) | near_pico(p))
 
-    boresights = np.tile(np.array(SECTOR_BORESIGHTS_DEG), (N_CELLS, 1))
     return Topology(
         macro_sites=sites,
-        sector_boresights=boresights,
         pico_positions=pico_positions,
         ms_positions=ms_positions,
         inter_site_distance=d,
@@ -511,7 +511,7 @@ def _link_ends(topology, nodes, params):
     macro = np.array([n[0] == "macro" for n in nodes], dtype=bool)
     antenna = np.array([antenna_dbi.get(n[0], params.gain_ms_dbi)
                         for n in nodes], dtype=float)
-    boresight = np.array([topology.sector_boresights[n[1] - 1, n[2]]
+    boresight = np.array([SECTOR_BORESIGHTS_DEG[n[2]]
                           if n[0] == "macro" else 0.0 for n in nodes],
                          dtype=float)
     return pos, macro, antenna, boresight

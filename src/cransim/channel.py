@@ -32,6 +32,21 @@ def thermal_noise_w(nf_db, bandwidth_hz):
     return float(dbm_to_watts(dbm))
 
 
+def tx_power_w(params):
+    """Full transmit power in watts of each node kind."""
+    return {"macro": float(dbm_to_watts(params.tx_macro_dbm)),
+            "pico": float(dbm_to_watts(params.tx_pico_dbm)),
+            "ms": float(dbm_to_watts(params.tx_ms_dbm))}
+
+
+def noise_floor_w(params):
+    """Thermal noise floor in watts of each node kind's receiver."""
+    return {kind: thermal_noise_w(nf, params.bandwidth_hz)
+            for kind, nf in (("macro", params.nf_macro_db),
+                             ("pico", params.nf_pico_db),
+                             ("ms", params.nf_ms_db))}
+
+
 @dataclass
 class ChannelRealization:
     """One slot of small-scale fading for the cluster.
@@ -103,12 +118,11 @@ class Cluster:
                         + [c_pico] * (self.n_bs - self.n_macro), dtype=float)
 
     def power_limits_dl(self):
-        p = self.params
-        return np.array([dbm_to_watts(p.tx_macro_dbm)] * self.n_macro
-                        + [dbm_to_watts(p.tx_pico_dbm)] * (self.n_bs - self.n_macro))
+        power = tx_power_w(self.params)
+        return np.array([power[node[0]] for node in self.bs_nodes])
 
     def power_limits_ul(self):
-        return np.full(self.n_ms, dbm_to_watts(self.params.tx_ms_dbm))
+        return np.full(self.n_ms, tx_power_w(self.params)["ms"])
 
 
 def _cluster_nodes(topology):
@@ -137,31 +151,22 @@ def build_cluster(topology, params=None, *, direction):
     cells = topology.interferer_set
 
     gain = cellgeom.link_gain_linear(bs_nodes, ms_nodes, topology, params)
-
-    thermal_ul = np.array([
-        thermal_noise_w(params.nf_macro_db if b[0] == "macro"
-                        else params.nf_pico_db, params.bandwidth_hz)
-        for b in bs_nodes])
+    power, floor = tx_power_w(params), noise_floor_w(params)
+    thermal_ul = np.array([floor[b[0]] for b in bs_nodes])
 
     sigma2_dl = ul_interference = None
     if direction == "downlink":
-        p_macro = dbm_to_watts(params.tx_macro_dbm)
-        p_pico = dbm_to_watts(params.tx_pico_dbm)
-        dl_nodes, dl_power = [], []
-        for c in cells:
-            dl_nodes += [("macro", c, s) for s in range(3)]
-            dl_nodes += [("pico", c, j) for j in range(topology.n_pico)]
-            dl_power += [p_macro] * 3 + [p_pico] * topology.n_pico
-        dl_rx = np.array(dl_power)[:, None] * cellgeom.link_gain_linear(
-            dl_nodes, ms_nodes, topology, params)
-        sigma2_dl = np.full(n_ms, thermal_noise_w(params.nf_ms_db,
-                                                  params.bandwidth_hz))
+        dl_nodes = [(kind, c, j) for c in cells
+                    for kind, n in (("macro", 3), ("pico", topology.n_pico))
+                    for j in range(n)]
+        dl_rx = np.array([power[n[0]] for n in dl_nodes])[:, None] \
+            * cellgeom.link_gain_linear(dl_nodes, ms_nodes, topology, params)
+        sigma2_dl = np.full(n_ms, floor["ms"])
         for row in dl_rx:   # one interferer at a time, in a fixed order
             sigma2_dl += row
     else:
-        p_ms = dbm_to_watts(params.tx_ms_dbm)
         ul_nodes = [("ms", c, j) for c in cells for j in range(topology.k_ms)]
-        ul_interference = (p_ms * cellgeom.link_gain_linear(
+        ul_interference = (power["ms"] * cellgeom.link_gain_linear(
             ul_nodes, bs_nodes, topology, params)).reshape(
                 len(cells), topology.k_ms, n_bs)
 

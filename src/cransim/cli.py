@@ -91,8 +91,6 @@ def main(argv=None):
         if args.command == "sweep":
             config = build_config(args)
             out_dir = args.out or default_out_dir()
-            if not isinstance(config.alpha, (list, tuple)):
-                config.alpha = [config.alpha]
             sweep = alpha_sweep(config)
             write_sweep(sweep, out_dir)
             print(f"sweep written to {out_dir}")

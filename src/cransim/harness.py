@@ -57,6 +57,11 @@ class RateMapping:
     def __post_init__(self):
         if self.kind not in ("shannon", "attenuated"):
             raise ConfigurationError(f"unknown rate mapping {self.kind!r}")
+        for name in ("scale", "cap"):
+            value = getattr(self, name)
+            if not value >= 0:     # NaN fails too
+                raise ConfigurationError(
+                    f"rate_mapping.{name} must be >= 0, got {value!r}")
 
     def apply(self, rates):
         rates = np.asarray(rates, dtype=float)
@@ -94,12 +99,10 @@ class ExperimentConfig:
         if self.c_macro < 0 or self.c_pico < 0:
             raise ConfigurationError("backhaul capacities must be >= 0")
         if self.direction == "uplink":
-            prop = self.propagation
-            for name, nf in (("c_macro", prop.nf_macro_db),
-                             ("c_pico", prop.nf_pico_db)):
+            floor = channel_mod.noise_floor_w(self.propagation)
+            for name, kind in (("c_macro", "macro"), ("c_pico", "pico")):
                 value = getattr(self, name)
-                bound = uplink.capacity_max(
-                    channel_mod.thermal_noise_w(nf, prop.bandwidth_hz))
+                bound = uplink.capacity_max(floor[kind])
                 if not value <= bound:
                     raise ConfigurationError(
                         f"uplink {name} must be <= {bound:.6g} bps/Hz, "
@@ -125,17 +128,18 @@ class ExperimentConfig:
             raise ConfigurationError("jobs must be >= 1 and seed >= 0")
         if self.reuse not in cellgeom.REUSE_MODES:
             raise ConfigurationError(f"unknown reuse mode {self.reuse!r}")
-        alphas = self.alpha if isinstance(self.alpha, (list, tuple)) \
+        # the raw values: float() would take a bool and raise on a string
+        raw = self.alpha if isinstance(self.alpha, (list, tuple)) \
             else [self.alpha]
-        if len(alphas) == 0:
+        if len(raw) == 0:
             raise ConfigurationError("alpha sweep list must be nonempty")
         if not all(_is_number(a) and 0 <= a <= scheduler.ALPHA_MAX
-                   for a in alphas):
+                   for a in raw):
             raise ConfigurationError(
                 f"fairness exponents must be numbers in [0, "
                 f"{scheduler.ALPHA_MAX:.4g}], above which the weights "
                 f"overflow; got {self.alpha!r}")
-        labels = [alpha_label(a) for a in alphas]
+        labels = [alpha_label(a) for a in self.alphas]
         if len(set(labels)) < len(labels):
             raise ConfigurationError(
                 f"fairness exponents must differ in their labels "
@@ -146,6 +150,12 @@ class ExperimentConfig:
     @property
     def modes(self):
         return MODE_ORDER if self.mode == "both" else (self.mode,)
+
+    @property
+    def alphas(self):
+        """The run's fairness exponents, `alpha`, as a tuple of floats."""
+        return tuple(map(float, self.alpha)) \
+            if isinstance(self.alpha, (list, tuple)) else (float(self.alpha),)
 
     @classmethod
     def from_dict(cls, data):
@@ -329,7 +339,6 @@ def _simulate_drop(config, drop):
 
 @dataclass
 class ModeMetrics:
-    mode: str
     rates: np.ndarray                 # (drops, slots, k_ms)
     sum_rate_samples: np.ndarray      # sorted over (drop, slot)
     p5_sum_rate: float
@@ -349,7 +358,7 @@ class MetricsReport:
 
     @property
     def modes(self):
-        return tuple(m for m in MODE_ORDER if m in self.metrics)
+        return self.config.modes
 
 
 def _aggregate(config, outcomes):
@@ -359,7 +368,7 @@ def _aggregate(config, outcomes):
         sums = np.sort(rates.sum(axis=2).ravel())
         long_run = rates.mean(axis=1).ravel()
         metrics[m] = ModeMetrics(
-            mode=m, rates=rates, sum_rate_samples=sums,
+            rates=rates, sum_rate_samples=sums,
             p5_sum_rate=percentile(sums, 5), p50_sum_rate=percentile(sums, 50),
             mean_sum_rate=float(np.mean(sums)),
             avg_spectral_efficiency=float(np.mean(long_run)),
@@ -369,7 +378,7 @@ def _aggregate(config, outcomes):
     return metrics
 
 
-def _run(config, alphas):
+def _run(config):
     """One MetricsReport per alpha, all from a single pass over the drops.
 
     The (drop, alpha) grid runs drop-major, in one process pool of
@@ -377,7 +386,7 @@ def _run(config, alphas):
     alphas of a drop as one chunk, so each drop's cluster is built once.
     Every report's `elapsed_s` is the wall time of the whole run.
     """
-    configs = [replace(config, alpha=float(a)) for a in alphas]
+    configs = [replace(config, alpha=a) for a in config.alphas]
     grid = [(c, d) for d in range(config.drops) for c in configs]
     # a forking pool starts all its workers at the first submit
     workers = min(config.jobs, config.drops)
@@ -392,8 +401,7 @@ def _run(config, alphas):
             outcomes = [_simulate_drop(c, d) for c, d in grid]
     finally:
         _last_drop.clear()
-    metrics = [_aggregate(c, sorted(outcomes[i::len(configs)],
-                                    key=lambda o: o.drop))
+    metrics = [_aggregate(c, outcomes[i::len(configs)])
                for i, c in enumerate(configs)]
     elapsed = time.perf_counter() - start
     return [MetricsReport(config=c, metrics=m, elapsed_s=elapsed)
@@ -406,27 +414,22 @@ def run_experiment(config):
     if isinstance(config.alpha, (list, tuple)):
         raise ConfigurationError(
             "run_experiment needs a scalar alpha; use alpha_sweep for lists")
-    return _run(config, [config.alpha])[0]
-
-
-@dataclass
-class SweepPoint:
-    alpha: float
-    avg_spectral_efficiency: float
-    cell_edge_throughput: float
+    return _run(config)[0]
 
 
 @dataclass
 class SweepResult:
     config: ExperimentConfig
-    alphas: tuple
-    points: dict                      # mode -> list of SweepPoint
     reports: list                     # one MetricsReport per alpha
     notes: list
 
+    @property
+    def alphas(self):
+        return tuple(rep.config.alpha for rep in self.reports)
+
 
 def alpha_sweep(config):
-    """One (efficiency, cell-edge) curve point per fairness exponent and mode.
+    """One MetricsReport per fairness exponent: a curve point per mode.
 
     All sweep points share the same seed, so curves are paired across both
     alpha and compression mode.  Each drop is built once per sweep and
@@ -436,26 +439,14 @@ def alpha_sweep(config):
     checked softly and reported in `notes`.
     """
     config.validate()
-    alphas = config.alpha if isinstance(config.alpha, (list, tuple)) \
-        else [config.alpha]
-    alphas = tuple(float(a) for a in alphas)
-    points = {m: [] for m in config.modes}
-    reports = _run(config, alphas)
-    for a, rep in zip(alphas, reports):
-        for m in config.modes:
-            mm = rep.metrics[m]
-            points[m].append(SweepPoint(
-                alpha=a,
-                avg_spectral_efficiency=mm.avg_spectral_efficiency,
-                cell_edge_throughput=mm.cell_edge_throughput))
+    reports = _run(config)
     notes = []
     for m in config.modes:
-        ce = [p.cell_edge_throughput for p in points[m]]
+        ce = [rep.metrics[m].cell_edge_throughput for rep in reports]
         if any(b < a - 1e-12 for a, b in zip(ce, ce[1:])):
             notes.append(f"cell-edge throughput not monotone in alpha for "
                          f"{m}: [{', '.join(FLOAT_FMT % x for x in ce)}]")
-    return SweepResult(config=config, alphas=alphas, points=points,
-                       reports=reports, notes=notes)
+    return SweepResult(config=config, reports=reports, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -517,11 +508,12 @@ def write_cdf_data(report, out_dir):
 
 
 def write_sweep_data(sweep, out_dir):
-    for mode, pts in sweep.points.items():
+    for mode in sweep.config.modes:
         with open(os.path.join(out_dir, f"sweep_{mode}.dat"), "w") as fh:
-            for p in pts:
-                fh.write(f"{FLOAT_FMT % p.avg_spectral_efficiency} "
-                         f"{FLOAT_FMT % p.cell_edge_throughput}\n")
+            for rep in sweep.reports:
+                m = rep.metrics[mode]
+                fh.write(f"{FLOAT_FMT % m.avg_spectral_efficiency} "
+                         f"{FLOAT_FMT % m.cell_edge_throughput}\n")
 
 
 def write_report(report, out_dir):
@@ -540,15 +532,16 @@ def write_sweep(sweep, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     write_sweep_data(sweep, out_dir)
     lines = ["alpha sweep", "==========="]
-    for mode, pts in sweep.points.items():
+    for mode in sweep.config.modes:
         lines.append(f"[{mode}]")
-        for p in pts:
-            lines.append(f"  alpha={alpha_label(p.alpha)} "
-                         f"avg_se={FLOAT_FMT % p.avg_spectral_efficiency} "
-                         f"cell_edge={FLOAT_FMT % p.cell_edge_throughput}")
+        for rep in sweep.reports:
+            m = rep.metrics[mode]
+            lines.append(f"  alpha={alpha_label(rep.config.alpha)} "
+                         f"avg_se={FLOAT_FMT % m.avg_spectral_efficiency} "
+                         f"cell_edge={FLOAT_FMT % m.cell_edge_throughput}")
     lines.extend(sweep.notes)
     with open(os.path.join(out_dir, "sweep_summary.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    for a, rep in zip(sweep.alphas, sweep.reports):
-        sub = os.path.join(out_dir, f"alpha_{alpha_label(a)}")
-        write_report(rep, sub)
+    for rep in sweep.reports:
+        write_report(rep, os.path.join(
+            out_dir, f"alpha_{alpha_label(rep.config.alpha)}"))

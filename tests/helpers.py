@@ -113,7 +113,8 @@ def dominance_sweep(preset, seed):
 
 def max_efficiency(sweep, mode):
     """The highest average spectral efficiency of `mode` over a sweep."""
-    return max(p.avg_spectral_efficiency for p in sweep.points[mode])
+    return max(rep.metrics[mode].avg_spectral_efficiency
+               for rep in sweep.reports)
 
 
 def sweep_dominance(sweep):
@@ -126,12 +127,12 @@ def sweep_dominance(sweep):
     criterion 9 prints: those where p2p's cell edge is above 1e-9.
     """
     points = []
-    for pp, mt in zip(sweep.points["point_to_point"],
-                      sweep.points["multiterminal"]):
+    for rep in sweep.reports:
+        pp, mt = rep.metrics["point_to_point"], rep.metrics["multiterminal"]
         eff_pp, eff_mt = pp.avg_spectral_efficiency, mt.avg_spectral_efficiency
         edge_pp, edge_mt = pp.cell_edge_throughput, mt.cell_edge_throughput
         points.append(dict(
-            alpha=pp.alpha,
+            alpha=rep.config.alpha,
             efficiency_ratio=eff_mt / max(eff_pp, 1e-12),
             cell_edge_ratio=edge_mt / max(edge_pp, 1e-12),
             efficiency_dominated=bool(eff_mt >= eff_pp - 1e-9),
@@ -262,7 +263,7 @@ def link_gain_oracle(tx, rx, topology, params, shadowing=True):
             d = cellgeom.node_position(topology, other) \
                 - cellgeom.node_position(topology, node)
             offset = np.degrees(np.arctan2(d[1], d[0])) \
-                - topology.sector_boresights[node[1] - 1, node[2]]
+                - cellgeom.SECTOR_BORESIGHTS_DEG[node[2]]
             theta = np.mod(np.asarray(offset) + 180.0, 360.0) - 180.0
             gain_db += -float(np.minimum(
                 12.0 * (theta / params.theta_3db_deg) ** 2, params.a_m_db))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -227,10 +229,26 @@ def test_reuse_band_and_interferers():
 
 
 def test_sector_boresights_spacing():
-    topo = cellgeom.build_layout(0, 1, 0)
-    for c in range(19):
-        b = np.sort(topo.sector_boresights[c])
-        assert np.allclose(np.diff(b), 120.0)
+    b = np.sort(cellgeom.SECTOR_BORESIGHTS_DEG)
+    assert np.allclose(np.diff(b), 120.0)
+
+
+def test_topology_counts_follow_positions():
+    topo = cellgeom.build_layout(0, 2, 3)
+    assert (topo.k_ms, topo.n_pico) == (2, 3)
+    # the counts are read from the positions, not stored beside them
+    with pytest.raises(TypeError):
+        dataclasses.replace(topo, k_ms=7)
+
+
+def test_hexagon_contains_keeps_the_points_shape():
+    center = np.zeros(2)
+    assert cellgeom.hexagon_contains(center, 1.0, np.zeros(2)) is True
+    assert cellgeom.hexagon_contains(center, 1.0, [0.0, 5.0]) is False
+    one = cellgeom.hexagon_contains(center, 1.0, np.zeros((1, 2)))
+    assert one.shape == (1,) and one.tolist() == [True]
+    assert cellgeom.hexagon_contains(
+        center, 1.0, np.zeros((3, 1, 2))).shape == (3, 1)
 
 
 def test_min_drop_distances():
@@ -250,7 +268,6 @@ def _toy_topology(ms_xy, pico_xy=(200.0, 0.0)):
     base = cellgeom.build_layout(1, 1, 1)
     topo = cellgeom.Topology(
         macro_sites=base.macro_sites.copy(),
-        sector_boresights=base.sector_boresights.copy(),
         pico_positions=base.pico_positions.copy(),
         ms_positions=base.ms_positions.copy(),
         inter_site_distance=base.inter_site_distance,

@@ -45,6 +45,15 @@ def test_rate_mapping():
     assert np.allclose(lte.apply([0.5, 9.0]), [0.3, 4.4])
     with pytest.raises(ConfigurationError):
         harness.RateMapping(kind="magic").apply([1.0])
+    # a negative scale or cap would map rates below zero; NaN fails too
+    for name in ("scale", "cap"):
+        for bad in (-0.5, float("nan")):
+            with pytest.raises(ConfigurationError,
+                               match=f"rate_mapping.{name} must be >= 0"):
+                harness.RateMapping(kind="attenuated", **{name: bad})
+        with pytest.raises(ConfigurationError, match=f"rate_mapping.{name}"):
+            harness.ExperimentConfig.from_dict(dict(rate_mapping=dict(
+                kind="attenuated", **{name: -0.5})))
 
 
 def test_config_from_dict_and_yaml(tmp_path):
@@ -402,7 +411,7 @@ def test_alpha_sweep_points_and_soft_checks():
     sweep = harness.alpha_sweep(cfg)
     assert sweep.alphas == (0.0, 2.0)
     for mode in ("point_to_point", "multiterminal"):
-        pts = sweep.points[mode]
+        pts = [rep.metrics[mode] for rep in sweep.reports]
         assert len(pts) == 2
         # sum-rate operation maximizes average efficiency by construction
         assert pts[0].avg_spectral_efficiency == pytest.approx(
@@ -426,8 +435,9 @@ def test_alpha_sweep_notes_print_nine_digits():
         head, numbers = note.split(": ")
         assert head.endswith(f"for {mode}")
         numbers = numbers.strip("[]").split(", ")
-        assert numbers == [harness.FLOAT_FMT % p.cell_edge_throughput
-                           for p in sweep.points[mode]]
+        assert numbers == [
+            harness.FLOAT_FMT % rep.metrics[mode].cell_edge_throughput
+            for rep in sweep.reports]
         assert all(harness.FLOAT_FMT % float(x) == x for x in numbers)
 
 
@@ -712,7 +722,52 @@ def test_cli_sweep_and_error_exit(tmp_path, capsys):
         assert cli_main(["uplink", "--config", str(path)] + small) == 2
         assert "propagation.macro_pathloss must be finite" \
             in capsys.readouterr().err, pair
+    for name in ("scale", "cap"):
+        path.write_text(yaml.safe_dump(
+            dict(rate_mapping=dict(kind="attenuated", **{name: -0.5}))))
+        assert cli_main(["uplink", "--config", str(path)] + small) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: rate_mapping.{name} must be >= 0") \
+            and err.count("\n") == 1, err
     assert not (tmp_path / "never").exists()
+
+
+def _section(text, mode):
+    """What a result file prints under its `[mode]` header."""
+    return text.split(f"[{mode}]\n")[1].split("[")[0]
+
+
+@pytest.mark.parametrize("mode", ["both", "multiterminal"])
+def test_sweep_files_print_each_alpha_summary(tmp_path, mode):
+    """sweep_<mode>.dat and sweep_summary.txt print, in alpha order, the
+    efficiency and cell edge each alpha's summary.txt prints, for the
+    run's modes alone."""
+    out = tmp_path / "sweep"
+    alphas = ("0", "1", "3")
+    assert cli_main(["sweep", "--direction", "uplink", "--k-ms", "2",
+                     "--n-pico", "1", "--drops", "2", "--slots", "2",
+                     "--seed", "4", "--alpha", ",".join(alphas), "--mode",
+                     mode, "--out", str(out)]) == 0
+    modes = harness.ExperimentConfig(mode=mode).modes
+    assert sorted(p.name for p in out.glob("sweep_*.dat")) == sorted(
+        f"sweep_{m}.dat" for m in modes)
+    assert sorted(p.name for p in out.glob("alpha_*")) == sorted(
+        f"alpha_{a}" for a in alphas)
+    summary = (out / "sweep_summary.txt").read_text()
+    assert re.findall(r"^\[(\w+)\]$", summary, re.M) == list(modes)
+    for m in modes:
+        per_alpha = []
+        for a in alphas:
+            text = (out / f"alpha_{a}" / "summary.txt").read_text()
+            assert re.findall(r"^\[(\w+)\]$", text, re.M) == list(modes)
+            per_alpha += re.findall(r"efficiency=(\S+) cell-edge=(\S+)",
+                                    _section(text, m))
+        assert len(per_alpha) == len(alphas)
+        rows = (out / f"sweep_{m}.dat").read_text().splitlines()
+        assert [tuple(row.split()) for row in rows] == per_alpha
+        assert re.findall(r"alpha=(\S+) avg_se=(\S+) cell_edge=(\S+)",
+                          _section(summary, m)) \
+            == [(a, *point) for a, point in zip(alphas, per_alpha)]
 
 
 def test_sweep_rejects_alphas_that_share_a_label():
