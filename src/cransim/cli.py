@@ -25,8 +25,8 @@ def _add_common(sub):
     sub.add_argument("--n-pico", type=int, dest="n_pico")
     sub.add_argument("--c-macro", type=float, dest="c_macro")
     sub.add_argument("--c-pico", type=float, dest="c_pico")
-    sub.add_argument("--alpha", help="fairness exponent, or comma-separated "
-                     "list for sweeps")
+    sub.add_argument("--alpha", help="fairness exponent; sweep takes a "
+                     "comma-separated list")
     sub.add_argument("--beta", type=float)
 
 
@@ -98,6 +98,10 @@ def main(argv=None):
                 print(f"note: {note}")
         else:
             config = build_config(args, direction=args.command)
+            if len(config.alphas) > 1:
+                raise ConfigurationError(
+                    f"{args.command} takes one alpha, got {len(config.alphas)}"
+                    f"; run `cransim sweep` for a list")
             out_dir = args.out or default_out_dir()
             report = run_experiment(config)
             write_report(report, out_dir)

@@ -30,11 +30,11 @@ from the same factors with one batched inverse.
 
 Each candidate of the inner ascent is one slotted record (`_Iterate`): A
 with its row powers and received signals, the noise parameters with Omega,
-its diagonal, 1x1 and subset log-dets, chain factors and quantization
-noise, and, once evaluated under a tangent, the slacks, the rate parts and
-the surrogate.  A trial step shares by reference every field of the block
-it does not move, and each term is formed on first use, so each Omega is
-factored at most once; its 1x1 log-dets screen a candidate first.
+its diagonal, subset log-dets, chain factors and quantization noise, and,
+once evaluated under a tangent, the slacks, the rate parts and the
+surrogate.  A trial step shares by reference every field of the block it
+does not move, and each term is formed on first use, so each Omega is
+factored at most once.
 """
 
 from dataclasses import dataclass
@@ -330,12 +330,13 @@ def _quant_noise(problem, l, omega):
 class _Iterate:
     """An inner-ascent iterate and its terms (see the module docstring):
     A, and L with Omega = L L^H (multiterminal) or u with Omega =
-    diag(exp(u)) (point-to-point)."""
+    diag(exp(u)) (point-to-point).  Past the power limits, `evaluate`
+    tests every backhaul condition from the subset log-dets at once: a
+    singleton's is 2 log2 of its 1x1 Cholesky pivot sqrt(Omega_ii)."""
 
     __slots__ = ("problem", "a", "a_power", "signal", "l", "u", "omega",
-                 "diag", "single", "logdets", "factors", "qn", "power",
-                 "total", "interf", "power_slack", "bh_slack", "surr",
-                 "log_slack")
+                 "diag", "logdets", "factors", "qn", "power", "total",
+                 "interf", "power_slack", "bh_slack", "surr", "log_slack")
 
     def __init__(self, problem, a=None, l=None, u=None, keep=None):
         """A fresh iterate, or one sharing the block of `keep` not given."""
@@ -346,10 +347,9 @@ class _Iterate:
         else:
             self.a, self.a_power, self.signal = a, _row_power(a), None
         if l is None and u is None:
-            (self.l, self.u, self.omega, self.diag, self.single, self.logdets,
+            (self.l, self.u, self.omega, self.diag, self.logdets,
              self.factors, self.qn) = (keep.l, keep.u, keep.omega, keep.diag,
-                                       keep.single, keep.logdets,
-                                       keep.factors, keep.qn)
+                                       keep.logdets, keep.factors, keep.qn)
         else:
             self.l, self.u = l, u
             if l is not None:
@@ -358,7 +358,7 @@ class _Iterate:
             else:
                 # the diagonal Omega is made with the quantization noise
                 self.omega, self.diag = None, np.exp(u)
-            self.single = self.logdets = self.factors = self.qn = None
+            self.logdets = self.factors = self.qn = None
         self.power = self.a_power + self.diag
         self.total = None
 
@@ -410,22 +410,6 @@ class _Iterate:
         if not _minimum(self.power_slack) > 0:
             return
         g_lin = lin_const + problem.masks @ (b_slope * self.power)
-        if self.l is not None:
-            # the singleton conditions need no factoring: screen them first
-            if self.single is None:
-                # 2 log2 of the 1x1 Cholesky factors sqrt(d), -inf where d is
-                # not finite and > 0; past the power screen no d is +inf
-                d = self.diag
-                if _minimum(d) > 0:
-                    self.single = 2.0 * np.log2(np.sqrt(d))
-                else:
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        self.single = np.where((d > 0) & (d < np.inf),
-                                               2.0 * np.log2(np.sqrt(d)),
-                                               -np.inf)
-            if _fmin(problem.single_caps
-                     - (g_lin[:problem.n] - self.single)) <= 0:
-                return
         bh_slack = problem.subset_caps - (g_lin - self.subset_logdets())
         if _fmin(bh_slack) <= 0:
             return
@@ -451,19 +435,18 @@ class _PrecodingProblem:
         self.hbar_c = hbar.conj()
         self.hbar_h = self.hbar_c.T
         self.w = np.asarray(weights, dtype=float)
-        self.n = hbar.shape[1]
-        self.lower = np.tri(self.n, dtype=bool)
+        n = hbar.shape[1]
+        self.lower = np.tri(n, dtype=bool)
         self.off_diag = ~np.eye(hbar.shape[0], dtype=bool)
         self.hbar_abs2 = np.abs(hbar) ** 2
 
         if mode == MODE_MT:
-            self.masks = np.concatenate([np.eye(self.n)[m].sum(axis=1)
-                                         for _, m in _size_groups(self.n)])
+            self.masks = np.concatenate([np.eye(n)[m].sum(axis=1)
+                                         for _, m in _size_groups(n)])
             self.subset_caps = self.masks @ caps
         else:
-            self.masks = np.eye(self.n)
+            self.masks = np.eye(n)
             self.subset_caps = np.asarray(caps, dtype=float)
-        self.single_caps = self.subset_caps[:self.n]
         # C-ordered: the layout fixes the BLAS summation order of masks^T @ x
         self.masks_t = np.ascontiguousarray(self.masks.T)
 
@@ -655,7 +638,6 @@ def optimize_dl(channel, c, p_bs, weights, mode, init=None):
         omega_diag = (init.omega.diagonal()[active] / (scale * scale)).real
         incumbent = _Iterate(problem, init.a[active] / scale[:, None],
                              l=np.diag(np.sqrt(omega_diag) + 0j))
-        incumbent.rate_parts()      # forms the noise terms its restart shares
         # it sits on its constraint boundaries: step inside before refining,
         # and keep the original as the incumbent
         start = _interior_restart(incumbent)

@@ -409,11 +409,14 @@ def _run(config):
 
 
 def run_experiment(config):
-    """Execute all drops of one configuration and aggregate the metrics."""
+    """Execute all drops of one configuration and aggregate the metrics.
+
+    `alpha` names one fairness exponent, as a number or a one-element list;
+    the report's config holds it as a float either way."""
     config.validate()
-    if isinstance(config.alpha, (list, tuple)):
+    if len(config.alphas) > 1:
         raise ConfigurationError(
-            "run_experiment needs a scalar alpha; use alpha_sweep for lists")
+            "run_experiment needs one alpha; use alpha_sweep for lists")
     return _run(config)[0]
 
 

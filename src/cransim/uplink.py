@@ -233,25 +233,27 @@ def _design_and_rates(p, channel, c, mode, n_macro):
 
 def _tangent_slopes(g, p):
     """ln 2 times the slopes of every psi_k at p, given G at p, where psi_k
-    is log2 det M without MS k: row k holds ln 2 d psi_k / d p_j.
+    is log2 det M without MS k: row k holds ln 2 d psi_k / d p_j.  Also for
+    a stack of G and p, one slope matrix per power vector.
 
     ln 2 d psi_k / d p_j = G_jj + p_k |G_jk|^2 / (1 - p_k G_kk) for
     j != k (Sherman-Morrison on M without MS k), and 0 for j == k.
     """
-    g_diag = g.diagonal().real
-    slopes = g_diag[None, :] + p[:, None] * np.abs(g) ** 2 \
-        / (1.0 - p * g_diag)[:, None]
-    np.fill_diagonal(slopes, 0.0)
+    g_diag = np.diagonal(g, axis1=-2, axis2=-1).real
+    slopes = g_diag[..., None, :] + p[..., :, None] * np.abs(g) ** 2 \
+        / (1.0 - p * g_diag)[..., :, None]
+    k = np.arange(p.shape[-1])
+    slopes[..., k, k] = 0.0
     return slopes
 
 
 class VertexTable:
     """What the uplink solves of one slot share, whatever their weights and
     mode: the 2^K - 1 nonzero vertices of the power box, full power first,
-    with G and the ideal-backhaul rates at each.  A vertex's slope matrix
-    and a (vertex, mode)'s design and rates are computed on first use and
-    kept.  Results share the kept rates and designs, so their arrays are
-    read-only.  More than K_MS_MAX MSs, or a positive capacity below
+    with G, the ideal-backhaul rates and the `_tangent_slopes` matrix at
+    each.  A (vertex, mode)'s design and rates are computed on first use
+    and kept.  Results share the kept rates and designs, so their arrays
+    are read-only.  More than K_MS_MAX MSs, or a positive capacity below
     CAPACITY_MIN or above `capacity_max` of its BS, raises DomainError.
     """
 
@@ -279,13 +281,8 @@ class VertexTable:
                            self.p)
         self.g_diag = np.diagonal(self.g, axis1=-2, axis2=-1).real
         self.rates = _rates(self.p, self.g_diag)
-        self._slopes, self._designs = {}, {}
-
-    def slopes(self, v):
-        """`_tangent_slopes` at vertex v."""
-        if v not in self._slopes:
-            self._slopes[v] = _tangent_slopes(self.g[v], self.p[v])
-        return self._slopes[v]
+        self.slopes = _tangent_slopes(self.g, self.p)
+        self._designs = {}
 
     def design(self, v, mode):
         """`_design_and_rates` at vertex v in `mode`, arrays read-only."""
@@ -316,7 +313,7 @@ def _power_solve(table, weights):
                     violation=[0.0, 0.0], converged=True, iterations=1)
     # gradient of sum_k w_k (log2 det M - psi_k) at the vertex
     phi_slopes = np.sum(weights) * table.g_diag[best] / LN2
-    grad = phi_slopes - weights @ table.slopes(best) / LN2
+    grad = phi_slopes - weights @ table.slopes[best] / LN2
     if np.any(np.where(table.on[best], grad, -grad) < -1e-9 * phi_slopes):
         trace.warnings.append(
             "best vertex of the power box fails the KKT sign test")

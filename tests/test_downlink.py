@@ -695,6 +695,39 @@ def test_subset_logdets_mark_undefined_blocks():
                                               rel=1e-12, abs=1e-12), s
 
 
+def test_subset_logdets_singletons_are_twice_log2_sqrt_diagonal():
+    """A singleton's log-det is 2 log2 of its 1x1 Cholesky pivot sqrt(d),
+    bit for bit, where d is finite and > 0, and -inf elsewhere: so the
+    surrogate's backhaul slacks hold the singleton conditions exactly as a
+    separate screen of the diagonal would."""
+    rng = np.random.default_rng(63)
+    omegas = []
+    for n in range(1, 7):
+        for _ in range(20):
+            omegas.append(random_omega(rng, n))
+            # Hermitian but, for n > 1, mostly indefinite: some chains do
+            # not factor, and some diagonal entries are negative
+            x = cn_samples(rng, (n, n))
+            omegas.append(x + x.conj().T)
+    for n in (1, 3, 5):
+        for bad in (0.0, -0.5, np.nan):
+            omega = random_omega(rng, n)
+            omega[n // 2, n // 2] = bad
+            omegas.append(omega)
+    for n in (2, 4):
+        omega = random_omega(rng, n)
+        omega[0, n - 1] = omega[n - 1, 0] = np.nan
+        omegas.append(omega)
+    for omega in omegas:
+        n = omega.shape[0]
+        d = omega.diagonal().real
+        with np.errstate(divide="ignore", invalid="ignore"):
+            defined = np.isfinite(d) & (d > 0)
+            want = np.where(defined, 2.0 * np.log2(np.sqrt(d)), -np.inf)
+        logdets, _ = downlink._subset_logdets(omega)
+        assert np.array_equal(logdets[:n], want), omega
+
+
 def test_solver_refuses_an_omega_some_chain_cannot_factor():
     """A nearly singular Omega can factor in one BS ordering and not in
     another.  Every subset log-det is then finite, but with no chain

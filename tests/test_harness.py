@@ -805,6 +805,43 @@ def test_config_file_integers_write_the_files_of_flags(tmp_path):
     assert "C=(9.0,3.0) alpha=1.0 beta=1.0" in want
 
 
+def test_cli_uplink_and_downlink_take_one_alpha(tmp_path, capsys):
+    """`uplink` and `downlink` run a one-element alpha list as that alpha,
+    writing the files of the scalar run, and refuse a longer list, from a
+    flag, a config file or a preset, with one error line that names
+    `cransim sweep`, before writing anything."""
+    common = ["--k-ms", "2", "--n-pico", "1", "--drops", "1", "--slots",
+              "2", "--seed", "3"]
+    one, two = tmp_path / "one.yaml", tmp_path / "two.yaml"
+    one.write_text("alpha: [3]\n")
+    two.write_text("alpha: [0, 1]\n")
+    never = ["--out", str(tmp_path / "never")]
+    for direction, preset in (("uplink", "ul-sweep"),
+                              ("downlink", "dl-sweep-b")):
+        listed, scalar = tmp_path / f"{direction}-list", \
+            tmp_path / f"{direction}-scalar"
+        assert cli_main([direction, "--config", str(one), "--out",
+                         str(listed)] + common) == 0
+        assert cli_main([direction, "--alpha", "3", "--out", str(scalar)]
+                        + common) == 0
+        assert sorted(p.name for p in listed.iterdir()) \
+            == sorted(p.name for p in scalar.iterdir())
+        for path in scalar.iterdir():
+            if path.name != "timing.json":
+                assert (listed / path.name).read_text() \
+                    == path.read_text(), path.name
+        assert "alpha=3.0 " in (listed / "summary.txt").read_text()
+        capsys.readouterr()
+        for flags in (["--alpha", "0,1"], ["--config", str(two)],
+                      ["--preset", preset]):
+            assert cli_main([direction] + flags + common + never) \
+                == 2, flags
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "`cransim sweep`" in err, err
+    assert not (tmp_path / "never").exists()
+
+
 def test_cli_config_file_with_flag_override(tmp_path):
     cfg_path = tmp_path / "exp.yaml"
     cfg_path.write_text(yaml.safe_dump(dict(

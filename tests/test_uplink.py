@@ -577,7 +577,7 @@ def _outputs(res):
 def _table_instances(rng):
     """(channel, c, p_max, n_macro): random instances, some BSs without
     backhaul but at least one with, then the corners K = 1, one BS without
-    backhaul, and no picos (every BS a macro antenna)."""
+    backhaul, no picos (every BS a macro antenna) and K = K_MS_MAX."""
     for _ in range(30):
         ch, _, p_max = _power_instance(rng, int(rng.integers(1, 6)), 6)
         c = rng.uniform(0.5, 8.0, ch.n_bs)
@@ -585,7 +585,8 @@ def _table_instances(rng):
         c[rng.integers(ch.n_bs)] = 2.0
         yield ch, c, p_max, int(rng.integers(0, ch.n_bs + 1))
     for k, c, n_macro in ((1, [2.0] * 4, 3), (4, [3.0, 0.0], 1),
-                          (5, [9.0, 3.0, 1.0], 3)):
+                          (5, [9.0, 3.0, 1.0], 3),
+                          (uplink.K_MS_MAX, [9.0, 9.0, 3.0, 0.0, 1.0], 2)):
         h = cn_samples(rng, (len(c), k)) \
             * np.sqrt(10.0 ** rng.uniform(-1.0, 3.0, (len(c), k)))
         yield (unit_channel(h, rng.uniform(0.5, 2.0, len(c))), np.array(c),
@@ -595,12 +596,19 @@ def _table_instances(rng):
 def test_vertex_table_serves_every_weighting_and_mode_bit_for_bit():
     # one table per instance serves weightings from all-zero to spread over
     # 60 decades, in both modes, interleaved; each result equals a call
-    # without a table bit for bit, and its trace is its own
+    # without a table bit for bit, and its trace is its own.  The slope
+    # matrices the table stacks are those of each vertex alone, bit for bit
     rng = np.random.default_rng(46)
-    shared = 0
+    shared, sizes = 0, set()
     for ch, c, p_max, n_macro in _table_instances(rng):
         k = ch.n_ms
+        sizes.add(k)
         table = uplink.VertexTable(ch, c, p_max, n_macro)
+        assert table.slopes.shape == (2 ** k - 1, k, k)
+        for v in range(2 ** k - 1):
+            assert np.array_equal(
+                table.slopes[v], uplink._tangent_slopes(table.g[v],
+                                                        table.p[v]))
         weightings = [np.ones(k), np.zeros(k), np.eye(k)[-1],
                       rng.uniform(0.1, 1.0, k),
                       10.0 ** rng.uniform(-30.0, 30.0, k), np.ones(k)]
@@ -618,6 +626,7 @@ def test_vertex_table_serves_every_weighting_and_mode_bit_for_bit():
                     assert first.rates is got.rates
                     assert first.trace.warnings is not got.trace.warnings
     assert shared > 0
+    assert {1, 5, uplink.K_MS_MAX} <= sizes
 
 
 def test_vertex_table_refuses_other_inputs():
