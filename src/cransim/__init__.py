@@ -8,7 +8,7 @@ from .cellgeom import (PropagationParams, Topology, build_layout,
                        sector_gain_db)
 from .channel import (ChannelRealization, Cluster, build_cluster,
                       realize_channel, thermal_noise_w)
-from .downlink import DownlinkDesign, feasible_dl, optimize_dl, rate_dl
+from .downlink import DownlinkDesign, feasible_dl, optimize_dl, rates_dl
 from .errors import ConfigurationError, DomainError, NumericalDomainError
 from .harness import (ExperimentConfig, MetricsReport, PRESETS, RateMapping,
                       SweepResult, alpha_sweep, percentile, run_experiment)

@@ -43,7 +43,8 @@ def _parse_alpha(text):
 
 def build_config(args, direction=None):
     """The validated config of parsed options: a preset, then a config file,
-    then every option named after an ExperimentConfig field, then direction."""
+    then every option named after an ExperimentConfig field, then direction.
+    A sweep takes its direction from one of the first three."""
     data = {}
     if args.preset:
         data.update(PRESETS[args.preset])
@@ -68,6 +69,9 @@ def build_config(args, direction=None):
             data[key] = _parse_alpha(value) if key == "alpha" else value
     if direction is not None:
         data["direction"] = direction
+    elif getattr(args, "command", None) == "sweep" and "direction" not in data:
+        raise ConfigurationError("sweep needs a direction: pass --direction, "
+                                 "or a preset or config file that sets one")
     return ExperimentConfig.from_dict(data)
 
 

@@ -19,14 +19,18 @@ convex and sits inside the true feasible set, so every accepted iterate is
 feasible, and ascent steps from the current point never decrease the true
 objective.
 
-The solver and the re-check `feasible_dl` take every subset log-det from
-one kernel, `_subset_logdets`, which marks an undefined one -inf so that its
-condition fails on both sides.  It works on a symmetric chain decomposition
-of the subset lattice: C(n, n//2) orderings of the BSs whose leading blocks
-hold each of the 2^n - 1 subsets once.  One batched Cholesky of the reordered
-Omegas gives every subset's log-det as a cumulative sum of its chain's
-pivots, and the noise gradient's sum of scattered subset inverses comes
-from the same factors with one batched inverse.
+The 2^n - 1 BS subsets are one cached, read-only table per BS count,
+`_lattice(n)`: the subsets by size with their members, their membership
+masks, and the chain tables below.  It alone refuses more than
+SUBSET_ENUM_CAP active BSs, so `optimize_dl` and `feasible_dl` refuse an
+oversize cluster with one message before any work.  Both take every subset
+log-det from one kernel, `_subset_logdets`, which marks an undefined one
+-inf so that its condition fails on both sides.  It works on a symmetric
+chain decomposition of the lattice: C(n, n//2) orderings of the BSs whose
+leading blocks hold each subset once.  One batched Cholesky of the
+reordered Omegas gives every subset's log-det as a cumulative sum of its
+chain's pivots, and the noise gradient's sum of scattered subset inverses
+comes from the same factors with one batched inverse.
 
 Each candidate of the inner ascent is one slotted record (`_Iterate`): A
 with its row powers and received signals, the noise parameters with Omega,
@@ -95,34 +99,17 @@ def _row_power(a):
     return _sum(np.abs(a) ** 2, 1)
 
 
-def rate_dl(design, channel, k):
-    """Achievable rate of MS k (bps/Hz), interference treated as noise."""
+def rates_dl(design, channel):
+    """Achievable rate of every MS (bps/Hz), interference treated as noise."""
     # the result files' rates: the solver's normalized _rate_parts differ
-    # from these in the last bits
-    r = channel.h_dl[k]
-    m = r @ design.a
-    qn = float(np.real(r @ design.omega @ r.conj()))
-    total = channel.sigma2_z_dl[k] + float(np.sum(np.abs(m) ** 2)) + qn
-    interference = total - float(np.abs(m[k]) ** 2)
-    return float(np.log2(total) - np.log2(interference))
-
-
-@lru_cache(maxsize=None)
-def _size_groups(n):
-    """The nonempty subsets of range(n), ordered by size and then
-    lexicographically, grouped by size.
-
-    One entry per size: the slice of the subset list holding that size and
-    the members of each subset (k, size).  Callers cap n at
-    SUBSET_ENUM_CAP, and the cached arrays are read-only.
-    """
-    groups, start = [], 0
-    for size in range(1, n + 1):
-        members = np.array(list(combinations(range(n), size)), dtype=np.intp)
-        members.flags.writeable = False
-        groups.append((slice(start, start + len(members)), members))
-        start += len(members)
-    return tuple(groups)
+    # from these in the last bits.  The own-stream power is squared by pow
+    # (float_power) and the summed ones by x * x (** 2 on an array); the two
+    # can round apart, and the result files hold these bits
+    h = channel.h_dl[:, None, :]
+    m = np.abs(h @ design.a)[:, 0]
+    qn = ((h @ design.omega) @ channel.h_dl.conj()[:, :, None])[:, 0, 0].real
+    total = channel.sigma2_z_dl + _sum(m ** 2, 1) + qn
+    return np.log2(total) - np.log2(total - np.float_power(m.diagonal(), 2))
 
 
 def _symmetric_chains(n):
@@ -142,30 +129,47 @@ def _symmetric_chains(n):
 
 
 @dataclass(frozen=True)
-class _ChainTables:
-    """Index tables of the chain kernel for one n (see `_chain_tables`)."""
+class _Lattice:
+    """The nonempty subsets of n BSs and the chain kernel's index tables
+    (see `_lattice`); every array is read-only."""
+    groups: tuple         # per size: (slice of the subsets, members (k, size))
+    masks: np.ndarray     # (2^n - 1, n) 0/1 membership of each subset
+    masks_t: np.ndarray   # its transpose, C-ordered
     gather: np.ndarray    # (k, n, n) flat index of each reordered Omega entry
     source: np.ndarray    # (2^n - 1,) flat (chain, prefix size - 1) per subset
     columns: np.ndarray   # (k, n, n) flat index putting columns in BS order
 
 
 @lru_cache(maxsize=None)
-def _chain_tables(n):
-    """Every nonempty subset of range(n) as a leading block of one of the
-    C(n, n//2) chain orderings of the BSs.
+def _lattice(n):
+    """The subset lattice of n BSs; more than SUBSET_ENUM_CAP raise
+    DomainError.
 
-    A chain S_1 < ... < S_m becomes the BS ordering S_1, then the BS each
-    later set adds, then the BSs outside S_m; its used prefixes have sizes
-    |S_1| to |S_m| (the empty set excluded).  `source` lists, in
-    `_size_groups` order, where each subset's prefix sits in a (chain,
-    prefix size - 1) table.  Callers cap n at SUBSET_ENUM_CAP, and the
-    cached arrays are read-only.
+    The subsets of range(n) come by size and then lexicographically, so the
+    first n mask rows, the singletons, are the identity; `groups` holds each
+    size's slice of that order and members.  A chain S_1 < ... < S_m of
+    `_symmetric_chains` becomes the BS ordering S_1, then the BS each later
+    set adds, then the BSs outside S_m; its used prefixes have sizes |S_1|
+    to |S_m| (the empty set excluded), so every subset is the leading block
+    of one ordering.  `source` lists, in subset order, where each subset's
+    prefix sits in a (chain, prefix size - 1) table.
     """
+    if n > SUBSET_ENUM_CAP:
+        raise DomainError(f"subset enumeration capped at {SUBSET_ENUM_CAP} "
+                          f"active BSs (got {n})")
+    masks = np.zeros((2 ** n - 1, n))
+    groups, start = [], 0
+    for size in range(1, n + 1):
+        members = np.array(list(combinations(range(n), size)), dtype=np.intp)
+        rows = slice(start, start + len(members))
+        np.put_along_axis(masks[rows], members, 1.0, axis=1)
+        groups.append((rows, members))
+        start = rows.stop
     position = {tuple(s): j for j, s in enumerate(
-        s for _, members in _size_groups(n) for s in members.tolist())}
+        s for _, members in groups for s in members.tolist())}
     chains = _symmetric_chains(n)
     order = np.empty((len(chains), n), dtype=np.intp)
-    source = np.empty(len(position), dtype=np.intp)
+    source = np.empty(start, dtype=np.intp)
     for c, chain in enumerate(chains):
         first = list(chain[0])
         added = [next(iter(set(b) - set(a))) for a, b in zip(chain, chain[1:])]
@@ -174,64 +178,62 @@ def _chain_tables(n):
             if s:
                 source[position[s]] = c * n + len(s) - 1
     gather = order[:, :, None] * n + order[:, None, :]
-    rank = np.argsort(order, axis=1)
-    columns = np.arange(len(chains) * n).reshape(-1, n, 1) * n \
-        + rank[:, None, :]
-    for table in (gather, source, columns):
+    columns = np.arange(len(chains) * n).reshape(len(chains), n, 1) * n \
+        + np.argsort(order, axis=1)[:, None, :]
+    masks_t = np.ascontiguousarray(masks.T)
+    for table in (masks, masks_t, gather, source, columns,
+                  *(m for _, m in groups)):
         table.flags.writeable = False
-    return _ChainTables(gather=gather, source=source, columns=columns)
+    return _Lattice(tuple(groups), masks, masks_t, gather, source, columns)
 
 
 def _subset_logdets(omega):
-    """log2 det of Omega's block on every subset, in _size_groups order, and
-    the Cholesky factors of the reordered Omegas of _chain_tables.
+    """log2 det of Omega's block on every subset, in `_lattice` order, and
+    the Cholesky factors of the chain orderings of Omega.
 
     One batched Cholesky of the C(n, n//2) chain orderings of Omega gives
     them all: a leading block's factor is the leading block of the factor,
     so the cumulative sums of 2 log2 of the pivots are every prefix's
-    log-det.  A prefix with a non-finite entry or a diagonal entry not > 0,
-    and every longer prefix of its chain, gets -inf.  When the batch fails to
-    factor, each chain is factored alone, and from its first prefix that
-    does not factor on, its prefixes get -inf; the factors are then None.
-    No result is +inf or NaN: a finite positive definite block has a finite
-    positive Cholesky diagonal.
+    log-det.  When Omega has a non-finite entry or a diagonal entry not > 0,
+    or the batch fails to factor, each chain is factored alone instead, up
+    to its first row that reaches such an entry, and from its first prefix
+    that does not factor on, its prefixes get -inf; the factors are then
+    None.  No result is +inf or NaN: a finite positive definite block has a
+    finite positive Cholesky diagonal.
     """
     n = omega.shape[0]
-    tables = _chain_tables(n)
-    blocks = omega.take(tables.gather)
-    undefined = None
-    if not (_minimum(omega.diagonal().real) > 0 and np.isfinite(omega).all()):
-        # prefixes from the first row reaching a bad entry on: identity rows
-        bad = ~np.isfinite(omega)
-        bad.flat[::n + 1] |= ~(omega.diagonal().real > 0)
-        bad = bad.take(tables.gather)
-        undefined = np.logical_or.accumulate(
-            np.tril(bad | bad.swapaxes(1, 2)).any(axis=2), axis=1)
-        blocks = np.where(undefined[:, :, None] | undefined[:, None, :],
-                          np.eye(n), blocks)
-    try:
-        factors = np.linalg.cholesky(blocks)
-        pivots = factors.diagonal(axis1=1, axis2=2).real.copy()
-    except np.linalg.LinAlgError:
-        factors, pivots = None, np.zeros(blocks.shape[:2])
-        for c, block in enumerate(blocks):
-            for size in range(n, 0, -1):
-                try:
-                    pivots[c, :size] = np.linalg.cholesky(
-                        block[:size, :size]).diagonal().real
-                    break
-                except np.linalg.LinAlgError:
-                    pass
-    if undefined is None and factors is not None:
-        # the pivots of a Cholesky factor are finite and > 0
-        logs = np.log2(pivots)
+    lattice = _lattice(n)
+    blocks, diag = omega.take(lattice.gather), omega.diagonal().real
+    if _minimum(diag, initial=np.inf) > 0 and np.isfinite(omega).all():
+        try:
+            factors = np.linalg.cholesky(blocks)
+        except np.linalg.LinAlgError:
+            defined = np.full(len(blocks), n)
+        else:
+            # the pivots of a Cholesky factor are finite and > 0; log2 takes
+            # a contiguous copy faster than the strided diagonal
+            logs = np.log2(factors.diagonal(axis1=1, axis2=2).real.copy())
+            return 2.0 * logs.cumsum(axis=1).take(lattice.source), factors
     else:
-        if undefined is not None:
-            pivots[undefined] = 0.0
-        # a zero pivot is -inf, and so is every cumulative sum after it
-        with np.errstate(divide="ignore"):
-            logs = np.log2(pivots)
-    return 2.0 * logs.cumsum(axis=1).take(tables.source), factors
+        # each chain's rows before the first that reaches a bad entry
+        bad = ~np.isfinite(omega)
+        bad.flat[::n + 1] |= ~(diag > 0)
+        bad = bad.take(lattice.gather)
+        defined = n - np.logical_or.accumulate(
+            np.tril(bad | bad.swapaxes(1, 2)).any(axis=2), axis=1).sum(axis=1)
+    pivots = np.zeros(blocks.shape[:2])
+    for c, block in enumerate(blocks):
+        for size in range(defined[c], 0, -1):
+            try:
+                pivots[c, :size] = np.linalg.cholesky(
+                    block[:size, :size]).diagonal().real
+                break
+            except np.linalg.LinAlgError:
+                pass
+    # a zero pivot is -inf, and so is every cumulative sum after it
+    with np.errstate(divide="ignore"):
+        logs = np.log2(pivots)
+    return 2.0 * logs.cumsum(axis=1).take(lattice.source), None
 
 
 def _subset_inv_scatter(factors, coeffs):
@@ -244,12 +246,12 @@ def _subset_inv_scatter(factors, coeffs):
     stacks the rows of diag(sqrt(d)) L^-1 with their columns in BS order.
     """
     k, n = factors.shape[:2]
-    tables = _chain_tables(n)
+    lattice = _lattice(n)
     d = np.zeros(k * n)
-    d[tables.source] = coeffs
+    d[lattice.source] = coeffs
     d = d.reshape(k, n)[:, ::-1].cumsum(axis=1)[:, ::-1]
     y = (np.sqrt(d)[:, :, None] * np.linalg.inv(factors)).take(
-        tables.columns).reshape(k * n, n)
+        lattice.columns).reshape(k * n, n)
     return y.conj().T @ y
 
 
@@ -258,14 +260,12 @@ def feasible_dl(design):
 
     Returns a report with the worst slack margin (negative means violated;
     -inf where a constraint's value is undefined).  Inactive BSs (zero
-    capacity) must be silent.  Refuses clusters with more than 16 active
-    BSs, where exhaustive subset enumeration is off the table.
+    capacity) must be silent.  Refuses clusters with more than
+    SUBSET_ENUM_CAP active BSs, where exhaustive subset enumeration is off
+    the table.
     """
     active = design.active
-    if active.size > SUBSET_ENUM_CAP:
-        raise DomainError(
-            f"subset enumeration capped at {SUBSET_ENUM_CAP} BSs "
-            f"(got {active.size})")
+    groups = _lattice(active.size).groups
     power = _row_power(design.a) + design.omega.diagonal().real
     leak = power + np.abs(design.omega).sum(axis=1)
     leak_tol = 1e-10 * max(float(np.max(design.p_bs, initial=0.0)), 1e-30)
@@ -277,7 +277,6 @@ def feasible_dl(design):
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.log2(power[active])
     caps = design.c[active]
-    groups = _size_groups(active.size)
     logdets, _ = _subset_logdets(omega)
     for rows, members in groups:
         # the requirement of subset S: its terms summed member by member,
@@ -440,15 +439,16 @@ class _PrecodingProblem:
         self.off_diag = ~np.eye(hbar.shape[0], dtype=bool)
         self.hbar_abs2 = np.abs(hbar) ** 2
 
+        # masks_t is C-ordered: the layout fixes the BLAS summation order of
+        # masks^T @ x
+        lattice = _lattice(n)
         if mode == MODE_MT:
-            self.masks = np.concatenate([np.eye(n)[m].sum(axis=1)
-                                         for _, m in _size_groups(n)])
+            self.masks, self.masks_t = lattice.masks, lattice.masks_t
             self.subset_caps = self.masks @ caps
         else:
-            self.masks = np.eye(n)
+            # the singleton rows: the identity, its own transpose
+            self.masks = self.masks_t = lattice.masks[:n]
             self.subset_caps = np.asarray(caps, dtype=float)
-        # C-ordered: the layout fixes the BLAS summation order of masks^T @ x
-        self.masks_t = np.ascontiguousarray(self.masks.T)
 
     # -- mm_solve protocol ---------------------------------------------------
 
@@ -614,9 +614,7 @@ def optimize_dl(channel, c, p_bs, weights, mode, init=None):
         raise DomainError("point-to-point mode starts cold and takes no init")
     n_bs, n_ms = channel.n_bs, channel.n_ms
     active = np.flatnonzero(c > 0)
-    if active.size > SUBSET_ENUM_CAP:
-        raise DomainError(f"subset enumeration capped at {SUBSET_ENUM_CAP} "
-                          f"active BSs (got {active.size})")
+    _lattice(active.size)       # refuses an oversize cluster before any work
     if active.size == 0:
         design = DownlinkDesign(a=np.zeros((n_bs, n_ms), dtype=complex),
                                 omega=np.zeros((n_bs, n_bs), dtype=complex),
@@ -659,7 +657,7 @@ def optimize_dl(channel, c, p_bs, weights, mode, init=None):
     omega_full[np.ix_(active, active)] = it.omega * np.outer(scale, scale)
     design = DownlinkDesign(a=a_full, omega=hermitize(omega_full), c=c,
                             p_bs=p_bs, mode=mode)
-    rates = np.array([rate_dl(design, channel, k) for k in range(n_ms)])
+    rates = rates_dl(design, channel)
     report = feasible_dl(design)
     if not report.feasible:
         trace.warnings.append(

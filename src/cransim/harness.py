@@ -124,6 +124,15 @@ class ExperimentConfig:
                 f"uplink k_ms must be <= {uplink.K_MS_MAX}, the most MSs "
                 f"whose power-box vertices the power solve scores; got "
                 f"{self.k_ms}")
+        if self.direction == "downlink":
+            n_bs = 3 * (self.c_macro > 0) + self.n_pico * (self.c_pico > 0)
+            if n_bs > downlink.SUBSET_ENUM_CAP:
+                raise ConfigurationError(
+                    f"downlink n_pico must leave at most "
+                    f"{downlink.SUBSET_ENUM_CAP} active BSs (3 macro sectors "
+                    f"and the picos, each with backhaul), whose subset "
+                    f"backhaul conditions the solver enumerates; got "
+                    f"n_pico={self.n_pico}, {n_bs} active BSs")
         if self.jobs < 1 or self.seed < 0:
             raise ConfigurationError("jobs must be >= 1 and seed >= 0")
         if self.reuse not in cellgeom.REUSE_MODES:

@@ -151,7 +151,7 @@ def _dl_mi_instance(rng):
         omega = l @ l.conj().T
         design = downlink.DownlinkDesign(a=a, omega=omega, c=np.ones(n_bs),
                                          p_bs=np.full(n_bs, 1e3), mode=MT)
-        rates = [downlink.rate_dl(design, ch, k) for k in range(n_ms)]
+        rates = downlink.rates_dl(design, ch)
         if min(rates) > 0.15:
             return ch, a, omega, design, rates
 

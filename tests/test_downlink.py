@@ -113,13 +113,13 @@ def test_backhaul_mv_rejects_bad_subsets():
 def test_rate_dl_reference_values():
     ch = dl_channel([[1.0]], [1.0])
     design = make_design([[1.0]], [[0.0]])
-    assert downlink.rate_dl(design, ch, 0) == pytest.approx(1.0, abs=1e-12)
+    assert downlink.rates_dl(design, ch)[0] == pytest.approx(1.0, abs=1e-12)
     rng = np.random.default_rng(44)
     ch2 = rand_channel(rng, 2, 2)
     a = cn_samples(rng, (2, 2))
     a[:, 0] = 0.0
     design2 = make_design(a, 0.3 * np.eye(2))
-    assert downlink.rate_dl(design2, ch2, 0) == 0.0
+    assert downlink.rates_dl(design2, ch2)[0] == 0.0
 
 
 def test_rate_dl_monte_carlo_mi():
@@ -135,7 +135,7 @@ def test_rate_dl_monte_carlo_mi():
     for k in range(2):
         y_k = x @ ch.h_dl[k] + cn_samples(rng, (n,), ch.sigma2_z_dl[k])
         est = mi_from_samples(s[:, [k]], y_k[:, None])
-        assert downlink.rate_dl(design, ch, k) == pytest.approx(est, rel=0.01)
+        assert downlink.rates_dl(design, ch)[k] == pytest.approx(est, rel=0.01)
 
 
 def test_rate_dl_column_phase_invariance():
@@ -143,12 +143,41 @@ def test_rate_dl_column_phase_invariance():
     ch = rand_channel(rng, 3, 2)
     a = cn_samples(rng, (3, 2))
     omega = 0.2 * np.eye(3, dtype=complex)
-    base = [downlink.rate_dl(make_design(a, omega), ch, k) for k in range(2)]
+    base = downlink.rates_dl(make_design(a, omega), ch)
     rotated = a.copy()
     rotated[:, 1] *= np.exp(1j * 1.234)
-    rot = [downlink.rate_dl(make_design(rotated, omega), ch, k)
-           for k in range(2)]
+    rot = downlink.rates_dl(make_design(rotated, omega), ch)
     assert np.allclose(base, rot, atol=1e-12)
+
+
+def rate_one_ms(design, channel, k):
+    """The rate of MS k from scalars: its own-stream power squared by a
+    scalar's ** 2 (pow), the summed powers by an array's (x * x)."""
+    r = channel.h_dl[k]
+    m = r @ design.a
+    qn = float(np.real(r @ design.omega @ r.conj()))
+    total = channel.sigma2_z_dl[k] + float(np.sum(np.abs(m) ** 2)) + qn
+    interference = total - float(np.abs(m[k]) ** 2)
+    return float(np.log2(total) - np.log2(interference))
+
+
+def test_rates_dl_match_the_one_ms_formula_bit_for_bit():
+    rng = np.random.default_rng(65)
+    for _ in range(300):
+        n_bs, n_ms = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        ch = rand_channel(rng, n_bs, n_ms)
+        l = np.tril(cn_samples(rng, (n_bs, n_bs))) * rng.uniform(0.01, 1.0)
+        design = make_design(cn_samples(rng, (n_bs, n_ms), 10.0 ** rng.uniform(
+            -3, 2)), l @ l.conj().T)
+        want = [rate_one_ms(design, ch, k) for k in range(n_ms)]
+        assert downlink.rates_dl(design, ch).tolist() == want
+    # own-stream powers whose pow and x * x squares round apart, above a
+    # noise small enough that the interference can keep the difference
+    ch = dl_channel([[1.0]], [0.25])
+    for x in [v for v in rng.uniform(0.9, 1.1, 10 ** 4) if v ** 2 != v * v]:
+        design = make_design([[x]], [[0.0]])
+        assert downlink.rates_dl(design, ch).tolist() == \
+            [rate_one_ms(design, ch, 0)]
 
 
 def test_gs_monotone_in_subset_for_diagonal():
@@ -619,11 +648,77 @@ def test_symmetric_chains_cover_every_subset_once(n):
     assert len(seen) == len(set(seen)) == 2 ** n - 1
     if n <= 6:
         # each subset is the leading block of its chain's ordering
-        tables = downlink._chain_tables(n)
-        order = tables.gather[:, :, 0] // n
+        lattice = downlink._lattice(n)
+        order = lattice.gather[:, :, 0] // n
         for j, s in enumerate(enumerate_subsets(range(n))):
-            chain, size = divmod(int(tables.source[j]), n)
+            chain, size = divmod(int(lattice.source[j]), n)
             assert sorted(order[chain, :size + 1]) == list(s)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lattice_masks_are_the_subsets_in_order(n):
+    """Each mask row is its subset's membership, subsets ordered by size and
+    then lexicographically; the singleton rows are the identity, and the
+    groups hold each size's rows and members."""
+    lattice = downlink._lattice(n)
+    subsets = enumerate_subsets(range(n))
+    want = np.array([[float(i in s) for i in range(n)] for s in subsets])
+    assert np.array_equal(lattice.masks, want)
+    assert np.array_equal(lattice.masks[:n], np.eye(n))
+    assert np.array_equal(lattice.masks_t, want.T)
+    assert lattice.masks_t.flags.c_contiguous
+    for size, (rows, members) in enumerate(lattice.groups, start=1):
+        assert [tuple(m) for m in members.tolist()] == subsets[rows]
+        assert members.shape[1] == size
+    assert lattice.groups[-1][0].stop == len(subsets) == 2 ** n - 1
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lattice_is_one_read_only_table_per_bs_count(n):
+    lattice = downlink._lattice(n)
+    assert downlink._lattice(n) is lattice
+    arrays = [lattice.masks, lattice.masks_t, lattice.gather, lattice.source,
+              lattice.columns] + [m for _, m in lattice.groups]
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array.flat[0] = array.flat[0]
+
+
+def test_oversize_cluster_is_refused_before_any_factorization(monkeypatch):
+    """Both entry points refuse a cluster of more than SUBSET_ENUM_CAP
+    active BSs with one message, before they factor anything."""
+    n = downlink.SUBSET_ENUM_CAP + 1
+    rng = np.random.default_rng(64)
+    ch = rand_channel(rng, n, 2)
+    p_bs = np.full(n, 4.0)
+    init = make_design(np.zeros((n, 2)), np.eye(n), c=np.ones(n), p_bs=p_bs,
+                       mode="point_to_point")
+
+    def refused(*args, **kwargs):
+        raise AssertionError("factored before the cap check")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refused)
+    messages = set()
+    for call in (lambda: downlink.feasible_dl(init),
+                 lambda: downlink.optimize_dl(ch, np.ones(n), p_bs,
+                                              np.ones(2), "point_to_point"),
+                 lambda: downlink.optimize_dl(ch, np.ones(n), p_bs,
+                                              np.ones(2), "multiterminal",
+                                              init=init)):
+        with pytest.raises(DomainError) as info:
+            call()
+        messages.add(str(info.value))
+    assert messages == {f"subset enumeration capped at "
+                        f"{downlink.SUBSET_ENUM_CAP} active BSs (got {n})"}
+
+
+def test_feasible_dl_takes_a_design_with_no_active_bs():
+    design = make_design(np.zeros((2, 1)), np.zeros((2, 2)), c=np.zeros(2),
+                         p_bs=np.ones(2), mode="point_to_point")
+    report = downlink.feasible_dl(design)
+    assert report.feasible and report.n_subsets_checked == 0
+    assert (report.margin, report.worst_constraint) == (np.inf, "none")
 
 
 def test_subset_logdets_match_per_subset_cholesky():

@@ -293,6 +293,55 @@ def test_config_rejects_uplink_k_ms_above_the_vertex_cap(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_rejects_downlink_cluster_above_the_subset_cap(tmp_path,
+                                                              capsys):
+    """The downlink solver enumerates the backhaul subsets of the active BSs
+    (3 macro sectors and n_pico picos, each when its capacity is > 0), so a
+    downlink config takes at most downlink.SUBSET_ENUM_CAP of them; the
+    uplink has no such cap."""
+    cap = downlink.SUBSET_ENUM_CAP
+    dl = {"direction": "downlink"}
+    assert harness.ExperimentConfig.from_dict({**dl, "n_pico": cap - 3})
+    for over in ({"n_pico": cap - 2}, {"n_pico": cap + 1, "c_macro": 0.0}):
+        with pytest.raises(ConfigurationError, match="downlink n_pico must"):
+            harness.ExperimentConfig.from_dict({**dl, **over})
+    for inactive in ({"n_pico": cap + 5, "c_pico": 0.0},
+                     {"n_pico": cap, "c_macro": 0.0}):
+        assert harness.ExperimentConfig.from_dict({**dl, **inactive})
+    assert harness.ExperimentConfig.from_dict({"n_pico": cap})
+    out = tmp_path / "never"
+    capsys.readouterr()
+    assert cli_main(["downlink", "--preset", "dl-sweep-b", "--alpha", "2",
+                     "--slots", "1", "--drops", "2", "--n-pico",
+                     str(cap - 2), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: downlink n_pico must") \
+        and f"{cap} active BSs" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_sweep_requires_a_direction(tmp_path, capsys):
+    """A sweep takes its direction from --direction, a preset or a config
+    file; with none it exits 2 with one error line, writing nothing."""
+    flags = ["--alpha", "0,1", "--drops", "1", "--slots", "1", "--k-ms", "1",
+             "--n-pico", "0", "--mode", "point_to_point"]
+    capsys.readouterr()
+    assert cli_main(["sweep"] + flags + ["--out", str(tmp_path / "no")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--direction" in err \
+        and err.count("\n") == 1
+    assert not (tmp_path / "no").exists()
+    config = tmp_path / "dl.yaml"
+    config.write_text("direction: downlink\n")
+    for given, direction in ((["--direction", "downlink"], "downlink"),
+                             (["--config", str(config)], "downlink"),
+                             (["--preset", "ul-sweep"], "uplink")):
+        out = tmp_path / given[0].strip("-")
+        assert cli_main(["sweep"] + given + flags + ["--out", str(out)]) == 0
+        assert f"direction={direction}" in \
+            (out / "alpha_0" / "summary.txt").read_text()
+
+
 def test_config_rejects_alpha_whose_weights_overflow(tmp_path, capsys):
     # at the r_bar floor the weight is R_BAR_FLOOR**-alpha, finite up to
     # ALPHA_MAX and inf above it

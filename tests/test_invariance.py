@@ -168,7 +168,7 @@ def test_downlink_design_scales_with_power_limits_and_noise(mode,
     """One power-of-4 scale s on every BS power limit and MS noise power
     scales A by sqrt(s) and Omega by s, bit for bit: the solver works on
     the channel normalized by both, so a short solve shows it as well as
-    a whole one.  The rates move only in the last bits, since rate_dl
+    a whole one.  The rates move only in the last bits, since rates_dl
     takes log2 of the powers before normalization."""
     rng = np.random.default_rng(75)
     # a short solve: 2 MM steps of 10 ascent steps per barrier round
