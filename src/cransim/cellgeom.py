@@ -28,7 +28,7 @@ with 1-based cell ids matching the ring numbering above.
 """
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -37,7 +37,6 @@ from numpy.random.bit_generator import ISeedSequence
 from .errors import ConfigurationError, DomainError
 from .units import db_to_pow
 
-BANDS = ("B1", "B2", "B3")
 SECTOR_BORESIGHTS_DEG = (30.0, 150.0, 270.0)
 
 # Cell id -> lattice coordinates (a, b) on the basis
@@ -55,7 +54,6 @@ _CELL_AXIAL = {
 N_CELLS = 19
 REUSE_MODES = ("F1", "F1_3")
 _MAX_DROP_TRIES = 10000
-_MAX_LOOKAHEAD = 4096
 
 
 @dataclass
@@ -84,13 +82,13 @@ class PropagationParams:
     min_dist_pico_m: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.theta_3db_deg) or self.theta_3db_deg <= 0:
-            raise ConfigurationError("theta_3db_deg must be finite and > 0")
-        for name in ("shadow_std_macro_db", "shadow_std_pico_db",
-                     "gain_macro_dbi", "gain_pico_dbi", "gain_ms_dbi",
-                     "a_m_db", "bandwidth_hz"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite")
+        for f in fields(self):
+            if not np.all(np.isfinite(getattr(self, f.name))):
+                raise ConfigurationError(f"{f.name} must be finite")
+        if not self.inter_site_distance_m > 0:     # NaN fails too
+            raise ConfigurationError("inter_site_distance_m must be > 0")
+        if self.theta_3db_deg <= 0:
+            raise ConfigurationError("theta_3db_deg must be > 0")
         if self.bandwidth_hz <= 0:
             raise ConfigurationError("bandwidth_hz must be > 0")
         if self.shadow_std_macro_db < 0 or self.shadow_std_pico_db < 0:
@@ -104,10 +102,7 @@ class Topology:
     macro_sites: np.ndarray        # (19, 2) meters
     pico_positions: np.ndarray     # (19, N, 2) meters
     ms_positions: np.ndarray       # (19, K, 2) meters
-    inter_site_distance: float
-    reuse_band: dict               # cell id -> band name
     interferer_set: tuple          # co-band cell ids interfering with cell 1
-    reuse: str                     # "F1" or "F1_3"
     seed: int
 
     @property
@@ -204,78 +199,57 @@ def _place(candidates, start, count, near, spacing=None):
     with no such candidate in ``_MAX_DROP_TRIES`` tries is a
     ConfigurationError.
 
-    The tests run on all cells at once.  A scan takes each cell's next
-    in-hexagon candidates; ``near`` and the spacing then check them.  The
-    cells before the first rejected pick are settled.  That pick, and every
-    candidate ``near`` rejects, is remembered as rejected, and the scan
-    repeats from the first unsettled cell, which also has twice as many
-    candidates past its picks checked (up to ``_MAX_LOOKAHEAD``), so even a
-    cell that rejects every candidate takes few scans.
+    The tests run on all cells at once.  A scan takes, for every unsettled
+    cell, its next ``count`` in-hexagon candidates not yet rejected, each
+    cell starting after the previous cell's last pick; one ``near`` test and
+    one spacing test then check them all.  If every pick passes, every cell
+    is settled.  Otherwise the cells before the first failing pick are
+    settled, that pick is rejected, and the scan repeats from its cell.
+    ``near`` does not depend on the order of the nodes, so every pick it
+    rejects stays rejected in all later scans.
     """
     n_cells = len(candidates.sites)
     rejected = [set() for _ in range(n_cells)]
-    taken = [[] for _ in range(n_cells)]
-    extra = [0] * n_cells
+    picks = np.zeros((n_cells, count), dtype=int)
     starts = [start] * (n_cells + 1)
     earlier = np.triu(np.ones((count, count), dtype=bool), 1)
     settled = 0
     while settled < n_cells:
         scanned = settled
         while scanned < n_cells:
-            taken[scanned] = candidates.take(
-                scanned, starts[scanned], count + extra[scanned],
-                rejected[scanned])
-            if len(taken[scanned]) < count:
+            taken = candidates.take(scanned, starts[scanned], count,
+                                    rejected[scanned])
+            if len(taken) < count:
                 # exact only once every earlier cell is settled
                 if scanned == settled:
                     raise ConfigurationError(
                         "could not place a node satisfying the minimum "
                         "distance constraints; check the geometry")
                 break
-            starts[scanned + 1] = (taken[scanned][count - 1] + 1 if count
-                                   else starts[scanned])
+            picks[scanned] = taken
+            starts[scanned + 1] = taken[-1] + 1 if count else starts[scanned]
             scanned += 1
 
-        rows = range(settled, scanned)
-        cells = [c for c in rows for _ in taken[c]]
-        flat = [p for c in rows for p in taken[c]]
-        too_near = near(candidates.points(cells, flat)).tolist()
-        bad, at = [], 0
-        for c in rows:
-            bad.append(too_near[at:at + count])
-            at += len(taken[c])
-        bad = np.array(bad, dtype=bool).reshape(len(rows), count)
+        scan = picks[settled:scanned]
+        points = candidates.points(np.arange(settled, scanned)[:, None], scan)
+        too_near = near(points.reshape(-1, 2)).reshape(scan.shape)
+        bad = too_near
         if spacing is not None:
-            points = candidates.points(
-                np.array(rows)[:, None],
-                np.array([taken[c][:count] for c in rows], dtype=int))
             diff = points[:, :, None, :] - points[:, None, :, :]
             # vecdot is the BLAS dot np.linalg.norm takes on a 2-vector
             close = np.sqrt(np.vecdot(diff, diff)) < spacing
-            bad |= (close & earlier).any(axis=1)
+            bad = bad | (close & earlier).any(axis=1)
         if not bad.any():
             settled = scanned
             continue
-        # a candidate too near a fixed node is rejected in any order
-        for c, p, reject in zip(cells, flat, too_near):
-            if reject:
-                rejected[c].add(p)
-        # the first bad pick's cell is settled up to that pick, so the pick
-        # and every later candidate too close to a settled pick are rejected
+        rows, cols = np.nonzero(too_near)
+        for c, p in zip((rows + settled).tolist(), scan[rows, cols].tolist()):
+            rejected[c].add(p)
         first, j = divmod(int(np.argmax(bad)), count)
         settled += first
-        kept, later = taken[settled][:j], taken[settled][j:]
-        reject = np.zeros(len(later), dtype=bool)
-        if spacing is not None and kept:
-            diff = (candidates.points(settled, kept)[:, None, :]
-                    - candidates.points(settled, later)[None, :, :])
-            reject = (np.sqrt(np.vecdot(diff, diff)) < spacing).any(axis=0)
-        reject[0] = True
-        rejected[settled].update(p for p, r in zip(later, reject) if r)
-        extra[settled] = min(2 * extra[settled] + 8, _MAX_LOOKAHEAD)
-    picks = np.array([t[:count] for t in taken], dtype=int)
-    return (candidates.points(np.arange(n_cells)[:, None],
-                              picks.reshape(n_cells, count)), starts[-1])
+        rejected[settled].add(int(picks[settled, j]))
+    return (candidates.points(np.arange(n_cells)[:, None], picks),
+            starts[-1])
 
 
 def build_layout(seed, k_ms, n_pico, params=None, reuse="F1_3"):
@@ -290,8 +264,9 @@ def build_layout(seed, k_ms, n_pico, params=None, reuse="F1_3"):
         raise ConfigurationError("k_ms must be >= 1")
     if n_pico < 0:
         raise ConfigurationError("n_pico must be >= 0")
-    if params.inter_site_distance_m <= 0:
-        raise ConfigurationError("inter_site_distance_m must be > 0")
+    if not 0 < params.inter_site_distance_m < np.inf:
+        raise ConfigurationError(
+            "inter_site_distance_m must be finite and > 0")
     if reuse not in REUSE_MODES:
         raise ConfigurationError(f"unknown reuse mode {reuse!r}")
 
@@ -303,14 +278,9 @@ def build_layout(seed, k_ms, n_pico, params=None, reuse="F1_3"):
     for cid, (a, b) in _CELL_AXIAL.items():
         sites[cid - 1] = a * v1 + b * v2
         colors[cid - 1] = (a - b) % 3
-
-    if reuse == "F1_3":
-        reuse_band = {cid: BANDS[colors[cid - 1]] for cid in _CELL_AXIAL}
-    else:
-        reuse_band = {cid: BANDS[0] for cid in _CELL_AXIAL}
-    own = reuse_band[1]
+    # under F1_3 a cell's band is its reuse color; under F1 all share one
     interferers = tuple(cid for cid in range(2, N_CELLS + 1)
-                        if reuse_band[cid] == own)
+                        if reuse == "F1" or colors[cid - 1] == colors[0])
 
     candidates = _Candidates(np.random.default_rng(seed), sites,
                              d / np.sqrt(3.0), N_CELLS * (n_pico + k_ms))
@@ -338,10 +308,7 @@ def build_layout(seed, k_ms, n_pico, params=None, reuse="F1_3"):
         macro_sites=sites,
         pico_positions=pico_positions,
         ms_positions=ms_positions,
-        inter_site_distance=d,
-        reuse_band=reuse_band,
         interferer_set=interferers,
-        reuse=reuse,
         seed=int(seed),
     )
 

@@ -91,7 +91,6 @@ class Cluster:
     """Drop-level state for the cluster in one direction: nodes and
     large-scale quantities.  The other direction's interference is None."""
 
-    topology: cellgeom.Topology
     params: cellgeom.PropagationParams
     direction: str
     bs_nodes: list
@@ -170,7 +169,7 @@ def build_cluster(topology, params=None, *, direction):
             ul_nodes, bs_nodes, topology, params)).reshape(
                 len(cells), topology.k_ms, n_bs)
 
-    return Cluster(topology=topology, params=params, direction=direction,
+    return Cluster(params=params, direction=direction,
                    bs_nodes=bs_nodes, ms_nodes=ms_nodes, gain=gain,
                    thermal_ul=thermal_ul, sigma2_dl=sigma2_dl,
                    ul_interference=ul_interference)
@@ -199,9 +198,8 @@ def realize_channel(cluster, slot, rng):
         sigma2_dl = cluster.sigma2_dl.copy()
     else:
         sigma2_ul = cluster.thermal_ul.copy()
-        k = cluster.topology.k_ms
         for ci in range(cluster.ul_interference.shape[0]):
-            active = rng.integers(0, k, size=3)
+            active = rng.integers(0, n_ms, size=3)
             sigma2_ul += cluster.ul_interference[ci, active].sum(axis=0)
 
     return ChannelRealization(h_ul=h_ul, h_dl=h_dl,

@@ -138,7 +138,8 @@ def test_build_layout_deterministic_counts():
 
 
 @pytest.mark.parametrize("k_ms,n_pico,reuse", [
-    (1, 0, "F1_3"), (5, 3, "F1_3"), (5, 20, "F1_3"), (2, 1, "F1")])
+    (1, 0, "F1_3"), (5, 3, "F1_3"), (5, 5, "F1_3"), (5, 10, "F1_3"),
+    (5, 20, "F1_3"), (4, 1, "F1_3"), (2, 1, "F1")])
 def test_build_layout_matches_one_node_sampler(k_ms, n_pico, reuse):
     params = cellgeom.PropagationParams()
     for seed in [*range(30), 2 ** 40 + 9, 2 ** 64 - 1]:
@@ -150,15 +151,20 @@ def test_build_layout_matches_one_node_sampler(k_ms, n_pico, reuse):
 
 
 def test_build_layout_matches_one_node_sampler_under_rejections():
-    # distances that reject a tenth to a half of the candidates, so that
-    # picks are rejected after the batch test and the scan is repeated
-    params = cellgeom.PropagationParams(min_dist_macro_m=150.0,
-                                        min_dist_pico_m=60.0)
-    for seed in range(10):
-        topo = cellgeom.build_layout(seed, 4, 8, params)
-        picos, ms = layout_oracle(seed, 4, 8, params, topo.macro_sites)
-        assert np.array_equal(topo.pico_positions, picos), seed
-        assert np.array_equal(topo.ms_positions, ms), seed
+    for macro_m, pico_m, seeds in (
+            # a tenth to a half of the candidates rejected, so that picks
+            # are rejected after the batch test and the scan is repeated
+            (150.0, 60.0, range(10)),
+            # about nine in ten rejected: long runs of rejected candidates,
+            # each cell rescanned many times
+            (250.0, 1.0, range(3))):
+        params = cellgeom.PropagationParams(min_dist_macro_m=macro_m,
+                                            min_dist_pico_m=pico_m)
+        for seed in seeds:
+            topo = cellgeom.build_layout(seed, 4, 8, params)
+            picos, ms = layout_oracle(seed, 4, 8, params, topo.macro_sites)
+            assert np.array_equal(topo.pico_positions, picos), seed
+            assert np.array_equal(topo.ms_positions, ms), seed
 
 
 def test_build_layout_unplaceable_node():
@@ -173,8 +179,9 @@ def test_build_layout_unplaceable_node():
 
 
 def test_build_layout_positions_inside_cells():
-    topo = cellgeom.build_layout(7, 5, 20)
-    radius = topo.inter_site_distance / np.sqrt(3.0)
+    params = cellgeom.PropagationParams()
+    topo = cellgeom.build_layout(7, 5, 20, params)
+    radius = params.inter_site_distance_m / np.sqrt(3.0)
     for c in range(19):
         center = topo.macro_sites[c]
         assert np.all(cellgeom.hexagon_contains(
@@ -195,15 +202,18 @@ def test_build_layout_validation():
         cellgeom.build_layout(1, 0, 1)
     with pytest.raises(ConfigurationError):
         cellgeom.build_layout(1, 1, -1)
+    # params changed after their own checks ran
     bad = cellgeom.PropagationParams()
-    bad.inter_site_distance_m = 0.0
-    with pytest.raises(ConfigurationError):
-        cellgeom.build_layout(1, 1, 1, bad)
+    for distance in (0.0, np.nan, np.inf):
+        bad.inter_site_distance_m = distance
+        with pytest.raises(ConfigurationError,
+                           match="inter_site_distance_m"):
+            cellgeom.build_layout(1, 1, 1, bad)
 
 
 def test_ring_geometry():
     topo = cellgeom.build_layout(0, 1, 0)
-    d = topo.inter_site_distance
+    d = cellgeom.PropagationParams().inter_site_distance_m
     radii = np.linalg.norm(topo.macro_sites, axis=1)
     assert radii[0] == pytest.approx(0.0, abs=1e-9)
     assert np.allclose(radii[1:7], d)
@@ -219,10 +229,6 @@ def test_ring_geometry():
 def test_reuse_band_and_interferers():
     topo = cellgeom.build_layout(0, 1, 0, reuse="F1_3")
     assert topo.interferer_set == (8, 10, 12, 14, 16, 18)
-    own = topo.reuse_band[1]
-    sharing = [cid for cid in range(2, 20) if topo.reuse_band[cid] == own]
-    assert sharing == [8, 10, 12, 14, 16, 18]
-    assert set(topo.reuse_band.values()) == {"B1", "B2", "B3"}
 
     full = cellgeom.build_layout(0, 1, 0, reuse="F1")
     assert full.interferer_set == tuple(range(2, 20))
@@ -270,9 +276,7 @@ def _toy_topology(ms_xy, pico_xy=(200.0, 0.0)):
         macro_sites=base.macro_sites.copy(),
         pico_positions=base.pico_positions.copy(),
         ms_positions=base.ms_positions.copy(),
-        inter_site_distance=base.inter_site_distance,
-        reuse_band=base.reuse_band, interferer_set=base.interferer_set,
-        reuse=base.reuse, seed=base.seed)
+        interferer_set=base.interferer_set, seed=base.seed)
     topo.ms_positions[0, 0] = ms_xy
     topo.pico_positions[0, 0] = pico_xy
     return topo
@@ -323,3 +327,14 @@ def test_propagation_params_validation():
         cellgeom.PropagationParams(shadow_std_macro_db=np.inf)
     with pytest.raises(ConfigurationError):
         cellgeom.PropagationParams(shadow_std_pico_db=-1.0)
+    # a NaN distance rule would be silently off, and a bad inter-site
+    # distance is refused here, before any drop is built
+    for name, value in (
+            ("inter_site_distance_m", np.nan),
+            ("inter_site_distance_m", np.inf),
+            ("inter_site_distance_m", -5.0), ("min_dist_macro_m", np.nan),
+            ("min_dist_pico_m", np.nan), ("tx_ms_dbm", -np.inf),
+            ("nf_pico_db", np.nan), ("macro_pathloss", (128.1, np.nan)),
+            ("pico_pathloss", (np.inf, 30.0))):
+        with pytest.raises(ConfigurationError, match=name):
+            cellgeom.PropagationParams(**{name: value})

@@ -180,7 +180,7 @@ def test_directions_draw_the_same_fades(small_drop, small_drop_dl):
     slot's channels do not depend on the direction; only the uplink then
     draws its active interferers, and each slot carries its direction's
     noise alone."""
-    _, _, up = small_drop
+    topo, _, up = small_drop
     _, _, down = small_drop_dl
     rng_up, rng_down = np.random.default_rng(8), np.random.default_rng(8)
     c_up = channel.realize_channel(up, 2, rng_up)
@@ -190,8 +190,8 @@ def test_directions_draw_the_same_fades(small_drop, small_drop_dl):
     assert c_up.sigma2_z_dl is None and c_down.sigma2_z_ul is None
     assert np.array_equal(c_down.sigma2_z_dl, down.sigma2_dl)
     # the uplink drew one active MS per sector of each co-band cell more
-    for _ in up.topology.interferer_set:
-        rng_down.integers(0, up.topology.k_ms, size=3)
+    for _ in topo.interferer_set:
+        rng_down.integers(0, topo.k_ms, size=3)
     assert rng_up.bit_generator.state == rng_down.bit_generator.state
 
 

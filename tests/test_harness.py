@@ -75,7 +75,8 @@ def test_config_from_dict_and_yaml(tmp_path):
     for bad in (dict(direction="sideways"), dict(bogus_key=1),
                 dict(solver=dict(bogus=1)), dict(propagation=dict(bogus=1)),
                 dict(k_ms="x"), dict(solver=5), dict(reuse="F7"),
-                dict(rate_mapping=dict(kind="nope"))):
+                dict(rate_mapping=dict(kind="nope")),
+                dict(propagation=dict(inter_site_distance_m=-5))):
         with pytest.raises(ConfigurationError):
             harness.ExperimentConfig.from_dict(bad)
 
