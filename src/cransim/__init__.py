@@ -12,7 +12,7 @@ from .downlink import DownlinkDesign, feasible_dl, optimize_dl, rates_dl
 from .errors import ConfigurationError, DomainError, NumericalDomainError
 from .harness import (ExperimentConfig, MetricsReport, PRESETS, RateMapping,
                       SweepResult, alpha_sweep, percentile, run_experiment)
-from .mmopt import MMTrace, SolveResult, mm_solve
+from .mmopt import MMTrace, SolveResult
 from .scheduler import FairnessState, initial_state, update, weights
 from .uplink import (UplinkDesign, backhaul_p2p, backhaul_wz,
                      omega_closed_form, optimize_ul, rates_ul)

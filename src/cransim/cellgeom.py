@@ -188,6 +188,31 @@ class _Candidates:
         self.offsets = np.concatenate([self.offsets, batch])
 
 
+def _reject_ahead(candidates, cell, after, placed, need, near, spacing,
+                  rejected):
+    """Reject what the cell's next ``need`` nodes would, from stream
+    position ``after`` on: each node's open candidates before the first that
+    ``near`` passes and that lies ``spacing`` from ``placed`` and the nodes
+    before it.  Each node's batches double up to 1024 and all start at its
+    ``after``, so that `take` ends them at its limit of tries."""
+    width = 8
+    while need:
+        batch = candidates.take(cell, after, width, rejected)
+        if not batch:
+            return
+        points = candidates.points(cell, batch)
+        failed = near(points)
+        if spacing is not None:
+            diff = placed[None, :, :] - points[:, None, :]
+            failed |= (np.sqrt(np.vecdot(diff, diff)) < spacing).any(1)
+        n = len(batch) if failed.all() else int(np.argmin(failed))
+        rejected.update(batch[:n])
+        width = min(2 * width, 1024)
+        if n < len(batch):
+            need, after, width = need - 1, batch[n] + 1, 8
+            placed = np.concatenate([placed, points[n:n + 1]])
+
+
 def _place(candidates, start, count, near, spacing=None):
     """(positions (n_cells, count, 2), next stream position): ``count`` nodes
     in each cell, cell after cell, from stream position ``start`` on.
@@ -206,7 +231,10 @@ def _place(candidates, start, count, near, spacing=None):
     is settled.  Otherwise the cells before the first failing pick are
     settled, that pick is rejected, and the scan repeats from its cell.
     ``near`` does not depend on the order of the nodes, so every pick it
-    rejects stays rejected in all later scans.
+    rejects stays rejected in all later scans.  A scan that fails in its
+    first cell calls `_reject_ahead`, which rejects in a few batch tests
+    all that the cell's remaining nodes would, so the next scan settles it.
+    Rejections last for this call alone, as the MSs reject other ones.
     """
     n_cells = len(candidates.sites)
     rejected = [set() for _ in range(n_cells)]
@@ -248,6 +276,10 @@ def _place(candidates, start, count, near, spacing=None):
         first, j = divmod(int(np.argmax(bad)), count)
         settled += first
         rejected[settled].add(int(picks[settled, j]))
+        if not first:
+            _reject_ahead(candidates, settled, int(picks[settled, j]),
+                          candidates.points(settled, picks[settled, :j]),
+                          count - j, near, spacing, rejected[settled])
     return (candidates.points(np.arange(n_cells)[:, None], picks),
             starts[-1])
 

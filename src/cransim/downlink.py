@@ -10,14 +10,16 @@ at the served users at the price of joint (subset-sum) backhaul conditions:
 for every subset S of BSs the sum of per-BS description rates minus the
 log-det of Omega restricted to S must fit within the summed capacities.
 
-The weighted-sum-rate design over (A, Omega) runs as an MM loop: the
-non-convex log terms are replaced by scalar tangents at the current iterate
-(upper bounds inside the constraints, a lower bound for the objective), and
-each inner subproblem is solved by gradient ascent with a logarithmic
-barrier on the linearized constraints.  The surrogate constraint set is
-convex and sits inside the true feasible set, so every accepted iterate is
-feasible, and ascent steps from the current point never decrease the true
-objective.
+The weighted-sum-rate design over (A, Omega) runs as a
+majorization-minimization (MM) loop, `mm_solve` (Park, Simeone, Sahin and
+Shamai, IEEE TSP 2013; Razaviyayn, Hong and Luo, SIAM J. Optim. 2013).  The
+non-convex log terms are concave in their argument, so their tangents at the
+current iterate are global upper bounds that touch there: inside the
+constraints they leave a convex surrogate set within the true feasible set,
+and in the objective they give a lower bound.  Each inner subproblem is
+solved by gradient ascent with a logarithmic barrier on the linearized
+constraints, so every accepted iterate is feasible and the true objective
+never decreases.
 
 The 2^n - 1 BS subsets are one cached, read-only table per BS count,
 `_lattice(n)`: the subsets by size with their members, their membership
@@ -49,10 +51,12 @@ import numpy as np
 
 from .errors import DomainError, NumericalDomainError
 from .mmopt import (FEASIBILITY_TOL, LN2, MODE_MT, MODE_P2P, MMTrace,
-                    SolveResult, check_mode, hermitize, mm_solve,
-                    solver_inputs)
+                    SolveResult, check_mode, hermitize, solver_inputs)
 
 SUBSET_ENUM_CAP = 16
+# mm_solve's relative objective change for convergence, and its step cap
+MM_TOL = 1e-4
+MM_MAX_ITER = 60
 # inner solve per MM step: barrier rounds, and ascent steps per round
 BARRIER_ROUNDS = 3
 INNER_STEPS = 40
@@ -579,17 +583,53 @@ class _PrecodingProblem:
             f"cannot be met (capacity {caps[worst]:.3g} bps/Hz)")
 
 
-def _interior_restart(it):
-    """Back a boundary point off its active constraints.
+def mm_solve(problem, init):
+    """Run the MM loop from a feasible starting point.
 
-    A design whose per-BS description rates sit at capacity leaves every
-    subset constraint tight, which locally blocks all noise-correlating
-    directions.  Shrinking the signal slightly (noise unchanged) opens both
-    the power and every backhaul constraint at a marginal objective cost,
-    giving the joint optimization room to trade description resolution for
-    noise shaping.
+    `problem` provides objective(x), the true objective (to maximize);
+    violation(x), the largest violation of the true constraints (<= 0 if
+    feasible); and step(x), one inner ascent from x that does not decrease
+    its own surrogate and stays feasible.  Returns (solution, MMTrace).
+    Converged means the relative objective change dropped below MM_TOL.  A
+    step that fails, leaves the feasible set or decreases the true objective
+    stops the loop unconverged at the previous iterate, as do MM_MAX_ITER
+    accepted steps; none of these raises.
     """
-    return _Iterate(it.problem, it.a * np.sqrt(1.0 - RESTART_SHRINK), keep=it)
+    v0 = problem.violation(init)
+    # written so that a NaN violation counts as infeasible
+    if not v0 <= FEASIBILITY_TOL:
+        raise NumericalDomainError(
+            f"mm_solve requires a feasible starting point "
+            f"(constraint violation {v0:.3e})")
+    x, obj = init, problem.objective(init)
+    trace = MMTrace(objective=[obj], violation=[v0])
+    for _ in range(MM_MAX_ITER):
+        try:
+            candidate = problem.step(x)
+        except NumericalDomainError as exc:
+            trace.warnings.append(f"inner solve failed: {exc}")
+            break
+        viol = problem.violation(candidate)
+        if not viol <= FEASIBILITY_TOL:
+            trace.warnings.append(
+                "step left the feasible set; keeping previous iterate")
+            break
+        new_obj = problem.objective(candidate)
+        if new_obj < obj - 1e-12 * max(1.0, abs(obj)):
+            trace.warnings.append("surrogate step decreased the objective; "
+                                  "stopping at previous iterate")
+            break
+        rel_change = abs(new_obj - obj) / max(1.0, abs(obj))
+        x, obj = candidate, new_obj
+        trace.objective.append(obj)
+        trace.violation.append(viol)
+        trace.iterations += 1
+        if rel_change < MM_TOL:
+            trace.converged = True
+            break
+    else:
+        trace.warnings.append(f"no convergence within {MM_MAX_ITER} iterations")
+    return x, trace
 
 
 def optimize_dl(channel, c, p_bs, weights, mode, init=None):
@@ -600,9 +640,9 @@ def optimize_dl(channel, c, p_bs, weights, mode, init=None):
     and power limits, and raises DomainError without one, as does any other
     mode; when refining does not improve on init under `weights`, init is
     returned.  Zero-capacity BSs are silenced and dropped from all
-    constraint sets.  The MM loop stops at mmopt.MM_TOL or after
-    mmopt.MM_MAX_ITER steps; each step runs BARRIER_ROUNDS barrier rounds
-    of INNER_STEPS ascent steps.
+    constraint sets.  The MM loop stops at MM_TOL or after MM_MAX_ITER
+    steps; each step runs BARRIER_ROUNDS barrier rounds of INNER_STEPS
+    ascent steps.
     """
     check_mode(mode)
     weights, c, p_bs = solver_inputs(weights, c, p_bs)
@@ -636,9 +676,12 @@ def optimize_dl(channel, c, p_bs, weights, mode, init=None):
         omega_diag = (init.omega.diagonal()[active] / (scale * scale)).real
         incumbent = _Iterate(problem, init.a[active] / scale[:, None],
                              l=np.diag(np.sqrt(omega_diag) + 0j))
-        # it sits on its constraint boundaries: step inside before refining,
-        # and keep the original as the incumbent
-        start = _interior_restart(incumbent)
+        # its description rates sit at capacity, so every subset condition is
+        # tight and blocks all noise-correlating directions: a slightly
+        # weaker signal (noise unchanged) opens them at a marginal cost.
+        # Refining starts there, and the original stays the incumbent
+        start = _Iterate(problem, incumbent.a * np.sqrt(1.0 - RESTART_SHRINK),
+                         keep=incumbent)
     else:
         incumbent = None
         start = problem.cold_start()

@@ -1,31 +1,10 @@
-"""What both solvers share: mode names, covariance kernels, the result type
-and the majorization-minimization (MM) engine of the downlink design.
+"""What both solvers share: mode names, covariance kernels and the result type.
 
-`check_mode` admits only `MODE_P2P` and `MODE_MT`, and every solve returns
-a `SolveResult`.  `hermitize` symmetrizes a Hermitian PSD covariance and
-`cholesky` factors it, rejecting non-finite or indefinite input; `LN2`
-converts natural logs to bits.
-
-The non-convex log-det (and scalar log) terms of the rate and backhaul
-expressions are concave in their matrix (scalar) argument, so their
-first-order expansion is a global upper bound that touches at the expansion
-point.  Swapping those terms for their tangents yields an inner problem
-whose solution can only improve the true objective, which gives the usual
-monotone-ascent guarantee of MM/DC schemes.  :func:`mm_solve` drives the
-outer MM loop of the joint precoding problem in ``downlink``, which builds
-its own tangents; the uplink power solve scores the vertices of its power
-box and needs no MM loop, but reports in an :class:`MMTrace` too.
-
-A problem object plugged into :func:`mm_solve` provides:
-
-    objective(x)          true objective value (to maximize)
-    violation(x)          max violation of the true constraints (<= 0 if feasible)
-    step(x)               one inner ascent from x, returning a candidate
-
-`step` is expected to never decrease its own ascent objective relative to
-its starting point and to stay inside the true feasible set; mm_solve
-additionally guards acceptance with the true objective and with the true
-constraints.
+`check_mode` admits only `MODE_P2P` and `MODE_MT`, `solver_inputs` checks
+the weights, capacities and power limits, and every solve returns a
+`SolveResult` with its `MMTrace`.  `hermitize` symmetrizes a Hermitian PSD
+covariance and `cholesky` factors it, rejecting non-finite or indefinite
+input; `LN2` converts natural logs to bits.
 """
 
 from dataclasses import dataclass, field
@@ -37,10 +16,6 @@ from .errors import DomainError, NumericalDomainError
 MODE_P2P = "point_to_point"
 MODE_MT = "multiterminal"
 LN2 = np.log(2.0)
-# mm_solve converges at a relative objective change below MM_TOL and stops
-# unconverged after MM_MAX_ITER steps
-MM_TOL = 1e-4
-MM_MAX_ITER = 60
 # largest true-constraint violation that still counts as feasible
 FEASIBILITY_TOL = 1e-7
 
@@ -77,7 +52,9 @@ def cholesky(m):
 
 @dataclass
 class MMTrace:
-    """Per-iteration bookkeeping of one mm_solve run or uplink power solve."""
+    """How a solve went: the objective and constraint violation of each MM
+    iterate (downlink only; the uplink runs no MM loop), whether it
+    converged, its step count and its warnings."""
     objective: list = field(default_factory=list)
     violation: list = field(default_factory=list)
     converged: bool = False
@@ -109,55 +86,3 @@ def solver_inputs(weights, caps, power_limits):
         raise DomainError("power limits must be finite and positive")
     return weights, caps, power_limits
 
-
-def mm_solve(problem, init):
-    """Run the MM loop from a feasible starting point.
-
-    Returns (solution, MMTrace).  Converged means the relative objective
-    change dropped below MM_TOL.  A step that fails, leaves the feasible set
-    or decreases the objective stops the loop unconverged at the previous
-    iterate, as do MM_MAX_ITER accepted steps; none of these raises.
-    """
-    trace = MMTrace()
-    v0 = problem.violation(init)
-    # written so that a NaN violation counts as infeasible
-    if not v0 <= FEASIBILITY_TOL:
-        raise NumericalDomainError(
-            f"mm_solve requires a feasible starting point "
-            f"(constraint violation {v0:.3e})")
-    x = init
-    obj = problem.objective(x)
-    trace.objective.append(obj)
-    trace.violation.append(v0)
-
-    for _ in range(MM_MAX_ITER):
-        try:
-            candidate = problem.step(x)
-        except NumericalDomainError as exc:
-            trace.warnings.append(f"inner solve failed: {exc}")
-            break
-
-        viol = problem.violation(candidate)
-        if not viol <= FEASIBILITY_TOL:
-            trace.warnings.append(
-                "step left the feasible set; keeping previous iterate")
-            break
-
-        new_obj = problem.objective(candidate)
-        if new_obj < obj - 1e-12 * max(1.0, abs(obj)):
-            trace.warnings.append(
-                "surrogate step decreased the objective; stopping at previous iterate")
-            break
-
-        rel_change = abs(new_obj - obj) / max(1.0, abs(obj))
-        x, obj = candidate, new_obj
-        trace.objective.append(obj)
-        trace.violation.append(viol)
-        trace.iterations += 1
-        if rel_change < MM_TOL:
-            trace.converged = True
-            break
-    else:
-        trace.warnings.append(f"no convergence within {MM_MAX_ITER} iterations")
-
-    return x, trace

@@ -233,27 +233,24 @@ def _design_and_rates(p, channel, c, mode, n_macro):
 
 def _tangent_slopes(g, p):
     """ln 2 times the slopes of every psi_k at p, given G at p, where psi_k
-    is log2 det M without MS k: row k holds ln 2 d psi_k / d p_j.  Also for
-    a stack of G and p, one slope matrix per power vector.
+    is log2 det M without MS k: row k holds ln 2 d psi_k / d p_j.
 
     ln 2 d psi_k / d p_j = G_jj + p_k |G_jk|^2 / (1 - p_k G_kk) for
     j != k (Sherman-Morrison on M without MS k), and 0 for j == k.
     """
-    g_diag = np.diagonal(g, axis1=-2, axis2=-1).real
-    slopes = g_diag[..., None, :] + p[..., :, None] * np.abs(g) ** 2 \
-        / (1.0 - p * g_diag)[..., :, None]
-    k = np.arange(p.shape[-1])
-    slopes[..., k, k] = 0.0
+    g_diag = g.diagonal().real
+    slopes = g_diag + p[:, None] * np.abs(g) ** 2 \
+        / (1.0 - p * g_diag)[:, None]
+    slopes.flat[::p.size + 1] = 0.0
     return slopes
 
 
 class VertexTable:
     """What the uplink solves of one slot share, whatever their weights and
     mode: the 2^K - 1 nonzero vertices of the power box, full power first,
-    with G, the ideal-backhaul rates and the `_tangent_slopes` matrix at
-    each.  A (vertex, mode)'s design and rates are computed on first use
-    and kept.  Results share the kept rates and designs, so their arrays
-    are read-only.  More than K_MS_MAX MSs, or a positive capacity below
+    with G and the ideal-backhaul rates at each.  A (vertex, mode)'s design
+    and rates are computed on first use and kept.  Results share the kept
+    rates and designs, so their arrays are read-only.  More than K_MS_MAX MSs, or a positive capacity below
     CAPACITY_MIN or above `capacity_max` of its BS, raises DomainError.
     """
 
@@ -281,7 +278,6 @@ class VertexTable:
                            self.p)
         self.g_diag = np.diagonal(self.g, axis1=-2, axis2=-1).real
         self.rates = _rates(self.p, self.g_diag)
-        self.slopes = _tangent_slopes(self.g, self.p)
         self._designs = {}
 
     def design(self, v, mode):
@@ -297,23 +293,25 @@ class VertexTable:
 
 def _power_solve(table, weights):
     """The best vertex of the power box (an index into `table`) for the
-    ideal-backhaul weighted sum rate, and its trace.
+    ideal-backhaul weighted sum rate, and its trace: one converged step and
+    no MM iterates, as no MM loop runs.
 
     The first best vertex wins, so that a tie (all weights zero, say) goes
-    to full power.  It is checked against the box KKT signs: the gradient
-    must be >= 0 where an MS is at p_max and <= 0 where it is off, up to
-    rounding of its two terms.  Along one MS's power the slope changes sign
-    at most once, from - to +, so the best vertex passes in exact
-    arithmetic, and the check guards the floating-point scores.  A failed
-    check is a trace warning, and the vertex is kept.
+    to full power.  It is checked against the box KKT signs: the gradient,
+    from the `_tangent_slopes` at that vertex alone, must be >= 0 where an
+    MS is at p_max and <= 0 where it is off, up to rounding of its two
+    terms.  Along one MS's power the slope changes sign at most once, from
+    - to +, so the best vertex passes in exact arithmetic, and the check
+    guards the floating-point scores.  A failed check is a trace warning,
+    and the vertex is kept.
     """
     scores = table.rates @ weights
     best = int(np.argmax(scores))
-    trace = MMTrace(objective=[float(scores[0]), float(scores[best])],
-                    violation=[0.0, 0.0], converged=True, iterations=1)
+    trace = MMTrace(converged=True, iterations=1)
     # gradient of sum_k w_k (log2 det M - psi_k) at the vertex
     phi_slopes = np.sum(weights) * table.g_diag[best] / LN2
-    grad = phi_slopes - weights @ table.slopes[best] / LN2
+    grad = phi_slopes \
+        - weights @ _tangent_slopes(table.g[best], table.p[best]) / LN2
     if np.any(np.where(table.on[best], grad, -grad) < -1e-9 * phi_slopes):
         trace.warnings.append(
             "best vertex of the power box fails the KKT sign test")
@@ -323,9 +321,9 @@ def _power_solve(table, weights):
 def optimize_ul(channel, c, weights, mode, p_max, n_macro=3, table=None):
     """Two-step uplink design: ideal-backhaul powers, then closed-form noise.
 
-    The powers are the best vertex of the power box (`_power_solve`), whose
-    trace warns instead of raising when that vertex fails the KKT sign
-    test.  BSs with zero capacity are dropped from all assemblies.  `table`
+    The powers are the best vertex of the power box (`_power_solve`).  The
+    trace holds no MM iterates, only one converged step and a warning, not
+    an error, when that vertex fails the KKT sign test.  BSs with zero capacity are dropped from all assemblies.  `table`
     is the slot's `VertexTable`, which calls with other weights or mode
     may share; without one, the call builds its own.  A table built for
     another channel object, or for other c, p_max or n_macro values, raises

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from cransim import downlink, harness, mmopt, uplink
+from cransim import downlink, harness, uplink
 from cransim.mmopt import LN2
 from helpers import (DOMINANCE_PRESETS, backhaul_mv_dl, backhaul_p2p_dl,
                      cn_samples, colored_noise, dominance_sweep,
@@ -84,7 +84,7 @@ def test_criterion_2_uplink_multiterminal_dominance():
 def test_criterion_3_downlink_multiterminal_dominance(monkeypatch):
     rng = np.random.default_rng(103)
     # 30 MM steps of 30 ascent steps per barrier round
-    monkeypatch.setattr(mmopt, "MM_MAX_ITER", 30)
+    monkeypatch.setattr(downlink, "MM_MAX_ITER", 30)
     monkeypatch.setattr(downlink, "INNER_STEPS", 30)
     worst_gap = np.inf
     worst_margin = np.inf
@@ -241,36 +241,45 @@ def test_criterion_6_mm_soundness(monkeypatch):
                          abs(numeric - analytic) / max(abs(analytic), 1e-12))
     assert worst_grad < 1e-5
 
-    # every solver trace in a fresh corpus is monotone within slack
-    worst_slack = np.inf
-    traces = []
+    # a fresh corpus of solver runs.  The uplink's chosen vertex scores at
+    # least full power's for ideal backhaul, and its design passes the
+    # backhaul re-check
+    worst_slack, worst_excess, runs = np.inf, -np.inf, 0
     for _ in range(15):
-        ch, p, c = rand_ul_instance(rng, max_bs=5, max_ms=4)
-        res = uplink.optimize_ul(ch, c, rng.uniform(0.1, 1.0, ch.n_ms), MT,
-                                 p_max=rng.uniform(0.5, 2.0))
-        traces.append(res.trace)
-    # 25 MM steps of 25 ascent steps per barrier round, for the downlink
-    # solves alone
+        ch, _, c = rand_ul_instance(rng, max_bs=5, max_ms=4)
+        w = rng.uniform(0.1, 1.0, ch.n_ms)
+        p_max = rng.uniform(0.5, 2.0)
+        res = uplink.optimize_ul(ch, c, w, MT, p_max=p_max)
+        problem = (ch.h_ul, ch.sigma2_z_ul, w, p_max)
+        worst_slack = min(worst_slack, _ul_objective(problem, res.design.p)
+                          - _ul_objective(problem, np.full(ch.n_ms, p_max)))
+        for position, i in enumerate(res.design.order):
+            worst_excess = max(worst_excess, uplink.backhaul_wz(
+                res.design, ch, position) - c[i])
+        runs += 1
+    # every downlink MM trace is monotone within slack and ends feasible;
+    # 25 MM steps of 25 ascent steps per barrier round
     with monkeypatch.context() as effort:
-        effort.setattr(mmopt, "MM_MAX_ITER", 25)
+        effort.setattr(downlink, "MM_MAX_ITER", 25)
         effort.setattr(downlink, "INNER_STEPS", 25)
         for _ in range(6):
             ch = rand_channel(rng, int(rng.integers(2, 4)), 2)
             c = rng.uniform(1.0, 4.0, ch.n_bs)
             p_bs = rng.uniform(2.0, 6.0, ch.n_bs)
-            res = solve_multiterminal(ch, c, p_bs, np.ones(2))
-            traces.append(res.trace)
-    for tr in traces:
-        diffs = np.diff(tr.objective)
-        if diffs.size:
-            worst_slack = min(worst_slack, float(np.min(diffs)))
-        assert tr.violation[-1] <= 1e-7
+            tr = solve_multiterminal(ch, c, p_bs, np.ones(2)).trace
+            diffs = np.diff(tr.objective)
+            if diffs.size:
+                worst_slack = min(worst_slack, float(np.min(diffs)))
+            worst_excess = max(worst_excess, tr.violation[-1])
+            runs += 1
     assert worst_slack >= -1e-9
+    assert worst_excess <= 1e-7
     announce(6, f"uplink surrogate dominance margin {worst_dom:+.2e} "
                 f"(>= -1e-9), touch gap at p0 {worst_touch:.2e} (<= 1e-9), "
                 f"tangent slope error {worst_grad:.2e} (< 1e-5), "
-                f"worst trace step {worst_slack:+.2e} (>= -1e-9) "
-                f"over {len(traces)} solver runs")
+                f"worst ascent step {worst_slack:+.2e} (>= -1e-9), "
+                f"worst constraint excess {worst_excess:+.2e} (<= 1e-7) "
+                f"over {runs} solver runs")
 
 
 def test_criterion_7_limit_checks():

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from cransim import downlink, harness, mmopt
+from cransim import downlink, harness
 from cransim.channel import ChannelRealization
 from cransim.errors import DomainError, NumericalDomainError
-from cransim.mmopt import FEASIBILITY_TOL
+from cransim.mmopt import FEASIBILITY_TOL, LN2
 from helpers import (backhaul_mv_dl, backhaul_p2p_dl, cn_samples,
                      colored_noise, enumerate_subsets, mi_from_samples,
                      rand_channel, solve_multiterminal)
@@ -356,6 +356,94 @@ def test_feasible_dl_matches_loop_on_sweep_designs(monkeypatch):
         assert assert_feasible_dl_matches_oracle(design).feasible
 
 
+class _ScalarDC:
+    """max log2(1+4x) - 1.2 log2(1+x) on [0, 10]; optimum at x* = 3.5."""
+
+    lo, hi = 0.0, 10.0
+
+    def objective(self, x):
+        return float(np.log2(1 + 4 * x) - 1.2 * np.log2(1 + x))
+
+    def violation(self, x):
+        return float(max(x - self.hi, self.lo - x))
+
+    def step(self, x0):
+        # tangent of the subtracted concave term, then exact concave maximization
+        slope = 1.2 / ((1 + x0) * LN2)
+        x = (4.0 / (slope * LN2) - 1.0) / 4.0
+        return float(np.clip(x, self.lo, self.hi))
+
+
+def test_mm_solve_scalar_dc_toy(monkeypatch):
+    monkeypatch.setattr(downlink, "MM_TOL", 1e-14)
+    monkeypatch.setattr(downlink, "MM_MAX_ITER", 200)
+    x, trace = downlink.mm_solve(_ScalarDC(), 0.0)
+    assert x == pytest.approx(3.5, abs=1e-4)
+    assert trace.converged
+    diffs = np.diff(trace.objective)
+    assert np.all(diffs >= -1e-9)
+
+
+def test_mm_solve_stationary_point_converges_immediately(monkeypatch):
+    monkeypatch.setattr(downlink, "MM_TOL", 1e-8)
+    x, trace = downlink.mm_solve(_ScalarDC(), 3.5)
+    assert trace.converged
+    assert trace.iterations == 1
+    assert x == pytest.approx(3.5, abs=1e-9)
+
+
+def test_mm_solve_rejects_infeasible_start():
+    # a NaN start has a NaN violation, and NaN > tol is False
+    for start in (11.0, np.nan):
+        with pytest.raises(NumericalDomainError):
+            downlink.mm_solve(_ScalarDC(), start)
+
+
+def test_mm_solve_reports_non_convergence(monkeypatch):
+    monkeypatch.setattr(downlink, "MM_TOL", 0.0)
+    monkeypatch.setattr(downlink, "MM_MAX_ITER", 3)
+    x, trace = downlink.mm_solve(_ScalarDC(), 0.0)
+    assert not trace.converged
+    assert any("no convergence" in w for w in trace.warnings)
+    assert trace.iterations == 3
+
+
+class _BadStepProblem(_ScalarDC):
+    def __init__(self, bad):
+        self.bad = bad
+
+    def step(self, x0):
+        return self.bad
+
+
+def test_mm_solve_feasibility_backtracking(monkeypatch):
+    # a step far outside the box, and one whose violation is NaN
+    monkeypatch.setattr(downlink, "MM_MAX_ITER", 4)
+    for bad in (50.0, np.nan):
+        x, trace = downlink.mm_solve(_BadStepProblem(bad), 5.0)
+        assert x == 5.0
+        assert trace.warnings == [
+            "step left the feasible set; keeping previous iterate"]
+        assert not trace.converged
+        assert trace.iterations == 0
+        assert trace.objective == [_ScalarDC().objective(5.0)]
+
+
+class _DownhillStepProblem(_ScalarDC):
+    def step(self, x0):
+        return x0 - 1.0  # feasible, but away from the optimum at 3.5
+
+
+def test_mm_solve_objective_decrease_stops_unconverged():
+    x, trace = downlink.mm_solve(_DownhillStepProblem(), 3.0)
+    assert x == 3.0
+    assert trace.warnings == [
+        "surrogate step decreased the objective; stopping at previous iterate"]
+    assert not trace.converged
+    assert trace.iterations == 0
+    assert trace.objective == [_ScalarDC().objective(3.0)]
+
+
 def test_optimize_single_link_grid_oracle():
     # one BS, one MS: brute-force the (signal, noise) power split
     ch = dl_channel([[0.9 - 0.4j]], [1.0])
@@ -502,7 +590,7 @@ def test_inner_step_factors_each_omega_once(monkeypatch):
 
     count_factorings(monkeypatch, record)
     monkeypatch.setattr(downlink._PrecodingProblem, "step", counted_step)
-    monkeypatch.setattr(mmopt, "MM_MAX_ITER", 3)
+    monkeypatch.setattr(downlink, "MM_MAX_ITER", 3)
     rng = np.random.default_rng(54)
     ch = rand_channel(rng, 4, 3)
     solve_multiterminal(ch, rng.uniform(1.0, 4.0, 4), rng.uniform(2.0, 8.0, 4),
@@ -545,7 +633,7 @@ def test_a_step_inverts_no_subset_block(monkeypatch):
 
     monkeypatch.setattr(downlink, "_subset_inv_scatter", counted_scatter)
     monkeypatch.setattr(downlink._Iterate, "moved", counted_moved)
-    monkeypatch.setattr(mmopt, "MM_MAX_ITER", 3)
+    monkeypatch.setattr(downlink, "MM_MAX_ITER", 3)
     rng = np.random.default_rng(54)
     ch = rand_channel(rng, 4, 3)
     solve_multiterminal(ch, rng.uniform(1.0, 4.0, 4), rng.uniform(2.0, 8.0, 4),
@@ -891,7 +979,7 @@ def test_inner_step_forms_each_noise_term_once(monkeypatch):
 
     monkeypatch.setattr(downlink, "_quant_noise", counted_qn)
     monkeypatch.setattr(downlink._PrecodingProblem, "step", counted_step)
-    monkeypatch.setattr(mmopt, "MM_MAX_ITER", 3)
+    monkeypatch.setattr(downlink, "MM_MAX_ITER", 3)
     rng = np.random.default_rng(54)
     ch = rand_channel(rng, 4, 3)
     solve_multiterminal(ch, rng.uniform(1.0, 4.0, 4), rng.uniform(2.0, 8.0, 4),
@@ -929,7 +1017,7 @@ def test_inner_step_forms_each_precoder_term_once(monkeypatch):
     monkeypatch.setattr(downlink, "_row_power", counted_power)
     monkeypatch.setattr(downlink, "_signal", counted_signal)
     monkeypatch.setattr(downlink._PrecodingProblem, "step", counted_step)
-    monkeypatch.setattr(mmopt, "MM_MAX_ITER", 3)
+    monkeypatch.setattr(downlink, "MM_MAX_ITER", 3)
     rng = np.random.default_rng(54)
     ch = rand_channel(rng, 4, 3)
     for mode in ("point_to_point", "multiterminal"):

@@ -27,7 +27,7 @@ DL_SCALE_ATOL is about ten times that.
 import numpy as np
 import pytest
 
-from cransim import downlink, mmopt, uplink
+from cransim import downlink, uplink
 from cransim.channel import ChannelRealization
 from helpers import (backhaul_mv_dl, cn_samples, rand_channel, rand_psd,
                      solve_multiterminal)
@@ -172,7 +172,7 @@ def test_downlink_design_scales_with_power_limits_and_noise(mode,
     takes log2 of the powers before normalization."""
     rng = np.random.default_rng(75)
     # a short solve: 2 MM steps of 10 ascent steps per barrier round
-    monkeypatch.setattr(mmopt, "MM_MAX_ITER", 2)
+    monkeypatch.setattr(downlink, "MM_MAX_ITER", 2)
     monkeypatch.setattr(downlink, "INNER_STEPS", 10)
     for _ in range(8):
         ch, c, p_bs, w = dl_instance(rng)

@@ -52,94 +52,6 @@ def test_logdet_gradient_matches_finite_differences():
             assert numeric == pytest.approx(slopes[j], rel=1e-5)
 
 
-class _ScalarDC:
-    """max log2(1+4x) - 1.2 log2(1+x) on [0, 10]; optimum at x* = 3.5."""
-
-    lo, hi = 0.0, 10.0
-
-    def objective(self, x):
-        return float(np.log2(1 + 4 * x) - 1.2 * np.log2(1 + x))
-
-    def violation(self, x):
-        return float(max(x - self.hi, self.lo - x))
-
-    def step(self, x0):
-        # tangent of the subtracted concave term, then exact concave maximization
-        slope = 1.2 / ((1 + x0) * LN2)
-        x = (4.0 / (slope * LN2) - 1.0) / 4.0
-        return float(np.clip(x, self.lo, self.hi))
-
-
-def test_mm_solve_scalar_dc_toy(monkeypatch):
-    monkeypatch.setattr(mmopt, "MM_TOL", 1e-14)
-    monkeypatch.setattr(mmopt, "MM_MAX_ITER", 200)
-    x, trace = mmopt.mm_solve(_ScalarDC(), 0.0)
-    assert x == pytest.approx(3.5, abs=1e-4)
-    assert trace.converged
-    diffs = np.diff(trace.objective)
-    assert np.all(diffs >= -1e-9)
-
-
-def test_mm_solve_stationary_point_converges_immediately(monkeypatch):
-    monkeypatch.setattr(mmopt, "MM_TOL", 1e-8)
-    x, trace = mmopt.mm_solve(_ScalarDC(), 3.5)
-    assert trace.converged
-    assert trace.iterations == 1
-    assert x == pytest.approx(3.5, abs=1e-9)
-
-
-def test_mm_solve_rejects_infeasible_start():
-    # a NaN start has a NaN violation, and NaN > tol is False
-    for start in (11.0, np.nan):
-        with pytest.raises(NumericalDomainError):
-            mmopt.mm_solve(_ScalarDC(), start)
-
-
-def test_mm_solve_reports_non_convergence(monkeypatch):
-    monkeypatch.setattr(mmopt, "MM_TOL", 0.0)
-    monkeypatch.setattr(mmopt, "MM_MAX_ITER", 3)
-    x, trace = mmopt.mm_solve(_ScalarDC(), 0.0)
-    assert not trace.converged
-    assert any("no convergence" in w for w in trace.warnings)
-    assert trace.iterations == 3
-
-
-class _BadStepProblem(_ScalarDC):
-    def __init__(self, bad):
-        self.bad = bad
-
-    def step(self, x0):
-        return self.bad
-
-
-def test_mm_solve_feasibility_backtracking(monkeypatch):
-    # a step far outside the box, and one whose violation is NaN
-    monkeypatch.setattr(mmopt, "MM_MAX_ITER", 4)
-    for bad in (50.0, np.nan):
-        x, trace = mmopt.mm_solve(_BadStepProblem(bad), 5.0)
-        assert x == 5.0
-        assert trace.warnings == [
-            "step left the feasible set; keeping previous iterate"]
-        assert not trace.converged
-        assert trace.iterations == 0
-        assert trace.objective == [_ScalarDC().objective(5.0)]
-
-
-class _DownhillStepProblem(_ScalarDC):
-    def step(self, x0):
-        return x0 - 1.0  # feasible, but away from the optimum at 3.5
-
-
-def test_mm_solve_objective_decrease_stops_unconverged():
-    x, trace = mmopt.mm_solve(_DownhillStepProblem(), 3.0)
-    assert x == 3.0
-    assert trace.warnings == [
-        "surrogate step decreased the objective; stopping at previous iterate"]
-    assert not trace.converged
-    assert trace.iterations == 0
-    assert trace.objective == [_ScalarDC().objective(3.0)]
-
-
 def _optimize_dl_multiterminal(ch, c, p, w):
     """The multiterminal downlink solve, refining a point-to-point design
     solved at valid inputs, so that its own input check is the one tested."""

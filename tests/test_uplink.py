@@ -533,7 +533,6 @@ def test_power_solve_matches_exhaustive_vertex_scoring():
         assert got >= max(scores) * (1.0 - 1e-12)
         assert res.trace.converged and res.trace.iterations == 1
         assert res.trace.warnings == []
-        assert res.trace.objective[1] >= res.trace.objective[0]
 
 
 def test_power_solve_breaks_ties_toward_full_power():
@@ -545,7 +544,7 @@ def test_power_solve_breaks_ties_toward_full_power():
     res = uplink.optimize_ul(ch, np.ones(3), np.zeros(3), "point_to_point",
                              p_max)
     assert np.array_equal(res.design.p, p_max)
-    assert res.trace.objective == [0.0, 0.0] and res.trace.warnings == []
+    assert res.objective == 0.0 and res.trace.warnings == []
     h = ch.h_ul.copy()
     h[:, 1] = 0.0
     res = uplink.optimize_ul(unit_channel(h, ch.sigma2_z_ul), np.ones(3),
@@ -569,8 +568,7 @@ def _outputs(res):
     """Every output of one optimize_ul call, floats by their bits."""
     d, t = res.design, res.trace
     return (d.p.tobytes(), d.omega.tobytes(), d.order, d.c.tobytes(), d.mode,
-            res.rates.tobytes(), res.objective.hex(),
-            [x.hex() for x in t.objective], t.violation, t.converged,
+            res.rates.tobytes(), res.objective.hex(), t.converged,
             t.iterations, t.warnings)
 
 
@@ -596,19 +594,13 @@ def _table_instances(rng):
 def test_vertex_table_serves_every_weighting_and_mode_bit_for_bit():
     # one table per instance serves weightings from all-zero to spread over
     # 60 decades, in both modes, interleaved; each result equals a call
-    # without a table bit for bit, and its trace is its own.  The slope
-    # matrices the table stacks are those of each vertex alone, bit for bit
+    # without a table bit for bit, and its trace is its own
     rng = np.random.default_rng(46)
     shared, sizes = 0, set()
     for ch, c, p_max, n_macro in _table_instances(rng):
         k = ch.n_ms
         sizes.add(k)
         table = uplink.VertexTable(ch, c, p_max, n_macro)
-        assert table.slopes.shape == (2 ** k - 1, k, k)
-        for v in range(2 ** k - 1):
-            assert np.array_equal(
-                table.slopes[v], uplink._tangent_slopes(table.g[v],
-                                                        table.p[v]))
         weightings = [np.ones(k), np.zeros(k), np.eye(k)[-1],
                       rng.uniform(0.1, 1.0, k),
                       10.0 ** rng.uniform(-30.0, 30.0, k), np.ones(k)]
