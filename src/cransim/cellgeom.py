@@ -11,7 +11,9 @@ shadowing, the parabolic sector pattern and fixed antenna gains.
 A drop is one rejection sampler over one stream, ``default_rng(seed)``: every
 cell's picos, then every cell's MSs, each node taking the first uniform
 candidate in its bounding box that lies in its hexagon and keeps the minimum
-distances.  The candidates are drawn and tested in batches.  Each link's
+distances.  The candidates are drawn in batches and tested once against the
+hexagon at the origin; every cell's nodes are then guessed at once, and only
+a cell whose guess fails is scanned candidate window by window.  Each link's
 shadowing is ``normal(0, std)`` from numpy's own PCG64 Generator, seeded by
 ``SeedSequence([seed mod 2^32, lower node code, higher node code])``, so it
 depends on the unordered node pair alone.  The SeedSequence state words of
@@ -27,7 +29,6 @@ Nodes are addressed by tuples:
 with 1-based cell ids matching the ring numbering above.
 """
 
-import bisect
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -127,169 +128,124 @@ def hexagon_contains(center, radius, points):
 
 
 class _Candidates:
-    """The layout generator's stream of candidate node offsets, and which
-    candidates fall in each cell's hexagon.
+    """The layout generator's stream of candidate node offsets, and the
+    stream positions of those that lie in the hexagon.
 
-    ``uniform(low, high, size=(n, 2))`` gives the (x, y) pairs of successive
+    ``uniform(-high, high, size=(n, 2))`` gives the (x, y) pairs of successive
     scalar ``uniform(-R, R)``, ``uniform(-r_in, r_in)`` calls bit for bit, so
-    one array holds the stream.  The offsets do not depend on the cell, and
-    nothing draws from the generator after the last node, so the stream may
-    be drawn past the last candidate a node takes.
+    one array holds the stream.  The offsets do not depend on the cell, so
+    one test against the hexagon at the origin gives one ascending list of
+    in-hexagon positions for every cell.  Nothing draws from the generator
+    after the last node, so the stream may be drawn past the last candidate
+    a node takes.
     """
 
-    def __init__(self, rng, sites, radius, n_nodes):
-        r_in = np.sqrt(3.0) / 2.0 * radius
-        self.rng = rng
-        self.sites = sites
-        self.radius = radius
-        self.low = np.array([-radius, -r_in])
-        self.high = np.array([radius, r_in])
+    def __init__(self, rng, radius, n_nodes):
+        self.rng, self.radius = rng, radius
+        self.high = np.array([radius, np.sqrt(3.0) / 2.0 * radius])
         self.offsets = np.empty((0, 2))
-        self.inside = [[] for _ in sites]   # per cell, ascending positions
+        self.inside = np.empty(0, dtype=int)
         # three in four candidates fall in the hexagon
         self._draw(n_nodes * 3 // 2 + 32)
 
-    def points(self, cells, positions):
-        """Candidate points: the cell centers plus the offsets."""
-        return self.sites[cells] + self.offsets[positions]
-
-    def take(self, cell, start, count, rejected):
-        """Positions of the next ``count`` candidates from ``start`` on that
-        lie in the cell's hexagon and are not in ``rejected``.  The list
-        stops short where ``_MAX_DROP_TRIES`` candidates in a row hold
-        none."""
-        inside = self.inside[cell]
-        k = bisect.bisect_left(inside, start)
-        picks, last = [], start - 1
-        while len(picks) < count:
-            if k == len(inside):
-                if len(self.offsets) - last > _MAX_DROP_TRIES:
-                    break
-                self._draw(max(256, len(self.offsets)))
-                continue
-            if inside[k] - last > _MAX_DROP_TRIES:
-                break
-            if inside[k] not in rejected:
-                picks.append(inside[k])
-                last = inside[k]
-            k += 1
-        return picks
+    def take(self, k, n):
+        """Stream positions of in-hexagon candidates k to k + n - 1."""
+        while len(self.inside) < k + n:
+            self._draw(max(256, len(self.offsets)))
+        return self.inside[k:k + n]
 
     def _draw(self, n):
-        first = len(self.offsets)
-        batch = self.rng.uniform(self.low, self.high, size=(n, 2))
-        center = self.sites[:, None, :]
-        cells, pos = np.nonzero(
-            hexagon_contains(center, self.radius, center + batch))
-        pos = (pos + first).tolist()
-        cuts = np.searchsorted(cells, np.arange(len(self.sites) + 1)).tolist()
-        for cell, inside in enumerate(self.inside):
-            inside += pos[cuts[cell]:cuts[cell + 1]]
+        batch = self.rng.uniform(-self.high, self.high, size=(n, 2))
+        inside = np.flatnonzero(hexagon_contains(0.0, self.radius, batch))
+        self.inside = np.concatenate([self.inside, inside + len(self.offsets)])
         self.offsets = np.concatenate([self.offsets, batch])
 
 
-def _reject_ahead(candidates, cell, after, placed, need, near, spacing,
-                  rejected):
-    """Reject what the cell's next ``need`` nodes would, from stream
-    position ``after`` on: each node's open candidates before the first that
-    ``near`` passes and that lies ``spacing`` from ``placed`` and the nodes
-    before it.  Each node's batches double up to 1024 and all start at its
-    ``after``, so that `take` ends them at its limit of tries."""
-    width = 8
-    while need:
-        batch = candidates.take(cell, after, width, rejected)
-        if not batch:
-            return
-        points = candidates.points(cell, batch)
-        failed = near(points)
-        if spacing is not None:
-            diff = placed[None, :, :] - points[:, None, :]
-            failed |= (np.sqrt(np.vecdot(diff, diff)) < spacing).any(1)
-        n = len(batch) if failed.all() else int(np.argmin(failed))
-        rejected.update(batch[:n])
-        width = min(2 * width, 1024)
-        if n < len(batch):
-            need, after, width = need - 1, batch[n] + 1, 8
-            placed = np.concatenate([placed, points[n:n + 1]])
+def _too_close(points, placed, spacing):
+    """Mask (..., m, n): which of the (..., m, 2) points lie closer than
+    ``spacing`` to which of the (..., n, 2) ``placed``."""
+    diff = placed[..., None, :, :] - points[..., :, None, :]
+    # vecdot is the BLAS dot np.linalg.norm takes on a 2-vector
+    return np.sqrt(np.vecdot(diff, diff)) < spacing
 
 
-def _place(candidates, start, count, near, spacing=None):
-    """(positions (n_cells, count, 2), next stream position): ``count`` nodes
-    in each cell, cell after cell, from stream position ``start`` on.
+def _scan(candidates, site, k, need, near, spacing, placed):
+    """In-hexagon indices of one cell's next ``need`` nodes from candidate
+    ``k`` on, each keeping ``spacing`` from ``placed`` and the nodes before
+    it.  Windows of 8 doubling to 1024 candidates take one batch test each;
+    a passing candidate is tested again against the window's earlier picks."""
+    picks, width = [], 8
+    last = candidates.inside[k - 1] if k else -1
+    while len(picks) < need:
+        window = candidates.take(k, width)
+        points = site + candidates.offsets[window]
+        ok = ~near(points) & ~_too_close(points, placed, spacing).any(axis=1)
+        for n in np.flatnonzero(ok).tolist():
+            if len(picks) == need or window[n] - last > _MAX_DROP_TRIES:
+                break
+            if not _too_close(points[n:n + 1], placed, spacing).any():
+                picks.append(k + n)
+                last = window[n]
+                placed = np.concatenate([placed, points[n:n + 1]])
+        if len(picks) < need and window[-1] - last > _MAX_DROP_TRIES:
+            raise ConfigurationError(
+                "could not place a node satisfying the minimum "
+                "distance constraints; check the geometry")
+        k, width = k + width, min(2 * width, 1024)
+    return picks
 
-    A node takes the first candidate after the previous node's that lies in
-    its cell's hexagon, that ``near`` (a mask over (m, 2) points) does not
-    reject and, with ``spacing``, that lies that far from the cell's earlier
-    nodes: the candidate a one-node rejection sampler would take.  A node
-    with no such candidate in ``_MAX_DROP_TRIES`` tries is a
+
+def _place(candidates, sites, k, count, near, spacing=0.0):
+    """(positions (n_cells, count, 2), next in-hexagon index): ``count``
+    nodes in each cell, cell after cell, from in-hexagon candidate ``k`` on.
+
+    A node takes the first in-hexagon candidate after the previous node's
+    that ``near`` (a mask over (m, 2) points) does not reject and that lies
+    ``spacing`` from the cell's earlier nodes: the candidate a one-node
+    rejection sampler would take.  A node with no such candidate within
+    ``_MAX_DROP_TRIES`` stream positions of the previous node's is a
     ConfigurationError.
 
-    The tests run on all cells at once.  A scan takes, for every unsettled
-    cell, its next ``count`` in-hexagon candidates not yet rejected, each
-    cell starting after the previous cell's last pick; one ``near`` test and
-    one spacing test then check them all.  If every pick passes, every cell
-    is settled.  Otherwise the cells before the first failing pick are
-    settled, that pick is rejected, and the scan repeats from its cell.
-    ``near`` does not depend on the order of the nodes, so every pick it
-    rejects stays rejected in all later scans.  A scan that fails in its
-    first cell calls `_reject_ahead`, which rejects in a few batch tests
-    all that the cell's remaining nodes would, so the next scan settles it.
-    Rejections last for this call alone, as the MSs reject other ones.
+    Each pass guesses that every unsettled cell takes its next ``count``
+    candidates in turn, and tests the guess with one ``near`` test, one
+    spacing test and one check of the try limit.  The cells before the
+    first failing pick are settled; that cell keeps its picks before the
+    failing one, and `_scan` finds the rest.
     """
-    n_cells = len(candidates.sites)
-    rejected = [set() for _ in range(n_cells)]
+    n_cells = len(sites)
     picks = np.zeros((n_cells, count), dtype=int)
-    starts = [start] * (n_cells + 1)
-    earlier = np.triu(np.ones((count, count), dtype=bool), 1)
+    earlier = np.tril(np.ones((count, count), dtype=bool), -1)
     settled = 0
     while settled < n_cells:
-        scanned = settled
-        while scanned < n_cells:
-            taken = candidates.take(scanned, starts[scanned], count,
-                                    rejected[scanned])
-            if len(taken) < count:
-                # exact only once every earlier cell is settled
-                if scanned == settled:
-                    raise ConfigurationError(
-                        "could not place a node satisfying the minimum "
-                        "distance constraints; check the geometry")
-                break
-            picks[scanned] = taken
-            starts[scanned + 1] = taken[-1] + 1 if count else starts[scanned]
-            scanned += 1
-
-        scan = picks[settled:scanned]
-        points = candidates.points(np.arange(settled, scanned)[:, None], scan)
-        too_near = near(points.reshape(-1, 2)).reshape(scan.shape)
-        bad = too_near
-        if spacing is not None:
-            diff = points[:, :, None, :] - points[:, None, :, :]
-            # vecdot is the BLAS dot np.linalg.norm takes on a 2-vector
-            close = np.sqrt(np.vecdot(diff, diff)) < spacing
-            bad = bad | (close & earlier).any(axis=1)
+        shape = (n_cells - settled, count)
+        guess = candidates.take(k, shape[0] * count)
+        points = sites[settled:, None, :] \
+            + candidates.offsets[guess].reshape(*shape, 2)
+        gaps = np.diff(guess, prepend=candidates.inside[k - 1] if k else -1)
+        bad = (near(points.reshape(-1, 2))
+               | (gaps > _MAX_DROP_TRIES)).reshape(shape)
+        bad |= (_too_close(points, points, spacing) & earlier).any(axis=2)
+        picks[settled:] = k + np.arange(guess.size).reshape(shape)
         if not bad.any():
-            settled = scanned
-            continue
-        rows, cols = np.nonzero(too_near)
-        for c, p in zip((rows + settled).tolist(), scan[rows, cols].tolist()):
-            rejected[c].add(p)
+            k += guess.size
+            break
         first, j = divmod(int(np.argmax(bad)), count)
-        settled += first
-        rejected[settled].add(int(picks[settled, j]))
-        if not first:
-            _reject_ahead(candidates, settled, int(picks[settled, j]),
-                          candidates.points(settled, picks[settled, :j]),
-                          count - j, near, spacing, rejected[settled])
-    return (candidates.points(np.arange(n_cells)[:, None], picks),
-            starts[-1])
+        settled, k = settled + first, k + first * count
+        picks[settled, j:] = _scan(candidates, sites[settled], k + j,
+                                   count - j, near, spacing, points[first, :j])
+        k = int(picks[settled, -1]) + 1
+        settled += 1
+    return sites[:, None, :] + candidates.offsets[candidates.inside[picks]], k
 
 
 def build_layout(seed, k_ms, n_pico, params=None, reuse="F1_3"):
     """Build the 19-cell topology for one drop.
 
-    Positions are uniform inside each hexagon with the minimum tx-rx
-    distances enforced at drop time (10 m to any macro site, 1 m to any
-    pico).  Deterministic for a fixed seed.
+    Positions are uniform inside each hexagon.  Every node keeps
+    ``min_dist_macro_m`` from every macro site; a pico keeps
+    ``min_dist_pico_m`` from its own cell's earlier picos, and an MS keeps
+    it from every pico.  Both distances come from ``params`` (10 m and 1 m
+    by default).  Deterministic for a fixed seed.
     """
     params = params or PropagationParams()
     if k_ms < 1:
@@ -314,8 +270,8 @@ def build_layout(seed, k_ms, n_pico, params=None, reuse="F1_3"):
     interferers = tuple(cid for cid in range(2, N_CELLS + 1)
                         if reuse == "F1" or colors[cid - 1] == colors[0])
 
-    candidates = _Candidates(np.random.default_rng(seed), sites,
-                             d / np.sqrt(3.0), N_CELLS * (n_pico + k_ms))
+    candidates = _Candidates(np.random.default_rng(seed), d / np.sqrt(3.0),
+                             N_CELLS * (n_pico + k_ms))
 
     def near(nodes, distance):
         """Mask over (m, 2) points: closer than ``distance`` to a node.  The
@@ -330,10 +286,10 @@ def build_layout(seed, k_ms, n_pico, params=None, reuse="F1_3"):
     near_macro = near(sites, params.min_dist_macro_m)
     # every cell's picos, then every cell's MSs, from one stream; only the
     # picos' spacing from their own cell's earlier picos depends on order
-    pico_positions, start = _place(candidates, 0, n_pico, near_macro,
-                                   spacing=params.min_dist_pico_m)
+    pico_positions, k = _place(candidates, sites, 0, n_pico, near_macro,
+                               spacing=params.min_dist_pico_m)
     near_pico = near(pico_positions.reshape(-1, 2), params.min_dist_pico_m)
-    ms_positions, _ = _place(candidates, start, k_ms,
+    ms_positions, _ = _place(candidates, sites, k, k_ms,
                              lambda p: near_macro(p) | near_pico(p))
 
     return Topology(

@@ -74,8 +74,8 @@ class ChannelRealization:
             if noise.shape != (n,):
                 raise DomainError(
                     "noise vector shapes inconsistent with channel")
-            if np.any(noise <= 0):
-                raise DomainError("noise variances must be strictly positive")
+            if not np.all((noise > 0) & (noise < np.inf)):   # NaN fails too
+                raise DomainError("noise variances must be finite and > 0")
 
     @property
     def n_bs(self):

@@ -96,8 +96,9 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown mode {self.mode!r}")
         if self.drops < 1 or self.slots < 1:
             raise ConfigurationError("drops and slots must be >= 1")
-        if self.c_macro < 0 or self.c_pico < 0:
-            raise ConfigurationError("backhaul capacities must be >= 0")
+        if not (0 <= self.c_macro < np.inf and 0 <= self.c_pico < np.inf):
+            raise ConfigurationError(
+                "backhaul capacities must be finite and >= 0")   # NaN fails
         if self.direction == "uplink":
             floor = channel_mod.noise_floor_w(self.propagation)
             for name, kind in (("c_macro", "macro"), ("c_pico", "pico")):

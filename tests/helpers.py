@@ -217,6 +217,20 @@ def ul_objective_oracle(h, d, p, w):
     return float(sum(w[k] * rates[k] for k in range(len(w)) if w[k] != 0.0))
 
 
+def ul_objective_grid_oracle(h, d, powers, w):
+    """ul_objective_oracle at each row of the (m, K) ``powers``: the same
+    K+1 log-dets, each one eigvalsh over the stacked covariances."""
+    def psi(k=None):
+        cov = np.diag(np.asarray(d, dtype=float)).astype(complex)
+        for j in range(h.shape[1]):
+            if j != k:
+                cov = cov + powers[:, j, None, None] \
+                    * np.outer(h[:, j], h[:, j].conj())
+        return np.sum(np.log2(np.linalg.eigvalsh(cov)), axis=-1)
+    phi = psi()
+    return sum(w[k] * (phi - psi(k)) for k in range(len(w)) if w[k] != 0.0)
+
+
 def ul_weighted_psi_oracle(h, d, p, w):
     """sum_k w_k psi_k(p): the term the MM surrogate linearizes."""
     return float(sum(w[k] * ul_psi_oracle(h, d, p, k)
@@ -293,15 +307,15 @@ def shadow_draw_oracle(entropy, std):
     return float(np.random.default_rng(ss).normal(0.0, std))
 
 
-def layout_oracle(seed, k_ms, n_pico, params, sites):
+def layout_oracle(seed, k_ms, n_pico, params, sites, tries=10000):
     """(pico_positions, ms_positions) of a drop, placed one node at a time,
     every cell's picos and then every cell's MSs.
 
     Each try draws ``uniform(-R, R)`` and then ``uniform(-r_in, r_in)`` and
     is kept if it lies in the cell's hexagon, at least 10 m from every macro
     site, and at least 1 m from every pico placed so far in the cell (for a
-    pico) or from every pico (for an MS).  A node that fails 10000 tries is
-    a ConfigurationError.  ``cellgeom.build_layout`` must reproduce this bit
+    pico) or from every pico (for an MS).  A node that fails ``tries`` tries
+    is a ConfigurationError.  ``cellgeom.build_layout`` must reproduce this bit
     for bit.
     """
     radius = params.inter_site_distance_m / np.sqrt(3.0)
@@ -309,7 +323,7 @@ def layout_oracle(seed, k_ms, n_pico, params, sites):
     rng = np.random.default_rng(seed)
 
     def sample(center, reject):
-        for _ in range(10000):
+        for _ in range(tries):
             p = center + np.array([rng.uniform(-radius, radius),
                                    rng.uniform(-r_in, r_in)])
             if cellgeom.hexagon_contains(center, radius, p) and not reject(p):

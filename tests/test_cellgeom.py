@@ -167,6 +167,36 @@ def test_build_layout_matches_one_node_sampler_under_rejections():
             assert np.array_equal(topo.ms_positions, ms), seed
 
 
+@pytest.mark.parametrize("macro_m,tries,seeds", [
+    # about nine in ten candidates rejected: about half of the seeds hold a
+    # node that runs out of tries while its cell is scanned
+    (250.0, 80, range(24)),
+    # few rejections: five candidates in a row outside the hexagon end a
+    # node's tries within the all-cell guess
+    (10.0, 5, range(16))])
+def test_build_layout_matches_one_node_sampler_at_the_try_limit(
+        monkeypatch, macro_m, tries, seeds):
+    monkeypatch.setattr(cellgeom, "_MAX_DROP_TRIES", tries)
+    params = cellgeom.PropagationParams(min_dist_macro_m=macro_m)
+    sites = cellgeom.build_layout(0, 1, 0).macro_sites
+    outcomes = set()
+    for seed in seeds:
+        try:
+            topo = cellgeom.build_layout(seed, 4, 8, params)
+        except ConfigurationError:
+            topo = None
+        try:
+            picos, ms = layout_oracle(seed, 4, 8, params, sites, tries)
+        except ConfigurationError:
+            assert topo is None, seed
+        else:
+            assert topo is not None, seed
+            assert np.array_equal(topo.pico_positions, picos), seed
+            assert np.array_equal(topo.ms_positions, ms), seed
+        outcomes.add(topo is None)
+    assert outcomes == {False, True}
+
+
 def test_build_layout_unplaceable_node():
     # no point of a cell lies 300 m from its own site
     params = cellgeom.PropagationParams(min_dist_macro_m=300.0)

@@ -260,6 +260,18 @@ def test_realization_validation():
             sigma2_z_ul=np.zeros(2), sigma2_z_dl=np.ones(3))
 
 
+def test_realization_refuses_non_finite_noise():
+    """A NaN fails the bare ``noise <= 0`` test, so it is named here."""
+    h = np.zeros((2, 2), dtype=complex)
+    for bad in (np.nan, np.inf, -np.inf):
+        for ul, dl in ((np.array([bad, 1.0]), np.ones(2)),
+                       (np.ones(2), np.array([1.0, bad]))):
+            with pytest.raises(DomainError, match="must be finite and > 0"):
+                channel.ChannelRealization(h, h, ul, dl)
+    # the noise of the direction not drawn may be None
+    channel.ChannelRealization(h, h, np.ones(2), None)
+
+
 def test_cluster_capacity_and_power_vectors(small_drop):
     topo, params, cluster = small_drop
     c = cluster.backhaul_capacities(3.0, 1.0)

@@ -224,6 +224,24 @@ def test_config_rejects_negative_alpha():
         harness.ExperimentConfig(alpha=[0.0, -1.0]).validate()
 
 
+def test_config_rejects_non_finite_capacities():
+    """validate refuses a NaN or infinite capacity in both directions, not
+    only at load: the bare ``c < 0`` test lets a NaN through."""
+    for direction in ("uplink", "downlink"):
+        for name in ("c_macro", "c_pico"):
+            for bad in (float("nan"), float("inf"), float("-inf")):
+                config = harness.ExperimentConfig(direction=direction,
+                                                  **{name: bad})
+                with pytest.raises(ConfigurationError,
+                                   match="must be finite and >= 0"):
+                    config.validate()
+                # loading names the field, as before
+                with pytest.raises(ConfigurationError,
+                                   match=f"{name} must be finite"):
+                    harness.ExperimentConfig.from_dict(
+                        {name: bad, "direction": direction})
+
+
 def test_config_rejects_uplink_capacity_above_the_bound(tmp_path, capsys):
     """An uplink capacity is bounded by capacity_max at its BS type's
     thermal floor, which every uplink noise power reaches; the downlink

@@ -6,8 +6,9 @@ from cransim.channel import ChannelRealization
 from cransim.errors import DomainError, NumericalDomainError
 from cransim.mmopt import FEASIBILITY_TOL, LN2
 from helpers import (cn_samples, mi_from_samples, rand_channel,
-                     ul_objective_oracle, ul_omega_prefix_oracle,
-                     ul_rates_oracle, ul_slopes_oracle)
+                     ul_objective_grid_oracle, ul_objective_oracle,
+                     ul_omega_prefix_oracle, ul_rates_oracle,
+                     ul_slopes_oracle)
 
 
 def unit_channel(h, sigma2_ul):
@@ -430,11 +431,13 @@ def test_design_noise_order_and_rates_match_oracles():
 
 def test_one_factor_rejects_nan_pivot():
     # a NaN noise power or channel entry reaches a pivot and raises, at the
-    # first position and at a later one, instead of flowing into the rates
+    # first position and at a later one, instead of flowing into the rates;
+    # a realization refuses a NaN noise power, so it is written in after
     for h, sigma2 in (([[1.0], [0.5]], [np.nan, 1.0]),
                       ([[1.0], [0.5]], [1.0, np.nan]),
                       ([[1.0], [np.nan]], [1.0, 1.0])):
-        ch = unit_channel(h, sigma2)
+        ch = unit_channel(h, np.ones(2))
+        ch.sigma2_z_ul[:] = sigma2
         for mode in ("point_to_point", "multiterminal"):
             with pytest.raises(NumericalDomainError):
                 uplink.omega_closed_form(np.array([1.0]), (0, 1),
@@ -504,14 +507,15 @@ def test_power_solve_beats_a_fine_grid_at_two_ms():
     # K+1 log-det oracle, beats the design's powers
     rng = np.random.default_rng(42)
     grid = np.linspace(0.0, 1.0, 101)
+    points = np.stack(np.meshgrid(grid, grid, indexing="ij"), -1)
     for _ in range(6):
         ch, w, p_max = _power_instance(rng, 2, 3)
         h, d = ch.h_ul, ch.sigma2_z_ul
         p = uplink.optimize_ul(ch, np.ones(ch.n_bs), w, "point_to_point",
                                p_max).design.p
         got = ul_objective_oracle(h, d, p, w)
-        best = max(ul_objective_oracle(h, d, np.array([a, b]) * p_max, w)
-                   for a in grid for b in grid)
+        best = ul_objective_grid_oracle(h, d, points.reshape(-1, 2) * p_max,
+                                        w).max()
         assert got >= best * (1.0 - 1e-12), (got, best)
 
 
