@@ -250,8 +250,9 @@ class VertexTable:
     mode: the 2^K - 1 nonzero vertices of the power box, full power first,
     with G and the ideal-backhaul rates at each.  A (vertex, mode)'s design
     and rates are computed on first use and kept.  Results share the kept
-    rates and designs, so their arrays are read-only.  More than K_MS_MAX MSs, or a positive capacity below
-    CAPACITY_MIN or above `capacity_max` of its BS, raises DomainError.
+    rates and designs, so their arrays are read-only.  More than K_MS_MAX
+    MSs, or a positive capacity below CAPACITY_MIN or above `capacity_max`
+    of its BS, raises DomainError.
     """
 
     def __init__(self, channel, c, p_max, n_macro):
@@ -293,8 +294,7 @@ class VertexTable:
 
 def _power_solve(table, weights):
     """The best vertex of the power box (an index into `table`) for the
-    ideal-backhaul weighted sum rate, and its trace: one converged step and
-    no MM iterates, as no MM loop runs.
+    ideal-backhaul weighted sum rate, and its trace, which counts no MM step.
 
     The first best vertex wins, so that a tie (all weights zero, say) goes
     to full power.  It is checked against the box KKT signs: the gradient,
@@ -307,7 +307,7 @@ def _power_solve(table, weights):
     """
     scores = table.rates @ weights
     best = int(np.argmax(scores))
-    trace = MMTrace(converged=True, iterations=1)
+    trace = MMTrace(converged=True)
     # gradient of sum_k w_k (log2 det M - psi_k) at the vertex
     phi_slopes = np.sum(weights) * table.g_diag[best] / LN2
     grad = phi_slopes \
@@ -321,12 +321,12 @@ def _power_solve(table, weights):
 def optimize_ul(channel, c, weights, mode, p_max, n_macro=3, table=None):
     """Two-step uplink design: ideal-backhaul powers, then closed-form noise.
 
-    The powers are the best vertex of the power box (`_power_solve`).  The
-    trace holds no MM iterates, only one converged step and a warning, not
-    an error, when that vertex fails the KKT sign test.  BSs with zero capacity are dropped from all assemblies.  `table`
-    is the slot's `VertexTable`, which calls with other weights or mode
-    may share; without one, the call builds its own.  A table built for
-    another channel object, or for other c, p_max or n_macro values, raises
+    The powers are the best vertex of the power box (`_power_solve`); the trace
+    counts no MM step and warns, not raises, when that vertex fails the KKT
+    sign test.  BSs with zero capacity are dropped from all assemblies.
+    `table` is the slot's `VertexTable`, which calls with other weights or mode
+    may share; without one, the call builds its own.  A table built for another
+    channel object, or for other c, p_max or n_macro values, raises
     DomainError, as does an unknown mode or any input `VertexTable` refuses.
     """
     check_mode(mode)
