@@ -292,33 +292,30 @@ def build_layout(seed, k_ms, n_pico, params=None, reuse="F1_3"):
     ms_positions, _ = _place(candidates, sites, k, k_ms,
                              lambda p: near_macro(p) | near_pico(p))
 
-    return Topology(
-        macro_sites=sites,
-        pico_positions=pico_positions,
-        ms_positions=ms_positions,
-        interferer_set=interferers,
-        seed=int(seed),
-    )
+    return Topology(macro_sites=sites, pico_positions=pico_positions,
+                    ms_positions=ms_positions, interferer_set=interferers,
+                    seed=int(seed))
+
+
+def _pathloss_db(coeffs, distance):
+    """a + b*log10(distance) for coeffs (a, b): a float for a scalar."""
+    distance = np.asarray(distance, dtype=float)
+    if np.any(distance <= 0):
+        raise DomainError("distance must be > 0")
+    out = coeffs[0] + coeffs[1] * np.log10(distance)
+    return float(out) if out.ndim == 0 else out
 
 
 def pathloss_macro_db(distance_km, params=None):
     """Macro path loss in dB; distance in kilometers."""
-    coeffs = (params or PropagationParams()).macro_pathloss
-    distance_km = np.asarray(distance_km, dtype=float)
-    if np.any(distance_km <= 0):
-        raise DomainError("distance must be > 0")
-    out = coeffs[0] + coeffs[1] * np.log10(distance_km)
-    return float(out) if out.ndim == 0 else out
+    return _pathloss_db((params or PropagationParams()).macro_pathloss,
+                        distance_km)
 
 
 def pathloss_pico_db(distance_m, params=None):
     """Pico path loss in dB; distance in meters."""
-    coeffs = (params or PropagationParams()).pico_pathloss
-    distance_m = np.asarray(distance_m, dtype=float)
-    if np.any(distance_m <= 0):
-        raise DomainError("distance must be > 0")
-    out = coeffs[0] + coeffs[1] * np.log10(distance_m)
-    return float(out) if out.ndim == 0 else out
+    return _pathloss_db((params or PropagationParams()).pico_pathloss,
+                        distance_m)
 
 
 def sector_gain_db(offset_angle_deg, params=None):

@@ -35,12 +35,12 @@ chain's pivots, and the noise gradient's sum of scattered subset inverses
 comes from the same factors with one batched inverse.
 
 Each candidate of the inner ascent is one slotted record (`_Iterate`): A
-with its row powers and received signals, the noise parameters with Omega,
-its diagonal, subset log-dets, chain factors and quantization noise, and,
-once evaluated under a tangent, the slacks, the rate parts and the
-surrogate.  A trial step shares by reference every field of the block it
-does not move, and each term is formed on first use, so each Omega is
-factored at most once.
+with its row powers and received signals, the noise parameters with Omega's
+diagonal and subset log-dets (and in multiterminal mode Omega and its chain
+factors), the quantization noise, and, once evaluated under a tangent, the
+slacks, the rate parts and the surrogate.  A trial step shares by reference
+every field of the block it does not move, and each term is formed on first
+use, so each Omega is factored at most once.
 """
 
 from dataclasses import dataclass
@@ -322,11 +322,12 @@ def _signal(hbar, a):
     return m, _sum(sig, 1), sig.diagonal()
 
 
-def _quant_noise(problem, l, omega):
-    """hbar_k Omega hbar_k^H at each MS k, |hbar_k L|^2 in multiterminal."""
+def _quant_noise(problem, l, diag):
+    """hbar_k Omega hbar_k^H at each MS k, |hbar_k L|^2 in multiterminal;
+    point-to-point sums complex products that round as with diag(diag)."""
     if l is not None:
         return _sum(np.abs(problem.hbar @ l) ** 2, 1)
-    return np.einsum("ki,ij,kj->k", problem.hbar, omega,
+    return np.einsum("ki,i,ki->k", problem.hbar, diag.astype(complex),
                      problem.hbar_c).real
 
 
@@ -359,7 +360,7 @@ class _Iterate:
                 self.omega = l @ l.conj().T
                 self.diag = self.omega.diagonal().real
             else:
-                # the diagonal Omega is made with the quantization noise
+                # a point-to-point Omega is its diagonal
                 self.omega, self.diag = None, np.exp(u)
             self.logdets = self.factors = self.qn = None
         self.power = self.a_power + self.diag
@@ -396,9 +397,7 @@ class _Iterate:
             if self.signal is None:
                 self.signal = _signal(self.problem.hbar, self.a)
             if self.qn is None:
-                if self.omega is None:
-                    self.omega = np.diag(self.diag).astype(complex)
-                self.qn = _quant_noise(self.problem, self.l, self.omega)
+                self.qn = _quant_noise(self.problem, self.l, self.diag)
             self.total = 1.0 + self.signal[1] + self.qn
             self.interf = self.total - self.signal[2]
         return self.total, self.interf
@@ -638,11 +637,11 @@ def optimize_dl(channel, c, p_bs, weights, mode, init=None):
     Point-to-point mode starts cold and takes no `init`.  Multiterminal mode
     refines `init`, a point-to-point design for the same channel, capacities
     and power limits, and raises DomainError without one, as does any other
-    mode; when refining does not improve on init under `weights`, init is
-    returned.  Zero-capacity BSs are silenced and dropped from all
-    constraint sets.  The MM loop stops at MM_TOL or after MM_MAX_ITER
-    steps; each step runs BARRIER_ROUNDS barrier rounds of INNER_STEPS
-    ascent steps.
+    mode, or with one of another shape, c or p_bs.  When refining does not
+    improve on init under `weights`, init is returned.  Zero-capacity BSs are
+    silenced and dropped from all constraint sets.  The MM loop stops at MM_TOL
+    or after MM_MAX_ITER steps; each step runs BARRIER_ROUNDS barrier rounds of
+    INNER_STEPS ascent steps.
     """
     check_mode(mode)
     weights, c, p_bs = solver_inputs(weights, c, p_bs)
@@ -655,6 +654,13 @@ def optimize_dl(channel, c, p_bs, weights, mode, init=None):
     n_bs, n_ms = channel.n_bs, channel.n_ms
     active = np.flatnonzero(c > 0)
     _lattice(active.size)       # refuses an oversize cluster before any work
+    if mode == MODE_MT:
+        for name, same in (("precoder shape", init.a.shape == (n_bs, n_ms)),
+                           ("Omega shape", init.omega.shape == (n_bs, n_bs)),
+                           ("c", np.array_equal(init.c, c)),
+                           ("p_bs", np.array_equal(init.p_bs, p_bs))):
+            if not same:
+                raise DomainError(f"init was solved for another {name}")
     if active.size == 0:
         design = DownlinkDesign(a=np.zeros((n_bs, n_ms), dtype=complex),
                                 omega=np.zeros((n_bs, n_bs), dtype=complex),
@@ -697,7 +703,8 @@ def optimize_dl(channel, c, p_bs, weights, mode, init=None):
     a_full = np.zeros((n_bs, n_ms), dtype=complex)
     a_full[active] = it.a * scale[:, None]
     omega_full = np.zeros((n_bs, n_bs), dtype=complex)
-    omega_full[np.ix_(active, active)] = it.omega * np.outer(scale, scale)
+    omega = it.omega if it.l is not None else np.diag(it.diag)
+    omega_full[np.ix_(active, active)] = omega * np.outer(scale, scale)
     design = DownlinkDesign(a=a_full, omega=hermitize(omega_full), c=c,
                             p_bs=p_bs, mode=mode)
     rates = rates_dl(design, channel)

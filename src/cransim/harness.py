@@ -94,6 +94,14 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown direction {self.direction!r}")
         if self.mode not in (MODE_P2P, MODE_MT, "both"):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
+        for name, kind in (("rate_mapping", RateMapping),
+                           ("propagation", cellgeom.PropagationParams)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ConfigurationError(
+                    f"{name} must be a {kind.__name__}, got "
+                    f"{type(value).__name__}; ExperimentConfig.from_dict "
+                    f"takes a mapping")
         if self.drops < 1 or self.slots < 1:
             raise ConfigurationError("drops and slots must be >= 1")
         if not (0 <= self.c_macro < np.inf and 0 <= self.c_pico < np.inf):

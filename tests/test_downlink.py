@@ -1,5 +1,6 @@
 import ast
 import math
+import types
 
 import numpy as np
 import pytest
@@ -510,6 +511,31 @@ def test_multiterminal_refines_only_a_point_to_point_init():
                              init=p2p.design)
 
 
+@pytest.mark.parametrize("change, name", [
+    (lambda c, p_bs, d: (2.0 * c, p_bs, d), "c"),
+    (lambda c, p_bs, d: (c, 4.0 * p_bs, d), "p_bs"),
+    (lambda c, p_bs, d: (np.where(np.arange(3) == 1, 0.0, c), p_bs, d), "c"),
+    (lambda c, p_bs, d: (c, p_bs, make_design(
+        d.a[:2], d.omega[:2, :2], c=d.c[:2], p_bs=d.p_bs[:2],
+        mode=d.mode)), "precoder shape"),
+    (lambda c, p_bs, d: (c, p_bs, make_design(
+        d.a, d.omega[:2, :2], c=d.c, p_bs=d.p_bs, mode=d.mode)),
+     "Omega shape"),
+], ids=["double_c", "quadruple_p_bs", "bs_switched_off", "precoder_shape",
+        "omega_shape"])
+def test_multiterminal_init_must_be_solved_for_the_problem(change, name):
+    """A point-to-point init solved for other capacities, power limits or
+    BS count is refused, naming what differs, before any work."""
+    rng = np.random.default_rng(58)
+    ch = rand_channel(rng, 3, 2)
+    c, p_bs, w = rng.uniform(1.0, 3.0, 3), rng.uniform(2.0, 6.0, 3), np.ones(2)
+    init = downlink.optimize_dl(ch, c, p_bs, w, "point_to_point").design
+    c, p_bs, init = change(c, p_bs, init)
+    with pytest.raises(DomainError,
+                       match=f"^init was solved for another {name}$"):
+        downlink.optimize_dl(ch, c, p_bs, w, "multiterminal", init=init)
+
+
 def test_optimize_inactive_bs_silenced():
     rng = np.random.default_rng(51)
     ch = rand_channel(rng, 3, 2)
@@ -557,6 +583,49 @@ def test_p2p_mode_design_has_diagonal_omega():
                                np.ones(2), "point_to_point")
     off = res.design.omega - np.diag(np.diag(res.design.omega))
     assert np.allclose(off, 0.0)
+
+
+def test_diagonal_quant_noise_rounds_as_the_full_contraction():
+    """Point-to-point quantization noise from Omega's diagonal equals, bit
+    for bit, the n x n contraction with the diagonal Omega."""
+    rng = np.random.default_rng(59)
+    for n in range(1, downlink.SUBSET_ENUM_CAP + 1):
+        for k in range(1, 11):
+            for _ in range(3):
+                hbar = cn_samples(rng, (k, n)) \
+                    * 10.0 ** rng.uniform(-3.0, 3.0, (k, n))
+                d = np.exp(rng.uniform(-40.0, 3.0, n))
+                problem = types.SimpleNamespace(hbar=hbar,
+                                                hbar_c=hbar.conj())
+                full = np.einsum("ki,ij,kj->k", hbar,
+                                 np.diag(d).astype(complex), hbar.conj()).real
+                got = downlink._quant_noise(problem, None, d)
+                assert got.tobytes() == full.tobytes()
+
+
+def test_point_to_point_iterates_never_form_omega(monkeypatch):
+    """A point-to-point ascent keeps Omega as its diagonal: no candidate
+    holds an n x n Omega, nor does the iterate mm_solve returns."""
+    seen = []
+    mm_solve, evaluate = downlink.mm_solve, downlink._Iterate.evaluate
+
+    def recorded_evaluate(self, tangent):
+        evaluate(self, tangent)
+        seen.append(self)
+
+    def recorded_mm_solve(problem, init):
+        x, trace = mm_solve(problem, init)
+        seen.append(x)
+        return x, trace
+
+    monkeypatch.setattr(downlink._Iterate, "evaluate", recorded_evaluate)
+    monkeypatch.setattr(downlink, "mm_solve", recorded_mm_solve)
+    rng = np.random.default_rng(53)
+    ch = rand_channel(rng, 3, 2)
+    res = downlink.optimize_dl(ch, np.full(3, 2.0), np.full(3, 4.0),
+                               np.ones(2), "point_to_point")
+    assert res.trace.iterations > 0 and len(seen) > 1
+    assert all(it.omega is None and it.l is None for it in seen)
 
 
 def count_factorings(monkeypatch, record):
@@ -965,10 +1034,10 @@ def test_inner_step_forms_each_noise_term_once(monkeypatch):
     steps, active = [], []
     qn, step = downlink._quant_noise, downlink._PrecodingProblem.step
 
-    def counted_qn(problem, l, omega):
+    def counted_qn(problem, l, diag):
         if active:
-            active[-1].append(omega.tobytes())
-        return qn(problem, l, omega)
+            active[-1].append((diag if l is None else l).tobytes())
+        return qn(problem, l, diag)
 
     def counted_step(self, point):
         active.append([])

@@ -224,6 +224,24 @@ def test_config_rejects_negative_alpha():
         harness.ExperimentConfig(alpha=[0.0, -1.0]).validate()
 
 
+@pytest.mark.parametrize("direction, name, value", [
+    ("downlink", "rate_mapping", {"kind": "attenuated"}),
+    ("uplink", "propagation", {"inter_site_distance_m": 400.0}),
+])
+def test_config_rejects_nested_settings_of_another_type(direction, name,
+                                                        value):
+    """A mapping given for a nested setting is refused at validation, not
+    met later as an AttributeError; from_dict still builds it."""
+    config = harness.ExperimentConfig(direction=direction, **{name: value})
+    with pytest.raises(ConfigurationError,
+                       match=f"^{name} must be a .*, got dict; "
+                             f"ExperimentConfig.from_dict takes a mapping$"):
+        config.validate()
+    loaded = harness.ExperimentConfig.from_dict(
+        {"direction": direction, name: value})
+    assert getattr(loaded, name) == type(getattr(loaded, name))(**value)
+
+
 def test_config_rejects_non_finite_capacities():
     """validate refuses a NaN or infinite capacity in both directions, not
     only at load: the bare ``c < 0`` test lets a NaN through."""
