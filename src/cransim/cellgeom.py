@@ -39,6 +39,7 @@ from .errors import ConfigurationError, DomainError
 from .units import db_to_pow
 
 SECTOR_BORESIGHTS_DEG = (30.0, 150.0, 270.0)
+N_SECTORS = len(SECTOR_BORESIGHTS_DEG)    # of every macro site
 
 # Cell id -> lattice coordinates (a, b) on the basis
 # v1 = d*(cos 30, sin 30), v2 = d*(cos 90, sin 90), d = inter-site distance.
@@ -352,7 +353,7 @@ def node_position(topology, node):
     kind, cell, idx = node
     _node_code(node)    # refuses an unknown kind or a cell off the grid
     if kind == "macro":
-        if not 0 <= idx < 3:
+        if not 0 <= idx < N_SECTORS:
             raise DomainError(f"invalid sector index in {node!r}")
         return topology.macro_sites[cell - 1]
     if kind == "pico":

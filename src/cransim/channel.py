@@ -125,7 +125,7 @@ class Cluster:
 
 
 def _cluster_nodes(topology):
-    bs = [("macro", CLUSTER_CELL, s) for s in range(3)]
+    bs = [("macro", CLUSTER_CELL, s) for s in range(cellgeom.N_SECTORS)]
     bs += [("pico", CLUSTER_CELL, j) for j in range(topology.n_pico)]
     ms = [("ms", CLUSTER_CELL, j) for j in range(topology.k_ms)]
     return bs, ms
@@ -156,7 +156,8 @@ def build_cluster(topology, params=None, *, direction):
     sigma2_dl = ul_interference = None
     if direction == "downlink":
         dl_nodes = [(kind, c, j) for c in cells
-                    for kind, n in (("macro", 3), ("pico", topology.n_pico))
+                    for kind, n in (("macro", cellgeom.N_SECTORS),
+                                    ("pico", topology.n_pico))
                     for j in range(n)]
         dl_rx = np.array([power[n[0]] for n in dl_nodes])[:, None] \
             * cellgeom.link_gain_linear(dl_nodes, ms_nodes, topology, params)
@@ -199,7 +200,7 @@ def realize_channel(cluster, slot, rng):
     else:
         sigma2_ul = cluster.thermal_ul.copy()
         for ci in range(cluster.ul_interference.shape[0]):
-            active = rng.integers(0, n_ms, size=3)
+            active = rng.integers(0, n_ms, size=cellgeom.N_SECTORS)
             sigma2_ul += cluster.ul_interference[ci, active].sum(axis=0)
 
     return ChannelRealization(h_ul=h_ul, h_dl=h_dl,

@@ -22,17 +22,18 @@ constraints, so every accepted iterate is feasible and the true objective
 never decreases.
 
 The 2^n - 1 BS subsets are one cached, read-only table per BS count,
-`_lattice(n)`: the subsets by size with their members, their membership
-masks, and the chain tables below.  It alone refuses more than
-SUBSET_ENUM_CAP active BSs, so `optimize_dl` and `feasible_dl` refuse an
-oversize cluster with one message before any work.  Both take every subset
-log-det from one kernel, `_subset_logdets`, which marks an undefined one
--inf so that its condition fails on both sides.  It works on a symmetric
-chain decomposition of the lattice: C(n, n//2) orderings of the BSs whose
-leading blocks hold each subset once.  One batched Cholesky of the
-reordered Omegas gives every subset's log-det as a cumulative sum of its
-chain's pivots, and the noise gradient's sum of scattered subset inverses
-comes from the same factors with one batched inverse.
+`_lattice(n)`: their membership masks, by size and then lexicographically,
+and the chain tables below.  It alone refuses more than SUBSET_ENUM_CAP
+active BSs, so `optimize_dl` and `feasible_dl` refuse an oversize cluster
+with one message before any work.  Both sum each subset's terms through its
+mask row and take every subset log-det from one kernel, `_subset_logdets`.
+It works on a symmetric chain decomposition of the lattice: C(n, n//2)
+orderings of the BSs whose leading blocks hold each subset once.  One
+batched Cholesky of the reordered Omegas gives every subset's log-det as a
+cumulative sum of its chain's pivots, and the noise gradient's sum of
+scattered subset inverses comes from the same factors with one batched
+inverse.  A block is defined when its Cholesky factor exists and is finite;
+an undefined one's log-det is -inf, so its condition fails on both sides.
 
 Each candidate of the inner ascent is one slotted record (`_Iterate`): A
 with its row powers and received signals, the noise parameters with Omega's
@@ -136,7 +137,6 @@ def _symmetric_chains(n):
 class _Lattice:
     """The nonempty subsets of n BSs and the chain kernel's index tables
     (see `_lattice`); every array is read-only."""
-    groups: tuple         # per size: (slice of the subsets, members (k, size))
     masks: np.ndarray     # (2^n - 1, n) 0/1 membership of each subset
     masks_t: np.ndarray   # its transpose, C-ordered
     gather: np.ndarray    # (k, n, n) flat index of each reordered Omega entry
@@ -150,30 +150,25 @@ def _lattice(n):
     DomainError.
 
     The subsets of range(n) come by size and then lexicographically, so the
-    first n mask rows, the singletons, are the identity; `groups` holds each
-    size's slice of that order and members.  A chain S_1 < ... < S_m of
-    `_symmetric_chains` becomes the BS ordering S_1, then the BS each later
-    set adds, then the BSs outside S_m; its used prefixes have sizes |S_1|
-    to |S_m| (the empty set excluded), so every subset is the leading block
-    of one ordering.  `source` lists, in subset order, where each subset's
-    prefix sits in a (chain, prefix size - 1) table.
+    first n mask rows, the singletons, are the identity.  A chain S_1 < ...
+    < S_m of `_symmetric_chains` becomes the BS ordering S_1, then the BS
+    each later set adds, then the BSs outside S_m; its used prefixes have
+    sizes |S_1| to |S_m| (the empty set excluded), so every subset is the
+    leading block of one ordering.  `source` lists, in subset order, where
+    each subset's prefix sits in a (chain, prefix size - 1) table.
     """
     if n > SUBSET_ENUM_CAP:
         raise DomainError(f"subset enumeration capped at {SUBSET_ENUM_CAP} "
                           f"active BSs (got {n})")
-    masks = np.zeros((2 ** n - 1, n))
-    groups, start = [], 0
-    for size in range(1, n + 1):
-        members = np.array(list(combinations(range(n), size)), dtype=np.intp)
-        rows = slice(start, start + len(members))
-        np.put_along_axis(masks[rows], members, 1.0, axis=1)
-        groups.append((rows, members))
-        start = rows.stop
-    position = {tuple(s): j for j, s in enumerate(
-        s for _, members in groups for s in members.tolist())}
+    subsets = [s for size in range(1, n + 1)
+               for s in combinations(range(n), size)]
+    position = {s: j for j, s in enumerate(subsets)}
+    masks = np.zeros((len(subsets), n))
+    masks[[j for j, s in enumerate(subsets) for _ in s],
+          [i for s in subsets for i in s]] = 1.0
     chains = _symmetric_chains(n)
     order = np.empty((len(chains), n), dtype=np.intp)
-    source = np.empty(start, dtype=np.intp)
+    source = np.empty(len(subsets), dtype=np.intp)
     for c, chain in enumerate(chains):
         first = list(chain[0])
         added = [next(iter(set(b) - set(a))) for a, b in zip(chain, chain[1:])]
@@ -185,10 +180,9 @@ def _lattice(n):
     columns = np.arange(len(chains) * n).reshape(len(chains), n, 1) * n \
         + np.argsort(order, axis=1)[:, None, :]
     masks_t = np.ascontiguousarray(masks.T)
-    for table in (masks, masks_t, gather, source, columns,
-                  *(m for _, m in groups)):
+    for table in (masks, masks_t, gather, source, columns):
         table.flags.writeable = False
-    return _Lattice(tuple(groups), masks, masks_t, gather, source, columns)
+    return _Lattice(masks, masks_t, gather, source, columns)
 
 
 def _subset_logdets(omega):
@@ -198,42 +192,34 @@ def _subset_logdets(omega):
     One batched Cholesky of the C(n, n//2) chain orderings of Omega gives
     them all: a leading block's factor is the leading block of the factor,
     so the cumulative sums of 2 log2 of the pivots are every prefix's
-    log-det.  When Omega has a non-finite entry or a diagonal entry not > 0,
-    or the batch fails to factor, each chain is factored alone instead, up
-    to its first row that reaches such an entry, and from its first prefix
-    that does not factor on, its prefixes get -inf; the factors are then
-    None.  No result is +inf or NaN: a finite positive definite block has a
-    finite positive Cholesky diagonal.
+    log-det.  A block is defined when its Cholesky factor exists and is
+    finite.  When the batch fails or Omega has a non-finite entry, each
+    chain keeps its longest such prefix, every later prefix gets -inf, and
+    the factors are None.  LAPACK refuses a pivot that is not > 0, and the
+    finiteness test catches a NaN or inf that a BLAS passes through, so no
+    result is +inf or NaN.
     """
-    n = omega.shape[0]
-    lattice = _lattice(n)
-    blocks, diag = omega.take(lattice.gather), omega.diagonal().real
-    if _minimum(diag, initial=np.inf) > 0 and np.isfinite(omega).all():
-        try:
-            factors = np.linalg.cholesky(blocks)
-        except np.linalg.LinAlgError:
-            defined = np.full(len(blocks), n)
-        else:
-            # the pivots of a Cholesky factor are finite and > 0; log2 takes
-            # a contiguous copy faster than the strided diagonal
-            logs = np.log2(factors.diagonal(axis1=1, axis2=2).real.copy())
-            return 2.0 * logs.cumsum(axis=1).take(lattice.source), factors
-    else:
-        # each chain's rows before the first that reaches a bad entry
-        bad = ~np.isfinite(omega)
-        bad.flat[::n + 1] |= ~(diag > 0)
-        bad = bad.take(lattice.gather)
-        defined = n - np.logical_or.accumulate(
-            np.tril(bad | bad.swapaxes(1, 2)).any(axis=2), axis=1).sum(axis=1)
+    lattice = _lattice(omega.shape[0])
+    blocks = omega.take(lattice.gather)
+    try:
+        factors = np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError:
+        factors = None
+    if factors is not None and np.isfinite(omega).all():
+        # the pivots of a Cholesky factor are finite and > 0; log2 takes a
+        # contiguous copy faster than the strided diagonal
+        logs = np.log2(factors.diagonal(axis1=1, axis2=2).real.copy())
+        return 2.0 * logs.cumsum(axis=1).take(lattice.source), factors
     pivots = np.zeros(blocks.shape[:2])
     for c, block in enumerate(blocks):
-        for size in range(defined[c], 0, -1):
+        for size in range(len(block), 0, -1):
             try:
-                pivots[c, :size] = np.linalg.cholesky(
-                    block[:size, :size]).diagonal().real
-                break
+                factor = np.linalg.cholesky(block[:size, :size])
             except np.linalg.LinAlgError:
-                pass
+                continue
+            if np.isfinite(factor).all():
+                pivots[c, :size] = factor.diagonal().real
+                break
     # a zero pivot is -inf, and so is every cumulative sum after it
     with np.errstate(divide="ignore"):
         logs = np.log2(pivots)
@@ -264,31 +250,30 @@ def feasible_dl(design):
 
     Returns a report with the worst slack margin (negative means violated;
     -inf where a constraint's value is undefined).  Inactive BSs (zero
-    capacity) must be silent.  Refuses clusters with more than
-    SUBSET_ENUM_CAP active BSs, where exhaustive subset enumeration is off
-    the table.
+    capacity) must be silent.  Each subset's requirement and capacity are
+    summed over its mask row, and its log-det comes from `_subset_logdets`.
+    Refuses clusters with more than SUBSET_ENUM_CAP active BSs, where
+    exhaustive subset enumeration is off the table.
     """
     active = design.active
-    groups = _lattice(active.size).groups
+    member = _lattice(active.size).masks > 0
     power = _row_power(design.a) + design.omega.diagonal().real
     leak = power + np.abs(design.omega).sum(axis=1)
     leak_tol = 1e-10 * max(float(np.max(design.p_bs, initial=0.0)), 1e-30)
     on = design.c > 0
-    slacks = [np.where(on, design.p_bs - power,
-                       np.where(leak <= leak_tol, np.inf, -leak))]
+    power_slack = np.where(on, design.p_bs - power,
+                           np.where(leak <= leak_tol, np.inf, -leak))
 
-    omega = hermitize(design.omega[np.ix_(active, active)])
+    logdets, _ = _subset_logdets(
+        hermitize(design.omega[np.ix_(active, active)]))
+    # where, not a product with the masks: 0 * -inf is NaN.  A requirement
+    # that is NaN (a silent BS's -inf less -inf) is undefined, -inf below
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.log2(power[active])
-    caps = design.c[active]
-    logdets, _ = _subset_logdets(omega)
-    for rows, members in groups:
-        # the requirement of subset S: its terms summed member by member,
-        # minus log2 det Omega_S
-        g = sum(terms.take(members).T) - logdets[rows]
-        slacks.append(caps.take(members).sum(axis=1) - g)
+        terms = np.where(member, np.log2(power[active]), 0.0)
+        g = terms.sum(axis=1) - logdets
+    caps = np.where(member, design.c[active], 0.0).sum(axis=1)
     # per BS, then per subset: on a tie the power constraint is named
-    slack = np.concatenate(slacks)
+    slack = np.concatenate([power_slack, caps - g])
     slack[np.isnan(slack)] = -np.inf
     margin, worst = float(np.min(slack, initial=np.inf)), "none"
     if margin < np.inf:
@@ -296,9 +281,8 @@ def feasible_dl(design):
         if j < on.size:
             worst = f"power[{j}]" if on[j] else f"inactive_bs[{j}]"
         else:
-            j -= on.size
-            rows, m = next(grp for grp in groups if j < grp[0].stop)
-            worst = f"backhaul{tuple(active[m[j - rows.start]].tolist())}"
+            members = active[member[j - on.size]]
+            worst = f"backhaul{tuple(members.tolist())}"
 
     return FeasibilityReport(feasible=bool(margin >= -FEASIBILITY_TOL),
                              margin=margin, worst_constraint=worst,

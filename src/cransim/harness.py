@@ -94,14 +94,18 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown direction {self.direction!r}")
         if self.mode not in (MODE_P2P, MODE_MT, "both"):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
-        for name, kind in (("rate_mapping", RateMapping),
-                           ("propagation", cellgeom.PropagationParams)):
-            value = getattr(self, name)
-            if not isinstance(value, kind):
+        # a NaN or infinity is left to the range checks below
+        for f in fields(self):
+            value, kind = getattr(self, f.name), f.type
+            if is_dataclass(kind) and not isinstance(value, kind):
                 raise ConfigurationError(
-                    f"{name} must be a {kind.__name__}, got "
+                    f"{f.name} must be a {kind.__name__}, got "
                     f"{type(value).__name__}; ExperimentConfig.from_dict "
                     f"takes a mapping")
+            if kind in _FITS and not (_FITS[kind](value)
+                                      or _non_finite(kind, value)):
+                raise ConfigurationError(f"{f.name} must be of type "
+                                         f"{kind.__name__}, got {value!r}")
         if self.drops < 1 or self.slots < 1:
             raise ConfigurationError("drops and slots must be >= 1")
         if not (0 <= self.c_macro < np.inf and 0 <= self.c_pico < np.inf):
@@ -134,14 +138,16 @@ class ExperimentConfig:
                 f"whose power-box vertices the power solve scores; got "
                 f"{self.k_ms}")
         if self.direction == "downlink":
-            n_bs = 3 * (self.c_macro > 0) + self.n_pico * (self.c_pico > 0)
+            n_bs = cellgeom.N_SECTORS * (self.c_macro > 0) \
+                + self.n_pico * (self.c_pico > 0)
             if n_bs > downlink.SUBSET_ENUM_CAP:
                 raise ConfigurationError(
                     f"downlink n_pico must leave at most "
-                    f"{downlink.SUBSET_ENUM_CAP} active BSs (3 macro sectors "
-                    f"and the picos, each with backhaul), whose subset "
-                    f"backhaul conditions the solver enumerates; got "
-                    f"n_pico={self.n_pico}, {n_bs} active BSs")
+                    f"{downlink.SUBSET_ENUM_CAP} active BSs "
+                    f"({cellgeom.N_SECTORS} macro sectors and the picos, each "
+                    f"with backhaul), whose subset backhaul conditions the "
+                    f"solver enumerates; got n_pico={self.n_pico}, {n_bs} "
+                    f"active BSs")
         if self.jobs < 1 or self.seed < 0:
             raise ConfigurationError("jobs must be >= 1 and seed >= 0")
         if self.reuse not in cellgeom.REUSE_MODES:

@@ -25,8 +25,11 @@ class FairnessState:
     def __post_init__(self):
         self.r_bar = np.asarray(self.r_bar, dtype=float)
         # each check is written so that NaN fails it
-        if not (isinstance(self.alpha, Real) and self.alpha >= 0):
-            raise DomainError("alpha must be a number >= 0")
+        if not (isinstance(self.alpha, Real)
+                and 0 <= self.alpha <= ALPHA_MAX):
+            raise DomainError(f"alpha must be a number in [0, "
+                              f"{ALPHA_MAX:.4g}], above which the weights "
+                              f"overflow")
         if not 0.0 <= self.beta <= 1.0:
             raise DomainError("beta must lie in [0, 1]")
         if not np.all(np.isfinite(self.r_bar) & (self.r_bar > 0)):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import types
 
@@ -312,14 +313,17 @@ def test_feasible_dl_undefined_blocks_give_minus_infinity():
     zero_diag = np.diag([0.5, 0.0, 0.5])
     nan_precoder = a.copy()
     nan_precoder[2, 1] = np.nan
+    # an active BS that is silent: its log2 power is -inf, which only the
+    # subsets holding it may see
+    quiet = a.copy()
+    quiet[1] = 0.0
     for a_, omega in ((a, not_pd), (a, pair_not_pd), (a, nan_entry),
-                      (a, zero_diag), (nan_precoder, 0.5 * np.eye(3))):
+                      (a, zero_diag), (nan_precoder, 0.5 * np.eye(3)),
+                      (quiet, zero_diag)):
         report = assert_feasible_dl_matches_oracle(
             make_design(a_, omega, c=c, p_bs=p_bs))
         assert not report.feasible and report.margin == -np.inf
     # the zero diagonal of a silent inactive BS is no subset's business
-    quiet = a.copy()
-    quiet[1] = 0.0
     c_quiet = np.array([50.0, 0.0, 50.0])
     report = assert_feasible_dl_matches_oracle(
         make_design(quiet, zero_diag, c=c_quiet, p_bs=p_bs))
@@ -815,8 +819,8 @@ def test_symmetric_chains_cover_every_subset_once(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_lattice_masks_are_the_subsets_in_order(n):
     """Each mask row is its subset's membership, subsets ordered by size and
-    then lexicographically; the singleton rows are the identity, and the
-    groups hold each size's rows and members."""
+    then lexicographically, each once; the singleton rows are the
+    identity."""
     lattice = downlink._lattice(n)
     subsets = enumerate_subsets(range(n))
     want = np.array([[float(i in s) for i in range(n)] for s in subsets])
@@ -824,20 +828,20 @@ def test_lattice_masks_are_the_subsets_in_order(n):
     assert np.array_equal(lattice.masks[:n], np.eye(n))
     assert np.array_equal(lattice.masks_t, want.T)
     assert lattice.masks_t.flags.c_contiguous
-    for size, (rows, members) in enumerate(lattice.groups, start=1):
-        assert [tuple(m) for m in members.tolist()] == subsets[rows]
-        assert members.shape[1] == size
-    assert lattice.groups[-1][0].stop == len(subsets) == 2 ** n - 1
+    rows = [tuple(np.flatnonzero(row).tolist()) for row in lattice.masks]
+    assert rows == sorted(set(rows), key=lambda s: (len(s), s)) == subsets
+    assert len(rows) == 2 ** n - 1 and () not in rows
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_lattice_is_one_read_only_table_per_bs_count(n):
     lattice = downlink._lattice(n)
     assert downlink._lattice(n) is lattice
-    arrays = [lattice.masks, lattice.masks_t, lattice.gather, lattice.source,
-              lattice.columns] + [m for _, m in lattice.groups]
-    for array in arrays:
-        assert not array.flags.writeable
+    names = [f.name for f in dataclasses.fields(lattice)]
+    assert names == ["masks", "masks_t", "gather", "source", "columns"]
+    for name in names:
+        array = getattr(lattice, name)
+        assert not array.flags.writeable, name
         with pytest.raises(ValueError):
             array.flat[0] = array.flat[0]
 
@@ -945,6 +949,65 @@ def test_subset_logdets_mark_undefined_blocks():
             else:
                 assert value == pytest.approx(block_logdet(omega, s),
                                               rel=1e-12, abs=1e-12), s
+
+
+def test_subset_logdet_is_finite_exactly_where_the_block_factors():
+    """Every subset log-det is finite exactly when the subset's own block
+    has a Cholesky factor with no NaN or inf, and then matches its
+    log-det; otherwise it is -inf.  Checked on Hermitian Omegas of 1 to 8
+    BSs: positive definite, indefinite, and with a NaN entry, a +inf or a
+    zero or negative diagonal entry, or a zero row of L in Omega = L L^H."""
+    rng = np.random.default_rng(65)
+
+    def factors_finitely(block):
+        try:
+            return np.isfinite(np.linalg.cholesky(block)).all()
+        except np.linalg.LinAlgError:
+            return False
+
+    def faulted(omega, kind, i, j):
+        omega = omega.copy()
+        if kind == "nan":
+            omega[i, j] = omega[j, i] = np.nan
+        elif kind == "+inf diagonal":
+            omega[i, i] = np.inf
+        elif kind == "zero diagonal":
+            omega[i, i] = 0.0
+        elif kind == "negative diagonal":
+            omega[i, i] = -rng.uniform(0.1, 2.0)
+        return omega
+
+    kinds = ("positive definite", "indefinite", "nan", "+inf diagonal",
+             "zero diagonal", "negative diagonal", "singular L")
+    seen = dict.fromkeys(kinds, 0)
+    for n in range(1, 9):
+        subsets = enumerate_subsets(range(n))
+        for kind in kinds:
+            for _ in range(6):
+                i, j = rng.integers(n, size=2)
+                l = np.tril(cn_samples(rng, (n, n))) + np.eye(n)
+                if kind == "singular L":
+                    l[i] = 0.0
+                omega = faulted(l @ l.conj().T, kind, i, j)
+                if kind == "indefinite":
+                    x = cn_samples(rng, (n, n))
+                    omega = x + x.conj().T
+                logdets, factors = downlink._subset_logdets(omega)
+                assert not np.isnan(logdets).any()
+                assert not np.isposinf(logdets).any()
+                for s, value in zip(subsets, logdets):
+                    block = omega[np.ix_(s, s)]
+                    if factors_finitely(block):
+                        assert value == pytest.approx(
+                            block_logdet(omega, s), rel=1e-12, abs=1e-12), \
+                            (kind, s)
+                    else:
+                        assert value == -np.inf, (kind, s)
+                        seen[kind] += 1
+                # the chain factors come only with every block defined
+                assert (factors is None) == np.isneginf(logdets).any(), kind
+    # every fault makes some block undefined
+    assert seen.pop("positive definite") == 0 and min(seen.values()) > 0
 
 
 def test_subset_logdets_singletons_are_twice_log2_sqrt_diagonal():

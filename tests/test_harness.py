@@ -242,6 +242,34 @@ def test_config_rejects_nested_settings_of_another_type(direction, name,
     assert getattr(loaded, name) == type(getattr(loaded, name))(**value)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("seed", 1.5), ("k_ms", 2.5), ("drops", "5"), ("beta", "x"),
+    ("slots", True), ("c_pico", None), ("reuse", 3), ("jobs", 2.0),
+])
+def test_config_validate_checks_field_types(name, value):
+    """A config built directly is held to its fields' types, as a loaded one
+    is: a fractional seed would run as its integer part, and a string count
+    would raise TypeError mid-validation."""
+    config = harness.ExperimentConfig(**{name: value})
+    with pytest.raises(ConfigurationError,
+                       match=f"^{name} must be of type "):
+        config.validate()
+    with pytest.raises(ConfigurationError,
+                       match=f"^{name} must be of type "):
+        harness.ExperimentConfig.from_dict({name: value})
+
+
+def test_config_validate_takes_numbers_of_the_field_types():
+    """numpy scalars and an int for a float field pass, and a direction or
+    mode of another type keeps its own message."""
+    assert harness.ExperimentConfig(seed=np.int64(3), k_ms=np.int32(2),
+                                    c_macro=3, beta=np.float64(0.25)
+                                    ).validate()
+    for name in ("direction", "mode"):
+        with pytest.raises(ConfigurationError, match=f"^unknown {name} 5$"):
+            harness.ExperimentConfig(**{name: 5}).validate()
+
+
 def test_config_rejects_non_finite_capacities():
     """validate refuses a NaN or infinite capacity in both directions, not
     only at load: the bare ``c < 0`` test lets a NaN through."""

@@ -99,3 +99,18 @@ def test_update_is_convex_combination():
         high = np.maximum(r, rates) + 1e-12
         assert np.all(new.r_bar >= low) and np.all(new.r_bar <= high)
         assert np.all(new.r_bar > 0)
+
+
+def test_alpha_above_alpha_max_refused():
+    """The state refuses a fairness exponent whose weight at R_BAR_FLOOR,
+    R_BAR_FLOOR**-alpha, overflows, as the config does; ALPHA_MAX itself
+    gives finite weights at the floor."""
+    limit = scheduler.ALPHA_MAX
+    floor = np.full(2, scheduler.R_BAR_FLOOR)
+    state = scheduler.FairnessState(r_bar=floor, alpha=limit, beta=0.5)
+    assert np.isfinite(scheduler.weights(state)).all()
+    for alpha in (float(np.nextafter(limit, np.inf)), limit + 1.0, np.inf):
+        with pytest.raises(DomainError, match="alpha"):
+            scheduler.FairnessState(r_bar=floor, alpha=alpha, beta=0.5)
+        with pytest.raises(DomainError, match="alpha"):
+            scheduler.initial_state(2, alpha=alpha, beta=0.5)
