@@ -29,13 +29,13 @@ Nodes are addressed by tuples:
 with 1-based cell ids matching the ring numbering above.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, check_fields
 from .units import db_to_pow
 
 SECTOR_BORESIGHTS_DEG = (30.0, 150.0, 270.0)
@@ -84,15 +84,10 @@ class PropagationParams:
     min_dist_pico_m: float = 1.0
 
     def __post_init__(self):
-        for f in fields(self):
-            if not np.all(np.isfinite(getattr(self, f.name))):
-                raise ConfigurationError(f"{f.name} must be finite")
-        if not self.inter_site_distance_m > 0:     # NaN fails too
-            raise ConfigurationError("inter_site_distance_m must be > 0")
-        if self.theta_3db_deg <= 0:
-            raise ConfigurationError("theta_3db_deg must be > 0")
-        if self.bandwidth_hz <= 0:
-            raise ConfigurationError("bandwidth_hz must be > 0")
+        check_fields(self, "propagation.")
+        for name in ("inter_site_distance_m", "theta_3db_deg", "bandwidth_hz"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"{name} must be > 0")
         if self.shadow_std_macro_db < 0 or self.shadow_std_pico_db < 0:
             raise ConfigurationError("shadowing std must be >= 0")
 
@@ -475,11 +470,8 @@ def link_gain_linear(tx_nodes, rx_nodes, topology, params=None):
 
     Combines path loss, the sector pattern (applied at a macro endpoint,
     whichever side of the link it is on), antenna gains and the shadowing of
-    :func:`link_shadowing_db`: each link's ``normal(0, std)`` draw from
-    numpy's own PCG64 Generator, seeded by
-    ``SeedSequence([seed mod 2^32, lower code, higher code])`` with the
-    state words of the whole link set computed at once.  A link is in the
-    macro class if either endpoint is a macro sector.
+    :func:`link_shadowing_db`.  A link is in the macro class if either
+    endpoint is a macro sector.
     """
     params = params or PropagationParams()
     p_tx, macro_tx, ant_tx, bore_tx = _link_ends(topology, tx_nodes, params)

@@ -621,14 +621,15 @@ def optimize_dl(channel, c, p_bs, weights, mode, init=None):
     Point-to-point mode starts cold and takes no `init`.  Multiterminal mode
     refines `init`, a point-to-point design for the same channel, capacities
     and power limits, and raises DomainError without one, as does any other
-    mode, or with one of another shape, c or p_bs.  When refining does not
+    mode, or with one of another shape, c or p_bs, and so do inputs that
+    `solver_inputs` refuses, all before any work.  When refining does not
     improve on init under `weights`, init is returned.  Zero-capacity BSs are
     silenced and dropped from all constraint sets.  The MM loop stops at MM_TOL
     or after MM_MAX_ITER steps; each step runs BARRIER_ROUNDS barrier rounds of
     INNER_STEPS ascent steps.
     """
     check_mode(mode)
-    weights, c, p_bs = solver_inputs(weights, c, p_bs)
+    weights, c, p_bs = solver_inputs(channel, weights, c, p_bs)
     if mode == MODE_MT:
         if not isinstance(init, DownlinkDesign) or init.mode != MODE_P2P:
             raise DomainError("multiterminal mode refines a point-to-point "

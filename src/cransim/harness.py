@@ -21,21 +21,24 @@ most one process pool, in which one worker takes all alphas of a drop.
 A downlink multiterminal run also solves and schedules point-to-point each
 slot, as its start, so its files equal the multiterminal half of a run with
 both modes.
+
+Config values are judged by the config classes alone (`errors.check_fields`
+for types and finiteness, then each class's ranges), so a config loaded by
+`ExperimentConfig.from_dict` is refused as one built directly, in one message.
 """
 
 import json
 import os
-import sys
 import time
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from numbers import Integral, Real
 
 import numpy as np
 
 from . import cellgeom, channel as channel_mod, downlink, scheduler, uplink
-from .errors import ConfigurationError, DomainError
+from .errors import (ConfigurationError, DomainError, check_fields,
+                     is_number)
 
 MODE_P2P = uplink.MODE_P2P
 MODE_MT = uplink.MODE_MT
@@ -57,9 +60,9 @@ class RateMapping:
     def __post_init__(self):
         if self.kind not in ("shannon", "attenuated"):
             raise ConfigurationError(f"unknown rate mapping {self.kind!r}")
-        for name in ("scale", "cap"):
-            value = getattr(self, name)
-            if not value >= 0:     # NaN fails too
+        check_fields(self, "rate_mapping.")
+        for name, value in (("scale", self.scale), ("cap", self.cap)):
+            if value < 0:
                 raise ConfigurationError(
                     f"rate_mapping.{name} must be >= 0, got {value!r}")
 
@@ -90,27 +93,18 @@ class ExperimentConfig:
         default_factory=cellgeom.PropagationParams)
 
     def validate(self):
+        """Return self once `check_fields` and the ranges below pass, for a
+        config built directly as for `from_dict`; else ConfigurationError."""
         if self.direction not in ("uplink", "downlink"):
             raise ConfigurationError(f"unknown direction {self.direction!r}")
         if self.mode not in (MODE_P2P, MODE_MT, "both"):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
-        # a NaN or infinity is left to the range checks below
-        for f in fields(self):
-            value, kind = getattr(self, f.name), f.type
-            if is_dataclass(kind) and not isinstance(value, kind):
-                raise ConfigurationError(
-                    f"{f.name} must be a {kind.__name__}, got "
-                    f"{type(value).__name__}; ExperimentConfig.from_dict "
-                    f"takes a mapping")
-            if kind in _FITS and not (_FITS[kind](value)
-                                      or _non_finite(kind, value)):
-                raise ConfigurationError(f"{f.name} must be of type "
-                                         f"{kind.__name__}, got {value!r}")
+        check_fields(self)
         if self.drops < 1 or self.slots < 1:
             raise ConfigurationError("drops and slots must be >= 1")
-        if not (0 <= self.c_macro < np.inf and 0 <= self.c_pico < np.inf):
+        if self.c_macro < 0 or self.c_pico < 0:
             raise ConfigurationError(
-                "backhaul capacities must be finite and >= 0")   # NaN fails
+                "backhaul capacities must be finite and >= 0")
         if self.direction == "uplink":
             floor = channel_mod.noise_floor_w(self.propagation)
             for name, kind in (("c_macro", "macro"), ("c_pico", "pico")):
@@ -157,7 +151,7 @@ class ExperimentConfig:
             else [self.alpha]
         if len(raw) == 0:
             raise ConfigurationError("alpha sweep list must be nonempty")
-        if not all(_is_number(a) and 0 <= a <= scheduler.ALPHA_MAX
+        if not all(is_number(a) and 0 <= a <= scheduler.ALPHA_MAX
                    for a in raw):
             raise ConfigurationError(
                 f"fairness exponents must be numbers in [0, "
@@ -184,7 +178,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data):
         """A validated config from a mapping of its fields; nested settings
-        may be mappings.  Any malformed input raises ConfigurationError."""
+        may be mappings.  Any malformed input raises ConfigurationError, in
+        the words in which a config built directly is refused."""
         return _from_mapping(cls, data).validate()
 
 
@@ -193,54 +188,21 @@ def alpha_label(alpha):
     return f"{float(alpha):g}"
 
 
-def _is_real(value):
-    return isinstance(value, Real) and not isinstance(value, bool)
-
-
-def _is_number(value):
-    """A real number in the finite float range that is not a bool."""
-    return _is_real(value) and abs(value) <= sys.float_info.max
-
-
-def _non_finite(kind, value):
-    """A float or a path-loss pair whose only fault is a NaN or infinity."""
-    if kind is tuple:
-        return (isinstance(value, (list, tuple)) and len(value) == 2
-                and all(map(_is_real, value)))
-    return kind is float and _is_real(value)
-
-
-# value checks by field annotation; `object` fields are checked by validate()
-_FITS = {
-    int: lambda v: isinstance(v, Integral) and not isinstance(v, bool),
-    float: _is_number,
-    str: lambda v: isinstance(v, str),
-    tuple: lambda v: (isinstance(v, (list, tuple)) and len(v) == 2
-                      and all(map(_is_number, v))),   # path-loss pairs
-}
-
-
 def _from_mapping(cls, data, prefix=""):
     """cls(**data) for a config dataclass, once every key names a field of
-    cls and every value fits the field's type; nested config dataclasses
-    may be given as mappings.  Float fields store floats, as flags do."""
+    cls; a nested config given as a mapping is built the same way, and a
+    float field stores a float, as flags do.  No value is judged here."""
     if not isinstance(data, Mapping):
-        raise ConfigurationError(f"{prefix.rstrip('.') or 'config'} must be "
-                                 f"a mapping, got {data!r}")
+        raise ConfigurationError(f"config must be a mapping, got {data!r}")
     kinds = {f.name: f.type for f in fields(cls)}
     values = dict(data)
     for key, value in data.items():
         kind = kinds.get(key)
         if kind is None:
             raise ConfigurationError(f"unknown config key {prefix}{key}")
-        if is_dataclass(kind) and not isinstance(value, kind):
+        if is_dataclass(kind) and isinstance(value, Mapping):
             values[key] = _from_mapping(kind, value, f"{prefix}{key}.")
-        elif kind in _FITS and not _FITS[kind](value):
-            fault = ("be finite" if _non_finite(kind, value)
-                     else f"be of type {kind.__name__}")
-            raise ConfigurationError(f"{prefix}{key} must {fault}, "
-                                     f"got {value!r}")
-        elif kind is float:
+        elif kind is float and is_number(value):
             values[key] = float(value)
     return cls(**values)
 

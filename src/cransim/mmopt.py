@@ -72,12 +72,24 @@ class SolveResult:
     trace: MMTrace
 
 
-def solver_inputs(weights, caps, power_limits):
+def solver_inputs(channel, weights, caps, power_limits, per_ms=False):
     """The weights, backhaul capacities and power limits as float arrays;
-    raises DomainError unless the first two are finite and >= 0 and the
-    power limits finite and > 0."""
+    raises DomainError unless the weights are one per MS of `channel` and
+    the capacities one per BS, both finite and >= 0, and the power limits
+    are finite and > 0 and one per BS, or, `per_ms`, one per MS or one for
+    all MSs."""
     weights, caps, power_limits = (np.asarray(x, dtype=float)
                                    for x in (weights, caps, power_limits))
+    ms, bs = (channel.n_ms,), (channel.n_bs,)
+    for name, x, shapes, rule in (
+            ("weights", weights, [ms], "one per MS"),
+            ("backhaul capacities", caps, [bs], "one per BS"),
+            ("power limits", power_limits, [(), ms] if per_ms else [bs],
+             "one per MS or one for all" if per_ms else "one per BS")):
+        if x.shape not in shapes:
+            raise DomainError(f"{name} must be {rule} of the channel's "
+                              f"{channel.n_ms} MSs and {channel.n_bs} BSs, "
+                              f"got shape {x.shape}")
     if not np.all(np.isfinite(weights) & (weights >= 0)):
         raise DomainError("weights must be finite and nonnegative")
     if not np.all(np.isfinite(caps) & (caps >= 0)):

@@ -47,8 +47,12 @@ def weights(state):
 
 
 def update(state, achieved_rates):
-    """Fold one slot of achieved rates into the averages (new state)."""
+    """Fold one slot of achieved rates, one per MS, into the averages (new
+    state)."""
     achieved = np.asarray(achieved_rates, dtype=float)
+    if achieved.shape != state.r_bar.shape:
+        raise DomainError(f"achieved rates must be one per MS, shape "
+                          f"{state.r_bar.shape}; got shape {achieved.shape}")
     if not np.all(np.isfinite(achieved) & (achieved >= 0)):
         raise DomainError("achieved rates must be finite and nonnegative")
     r_new = state.beta * state.r_bar + (1.0 - state.beta) * achieved

@@ -260,7 +260,8 @@ class VertexTable:
             raise DomainError(
                 f"{channel.n_ms} MSs are more than the {K_MS_MAX} whose "
                 f"2^K power-box vertices the uplink power solve scores")
-        _, c, p_max = solver_inputs((), c, p_max)
+        _, c, p_max = solver_inputs(channel, np.ones(channel.n_ms), c,
+                                    p_max, per_ms=True)
         active = np.flatnonzero(c > 0)
         for i, high in zip(active, capacity_max(channel.sigma2_z_ul[active])):
             if not CAPACITY_MIN <= c[i] <= high:
@@ -327,10 +328,12 @@ def optimize_ul(channel, c, weights, mode, p_max, n_macro=3, table=None):
     `table` is the slot's `VertexTable`, which calls with other weights or mode
     may share; without one, the call builds its own.  A table built for another
     channel object, or for other c, p_max or n_macro values, raises
-    DomainError, as does an unknown mode or any input `VertexTable` refuses.
+    DomainError, as does an unknown mode, an input `solver_inputs` refuses
+    (weights that are not one per MS, say) or any input `VertexTable` refuses.
     """
     check_mode(mode)
-    weights, c, p_max = solver_inputs(weights, c, p_max)
+    weights, c, p_max = solver_inputs(channel, weights, c, p_max,
+                                      per_ms=True)
     if table is None:
         table = VertexTable(channel, c, p_max, n_macro)
     elif not (table.channel is channel and table.n_macro == n_macro

@@ -45,11 +45,13 @@ def test_rate_mapping():
     assert np.allclose(lte.apply([0.5, 9.0]), [0.3, 4.4])
     with pytest.raises(ConfigurationError):
         harness.RateMapping(kind="magic").apply([1.0])
-    # a negative scale or cap would map rates below zero; NaN fails too
+    # a negative scale or cap would map rates below zero; a NaN is refused
+    # by the field rule
     for name in ("scale", "cap"):
-        for bad in (-0.5, float("nan")):
+        for bad, message in ((-0.5, "must be >= 0"),
+                             (float("nan"), "must be finite")):
             with pytest.raises(ConfigurationError,
-                               match=f"rate_mapping.{name} must be >= 0"):
+                               match=f"rate_mapping.{name} {message}"):
                 harness.RateMapping(kind="attenuated", **{name: bad})
         with pytest.raises(ConfigurationError, match=f"rate_mapping.{name}"):
             harness.ExperimentConfig.from_dict(dict(rate_mapping=dict(
@@ -259,6 +261,69 @@ def test_config_validate_checks_field_types(name, value):
         harness.ExperimentConfig.from_dict({name: value})
 
 
+_MAPPING_HINT = "; ExperimentConfig.from_dict takes a mapping"
+
+
+_REFUSED = [
+    ("k_ms", "5", "k_ms must be of type int, got '5'"),
+    ("seed", 2.0, "seed must be of type int, got 2.0"),
+    ("slots", False, "slots must be of type int, got False"),
+    ("beta", "x", "beta must be of type float, got 'x'"),
+    ("beta", True, "beta must be of type float, got True"),
+    ("c_pico", 1j, "c_pico must be of type float, got 1j"),
+    ("c_macro", float("nan"), "c_macro must be finite, got nan"),
+    ("c_pico", -np.inf, "c_pico must be finite, got -inf"),
+    ("c_macro", 10 ** 400, "c_macro must be finite, got 1000"),
+    ("reuse", 3, "reuse must be of type str, got 3"),
+    ("reuse", ["F1"], "reuse must be of type str, got ['F1']"),
+    ("rate_mapping", 5, "rate_mapping must be a RateMapping, got int"
+     + _MAPPING_HINT),
+    ("rate_mapping", [("kind", "shannon")], "rate_mapping must be a "
+     "RateMapping, got list" + _MAPPING_HINT),
+    ("propagation", "x", "propagation must be a PropagationParams, got str"
+     + _MAPPING_HINT),
+    ("rate_mapping", {"kind": "attenuated", "scale": np.inf},
+     "rate_mapping.scale must be finite, got inf"),
+    ("rate_mapping", {"scale": "x"},
+     "rate_mapping.scale must be of type float, got 'x'"),
+    ("rate_mapping", {"cap": np.nan}, "rate_mapping.cap must be finite"),
+    ("rate_mapping", {"kind": 7}, "unknown rate mapping 7"),
+    ("propagation", {"macro_pathloss": (128.1,)},
+     "propagation.macro_pathloss must be of type tuple, got (128.1,)"),
+    ("propagation", {"pico_pathloss": (38.0, 30.0, 1.0)},
+     "propagation.pico_pathloss must be of type tuple"),
+    ("propagation", {"pico_pathloss": (38.0, "30")},
+     "propagation.pico_pathloss must be of type tuple"),
+    ("propagation", {"macro_pathloss": "ab"},
+     "propagation.macro_pathloss must be of type tuple, got 'ab'"),
+    ("propagation", {"macro_pathloss": (128.1, np.nan)},
+     "propagation.macro_pathloss must be finite, got (128.1, nan)"),
+    ("propagation", {"bandwidth_hz": "x"},
+     "propagation.bandwidth_hz must be of type float, got 'x'"),
+    ("propagation", {"tx_ms_dbm": -np.inf},
+     "propagation.tx_ms_dbm must be finite, got -inf"),
+    ("propagation", {"inter_site_distance_m": 0},
+     "inter_site_distance_m must be > 0"),
+]
+
+
+@pytest.mark.parametrize("name, value, message", _REFUSED,
+                         ids=[f"{n}={v!r}"[:48] for n, v, _ in _REFUSED])
+def test_config_paths_refuse_a_value_with_one_message(name, value, message):
+    """A config built directly (then validated) and one loaded by from_dict
+    are refused by one rule in the same words.  A nested setting given as a
+    dict is built by its class on the direct path."""
+    nested = {"rate_mapping": harness.RateMapping,
+              "propagation": cellgeom.PropagationParams}.get(name)
+    with pytest.raises(ConfigurationError) as built:
+        given = nested(**value) if isinstance(value, dict) else value
+        harness.ExperimentConfig(**{name: given}).validate()
+    with pytest.raises(ConfigurationError) as loaded:
+        harness.ExperimentConfig.from_dict({name: value})
+    assert str(built.value) == str(loaded.value)
+    assert str(built.value).startswith(message), str(built.value)
+
+
 def test_config_validate_takes_numbers_of_the_field_types():
     """numpy scalars and an int for a float field pass, and a direction or
     mode of another type keeps its own message."""
@@ -279,13 +344,18 @@ def test_config_rejects_non_finite_capacities():
                 config = harness.ExperimentConfig(direction=direction,
                                                   **{name: bad})
                 with pytest.raises(ConfigurationError,
-                                   match="must be finite and >= 0"):
+                                   match=f"^{name} must be finite, got "):
                     config.validate()
                 # loading names the field, as before
                 with pytest.raises(ConfigurationError,
                                    match=f"{name} must be finite"):
                     harness.ExperimentConfig.from_dict(
                         {name: bad, "direction": direction})
+            config = harness.ExperimentConfig(direction=direction,
+                                              **{name: -1.0})
+            with pytest.raises(ConfigurationError,
+                               match="must be finite and >= 0"):
+                config.validate()
 
 
 def test_config_rejects_uplink_capacity_above_the_bound(tmp_path, capsys):

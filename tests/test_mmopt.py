@@ -61,23 +61,33 @@ def _optimize_dl_multiterminal(ch, c, p, w):
     return downlink.optimize_dl(ch, c, p, w, "multiterminal", init=init)
 
 
-@pytest.mark.parametrize("solve", [
-    lambda ch, c, p, w: uplink.optimize_ul(ch, c, w, "multiterminal", p),
-    _optimize_dl_multiterminal,
+@pytest.mark.parametrize("solve, n_powers", [
+    (lambda ch, c, p, w: uplink.optimize_ul(ch, c, w, "multiterminal", p), 2),
+    (_optimize_dl_multiterminal, 3),
 ], ids=["optimize_ul", "optimize_dl"])
-def test_solvers_reject_non_finite_or_out_of_range_inputs(solve):
+def test_solvers_reject_non_finite_or_out_of_range_inputs(solve, n_powers):
     """A NaN capacity would silence its BS and a NaN weight give a NaN
-    objective, both without a word: each bad value raises instead."""
-    ch = rand_channel(np.random.default_rng(61), 2, 2)
-    good = {"c": np.ones(2), "p": np.ones(2), "w": np.ones(2)}
+    objective, both without a word: each bad value raises instead.  So does
+    a weight vector that is not one per MS, or a capacity or power vector
+    that is not one per BS (one per MS, or one for all, for uplink powers),
+    where numpy would broadcast or index past the end."""
+    ch = rand_channel(np.random.default_rng(61), 3, 2)
+    good = {"c": np.ones(3), "p": np.ones(n_powers), "w": np.ones(2)}
     assert np.isfinite(solve(ch, **good).objective)
     bad_values = {"c": (np.nan, np.inf, -1.0), "w": (np.nan, np.inf, -1.0),
                   "p": (np.nan, np.inf, 0.0, -1.0)}
     for name, values in bad_values.items():
         for value in values:
-            args = {**good, name: np.array([1.0, value])}
+            args = {**good, name: np.append(good[name][1:], value)}
             with pytest.raises(DomainError):
                 solve(ch, **args)
+    bad_lengths = {"w": (np.ones(1), np.ones(3), 1.0),
+                   "c": (np.ones(2), np.ones(4), 1.0),
+                   "p": (np.ones(5 - n_powers), np.ones((1, n_powers)))}
+    for name, values in bad_lengths.items():
+        for value in values:
+            with pytest.raises(DomainError, match="must be one per"):
+                solve(ch, **{**good, name: value})
 
 
 def test_solvers_refuse_an_unknown_mode_before_any_work(monkeypatch):

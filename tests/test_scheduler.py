@@ -47,6 +47,15 @@ def test_update_rejects_negative_rates():
         scheduler.update(state, np.array([0.5, -0.1]))
 
 
+def test_update_rejects_rates_of_another_shape():
+    """One rate is not spread over five MSs, nor a scalar over two."""
+    for n_ms, rates in ((5, [1.0]), (2, 1.0), (2, [1.0, 1.0, 1.0]),
+                        (2, [[1.0, 1.0]])):
+        state = scheduler.initial_state(n_ms, 1.0, 0.5)
+        with pytest.raises(DomainError, match="one per MS"):
+            scheduler.update(state, rates)
+
+
 def test_state_validation():
     with pytest.raises(DomainError):
         scheduler.FairnessState(r_bar=np.array([1.0]), alpha=-1.0, beta=0.5)
