@@ -58,7 +58,7 @@ REUSE_MODES = ("F1", "F1_3")
 _MAX_DROP_TRIES = 10000
 
 
-@dataclass
+@dataclass(frozen=True)
 class PropagationParams:
     """Large-scale model parameters (3GPP-style macro/pico defaults)."""
 
@@ -248,9 +248,6 @@ def build_layout(seed, k_ms, n_pico, params=None, reuse="F1_3"):
         raise ConfigurationError("k_ms must be >= 1")
     if n_pico < 0:
         raise ConfigurationError("n_pico must be >= 0")
-    if not 0 < params.inter_site_distance_m < np.inf:
-        raise ConfigurationError(
-            "inter_site_distance_m must be finite and > 0")
     if reuse not in REUSE_MODES:
         raise ConfigurationError(f"unknown reuse mode {reuse!r}")
 

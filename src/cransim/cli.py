@@ -1,6 +1,7 @@
 """Command-line entry point: `cransim uplink|downlink|sweep [options]`."""
 
 import argparse
+import json
 import sys
 
 from .errors import ConfigurationError, DomainError
@@ -11,7 +12,7 @@ from .harness import (MODE_MT, MODE_P2P, ExperimentConfig, PRESETS,
 
 def _add_common(sub):
     sub.add_argument("--config", help="YAML config file mirroring the "
-                     "experiment settings")
+                     "experiment settings, or a run's config.json")
     sub.add_argument("--preset", choices=sorted(PRESETS),
                      help="named base configuration")
     sub.add_argument("--seed", type=int)
@@ -42,9 +43,10 @@ def _parse_alpha(text):
 
 
 def build_config(args, direction=None):
-    """The validated config of parsed options: a preset, then a config file,
-    then every option named after an ExperimentConfig field, then direction.
-    A sweep takes its direction from one of the first three."""
+    """The config of parsed options: a preset, then a config file (JSON if
+    its name ends in .json, else YAML), then every option named after an
+    ExperimentConfig field, then direction.  A sweep takes its direction
+    from one of the first three."""
     data = {}
     if args.preset:
         data.update(PRESETS[args.preset])
@@ -52,7 +54,12 @@ def build_config(args, direction=None):
         import yaml
         with open(args.config) as fh:
             try:
-                file_data = yaml.safe_load(fh) or {}
+                # YAML reads JSON's 1e-05 as a string
+                file_data = (json.load(fh) if args.config.endswith(".json")
+                             else yaml.safe_load(fh)) or {}
+            except json.JSONDecodeError as exc:
+                raise ConfigurationError(f"config file {args.config} is not "
+                                         f"valid JSON: {exc}") from None
             except yaml.YAMLError as exc:
                 mark = getattr(exc, "problem_mark", None)
                 where = "" if mark is None else \

@@ -1,7 +1,6 @@
 """Exception types shared across the package, and `check_fields`, the type
-rule that every config class applies to its fields: `RateMapping` and
-`PropagationParams` on construction, `ExperimentConfig` in `validate`.  A
-loaded config meets the same calls, so it is refused in the same words."""
+rule that every config class applies to its fields when built, storing each
+value in one form; a loaded config meets the same rule."""
 
 import sys
 from dataclasses import fields, is_dataclass
@@ -35,7 +34,8 @@ def check_fields(config, prefix=""):
     pair (tuple) of two finite floats, or a nested config of its class;
     bools are not numbers, and `object` fields are the class's to check.
     The message names the field after `prefix` and says "must be finite"
-    for a real number that is not, "must be of type T" otherwise."""
+    for a real number that is not, "must be of type T" otherwise.  Each
+    int, float or str field then holds that type, and a pair two floats."""
     for f in fields(config):
         value, kind = getattr(config, f.name), f.type
         if is_dataclass(kind) and not isinstance(value, kind):
@@ -56,3 +56,6 @@ def check_fields(config, prefix=""):
             fault = "be finite" if fits else f"be of type {kind.__name__}"
             raise ConfigurationError(f"{prefix}{f.name} must {fault}, "
                                      f"got {value!r}")
+        if kind in (int, float, str, tuple):
+            object.__setattr__(config, f.name, tuple(map(float, value))
+                               if kind is tuple else kind(value))

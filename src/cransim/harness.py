@@ -22,21 +22,24 @@ A downlink multiterminal run also solves and schedules point-to-point each
 slot, as its start, so its files equal the multiterminal half of a run with
 both modes.
 
-Config values are judged by the config classes alone (`errors.check_fields`
-for types and finiteness, then each class's ranges), so a config loaded by
-`ExperimentConfig.from_dict` is refused as one built directly, in one message.
+Configs are frozen, checked once when built (`errors.check_fields`, then
+each class's ranges), so `ExperimentConfig.from_dict` refuses and stores
+values as direct construction does.  Every run writes its `config.json`.
 """
 
 import json
 import os
+import platform
 import time
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from itertools import chain
 
 import numpy as np
 
-from . import cellgeom, channel as channel_mod, downlink, scheduler, uplink
+from . import (__version__, cellgeom, channel as channel_mod, downlink,
+               scheduler, uplink)
 from .errors import (ConfigurationError, DomainError, check_fields,
                      is_number)
 
@@ -48,7 +51,7 @@ FLOAT_FMT = "%.9g"
 _SLOT_STREAM = 101
 
 
-@dataclass
+@dataclass(frozen=True)
 class RateMapping:
     """Map Shannon rates to scheduled rates; `attenuated` approximates a
     practical modulation/coding ceiling via min(scale*r, cap)."""
@@ -73,7 +76,7 @@ class RateMapping:
         return rates
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     direction: str = "uplink"          # uplink | downlink
     mode: str = "both"                 # point_to_point | multiterminal | both
@@ -92,9 +95,9 @@ class ExperimentConfig:
     propagation: cellgeom.PropagationParams = field(
         default_factory=cellgeom.PropagationParams)
 
-    def validate(self):
-        """Return self once `check_fields` and the ranges below pass, for a
-        config built directly as for `from_dict`; else ConfigurationError."""
+    def __post_init__(self):
+        """ConfigurationError unless `check_fields` and the ranges below
+        pass; stores a list `alpha` as a new list of floats, else a float."""
         if self.direction not in ("uplink", "downlink"):
             raise ConfigurationError(f"unknown direction {self.direction!r}")
         if self.mode not in (MODE_P2P, MODE_MT, "both"):
@@ -147,8 +150,8 @@ class ExperimentConfig:
         if self.reuse not in cellgeom.REUSE_MODES:
             raise ConfigurationError(f"unknown reuse mode {self.reuse!r}")
         # the raw values: float() would take a bool and raise on a string
-        raw = self.alpha if isinstance(self.alpha, (list, tuple)) \
-            else [self.alpha]
+        listed = isinstance(self.alpha, (list, tuple))
+        raw = self.alpha if listed else [self.alpha]
         if len(raw) == 0:
             raise ConfigurationError("alpha sweep list must be nonempty")
         if not all(is_number(a) and 0 <= a <= scheduler.ALPHA_MAX
@@ -157,13 +160,14 @@ class ExperimentConfig:
                 f"fairness exponents must be numbers in [0, "
                 f"{scheduler.ALPHA_MAX:.4g}], above which the weights "
                 f"overflow; got {self.alpha!r}")
-        labels = [alpha_label(a) for a in self.alphas]
+        labels = [alpha_label(a) for a in raw]
         if len(set(labels)) < len(labels):
             raise ConfigurationError(
                 f"fairness exponents must differ in their labels "
                 f"{labels}, which name each alpha's result directory; "
                 f"got {self.alpha!r}")
-        return self
+        object.__setattr__(self, "alpha", list(map(float, raw)) if listed
+                           else float(self.alpha))
 
     @property
     def modes(self):
@@ -172,15 +176,15 @@ class ExperimentConfig:
     @property
     def alphas(self):
         """The run's fairness exponents, `alpha`, as a tuple of floats."""
-        return tuple(map(float, self.alpha)) \
-            if isinstance(self.alpha, (list, tuple)) else (float(self.alpha),)
+        return tuple(self.alpha) if isinstance(self.alpha, list) \
+            else (self.alpha,)
 
     @classmethod
     def from_dict(cls, data):
-        """A validated config from a mapping of its fields; nested settings
-        may be mappings.  Any malformed input raises ConfigurationError, in
-        the words in which a config built directly is refused."""
-        return _from_mapping(cls, data).validate()
+        """The config of a mapping of its fields, such as a run's
+        `config.json`; nested settings may be mappings.  It is refused, or
+        stored, in the words and values of a config built directly."""
+        return _from_mapping(cls, data)
 
 
 def alpha_label(alpha):
@@ -190,8 +194,8 @@ def alpha_label(alpha):
 
 def _from_mapping(cls, data, prefix=""):
     """cls(**data) for a config dataclass, once every key names a field of
-    cls; a nested config given as a mapping is built the same way, and a
-    float field stores a float, as flags do.  No value is judged here."""
+    cls; a nested config given as a mapping is built the same way.  No value
+    is converted or judged here."""
     if not isinstance(data, Mapping):
         raise ConfigurationError(f"config must be a mapping, got {data!r}")
     kinds = {f.name: f.type for f in fields(cls)}
@@ -202,8 +206,6 @@ def _from_mapping(cls, data, prefix=""):
             raise ConfigurationError(f"unknown config key {prefix}{key}")
         if is_dataclass(kind) and isinstance(value, Mapping):
             values[key] = _from_mapping(kind, value, f"{prefix}{key}.")
-        elif kind is float and is_number(value):
-            values[key] = float(value)
     return cls(**values)
 
 
@@ -258,9 +260,8 @@ class DropOutcome:
     mm_iterations: dict      # mode -> MM iterations over the drop's slots
 
 
-# [(drop, config with alpha None), Cluster, {slot: (ChannelRealization,
-# VertexTable or None)}] of this process's last drop; a run starts and ends
-# with it empty
+# [(drop, config fields but alpha), Cluster, {slot: (ChannelRealization,
+# VertexTable or None)}] of this process's last drop; empty between runs
 _last_drop = []
 
 
@@ -268,7 +269,7 @@ def _simulate_drop(config, drop):
     """Run all slots of one drop; deterministic given (config.seed, drop).
     Consecutive calls for one drop whose configs differ at most in alpha
     share its Cluster and its slots, each realized on first use."""
-    key = drop, replace(config, alpha=None)
+    key = drop, {**vars(config), "alpha": None}
     if not _last_drop or _last_drop[0] != key:
         topo = cellgeom.build_layout(_drop_seed(config.seed, drop),
                                      config.k_ms, config.n_pico,
@@ -282,7 +283,7 @@ def _simulate_drop(config, drop):
     # so point-to-point is solved and scheduled whether recorded or not
     solved = MODE_ORDER if config.direction == "downlink" \
         and MODE_MT in modes else modes
-    states = {m: scheduler.initial_state(config.k_ms, float(config.alpha),
+    states = {m: scheduler.initial_state(config.k_ms, config.alpha,
                                          config.beta) for m in solved}
     out = DropOutcome(drop=drop,
                       rates={m: np.zeros((config.slots, config.k_ms))
@@ -399,7 +400,6 @@ def run_experiment(config):
 
     `alpha` names one fairness exponent, as a number or a one-element list;
     the report's config holds it as a float either way."""
-    config.validate()
     if len(config.alphas) > 1:
         raise ConfigurationError(
             "run_experiment needs one alpha; use alpha_sweep for lists")
@@ -427,7 +427,6 @@ def alpha_sweep(config):
     expected fairness trade-off (cell edge non-decreasing in alpha) is
     checked softly and reported in `notes`.
     """
-    config.validate()
     reports = _run(config)
     notes = []
     for m in config.modes:
@@ -446,18 +445,19 @@ def default_out_dir():
     return os.environ.get(OUT_DIR_ENV, "results")
 
 
+def _write(path, lines):
+    with open(path, "w") as fh:
+        fh.writelines(f"{line}\n" for line in lines)
+
+
 def write_records_csv(report, path):
     """Per-slot records, fixed field order and float format (9 significant
     digits) so identical runs produce byte-identical files."""
-    with open(path, "w") as fh:
-        fh.write("drop,slot,mode,ms,rate\n")
-        for drop in range(report.config.drops):
-            for slot in range(report.config.slots):
-                for mode in report.modes:
-                    rates = report.metrics[mode].rates[drop, slot]
-                    for ms, rate in enumerate(rates):
-                        fh.write(f"{drop},{slot},{mode},{ms},"
-                                 f"{FLOAT_FMT % rate}\n")
+    _write(path, chain(["drop,slot,mode,ms,rate"], (
+        f"{drop},{slot},{mode},{ms},{FLOAT_FMT % rate}"
+        for drop in range(report.config.drops)
+        for slot in range(report.config.slots) for mode in report.modes
+        for ms, rate in enumerate(report.metrics[mode].rates[drop, slot]))))
 
 
 def write_summary(report, path):
@@ -483,54 +483,54 @@ def write_summary(report, path):
             / max(report.metrics[MODE_P2P].p50_sum_rate, 1e-30)
         lines.append(f"multiterminal/p2p 50%-ile sum-rate ratio="
                      f"{FLOAT_FMT % p50_gain}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, lines)
 
 
 def write_cdf_data(report, out_dir):
     for mode in report.modes:
         samples = report.metrics[mode].sum_rate_samples
         ecdf = (np.arange(samples.size) + 1) / samples.size
-        with open(os.path.join(out_dir, f"cdf_{mode}.dat"), "w") as fh:
-            for x, y in zip(samples, ecdf):
-                fh.write(f"{FLOAT_FMT % x} {FLOAT_FMT % y}\n")
+        _write(os.path.join(out_dir, f"cdf_{mode}.dat"),
+               [f"{FLOAT_FMT % x} {FLOAT_FMT % y}"
+                for x, y in zip(samples, ecdf)])
 
 
-def write_sweep_data(sweep, out_dir):
-    for mode in sweep.config.modes:
-        with open(os.path.join(out_dir, f"sweep_{mode}.dat"), "w") as fh:
-            for rep in sweep.reports:
-                m = rep.metrics[mode]
-                fh.write(f"{FLOAT_FMT % m.avg_spectral_efficiency} "
-                         f"{FLOAT_FMT % m.cell_edge_throughput}\n")
+def write_config(config, out_dir):
+    """config.json: every field but `jobs`, which changes no result file, as
+    `from_dict` loads it back; `--config` of it reruns the run."""
+    _write(os.path.join(out_dir, "config.json"), [json.dumps(
+        {k: v for k, v in asdict(config).items() if k != "jobs"},
+        sort_keys=True)])
 
 
 def write_report(report, out_dir):
     os.makedirs(out_dir, exist_ok=True)
+    write_config(report.config, out_dir)
     write_records_csv(report, os.path.join(out_dir, "records.csv"))
     write_summary(report, os.path.join(out_dir, "summary.txt"))
     write_cdf_data(report, out_dir)
-    # wall-clock time stays out of summary.txt, which is thereby
-    # byte-identical across reruns and `--jobs`
-    with open(os.path.join(out_dir, "timing.json"), "w") as fh:
-        json.dump({"elapsed_s": report.elapsed_s}, fh)
-        fh.write("\n")
+    # what differs between reruns stays out of the other files: timing.json
+    _write(os.path.join(out_dir, "timing.json"), [json.dumps(
+        {"elapsed_s": report.elapsed_s, "jobs": report.config.jobs,
+         "versions": {"cransim": __version__, "numpy": np.__version__,
+                      "python": platform.python_version()}})])
 
 
 def write_sweep(sweep, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    write_sweep_data(sweep, out_dir)
+    write_config(sweep.config, out_dir)
     lines = ["alpha sweep", "==========="]
     for mode in sweep.config.modes:
+        points = [(alpha_label(rep.config.alpha),
+                   FLOAT_FMT % rep.metrics[mode].avg_spectral_efficiency,
+                   FLOAT_FMT % rep.metrics[mode].cell_edge_throughput)
+                  for rep in sweep.reports]
+        _write(os.path.join(out_dir, f"sweep_{mode}.dat"),
+               [f"{se} {edge}" for _, se, edge in points])
         lines.append(f"[{mode}]")
-        for rep in sweep.reports:
-            m = rep.metrics[mode]
-            lines.append(f"  alpha={alpha_label(rep.config.alpha)} "
-                         f"avg_se={FLOAT_FMT % m.avg_spectral_efficiency} "
-                         f"cell_edge={FLOAT_FMT % m.cell_edge_throughput}")
-    lines.extend(sweep.notes)
-    with open(os.path.join(out_dir, "sweep_summary.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        lines += [f"  alpha={a} avg_se={se} cell_edge={edge}"
+                  for a, se, edge in points]
+    _write(os.path.join(out_dir, "sweep_summary.txt"), lines + sweep.notes)
     for rep in sweep.reports:
         write_report(rep, os.path.join(
             out_dir, f"alpha_{alpha_label(rep.config.alpha)}"))

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cellgeom import N_SECTORS
 from .errors import DomainError, NumericalDomainError
 from .mmopt import (FEASIBILITY_TOL, LN2, MODE_MT, MODE_P2P, MMTrace,
                     SolveResult, check_mode, cholesky, solver_inputs)
@@ -319,7 +320,8 @@ def _power_solve(table, weights):
     return best, trace
 
 
-def optimize_ul(channel, c, weights, mode, p_max, n_macro=3, table=None):
+def optimize_ul(channel, c, weights, mode, p_max, n_macro=N_SECTORS,
+                table=None):
     """Two-step uplink design: ideal-backhaul powers, then closed-form noise.
 
     The powers are the best vertex of the power box (`_power_solve`); the trace

@@ -232,13 +232,15 @@ def test_build_layout_validation():
         cellgeom.build_layout(1, 0, 1)
     with pytest.raises(ConfigurationError):
         cellgeom.build_layout(1, 1, -1)
-    # params changed after their own checks ran
-    bad = cellgeom.PropagationParams()
+    # params are checked once, when built, and cannot be changed after
+    params = cellgeom.PropagationParams()
     for distance in (0.0, np.nan, np.inf):
-        bad.inter_site_distance_m = distance
         with pytest.raises(ConfigurationError,
                            match="inter_site_distance_m"):
-            cellgeom.build_layout(1, 1, 1, bad)
+            cellgeom.PropagationParams(inter_site_distance_m=distance)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.inter_site_distance_m = distance
+    assert params == cellgeom.PropagationParams()
 
 
 def test_ring_geometry():

@@ -1,7 +1,9 @@
 import argparse
 import dataclasses
 import importlib
+import json
 import os
+import platform
 import pkgutil
 import re
 import subprocess
@@ -221,9 +223,9 @@ def test_downlink_paired_objective_dominance_at_alpha_zero():
 
 def test_config_rejects_negative_alpha():
     with pytest.raises(ConfigurationError):
-        harness.ExperimentConfig(alpha=-0.5).validate()
+        harness.ExperimentConfig(alpha=-0.5)
     with pytest.raises(ConfigurationError):
-        harness.ExperimentConfig(alpha=[0.0, -1.0]).validate()
+        harness.ExperimentConfig(alpha=[0.0, -1.0])
 
 
 @pytest.mark.parametrize("direction, name, value", [
@@ -232,13 +234,12 @@ def test_config_rejects_negative_alpha():
 ])
 def test_config_rejects_nested_settings_of_another_type(direction, name,
                                                         value):
-    """A mapping given for a nested setting is refused at validation, not
-    met later as an AttributeError; from_dict still builds it."""
-    config = harness.ExperimentConfig(direction=direction, **{name: value})
+    """A mapping given for a nested setting is refused when the config is
+    built, not met later as an AttributeError; from_dict still builds it."""
     with pytest.raises(ConfigurationError,
                        match=f"^{name} must be a .*, got dict; "
                              f"ExperimentConfig.from_dict takes a mapping$"):
-        config.validate()
+        harness.ExperimentConfig(direction=direction, **{name: value})
     loaded = harness.ExperimentConfig.from_dict(
         {"direction": direction, name: value})
     assert getattr(loaded, name) == type(getattr(loaded, name))(**value)
@@ -251,11 +252,10 @@ def test_config_rejects_nested_settings_of_another_type(direction, name,
 def test_config_validate_checks_field_types(name, value):
     """A config built directly is held to its fields' types, as a loaded one
     is: a fractional seed would run as its integer part, and a string count
-    would raise TypeError mid-validation."""
-    config = harness.ExperimentConfig(**{name: value})
+    would raise TypeError mid-check."""
     with pytest.raises(ConfigurationError,
                        match=f"^{name} must be of type "):
-        config.validate()
+        harness.ExperimentConfig(**{name: value})
     with pytest.raises(ConfigurationError,
                        match=f"^{name} must be of type "):
         harness.ExperimentConfig.from_dict({name: value})
@@ -310,14 +310,14 @@ _REFUSED = [
 @pytest.mark.parametrize("name, value, message", _REFUSED,
                          ids=[f"{n}={v!r}"[:48] for n, v, _ in _REFUSED])
 def test_config_paths_refuse_a_value_with_one_message(name, value, message):
-    """A config built directly (then validated) and one loaded by from_dict
-    are refused by one rule in the same words.  A nested setting given as a
-    dict is built by its class on the direct path."""
+    """A config built directly and one loaded by from_dict are refused by
+    one rule in the same words.  A nested setting given as a dict is built
+    by its class on the direct path."""
     nested = {"rate_mapping": harness.RateMapping,
               "propagation": cellgeom.PropagationParams}.get(name)
     with pytest.raises(ConfigurationError) as built:
         given = nested(**value) if isinstance(value, dict) else value
-        harness.ExperimentConfig(**{name: given}).validate()
+        harness.ExperimentConfig(**{name: given})
     with pytest.raises(ConfigurationError) as loaded:
         harness.ExperimentConfig.from_dict({name: value})
     assert str(built.value) == str(loaded.value)
@@ -325,37 +325,41 @@ def test_config_paths_refuse_a_value_with_one_message(name, value, message):
 
 
 def test_config_validate_takes_numbers_of_the_field_types():
-    """numpy scalars and an int for a float field pass, and a direction or
-    mode of another type keeps its own message."""
-    assert harness.ExperimentConfig(seed=np.int64(3), k_ms=np.int32(2),
-                                    c_macro=3, beta=np.float64(0.25)
-                                    ).validate()
+    """numpy scalars and an int for a float field pass, stored as the
+    field's type, and a direction or mode of another type keeps its own
+    message."""
+    config = harness.ExperimentConfig(seed=np.int64(3), k_ms=np.int32(2),
+                                      c_macro=3, beta=np.float64(0.25),
+                                      alpha=np.int64(1))
+    stored = {"seed": 3, "k_ms": 2, "c_macro": 3.0, "beta": 0.25,
+              "alpha": 1.0}
+    for name, value in stored.items():
+        got = getattr(config, name)
+        assert type(got) is type(value) and got == value, name
     for name in ("direction", "mode"):
         with pytest.raises(ConfigurationError, match=f"^unknown {name} 5$"):
-            harness.ExperimentConfig(**{name: 5}).validate()
+            harness.ExperimentConfig(**{name: 5})
 
 
 def test_config_rejects_non_finite_capacities():
-    """validate refuses a NaN or infinite capacity in both directions, not
-    only at load: the bare ``c < 0`` test lets a NaN through."""
+    """A config refuses a NaN or infinite capacity in both directions when
+    built directly, not only at load: the bare ``c < 0`` test lets a NaN
+    through."""
     for direction in ("uplink", "downlink"):
         for name in ("c_macro", "c_pico"):
             for bad in (float("nan"), float("inf"), float("-inf")):
-                config = harness.ExperimentConfig(direction=direction,
-                                                  **{name: bad})
                 with pytest.raises(ConfigurationError,
                                    match=f"^{name} must be finite, got "):
-                    config.validate()
+                    harness.ExperimentConfig(direction=direction,
+                                             **{name: bad})
                 # loading names the field, as before
                 with pytest.raises(ConfigurationError,
                                    match=f"{name} must be finite"):
                     harness.ExperimentConfig.from_dict(
                         {name: bad, "direction": direction})
-            config = harness.ExperimentConfig(direction=direction,
-                                              **{name: -1.0})
             with pytest.raises(ConfigurationError,
                                match="must be finite and >= 0"):
-                config.validate()
+                harness.ExperimentConfig(direction=direction, **{name: -1.0})
 
 
 def test_config_rejects_uplink_capacity_above_the_bound(tmp_path, capsys):
@@ -505,11 +509,18 @@ def test_csv_reproducible_across_jobs(tmp_path):
         harness.write_report(report, tmp_path / f"jobs{jobs}")
     names = sorted(os.listdir(tmp_path / "jobs1"))
     assert names == sorted(os.listdir(tmp_path / "jobs3"))
-    assert "timing.json" in names and "summary.txt" in names
+    assert {"timing.json", "summary.txt", "config.json"} <= set(names)
     for name in names:
-        if name != "timing.json":       # wall-clock time only
+        if name != "timing.json":       # wall-clock time, jobs, versions
             assert (tmp_path / "jobs1" / name).read_bytes() == \
                 (tmp_path / "jobs3" / name).read_bytes(), name
+    for jobs in (1, 3):
+        timing = json.loads((tmp_path / f"jobs{jobs}" / "timing.json")
+                            .read_text())
+        assert timing["elapsed_s"] > 0 and timing["jobs"] == jobs
+        assert timing["versions"] == {
+            "cransim": cransim.__version__, "numpy": np.__version__,
+            "python": platform.python_version()}
     records = (tmp_path / "jobs1" / "records.csv").read_text()
     assert records.splitlines()[0] == "drop,slot,mode,ms,rate"
 
@@ -812,6 +823,8 @@ def test_report_files_written(tmp_path):
     harness.write_report(report, out)
     assert (out / "records.csv").exists()
     assert (out / "summary.txt").exists()
+    assert harness.ExperimentConfig.from_dict(
+        json.loads((out / "config.json").read_text())) == cfg
     assert (out / "cdf_point_to_point.dat").exists()
     assert (out / "cdf_multiterminal.dat").exists()
     cdf = np.loadtxt(out / "cdf_multiterminal.dat")
@@ -959,8 +972,9 @@ def test_sweep_rejects_alphas_that_share_a_label():
     # would overwrite each other's files
     for alphas in ([1.0, 1.0000001], [2.0, 2], [0.5, 1.0, 0.5]):
         with pytest.raises(ConfigurationError, match="label"):
-            harness.ExperimentConfig(alpha=alphas).validate()
-    harness.ExperimentConfig(alpha=[1.0, 1.00001]).validate()
+            harness.ExperimentConfig(alpha=alphas)
+    assert harness.ExperimentConfig(alpha=[1.0, 1.00001]).alphas \
+        == (1.0, 1.00001)
 
 
 def test_config_file_integers_write_the_files_of_flags(tmp_path):
@@ -980,13 +994,93 @@ def test_config_file_integers_write_the_files_of_flags(tmp_path):
     for name, argv in runs.items():
         assert cli_main(argv + ["--out", str(tmp_path / name)]) == 0, name
     cfg = build_config(argparse.Namespace(preset=None, config=str(cfg_path)))
-    assert all(type(getattr(cfg, key)) is float for key in numbers
-               if key != "alpha")
-    for name in ("records.csv", "summary.txt"):
-        want = (tmp_path / "flags" / name).read_text()
-        assert (tmp_path / "file" / name).read_text() == want, name
-        assert (tmp_path / "sweep" / "alpha_1" / name).read_text() == want
-    assert "C=(9.0,3.0) alpha=1.0 beta=1.0" in want
+    assert all(type(getattr(cfg, key)) is float for key in numbers)
+    # a config built directly from the same integers stores the same floats
+    direct = harness.ExperimentConfig(k_ms=2, n_pico=1, drops=1, slots=2,
+                                      seed=3, **numbers)
+    assert direct == harness.ExperimentConfig.from_dict(
+        dict(k_ms=2, n_pico=1, drops=1, slots=2, seed=3, **numbers))
+    harness.write_report(harness.run_experiment(direct), tmp_path / "direct")
+    for name in ("records.csv", "summary.txt", "config.json"):
+        want = (tmp_path / "flags" / name).read_bytes()
+        assert (tmp_path / "file" / name).read_bytes() == want, name
+        assert (tmp_path / "direct" / name).read_bytes() == want, name
+        assert (tmp_path / "sweep" / "alpha_1" / name).read_bytes() == want
+    assert "C=(9.0,3.0) alpha=1.0 beta=1.0" in \
+        (tmp_path / "direct" / "summary.txt").read_text()
+
+
+def test_configs_are_frozen():
+    """No field of a config can be changed once it is built and checked: a
+    path-loss pair of one entry, set on a checked PropagationParams, would
+    end a downlink run in IndexError."""
+    params = cellgeom.PropagationParams()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.macro_pathloss = (128.1,)
+    config = harness.ExperimentConfig(direction="downlink", propagation=params)
+    for obj in (config, config.rate_mapping, params):
+        for f in dataclasses.fields(obj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, f.name, getattr(obj, f.name))
+    assert params.macro_pathloss == (128.1, 37.6)
+
+
+@pytest.mark.parametrize("name", sorted(harness.PRESETS) + ["ul-cdf-c1e-5"])
+def test_config_json_loads_back_equal(tmp_path, name):
+    """config.json holds every field but jobs, in one form whichever way the
+    config was built, and from_dict of it equals the config; YAML would
+    read its 1e-05 as a string, so --config reads it as JSON."""
+    data = dict(harness.PRESETS[name.removesuffix("-c1e-5")])
+    if name.endswith("-c1e-5"):
+        data["c_pico"] = 1.0e-05
+    config = harness.ExperimentConfig.from_dict(data)
+    assert type(config.alpha) is type(data["alpha"])
+    harness.write_config(dataclasses.replace(config, jobs=2), tmp_path)
+    text = (tmp_path / "config.json").read_text()
+    loaded = json.loads(text)
+    assert "jobs" not in loaded and list(loaded) == sorted(loaded)
+    assert harness.ExperimentConfig.from_dict(loaded) == config
+    assert harness.ExperimentConfig.from_dict(json.loads(json.dumps(
+        dataclasses.asdict(config)))) == config
+    assert build_config(argparse.Namespace(
+        preset=None, config=str(tmp_path / "config.json"))) == config
+    if name.endswith("-c1e-5"):
+        assert '"c_pico": 1e-05' in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["uplink", "--preset", "ul-cdf", "--c-pico", "1e-05", "--drops", "2"],
+    ["sweep", "--preset", "dl-sweep-b", "--alpha", "2,3", "--slots", "2",
+     "--drops", "1", "--k-ms", "2", "--n-pico", "1"],
+])
+def test_cli_rerun_from_config_json(tmp_path, argv, capsys):
+    """A run's config.json, given to --config, reruns it: every file but
+    timing.json is byte-identical.  A sweep's top directory holds its alpha
+    list, and each alpha's directory that alpha."""
+    assert cli_main(argv + ["--jobs", "2", "--out", str(tmp_path / "a")]) \
+        == 0
+    assert cli_main([argv[0], "--config", str(tmp_path / "a" / "config.json"),
+                     "--out", str(tmp_path / "b")]) == 0
+    first = sorted(p.relative_to(tmp_path / "a")
+                   for p in (tmp_path / "a").rglob("*"))
+    assert first == sorted(p.relative_to(tmp_path / "b")
+                           for p in (tmp_path / "b").rglob("*"))
+    for path in first:
+        if (tmp_path / "a" / path).is_file() and path.name != "timing.json":
+            assert (tmp_path / "a" / path).read_bytes() \
+                == (tmp_path / "b" / path).read_bytes(), path
+    alphas = [json.loads(p.read_text())["alpha"]
+              for p in sorted((tmp_path / "a").rglob("config.json"))]
+    assert alphas == ([2.0, 3.0, [2.0, 3.0]] if argv[0] == "sweep"
+                      else [0.0])
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"c_pico": 1e-05,}')
+    capsys.readouterr()
+    assert cli_main(["uplink", "--config", str(bad), "--out",
+                     str(tmp_path / "never")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {bad} is not valid JSON") \
+        and err.count("\n") == 1 and not (tmp_path / "never").exists()
 
 
 def test_cli_uplink_and_downlink_take_one_alpha(tmp_path, capsys):
