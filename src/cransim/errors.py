@@ -2,7 +2,7 @@
 rule that every config class applies to its fields when built, storing each
 value in one form; a loaded config meets the same rule."""
 
-import sys
+import math
 from dataclasses import fields, is_dataclass
 from numbers import Integral, Real
 
@@ -24,8 +24,12 @@ def _is_real(value):
 
 
 def is_number(value):
-    """A real number in the finite float range that is not a bool."""
-    return _is_real(value) and abs(value) <= sys.float_info.max   # not NaN
+    """A real number in the finite float range that is not a bool, judged
+    as the float it is stored as."""
+    try:
+        return _is_real(value) and math.isfinite(float(value))
+    except OverflowError:       # an int or Fraction beyond the float range
+        return False
 
 
 def check_fields(config, prefix=""):

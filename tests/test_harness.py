@@ -8,6 +8,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -160,29 +161,35 @@ def test_run_experiment_single_user_pipeline_identity():
     assert got == pytest.approx(np.log2(1.0 + snr), abs=1e-3)
 
 
-def test_mode_both_is_aligned_with_single_mode_runs():
-    base = dict(direction="uplink", k_ms=2, n_pico=1, c_macro=3.0,
-                c_pico=1.0, alpha=0.0, slots=2, drops=2, seed=11)
-    both = harness.run_experiment(
-        harness.ExperimentConfig(mode="both", **base))
-    solo = harness.run_experiment(
-        harness.ExperimentConfig(mode="point_to_point", **base))
-    assert np.array_equal(both.metrics["point_to_point"].rates,
-                          solo.metrics["point_to_point"].rates)
-
-    # a downlink multiterminal run schedules point-to-point as its start:
-    # from the second slot on, the two modes' weights differ
-    base.update(direction="downlink", alpha=2.0, slots=3)
-    both = harness.run_experiment(
-        harness.ExperimentConfig(mode="both", **base))
-    for mode in harness.MODE_ORDER:
-        solo = harness.run_experiment(
-            harness.ExperimentConfig(mode=mode, **base))
-        assert solo.modes == (mode,)
-        assert np.array_equal(both.metrics[mode].rates,
-                              solo.metrics[mode].rates), mode
-        assert both.metrics[mode].mm_iterations \
-            == solo.metrics[mode].mm_iterations
+def test_mode_both_is_aligned_with_single_mode_runs(tmp_path):
+    """A single-mode run writes its half of a both-mode run's files.  Both
+    uplink modes of a slot share its vertex table, which keeps one design
+    per (vertex, mode); neither mode may see the other's.  A downlink
+    multiterminal run also solves point-to-point as its start: from the
+    second slot on, the two modes' weights differ."""
+    base = dict(k_ms=2, n_pico=1, c_macro=3.0, c_pico=1.0, slots=3, drops=2,
+                seed=11)
+    for direction, alpha in (("uplink", 0.0), ("uplink", 1.0),
+                             ("downlink", 2.0)):
+        reports = {mode: harness.run_experiment(harness.ExperimentConfig(
+            direction=direction, alpha=alpha, mode=mode, **base))
+            for mode in ("both",) + harness.MODE_ORDER}
+        for mode, report in reports.items():
+            harness.write_report(report, tmp_path / mode)
+        records = (tmp_path / "both" / "records.csv").read_text()
+        for mode in harness.MODE_ORDER:
+            both, solo = reports["both"].metrics[mode], reports[mode]
+            assert solo.modes == (mode,)
+            assert np.array_equal(both.rates, solo.metrics[mode].rates), \
+                (alpha, mode)
+            assert both.mm_iterations == solo.metrics[mode].mm_iterations
+            other, = set(harness.MODE_ORDER) - {mode}
+            assert [line for line in records.splitlines()
+                    if f",{other}," not in line] == (
+                tmp_path / mode / "records.csv").read_text().splitlines()
+            name = f"cdf_{mode}.dat"
+            assert (tmp_path / "both" / name).read_bytes() \
+                == (tmp_path / mode / name).read_bytes(), (alpha, mode)
 
 
 def test_mode_both_builds_one_vertex_table_per_slot(monkeypatch):
@@ -274,6 +281,8 @@ _REFUSED = [
     ("c_macro", float("nan"), "c_macro must be finite, got nan"),
     ("c_pico", -np.inf, "c_pico must be finite, got -inf"),
     ("c_macro", 10 ** 400, "c_macro must be finite, got 1000"),
+    ("c_pico", -10 ** 400, "c_pico must be finite, got -1000"),
+    ("beta", Fraction(10 ** 400), "beta must be finite, got Fraction(1000"),
     ("reuse", 3, "reuse must be of type str, got 3"),
     ("reuse", ["F1"], "reuse must be of type str, got ['F1']"),
     ("rate_mapping", 5, "rate_mapping must be a RateMapping, got int"
@@ -324,18 +333,23 @@ def test_config_paths_refuse_a_value_with_one_message(name, value, message):
     assert str(built.value).startswith(message), str(built.value)
 
 
+@pytest.mark.filterwarnings("error")
 def test_config_validate_takes_numbers_of_the_field_types():
     """numpy scalars and an int for a float field pass, stored as the
     field's type, and a direction or mode of another type keeps its own
-    message."""
-    config = harness.ExperimentConfig(seed=np.int64(3), k_ms=np.int32(2),
-                                      c_macro=3, beta=np.float64(0.25),
-                                      alpha=np.int64(1))
-    stored = {"seed": 3, "k_ms": 2, "c_macro": 3.0, "beta": 0.25,
-              "alpha": 1.0}
-    for name, value in stored.items():
-        got = getattr(config, name)
-        assert type(got) is type(value) and got == value, name
+    message.  A float32 or float16 passes without a warning, although the
+    float64 maximum does not fit in either."""
+    for given, stored in (
+            (dict(seed=np.int64(3), k_ms=np.int32(2), c_macro=3,
+                  beta=np.float64(0.25), alpha=np.int64(1)),
+             dict(seed=3, k_ms=2, c_macro=3.0, beta=0.25, alpha=1.0)),
+            (dict(beta=np.float32(0.5), alpha=np.float32(0.5),
+                  c_macro=np.float16(2.0)),
+             dict(beta=0.5, alpha=0.5, c_macro=2.0))):
+        config = harness.ExperimentConfig(**given)
+        for name, value in stored.items():
+            got = getattr(config, name)
+            assert type(got) is type(value) and got == value, name
     for name in ("direction", "mode"):
         with pytest.raises(ConfigurationError, match=f"^unknown {name} 5$"):
             harness.ExperimentConfig(**{name: 5})
@@ -362,7 +376,22 @@ def test_config_rejects_non_finite_capacities():
                 harness.ExperimentConfig(direction=direction, **{name: -1.0})
 
 
-def test_config_rejects_uplink_capacity_above_the_bound(tmp_path, capsys):
+@pytest.fixture
+def refused(tmp_path, capsys):
+    """Run the CLI on argv, which must exit 2 with one error line and write
+    nothing, and return that line."""
+    def run(argv):
+        out = tmp_path / "never"
+        capsys.readouterr()
+        assert cli_main(argv + ["--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+        return err
+    return run
+
+
+def test_config_rejects_uplink_capacity_above_the_bound(refused):
     """An uplink capacity is bounded by capacity_max at its BS type's
     thermal floor, which every uplink noise power reaches; the downlink
     has no such bound."""
@@ -378,18 +407,13 @@ def test_config_rejects_uplink_capacity_above_the_bound(tmp_path, capsys):
                 {name: float(np.nextafter(bound, np.inf))})
         assert harness.ExperimentConfig.from_dict(
             {name: 1e4, "direction": "downlink"})
-    out = tmp_path / "never"
-    capsys.readouterr()
-    assert cli_main(["uplink", "--preset", "ul-sweep", "--alpha", "1",
-                     "--slots", "2", "--drops", "2", "--c-macro", "1e4",
-                     "--c-pico", "1e4", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: uplink c_macro must") \
-        and err.count("\n") == 1
-    assert not out.exists()
+    assert refused(["uplink", "--preset", "ul-sweep", "--alpha", "1",
+                    "--slots", "2", "--drops", "2", "--c-macro", "1e4",
+                    "--c-pico", "1e4"]) \
+        .startswith("error: uplink c_macro must")
 
 
-def test_config_rejects_vanishing_uplink_capacity(tmp_path, capsys):
+def test_config_rejects_vanishing_uplink_capacity(refused):
     """A positive uplink capacity below uplink.CAPACITY_MIN, whose 2^c - 1
     rounds toward 0, is refused before any drop; 0 switches the backhaul
     off, and the downlink has no such bound."""
@@ -402,18 +426,12 @@ def test_config_rejects_vanishing_uplink_capacity(tmp_path, capsys):
                 {name: float(np.nextafter(low, 0.0))})
         assert harness.ExperimentConfig.from_dict(
             {name: 1e-16, "direction": "downlink"})
-    out = tmp_path / "never"
-    capsys.readouterr()
-    assert cli_main(["uplink", "--preset", "ul-sweep", "--alpha", "1",
-                     "--slots", "2", "--drops", "2", "--c-pico", "1e-16",
-                     "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: uplink c_pico must be 0 or >=") \
-        and err.count("\n") == 1
-    assert not out.exists()
+    assert refused(["uplink", "--preset", "ul-sweep", "--alpha", "1",
+                    "--slots", "2", "--drops", "2", "--c-pico", "1e-16"]) \
+        .startswith("error: uplink c_pico must be 0 or >=")
 
 
-def test_config_rejects_uplink_k_ms_above_the_vertex_cap(tmp_path, capsys):
+def test_config_rejects_uplink_k_ms_above_the_vertex_cap(refused):
     """The uplink power solve scores 2^K power-box vertices, so an uplink
     config takes at most uplink.K_MS_MAX MSs; the downlink has no cap."""
     k = uplink.K_MS_MAX
@@ -422,18 +440,11 @@ def test_config_rejects_uplink_k_ms_above_the_vertex_cap(tmp_path, capsys):
         harness.ExperimentConfig.from_dict({"k_ms": k + 1})
     assert harness.ExperimentConfig.from_dict(
         {"k_ms": k + 1, "direction": "downlink"})
-    out = tmp_path / "never"
-    capsys.readouterr()
-    assert cli_main(["uplink", "--preset", "ul-sweep", "--k-ms", str(k + 1),
-                     "--drops", "1", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: uplink k_ms must be") \
-        and err.count("\n") == 1
-    assert not out.exists()
+    assert refused(["uplink", "--preset", "ul-sweep", "--k-ms", str(k + 1),
+                    "--drops", "1"]).startswith("error: uplink k_ms must be")
 
 
-def test_config_rejects_downlink_cluster_above_the_subset_cap(tmp_path,
-                                                              capsys):
+def test_config_rejects_downlink_cluster_above_the_subset_cap(refused):
     """The downlink solver enumerates the backhaul subsets of the active BSs
     (3 macro sectors and n_pico picos, each when its capacity is > 0), so a
     downlink config takes at most downlink.SUBSET_ENUM_CAP of them; the
@@ -448,28 +459,18 @@ def test_config_rejects_downlink_cluster_above_the_subset_cap(tmp_path,
                      {"n_pico": cap, "c_macro": 0.0}):
         assert harness.ExperimentConfig.from_dict({**dl, **inactive})
     assert harness.ExperimentConfig.from_dict({"n_pico": cap})
-    out = tmp_path / "never"
-    capsys.readouterr()
-    assert cli_main(["downlink", "--preset", "dl-sweep-b", "--alpha", "2",
-                     "--slots", "1", "--drops", "2", "--n-pico",
-                     str(cap - 2), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
+    err = refused(["downlink", "--preset", "dl-sweep-b", "--alpha", "2",
+                   "--slots", "1", "--drops", "2", "--n-pico", str(cap - 2)])
     assert err.startswith("error: downlink n_pico must") \
-        and f"{cap} active BSs" in err and err.count("\n") == 1
-    assert not out.exists()
+        and f"{cap} active BSs" in err
 
 
-def test_cli_sweep_requires_a_direction(tmp_path, capsys):
+def test_cli_sweep_requires_a_direction(tmp_path, refused):
     """A sweep takes its direction from --direction, a preset or a config
     file; with none it exits 2 with one error line, writing nothing."""
     flags = ["--alpha", "0,1", "--drops", "1", "--slots", "1", "--k-ms", "1",
              "--n-pico", "0", "--mode", "point_to_point"]
-    capsys.readouterr()
-    assert cli_main(["sweep"] + flags + ["--out", str(tmp_path / "no")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "--direction" in err \
-        and err.count("\n") == 1
-    assert not (tmp_path / "no").exists()
+    assert "--direction" in refused(["sweep"] + flags)
     config = tmp_path / "dl.yaml"
     config.write_text("direction: downlink\n")
     for given, direction in ((["--direction", "downlink"], "downlink"),
@@ -481,7 +482,7 @@ def test_cli_sweep_requires_a_direction(tmp_path, capsys):
             (out / "alpha_0" / "summary.txt").read_text()
 
 
-def test_config_rejects_alpha_whose_weights_overflow(tmp_path, capsys):
+def test_config_rejects_alpha_whose_weights_overflow(refused):
     # at the r_bar floor the weight is R_BAR_FLOOR**-alpha, finite up to
     # ALPHA_MAX and inf above it
     limit = scheduler.ALPHA_MAX
@@ -492,37 +493,105 @@ def test_config_rejects_alpha_whose_weights_overflow(tmp_path, capsys):
     for alpha in (limit + 0.01, [1.0, 200.0]):
         with pytest.raises(ConfigurationError, match="overflow"):
             harness.ExperimentConfig.from_dict(dict(alpha=alpha))
-    out = tmp_path / "never"
-    assert cli_main(["uplink", "--preset", "ul-sweep", "--alpha", "200",
-                     "--slots", "2", "--drops", "1", "--out", str(out)]) == 2
-    assert "weights overflow" in capsys.readouterr().err
-    assert not out.exists()
+    assert "weights overflow" in refused(["uplink", "--preset", "ul-sweep",
+                                          "--alpha", "200", "--slots", "2",
+                                          "--drops", "1"])
 
 
-def test_csv_reproducible_across_jobs(tmp_path):
-    base = dict(direction="uplink", mode="both", k_ms=2, n_pico=1,
-                c_macro=3.0, c_pico=1.0, alpha=0.0, slots=1, drops=4,
-                seed=17)
-    for jobs in (1, 3):
-        report = harness.run_experiment(
-            harness.ExperimentConfig(jobs=jobs, **base))
-        harness.write_report(report, tmp_path / f"jobs{jobs}")
-    names = sorted(os.listdir(tmp_path / "jobs1"))
-    assert names == sorted(os.listdir(tmp_path / "jobs3"))
-    assert {"timing.json", "summary.txt", "config.json"} <= set(names)
-    for name in names:
-        if name != "timing.json":       # wall-clock time, jobs, versions
-            assert (tmp_path / "jobs1" / name).read_bytes() == \
-                (tmp_path / "jobs3" / name).read_bytes(), name
-    for jobs in (1, 3):
-        timing = json.loads((tmp_path / f"jobs{jobs}" / "timing.json")
-                            .read_text())
-        assert timing["elapsed_s"] > 0 and timing["jobs"] == jobs
-        assert timing["versions"] == {
-            "cransim": cransim.__version__, "numpy": np.__version__,
-            "python": platform.python_version()}
-    records = (tmp_path / "jobs1" / "records.csv").read_text()
-    assert records.splitlines()[0] == "drop,slot,mode,ms,rate"
+# Runs whose result files must not depend on --jobs: both links, both
+# modes, sweeps, one MS, F1 reuse, and clusters and layouts at their
+# extremes.  Each has 2-3 drops, so at --jobs 5 the pool has one worker per
+# drop.  A config file named in a run is one of CONFIG_FILES.
+ACROSS_JOBS = {
+    "dl-sweep-b": "sweep --preset dl-sweep-b --slots 2 --alpha 2 --drops 2",
+    "dl-mt": "downlink --preset dl-sweep-b --mode multiterminal --alpha 2 "
+             "--slots 2 --drops 2",
+    "ul-sweep": "sweep --preset ul-sweep --slots 2 --alpha 0,1 --drops 2",
+    "ul-20-picos": "uplink --preset ul-cdf --n-pico 20 --drops 3",
+    "ul-one-ms": "uplink --preset ul-sweep --alpha 0 --slots 2 --drops 2 "
+                 "--k-ms 1 --n-pico 0",
+    "dl-sweep-a": "sweep --preset dl-sweep-a --slots 2 --alpha 2 --drops 2",
+    "dl-one-ms": "downlink --preset dl-sweep-b --alpha 1 --slots 2 --drops 2 "
+                 "--k-ms 1 --n-pico 0",
+    # 9 active BSs: the chain kernel and feasible_dl past 6 BSs; run as
+    # `python -m cransim.cli`, so its pool forks from a clean parent
+    "dl-9-bs": "downlink --preset dl-sweep-b --n-pico 6 --alpha 2 --slots 2 "
+               "--drops 2",
+    "ul-far-macro": "uplink --preset ul-sweep --config far.yaml --alpha 0 "
+                    "--slots 2 --drops 3",
+    "ul-f1": "uplink --config f1.yaml --k-ms 3 --n-pico 1 --alpha 1 "
+             "--slots 2 --drops 2 --seed 29",
+    "dl-f1": "downlink --config f1.yaml --k-ms 3 --n-pico 1 --alpha 1 "
+             "--slots 2 --drops 2 --seed 29",
+}
+CONFIG_FILES = {
+    # a macro distance of 250 m rejects about nine in ten candidates, so
+    # node placement scans cells candidate window by window
+    "far.yaml": "propagation: {min_dist_macro_m: 250.0}\n",
+    # universal reuse: all 18 other cells interfere
+    "f1.yaml": "reuse: F1\n"}
+
+
+def src_env():
+    """The environment with cransim's source directory on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(cransim.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def files_under(root):
+    return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+
+
+def assert_same_results(got, want):
+    """The result tree `got` holds the files of `want`, each byte-identical
+    but timing.json, which holds wall-clock time, jobs and versions."""
+    files = files_under(want)
+    assert files_under(got) == files
+    for path in files:
+        if path.name != "timing.json":
+            assert (got / path).read_bytes() == (want / path).read_bytes(), \
+                (got, path)
+
+
+@pytest.mark.parametrize("name", sorted(ACROSS_JOBS))
+def test_result_files_identical_across_jobs(tmp_path, monkeypatch, name):
+    """Every result file but timing.json, of a run or of a sweep's whole
+    tree, is byte-identical at --jobs 1, 2 and 5 (1 and 2 in a fresh
+    interpreter, where each run pays its imports)."""
+    monkeypatch.chdir(tmp_path)
+    for file_name, text in CONFIG_FILES.items():
+        (tmp_path / file_name).write_text(text)
+    first, fresh = tmp_path / "jobs1", name == "dl-9-bs"
+    for jobs in (1, 2) if fresh else (1, 2, 5):
+        out = tmp_path / f"jobs{jobs}"
+        argv = ACROSS_JOBS[name].split() + ["--jobs", str(jobs), "--out",
+                                            str(out)]
+        if fresh:
+            proc = subprocess.run([sys.executable, "-m", "cransim.cli",
+                                   *argv], env=src_env(), capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        else:
+            assert cli_main(argv) == 0, jobs
+        assert_same_results(out, first)
+        for path in out.rglob("timing.json"):
+            timing = json.loads(path.read_text())
+            assert timing["elapsed_s"] > 0 and timing["jobs"] == jobs
+            assert timing["versions"] == {
+                "cransim": cransim.__version__, "numpy": np.__version__,
+                "python": platform.python_version()}
+    runs = [p.parent for p in first.rglob("records.csv")]
+    for run in runs:
+        assert {"timing.json", "summary.txt", "config.json"} \
+            <= {p.name for p in run.iterdir()}
+        cfg = harness.ExperimentConfig.from_dict(
+            json.loads((run / "config.json").read_text()))
+        records = (run / "records.csv").read_text().splitlines()
+        assert records[0] == "drop,slot,mode,ms,rate"
+        assert len(records) == \
+            1 + cfg.drops * cfg.slots * len(cfg.modes) * cfg.k_ms
+    assert runs
 
 
 def test_pool_has_no_more_workers_than_drops(monkeypatch):
@@ -784,24 +853,6 @@ def test_drop_reuse_spans_alphas_of_one_drop(monkeypatch):
     assert clusters_built(monkeypatch, [(DROP_BASE, 0), (alpha3, 1)]) == 2
 
 
-@pytest.mark.parametrize("direction", ["uplink", "downlink"])
-def test_f1_reuse_records_identical_across_jobs(tmp_path, direction):
-    # universal reuse: all 18 other cells interfere
-    assert len(cellgeom.build_layout(29, 1, 0, reuse="F1").interferer_set) \
-        == 18
-    base = dict(direction=direction, mode="both", k_ms=3, n_pico=1,
-                alpha=1.0, slots=2, drops=2, seed=29, reuse="F1")
-    records = []
-    for jobs in (1, 2):
-        report = harness.run_experiment(
-            harness.ExperimentConfig(jobs=jobs, **base))
-        out = tmp_path / f"jobs{jobs}"
-        harness.write_report(report, out)
-        records.append((out / "records.csv").read_bytes())
-    assert records[0] == records[1]
-    assert len(records[0].splitlines()) == 1 + 2 * 2 * 2 * 3
-
-
 def test_drop_reuse_never_crosses_runs(monkeypatch):
     cfg = harness.ExperimentConfig(direction="uplink", alpha=1.0,
                                    **dict(SWEEP_BASE, drops=1))
@@ -856,18 +907,15 @@ for direction in ("uplink", "downlink"):
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    src = os.path.dirname(os.path.dirname(cransim.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY,
-                           str(tmp_path)], env=env, capture_output=True,
+                           str(tmp_path)], env=src_env(), capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     for direction in ("uplink", "downlink"):
         assert (tmp_path / direction / "records.csv").exists()
 
 
-def test_cli_sweep_and_error_exit(tmp_path, capsys):
+def test_cli_sweep_and_error_exit(tmp_path, refused):
     out = tmp_path / "sweep_out"
     code = cli_main(["sweep", "--direction", "uplink", "--k-ms", "1",
                      "--n-pico", "0", "--drops", "2", "--slots", "1",
@@ -877,56 +925,50 @@ def test_cli_sweep_and_error_exit(tmp_path, capsys):
     assert (out / "sweep_summary.txt").exists()
     assert (out / "sweep_point_to_point.dat").exists()
 
-    bad = cli_main(["uplink", "--config", str(tmp_path / "missing.yaml")])
-    assert bad == 2
+    refused(["uplink", "--config", str(tmp_path / "missing.yaml")])
 
-    capsys.readouterr()
+    # a malformed config file is refused with one error line naming the
+    # field, before any drop runs or any file is written
+    path, nan, inf = tmp_path / "bad.yaml", float("nan"), float("inf")
     for bad_cfg, message in (
             (dict(solver=dict(mm_max_iter=10)), "unknown config key solver"),
-            (dict(k_ms="x"), "k_ms must be of type int")):
-        path = tmp_path / "bad.yaml"
+            (dict(k_ms="x"), "k_ms must be of type int"),
+            (dict(rate_mapping=dict(kind="attenuated", scale=inf)),
+             "rate_mapping.scale must be finite"),
+            (dict(rate_mapping=dict(kind="attenuated", scale=-0.5)),
+             "rate_mapping.scale must be >= 0"),
+            (dict(rate_mapping=dict(kind="attenuated", cap=-0.5)),
+             "rate_mapping.cap must be >= 0"),
+            (dict(propagation=dict(macro_pathloss=[128.1])),
+             "propagation.macro_pathloss must be of type tuple"),
+            (dict(propagation=dict(macro_pathloss=[nan, 1.0])),
+             "propagation.macro_pathloss must be finite"),
+            (dict(propagation=dict(macro_pathloss=[128.1, inf])),
+             "propagation.macro_pathloss must be finite"),
+            (dict(propagation=dict(bandwidth_hz="x")),
+             "propagation.bandwidth_hz must be of type float")):
         path.write_text(yaml.safe_dump(bad_cfg))
-        assert cli_main(["uplink", "--config", str(path)]) == 2
-        assert message in capsys.readouterr().err, bad_cfg
+        assert refused(["uplink", "--preset", "ul-sweep", "--alpha", "0",
+                        "--drops", "1", "--config", str(path)]) \
+            .startswith(f"error: {message}"), bad_cfg
 
     # unparsable alphas, alphas that share a result directory and YAML
     # syntax errors end in one error line, not a traceback
-    capsys.readouterr()
     syntax = tmp_path / "syntax.yaml"
     syntax.write_text("k_ms: [1, 2\ndrops: 3\n")
     for flags in (["--alpha", "x"], ["--alpha", ","], ["--alpha", ""],
                   ["--alpha", "1,y"], ["--alpha", "1,1.0000001"],
                   ["--alpha", "2,2"], ["--config", str(syntax)]):
-        assert cli_main(["sweep", "--direction", "uplink"] + flags
-                        + ["--out", str(tmp_path / "never")]) == 2, flags
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, flags
+        refused(["sweep", "--direction", "uplink"] + flags)
 
     # non-finite capacities and an out-of-range forgetting factor are
     # rejected at load, before any drop runs
-    small = ["--k-ms", "2", "--n-pico", "1", "--drops", "1",
-             "--out", str(tmp_path / "never")]
-    capsys.readouterr()
     for flags, message in (
             (["uplink", "--c-macro", "nan"], "c_macro must be finite"),
             (["downlink", "--c-pico", "inf"], "c_pico must be finite"),
             (["uplink", "--beta", "1.5"], "beta must lie in [0, 1]")):
-        assert cli_main(flags + small) == 2, flags
-        assert message in capsys.readouterr().err, flags
-    for pair in ([float("nan"), 1.0], [128.1, float("inf")]):
-        path.write_text(yaml.safe_dump(
-            dict(propagation=dict(macro_pathloss=pair))))
-        assert cli_main(["uplink", "--config", str(path)] + small) == 2
-        assert "propagation.macro_pathloss must be finite" \
-            in capsys.readouterr().err, pair
-    for name in ("scale", "cap"):
-        path.write_text(yaml.safe_dump(
-            dict(rate_mapping=dict(kind="attenuated", **{name: -0.5}))))
-        assert cli_main(["uplink", "--config", str(path)] + small) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: rate_mapping.{name} must be >= 0") \
-            and err.count("\n") == 1, err
-    assert not (tmp_path / "never").exists()
+        assert message in refused(flags + ["--k-ms", "2", "--n-pico", "1",
+                                           "--drops", "1"]), flags
 
 
 def _section(text, mode):
@@ -1001,11 +1043,8 @@ def test_config_file_integers_write_the_files_of_flags(tmp_path):
     assert direct == harness.ExperimentConfig.from_dict(
         dict(k_ms=2, n_pico=1, drops=1, slots=2, seed=3, **numbers))
     harness.write_report(harness.run_experiment(direct), tmp_path / "direct")
-    for name in ("records.csv", "summary.txt", "config.json"):
-        want = (tmp_path / "flags" / name).read_bytes()
-        assert (tmp_path / "file" / name).read_bytes() == want, name
-        assert (tmp_path / "direct" / name).read_bytes() == want, name
-        assert (tmp_path / "sweep" / "alpha_1" / name).read_bytes() == want
+    for name in ("file", "direct", "sweep/alpha_1"):
+        assert_same_results(tmp_path / name, tmp_path / "flags")
     assert "C=(9.0,3.0) alpha=1.0 beta=1.0" in \
         (tmp_path / "direct" / "summary.txt").read_text()
 
@@ -1052,8 +1091,10 @@ def test_config_json_loads_back_equal(tmp_path, name):
     ["uplink", "--preset", "ul-cdf", "--c-pico", "1e-05", "--drops", "2"],
     ["sweep", "--preset", "dl-sweep-b", "--alpha", "2,3", "--slots", "2",
      "--drops", "1", "--k-ms", "2", "--n-pico", "1"],
+    ["downlink", "--preset", "dl-sweep-b", "--alpha", "2", "--slots", "2",
+     "--drops", "2"],
 ])
-def test_cli_rerun_from_config_json(tmp_path, argv, capsys):
+def test_cli_rerun_from_config_json(tmp_path, argv, refused):
     """A run's config.json, given to --config, reruns it: every file but
     timing.json is byte-identical.  A sweep's top directory holds its alpha
     list, and each alpha's directory that alpha."""
@@ -1061,39 +1102,28 @@ def test_cli_rerun_from_config_json(tmp_path, argv, capsys):
         == 0
     assert cli_main([argv[0], "--config", str(tmp_path / "a" / "config.json"),
                      "--out", str(tmp_path / "b")]) == 0
-    first = sorted(p.relative_to(tmp_path / "a")
-                   for p in (tmp_path / "a").rglob("*"))
-    assert first == sorted(p.relative_to(tmp_path / "b")
-                           for p in (tmp_path / "b").rglob("*"))
-    for path in first:
-        if (tmp_path / "a" / path).is_file() and path.name != "timing.json":
-            assert (tmp_path / "a" / path).read_bytes() \
-                == (tmp_path / "b" / path).read_bytes(), path
+    assert_same_results(tmp_path / "b", tmp_path / "a")
     alphas = [json.loads(p.read_text())["alpha"]
               for p in sorted((tmp_path / "a").rglob("config.json"))]
-    assert alphas == ([2.0, 3.0, [2.0, 3.0]] if argv[0] == "sweep"
-                      else [0.0])
+    assert alphas == {"uplink": [0.0], "downlink": [2.0],
+                      "sweep": [2.0, 3.0, [2.0, 3.0]]}[argv[0]]
     bad = tmp_path / "bad.json"
     bad.write_text('{"c_pico": 1e-05,}')
-    capsys.readouterr()
-    assert cli_main(["uplink", "--config", str(bad), "--out",
-                     str(tmp_path / "never")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: config file {bad} is not valid JSON") \
-        and err.count("\n") == 1 and not (tmp_path / "never").exists()
+    assert refused(["uplink", "--config", str(bad)]).startswith(
+        f"error: config file {bad} is not valid JSON")
 
 
-def test_cli_uplink_and_downlink_take_one_alpha(tmp_path, capsys):
+def test_cli_uplink_and_downlink_take_one_alpha(tmp_path, refused):
     """`uplink` and `downlink` run a one-element alpha list as that alpha,
-    writing the files of the scalar run, and refuse a longer list, from a
-    flag, a config file or a preset, with one error line that names
-    `cransim sweep`, before writing anything."""
-    common = ["--k-ms", "2", "--n-pico", "1", "--drops", "1", "--slots",
+    writing the files of the scalar run, as a pooled sweep writes that
+    alpha's directory, and refuse a longer list, from a flag, a config file
+    or a preset, with one error line that names `cransim sweep`, before
+    writing anything."""
+    common = ["--k-ms", "2", "--n-pico", "1", "--drops", "2", "--slots",
               "2", "--seed", "3"]
     one, two = tmp_path / "one.yaml", tmp_path / "two.yaml"
     one.write_text("alpha: [3]\n")
     two.write_text("alpha: [0, 1]\n")
-    never = ["--out", str(tmp_path / "never")]
     for direction, preset in (("uplink", "ul-sweep"),
                               ("downlink", "dl-sweep-b")):
         listed, scalar = tmp_path / f"{direction}-list", \
@@ -1102,22 +1132,15 @@ def test_cli_uplink_and_downlink_take_one_alpha(tmp_path, capsys):
                          str(listed)] + common) == 0
         assert cli_main([direction, "--alpha", "3", "--out", str(scalar)]
                         + common) == 0
-        assert sorted(p.name for p in listed.iterdir()) \
-            == sorted(p.name for p in scalar.iterdir())
-        for path in scalar.iterdir():
-            if path.name != "timing.json":
-                assert (listed / path.name).read_text() \
-                    == path.read_text(), path.name
+        swept = tmp_path / f"{direction}-sweep"
+        assert cli_main(["sweep", "--direction", direction, "--alpha", "2,3",
+                         "--jobs", "2", "--out", str(swept)] + common) == 0
+        assert_same_results(listed, scalar)
+        assert_same_results(swept / "alpha_3", scalar)
         assert "alpha=3.0 " in (listed / "summary.txt").read_text()
-        capsys.readouterr()
         for flags in (["--alpha", "0,1"], ["--config", str(two)],
                       ["--preset", preset]):
-            assert cli_main([direction] + flags + common + never) \
-                == 2, flags
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1, err
-            assert "`cransim sweep`" in err, err
-    assert not (tmp_path / "never").exists()
+            assert "`cransim sweep`" in refused([direction] + flags + common)
 
 
 def test_cli_config_file_with_flag_override(tmp_path):
