@@ -13,10 +13,10 @@ derives its rng streams from the master seed and its own index, so results
 are byte-identical no matter how many workers are used.  A drop's geometry
 (layout, and the cluster for the run's direction), its slots' channel
 realizations and, in the uplink, their `uplink.VertexTable`s depend on
-neither alpha nor the mode, and are kept for the next drop whose index and
-config, alpha aside, are equal: an alpha sweep builds each drop and
-realizes each of its slots once for every alpha and mode.  A run opens at
-most one process pool, in which one worker takes all alphas of a drop.
+neither alpha nor the mode.  A run submits one task per drop, which runs
+the drop's alphas in turn inside one drop scope: an alpha sweep builds each
+drop and realizes each of its slots once for every alpha and mode.  A run
+opens at most one process pool.
 
 A downlink multiterminal run also solves and schedules point-to-point each
 slot, as its start, so its files equal the multiterminal half of a run with
@@ -34,6 +34,7 @@ import time
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -260,23 +261,23 @@ class DropOutcome:
     mm_iterations: dict      # mode -> MM iterations over the drop's slots
 
 
-# [(drop, config fields but alpha), Cluster, {slot: (ChannelRealization,
-# VertexTable or None)}] of this process's last drop; empty between runs
-_last_drop = []
+# [Cluster or None, {slot: (realization, VertexTable or None)}] or empty
+_drop_scope = []
 
 
 def _simulate_drop(config, drop):
     """Run all slots of one drop; deterministic given (config.seed, drop).
-    Consecutive calls for one drop whose configs differ at most in alpha
-    share its Cluster and its slots, each realized on first use."""
-    key = drop, {**vars(config), "alpha": None}
-    if not _last_drop or _last_drop[0] != key:
+    Inside `_alphas_of_drop` it takes the drop's Cluster and each slot's
+    realization and vertex table from the open drop scope, making each on
+    first use; called directly, it builds its own and shares nothing."""
+    scope = _drop_scope or [None, {}]
+    if scope[0] is None:
         topo = cellgeom.build_layout(_drop_seed(config.seed, drop),
                                      config.k_ms, config.n_pico,
                                      config.propagation, reuse=config.reuse)
-        _last_drop[:] = [key, channel_mod.build_cluster(
-            topo, config.propagation, direction=config.direction), {}]
-    _, cluster, channels = _last_drop
+        scope[0] = channel_mod.build_cluster(
+            topo, config.propagation, direction=config.direction)
+    cluster, channels = scope
     c_vec = cluster.backhaul_capacities(config.c_macro, config.c_pico)
     modes = config.modes
     # a downlink multiterminal design refines the slot's point-to-point one,
@@ -365,31 +366,35 @@ def _aggregate(config, outcomes):
     return metrics
 
 
+def _alphas_of_drop(simulate, configs, drop):
+    """`simulate(config, drop)` of each config in turn, in one drop scope:
+    the configs differ only in alpha, so they share the drop."""
+    _drop_scope[:] = [None, {}]
+    try:
+        return [simulate(c, drop) for c in configs]
+    finally:
+        _drop_scope.clear()
+
+
 def _run(config):
     """One MetricsReport per alpha, all from a single pass over the drops.
 
-    The (drop, alpha) grid runs drop-major, in one process pool of
-    min(`jobs`, `drops`) workers when that exceeds 1, whose workers take all
-    alphas of a drop as one chunk, so each drop's cluster is built once.
-    Every report's `elapsed_s` is the wall time of the whole run.
+    Each drop is one task of `_alphas_of_drop`, run in one process pool of
+    min(`jobs`, `drops`) workers when that exceeds 1.  Every report's
+    `elapsed_s` is the wall time of the whole run.
     """
     configs = [replace(config, alpha=a) for a in config.alphas]
-    grid = [(c, d) for d in range(config.drops) for c in configs]
+    # read here, so a replacement reaches pool workers of any start method
+    task = partial(_alphas_of_drop, _simulate_drop, configs)
     # a forking pool starts all its workers at the first submit
     workers = min(config.jobs, config.drops)
     start = time.perf_counter()
-    _last_drop.clear()
-    try:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_simulate_drop, *zip(*grid),
-                                         chunksize=len(configs)))
-        else:
-            outcomes = [_simulate_drop(c, d) for c, d in grid]
-    finally:
-        _last_drop.clear()
-    metrics = [_aggregate(c, outcomes[i::len(configs)])
-               for i, c in enumerate(configs)]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            by_drop = list(pool.map(task, range(config.drops)))
+    else:
+        by_drop = list(map(task, range(config.drops)))
+    metrics = [_aggregate(c, o) for c, o in zip(configs, zip(*by_drop))]
     elapsed = time.perf_counter() - start
     return [MetricsReport(config=c, metrics=m, elapsed_s=elapsed)
             for c, m in zip(configs, metrics)]

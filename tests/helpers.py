@@ -7,8 +7,16 @@ log-determinants from eigenvalue products, uplink rates from K+1 separate
 log-dets of directly summed covariances, and downlink backhaul requirements
 from one BS or one subset at a time (`backhaul_p2p_dl`, `backhaul_mv_dl`,
 with `logdet2` factoring one block per call).
+
+The CLI runs of the cross-`--jobs` test, `ACROSS_JOBS`, also make the
+reference result trees under `reference/`, and `environment_stamp` names
+what their bytes depend on beyond the code.
 """
 
+import ctypes
+import glob
+import os
+import platform
 from itertools import combinations
 
 import numpy as np
@@ -109,6 +117,78 @@ def dominance_sweep(preset, seed):
     cfg = harness.ExperimentConfig.from_dict(
         {**harness.PRESETS[preset], "seed": seed, "jobs": 4})
     return harness.alpha_sweep(cfg)
+
+
+# Runs whose result files must not depend on --jobs: both links, both
+# modes, sweeps, one MS, F1 reuse, and clusters and layouts at their
+# extremes.  Each has 2-3 drops, so at --jobs 5 the pool has one worker per
+# drop.  A config file named in a run is one of CONFIG_FILES.
+ACROSS_JOBS = {
+    "dl-sweep-b": "sweep --preset dl-sweep-b --slots 2 --alpha 2 --drops 2",
+    "dl-mt": "downlink --preset dl-sweep-b --mode multiterminal --alpha 2 "
+             "--slots 2 --drops 2",
+    "ul-sweep": "sweep --preset ul-sweep --slots 2 --alpha 0,1 --drops 2",
+    "ul-20-picos": "uplink --preset ul-cdf --n-pico 20 --drops 3",
+    "ul-one-ms": "uplink --preset ul-sweep --alpha 0 --slots 2 --drops 2 "
+                 "--k-ms 1 --n-pico 0",
+    "dl-sweep-a": "sweep --preset dl-sweep-a --slots 2 --alpha 2 --drops 2",
+    "dl-one-ms": "downlink --preset dl-sweep-b --alpha 1 --slots 2 --drops 2 "
+                 "--k-ms 1 --n-pico 0",
+    # 9 active BSs: the chain kernel and feasible_dl past 6 BSs; run as
+    # `python -m cransim.cli`, so its pool forks from a clean parent
+    "dl-9-bs": "downlink --preset dl-sweep-b --n-pico 6 --alpha 2 --slots 2 "
+               "--drops 2",
+    "ul-far-macro": "uplink --preset ul-sweep --config far.yaml --alpha 0 "
+                    "--slots 2 --drops 3",
+    "ul-f1": "uplink --config f1.yaml --k-ms 3 --n-pico 1 --alpha 1 "
+             "--slots 2 --drops 2 --seed 29",
+    "dl-f1": "downlink --config f1.yaml --k-ms 3 --n-pico 1 --alpha 1 "
+             "--slots 2 --drops 2 --seed 29",
+}
+CONFIG_FILES = {
+    # a macro distance of 250 m rejects about nine in ten candidates, so
+    # node placement scans cells candidate window by window
+    "far.yaml": "propagation: {min_dist_macro_m: 250.0}\n",
+    # universal reuse: all 18 other cells interfere
+    "f1.yaml": "reuse: F1\n"}
+REFERENCE_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             "reference")
+
+
+def environment_stamp():
+    """What a result file's bytes depend on beyond the code: the numpy
+    version, its BLAS's name and version, the CPU kernel that BLAS runs
+    (OpenBLAS picks one per CPU; `OPENBLAS_CORETYPE` overrides it) and the
+    machine."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
+            "blas_kernel": _openblas_kernel(), "machine": platform.machine()}
+
+
+def _openblas_kernel():
+    """The kernel name of the OpenBLAS bundled with numpy, or "unknown"."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for lib in glob.glob(os.path.join(libs, "*openblas*")):
+        blas = ctypes.CDLL(lib)
+        for name in ("scipy_openblas_get_corename64_",
+                     "scipy_openblas_get_corename"):
+            corename = getattr(blas, name, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
+
+
+_SIMULATE_DROP = harness._simulate_drop
+
+
+def drop_in_process(config, drop):
+    """`harness._simulate_drop`, its outcome tagged with the id of the
+    process that ran it; pool workers of any start method import it."""
+    out = _SIMULATE_DROP(config, drop)
+    out.pid = os.getpid()
+    return out
 
 
 def max_efficiency(sweep, mode):

@@ -2,12 +2,16 @@ import argparse
 import dataclasses
 import importlib
 import json
+import math
+import multiprocessing
 import os
+import pathlib
 import platform
 import pkgutil
 import re
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +23,8 @@ from cransim import (cellgeom, channel, downlink, harness, scheduler,
                      uplink)
 from cransim.cli import build_config, main as cli_main
 from cransim.errors import ConfigurationError, DomainError
-from helpers import max_efficiency
+from helpers import (ACROSS_JOBS, CONFIG_FILES, REFERENCE_DIR,
+                     drop_in_process, environment_stamp, max_efficiency)
 
 
 def test_percentile_reference_values():
@@ -498,40 +503,6 @@ def test_config_rejects_alpha_whose_weights_overflow(refused):
                                           "--drops", "1"])
 
 
-# Runs whose result files must not depend on --jobs: both links, both
-# modes, sweeps, one MS, F1 reuse, and clusters and layouts at their
-# extremes.  Each has 2-3 drops, so at --jobs 5 the pool has one worker per
-# drop.  A config file named in a run is one of CONFIG_FILES.
-ACROSS_JOBS = {
-    "dl-sweep-b": "sweep --preset dl-sweep-b --slots 2 --alpha 2 --drops 2",
-    "dl-mt": "downlink --preset dl-sweep-b --mode multiterminal --alpha 2 "
-             "--slots 2 --drops 2",
-    "ul-sweep": "sweep --preset ul-sweep --slots 2 --alpha 0,1 --drops 2",
-    "ul-20-picos": "uplink --preset ul-cdf --n-pico 20 --drops 3",
-    "ul-one-ms": "uplink --preset ul-sweep --alpha 0 --slots 2 --drops 2 "
-                 "--k-ms 1 --n-pico 0",
-    "dl-sweep-a": "sweep --preset dl-sweep-a --slots 2 --alpha 2 --drops 2",
-    "dl-one-ms": "downlink --preset dl-sweep-b --alpha 1 --slots 2 --drops 2 "
-                 "--k-ms 1 --n-pico 0",
-    # 9 active BSs: the chain kernel and feasible_dl past 6 BSs; run as
-    # `python -m cransim.cli`, so its pool forks from a clean parent
-    "dl-9-bs": "downlink --preset dl-sweep-b --n-pico 6 --alpha 2 --slots 2 "
-               "--drops 2",
-    "ul-far-macro": "uplink --preset ul-sweep --config far.yaml --alpha 0 "
-                    "--slots 2 --drops 3",
-    "ul-f1": "uplink --config f1.yaml --k-ms 3 --n-pico 1 --alpha 1 "
-             "--slots 2 --drops 2 --seed 29",
-    "dl-f1": "downlink --config f1.yaml --k-ms 3 --n-pico 1 --alpha 1 "
-             "--slots 2 --drops 2 --seed 29",
-}
-CONFIG_FILES = {
-    # a macro distance of 250 m rejects about nine in ten candidates, so
-    # node placement scans cells candidate window by window
-    "far.yaml": "propagation: {min_dist_macro_m: 250.0}\n",
-    # universal reuse: all 18 other cells interfere
-    "f1.yaml": "reuse: F1\n"}
-
-
 def src_env():
     """The environment with cransim's source directory on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(cransim.__file__))
@@ -554,11 +525,60 @@ def assert_same_results(got, want):
                 (got, path)
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def printed_close(got, want):
+    """Whether two numbers printed to FLOAT_FMT's nine significant digits
+    can be roundings of values within 1e-9 relative of each other: they
+    differ by at most 1e-9 of `want` plus one unit in its ninth digit."""
+    unit = 10.0 ** (math.floor(math.log10(abs(want))) - 8) if want else 0.0
+    return abs(got - want) <= 1e-9 * abs(want) + unit
+
+
+def assert_matches_reference(tree, name):
+    """The result tree `tree` of ACROSS_JOBS[name] holds the files of
+    reference/<name>.  Where `environment_stamp()` equals the stamp the
+    references were written under, each is byte-identical.  Elsewhere
+    config.json stays byte-identical, and every other file must read the
+    same around its numbers, so no number turns into nan or inf.  Uplink
+    numbers then agree to 1e-9 relative (`printed_close`).  Downlink rates
+    move by up to 21% between OpenBLAS kernels of one build, so downlink
+    records need only keep their keys.  Returns which comparison was made."""
+    root = pathlib.Path(REFERENCE_DIR)
+    on_stamp = environment_stamp() == json.loads(
+        (root / "stamp.json").read_text())
+    uplink_run = json.loads((root / name / "config.json").read_text())[
+        "direction"] == "uplink"
+    files = files_under(root / name)
+    assert [p for p in files_under(tree) if p.name != "timing.json"] == files
+    for path in files:
+        got, want = ((d / path).read_bytes() for d in (tree, root / name))
+        if on_stamp or path.name == "config.json":
+            assert got == want, path
+            continue
+        got, want = got.decode(), want.decode()
+        assert NUMBER.sub("#", got) == NUMBER.sub("#", want), path
+        if uplink_run:
+            assert all(map(printed_close, map(float, NUMBER.findall(got)),
+                           map(float, NUMBER.findall(want)))), path
+        elif path.name == "records.csv":
+            assert [line.rsplit(",", 1)[0] for line in got.splitlines()] \
+                == [line.rsplit(",", 1)[0] for line in want.splitlines()], \
+                path
+    if on_stamp:
+        return "byte for byte, on the references' stamp"
+    return "off the references' stamp: " + (
+        "numbers to 1e-9 relative" if uplink_run
+        else "downlink text, record keys and finite numbers")
+
+
 @pytest.mark.parametrize("name", sorted(ACROSS_JOBS))
 def test_result_files_identical_across_jobs(tmp_path, monkeypatch, name):
     """Every result file but timing.json, of a run or of a sweep's whole
     tree, is byte-identical at --jobs 1, 2 and 5 (1 and 2 in a fresh
-    interpreter, where each run pays its imports)."""
+    interpreter, where each run pays its imports), and the --jobs 1 tree
+    matches the checked-in reference (`assert_matches_reference`)."""
     monkeypatch.chdir(tmp_path)
     for file_name, text in CONFIG_FILES.items():
         (tmp_path / file_name).write_text(text)
@@ -592,28 +612,26 @@ def test_result_files_identical_across_jobs(tmp_path, monkeypatch, name):
         assert len(records) == \
             1 + cfg.drops * cfg.slots * len(cfg.modes) * cfg.k_ms
     assert runs
+    print(f"{name} reference: {assert_matches_reference(first, name)}")
 
 
 def test_pool_has_no_more_workers_than_drops(monkeypatch):
     """A forking pool starts every worker it is given at the first submit:
     a run asks for at most one worker per drop, and runs in its own process
-    when that is one.  The pool is faked, so no process starts."""
-    asked = []
+    when that is one.  The workers run the `_simulate_drop` the run sees,
+    as perfbench's recorders need, even when they import cransim afresh:
+    this pool spawns them, on demand."""
+    asked, pids, aggregate = [], [], harness._aggregate
 
-    class InProcessPool:
+    class SpawningPool(ProcessPoolExecutor):
         def __init__(self, max_workers):
             asked.append(max_workers)
+            super().__init__(max_workers, multiprocessing.get_context("spawn"))
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SpawningPool)
+    monkeypatch.setattr(harness, "_simulate_drop", drop_in_process)
+    monkeypatch.setattr(harness, "_aggregate", lambda config, drops: (
+        pids.extend(d.pid for d in drops), aggregate(config, drops))[1])
     base = dict(direction="uplink", mode="point_to_point", k_ms=1, n_pico=0,
                 slots=1, seed=3)
     serial = harness.run_experiment(
@@ -624,6 +642,7 @@ def test_pool_has_no_more_workers_than_drops(monkeypatch):
     pooled = harness.run_experiment(
         harness.ExperimentConfig(drops=2, jobs=64, **base))
     assert asked == [2]
+    assert pids[:3] == [os.getpid()] * 3 and os.getpid() not in pids[3:]
     assert np.array_equal(pooled.metrics["point_to_point"].rates,
                           serial.metrics["point_to_point"].rates)
 
@@ -771,88 +790,6 @@ def test_alpha_sweep_builds_one_vertex_table_per_slot(monkeypatch):
                               single.metrics[mode].rates)
 
 
-def test_drop_reuse_is_per_direction(monkeypatch):
-    """An uplink run and then a downlink run of an otherwise equal config
-    in one process build a cluster each, and the drop cache never hands one
-    direction's cluster to the other."""
-    clusters = counting(monkeypatch, channel, "build_cluster")
-    base = dict(k_ms=2, n_pico=1, alpha=2.0, slots=2, drops=1, seed=13)
-    up = harness.ExperimentConfig(direction="uplink", **base)
-    down = harness.ExperimentConfig(direction="downlink", **base)
-    harness.run_experiment(up)
-    harness.run_experiment(down)
-    assert len(clusters) == 2
-    built = []
-    try:
-        for cfg in (up, down):
-            harness._simulate_drop(cfg, 0)
-            built.append(harness._last_drop[1])
-    finally:
-        harness._last_drop.clear()
-    assert [c.direction for c in built] == ["uplink", "downlink"]
-    assert built[0].sigma2_dl is None and built[1].ul_interference is None
-    assert len(clusters) == 4
-
-
-def test_drop_reuse_is_per_backhaul_capacity():
-    """Consecutive uplink drops that differ only in their capacities get
-    vertex tables of their own capacities from the drop cache."""
-    base = dict(direction="uplink", k_ms=2, n_pico=1, alpha=1.0, slots=2,
-                drops=1, seed=13)
-    configs = [harness.ExperimentConfig(c_macro=c, **base) for c in (3, 9)]
-    try:
-        drops = [harness._simulate_drop(cfg, 0) for cfg in configs]
-    finally:
-        harness._last_drop.clear()
-    for cfg, drop in zip(configs, drops):
-        report = harness.run_experiment(cfg)
-        for mode in cfg.modes:
-            assert np.array_equal(drop.rates[mode],
-                                  report.metrics[mode].rates[0])
-
-
-# one small uplink drop, and a value other than its own for every config
-# field but alpha
-DROP_BASE = harness.ExperimentConfig(mode="point_to_point", k_ms=1, n_pico=0,
-                                     slots=1, drops=1, alpha=1.0)
-OTHER_VALUES = dict(
-    direction="downlink", mode="multiterminal", k_ms=2, n_pico=1,
-    c_macro=4.0, c_pico=2.0, beta=0.25, slots=2, drops=2, seed=2,
-    reuse="F1", jobs=2, rate_mapping=harness.RateMapping(kind="attenuated"),
-    propagation=cellgeom.PropagationParams(inter_site_distance_m=400.0))
-
-
-def clusters_built(monkeypatch, calls):
-    """How many clusters consecutive `_simulate_drop(config, drop)` calls
-    build, from an empty drop cache."""
-    clusters = counting(monkeypatch, channel, "build_cluster")
-    try:
-        for cfg, drop in calls:
-            harness._simulate_drop(cfg, drop)
-    finally:
-        harness._last_drop.clear()
-    return len(clusters)
-
-
-@pytest.mark.parametrize("name", sorted(OTHER_VALUES))
-def test_drop_reuse_is_per_config_field(monkeypatch, name):
-    """Configs of one drop that differ in any field but alpha get a
-    cluster each from the drop cache."""
-    other = dataclasses.replace(DROP_BASE, **{name: OTHER_VALUES[name]})
-    assert getattr(other, name) != getattr(DROP_BASE, name)
-    assert clusters_built(monkeypatch, [(DROP_BASE, 0), (other, 0)]) == 2
-
-
-def test_drop_reuse_spans_alphas_of_one_drop(monkeypatch):
-    """Configs that differ only in alpha share the drop's cluster, and
-    another drop gets its own; OTHER_VALUES covers every other field."""
-    assert set(OTHER_VALUES) == {f.name for f in dataclasses.fields(
-        harness.ExperimentConfig)} - {"alpha"}
-    alpha3 = dataclasses.replace(DROP_BASE, alpha=3.0)
-    assert clusters_built(monkeypatch, [(DROP_BASE, 0), (alpha3, 0)]) == 1
-    assert clusters_built(monkeypatch, [(DROP_BASE, 0), (alpha3, 1)]) == 2
-
-
 def test_drop_reuse_never_crosses_runs(monkeypatch):
     cfg = harness.ExperimentConfig(direction="uplink", alpha=1.0,
                                    **dict(SWEEP_BASE, drops=1))
@@ -863,6 +800,21 @@ def test_drop_reuse_never_crosses_runs(monkeypatch):
     for mode in cfg.modes:
         assert np.array_equal(first.metrics[mode].rates,
                               second.metrics[mode].rates)
+
+
+def test_direct_drop_calls_share_nothing(monkeypatch):
+    """Outside a run's drop scope, even right after a run of the same drop,
+    each `_simulate_drop` call builds its own cluster."""
+    cfg = harness.ExperimentConfig(direction="uplink", alpha=1.0,
+                                   **dict(SWEEP_BASE, drops=1))
+    report = harness.run_experiment(cfg)
+    clusters = counting(monkeypatch, channel, "build_cluster")
+    drops = [harness._simulate_drop(cfg, 0) for _ in range(2)]
+    assert len(clusters) == 2
+    for drop in drops:
+        for mode in cfg.modes:
+            assert np.array_equal(drop.rates[mode],
+                                  report.metrics[mode].rates[0])
 
 
 def test_report_files_written(tmp_path):
